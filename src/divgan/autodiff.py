@@ -2,10 +2,20 @@
 
 Define-by-run engine: arithmetic on `Var` objects records a computation
 graph, `backward` replays it in reverse topological order and accumulates
-gradients into `Var.grad`. Everything is float64 and strict: operand
-shapes must match exactly except for the few broadcast forms the networks
-need (scalar operands, and a row-vector bias added to a matrix). Anything
-else raises `ShapeMismatch` naming the op and the shapes.
+gradients into `Var.grad`.
+
+Only what a gradient can flow to is recorded. A `Var` built explicitly is a
+leaf that requires a gradient; an array wrapped by `lift` (every non-`Var`
+operand) is a constant. An op result requires a gradient iff one of its
+operands does; a result computed only from constants keeps no parents and
+no backward closure, so a forward pass over constants builds no graph.
+`backward` walks only nodes that require a gradient, skips the matmul
+products nobody reads, and leaves `.grad` untouched on constants.
+
+Everything is float64 and strict: operand shapes must match exactly except
+for the few broadcast forms the networks need (scalar operands, and a
+row-vector bias added to a matrix). Anything else raises `ShapeMismatch`
+naming the op and the shapes.
 
 A graph is a single-use, single-threaded object; the ops themselves are
 pure and safe to run concurrently on disjoint data.
@@ -47,15 +57,20 @@ def _arr(x) -> np.ndarray:
 
 
 class Var:
-    """Graph node: a float64 ndarray payload plus a gradient slot."""
+    """Graph node: a float64 ndarray payload plus a gradient slot.
 
-    __slots__ = ("data", "grad", "_parents", "_bwd")
+    `Var(x)` is a leaf that requires a gradient; `Var(x, requires_grad=False)`
+    (what `lift` builds) is a constant.
+    """
 
-    def __init__(self, data, _parents=(), _bwd=None):
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
+
+    def __init__(self, data, requires_grad: bool = True):
         self.data = _arr(data)
         self.grad = None
-        self._parents = _parents
-        self._bwd = _bwd
+        self.requires_grad = requires_grad
+        self._parents = ()
+        self._bwd = None
 
     @property
     def shape(self):
@@ -112,33 +127,33 @@ class Var:
 
     def tanh(self):
         t = np.tanh(self.data)
-        return Var(t, (self,), lambda g, v: (g * (1.0 - t * t),))
+        return _node(t, (self,), lambda g, v: (g * (1.0 - t * t),))
 
     def relu(self):
         mask = self.data > 0.0
-        return Var(np.where(mask, self.data, 0.0), (self,), lambda g, v: (g * mask,))
+        return _node(np.where(mask, self.data, 0.0), (self,), lambda g, v: (g * mask,))
 
     def leaky_relu(self, alpha: float = 0.2):
         slope = np.where(self.data > 0.0, 1.0, alpha)
-        return Var(self.data * slope, (self,), lambda g, v: (g * slope,))
+        return _node(self.data * slope, (self,), lambda g, v: (g * slope,))
 
     def sigmoid(self):
         s = _sigmoid(self.data)
-        return Var(s, (self,), lambda g, v: (g * s * (1.0 - s),))
+        return _node(s, (self,), lambda g, v: (g * s * (1.0 - s),))
 
     def softplus(self):
         # log(1 + exp(x)), computed without overflow
         x = self.data
         out = np.logaddexp(0.0, x)
-        return Var(out, (self,), lambda g, v: (g * _sigmoid(x),))
+        return _node(out, (self,), lambda g, v: (g * _sigmoid(x),))
 
     def abs(self):
         # subgradient 0 at exactly 0
         sign = np.sign(self.data)
-        return Var(np.abs(self.data), (self,), lambda g, v: (g * sign,))
+        return _node(np.abs(self.data), (self,), lambda g, v: (g * sign,))
 
     def square(self):
-        return Var(self.data * self.data, (self,), lambda g, v: (g * 2.0 * self.data,))
+        return _node(self.data * self.data, (self,), lambda g, v: (g * 2.0 * self.data,))
 
     def sqrt(self):
         if np.any(self.data < 0.0):
@@ -147,13 +162,13 @@ class Var:
         # subgradient 0 at exactly 0 (true one-sided derivative is +inf)
         safe = np.where(root > 0.0, root, 1.0)
         back = np.where(root > 0.0, 0.5 / safe, 0.0)
-        return Var(root, (self,), lambda g, v: (g * back,))
+        return _node(root, (self,), lambda g, v: (g * back,))
 
     def clip_max(self, bound: float):
         """Elementwise min with a constant; gradient flows only where the
         variable branch is strictly smaller (zero at an exact tie)."""
         mask = self.data < bound
-        return Var(np.minimum(self.data, bound), (self,), lambda g, v: (g * mask,))
+        return _node(np.minimum(self.data, bound), (self,), lambda g, v: (g * mask,))
 
     # -- reductions and structure ---------------------------------------
 
@@ -166,7 +181,7 @@ class Var:
                 return (np.broadcast_to(g, shape).copy(),)
             return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
-        return Var(out, (self,), bwd)
+        return _node(out, (self,), bwd)
 
     def mean(self, axis=None):
         n = self.data.size if axis is None else self.shape[axis]
@@ -184,11 +199,24 @@ class Var:
             full[:, start:stop] = g
             return (full,)
 
-        return Var(sl, (self,), bwd)
+        return _node(sl, (self,), bwd)
 
 
 def lift(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
+    """A Var as is; anything else as a constant."""
+    return x if isinstance(x, Var) else Var(x, requires_grad=False)
+
+
+def _node(data, parents, bwd) -> Var:
+    """Op result: it joins the graph iff some parent requires a gradient."""
+    out = Var(data)
+    for p in parents:
+        if p.requires_grad:
+            out._parents = parents
+            out._bwd = bwd
+            return out
+    out.requires_grad = False
+    return out
 
 
 # -- binary ops ---------------------------------------------------------
@@ -222,11 +250,11 @@ def _add(a: Var, b: Var) -> Var:
             gb = g.sum(axis=0)
         return ga, gb
 
-    return Var(out, (a, b), bwd)
+    return _node(out, (a, b), bwd)
 
 
 def _neg(a: Var) -> Var:
-    return Var(-a.data, (a,), lambda g, v: (-g,))
+    return _node(-a.data, (a,), lambda g, v: (-g,))
 
 
 def _mul(a: Var, b: Var) -> Var:
@@ -242,7 +270,7 @@ def _mul(a: Var, b: Var) -> Var:
             ga = ga.sum()
         return ga, gb
 
-    return Var(out, (a, b), bwd)
+    return _node(out, (a, b), bwd)
 
 
 def _div(a: Var, b: Var) -> Var:
@@ -260,7 +288,7 @@ def _div(a: Var, b: Var) -> Var:
             ga = ga.sum()
         return ga, gb
 
-    return Var(out, (a, b), bwd)
+    return _node(out, (a, b), bwd)
 
 
 def _matmul(a: Var, b: Var) -> Var:
@@ -269,9 +297,10 @@ def _matmul(a: Var, b: Var) -> Var:
     out = a.data @ b.data
 
     def bwd(g, v):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
-    return Var(out, (a, b), bwd)
+    return _node(out, (a, b), bwd)
 
 
 def concat(parts, axis: int = 0) -> Var:
@@ -300,7 +329,7 @@ def concat(parts, axis: int = 0) -> Var:
             off += s
         return tuple(grads)
 
-    return Var(out, tuple(parts), bwd)
+    return _node(out, tuple(parts), bwd)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -326,12 +355,24 @@ def _toposort(root: Var):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            stack.append((p, False))
+            if p.requires_grad:
+                stack.append((p, False))
     return order
 
 
+def _accumulate(node: Var, g) -> None:
+    if node.grad is None:
+        # the first contribution is stored as a fresh array equal to
+        # zeros + g: ops may hand one array to several parents (add passes g
+        # to both), and the addition turns -0.0 into 0.0
+        node.grad = np.add(g, 0.0, out=np.empty_like(node.data))
+    else:
+        node.grad += g
+
+
 def backward(root: Var, seed=None) -> None:
-    """Accumulate d(root)/d(node) into .grad for every node under root.
+    """Accumulate d(root)/d(node) into .grad for the root and every node
+    under it that requires a gradient; constants below the root get none.
 
     `seed` is the cotangent at the root; it defaults to 1 and then the root
     must be a scalar.
@@ -350,14 +391,15 @@ def backward(root: Var, seed=None) -> None:
             )
     order = _toposort(root)
     for node in order:
-        node.grad = np.zeros_like(node.data)
-    root.grad = root.grad + seed
+        node.grad = None
+    _accumulate(root, seed)
     for node in reversed(order):
         if node._bwd is None:
             continue
         parent_grads = node._bwd(node.grad, node)
         for parent, g in zip(node._parents, parent_grads):
-            parent.grad += g
+            if parent.requires_grad:
+                _accumulate(parent, g)
 
 
 def grad(root: Var, inputs) -> list[np.ndarray]:

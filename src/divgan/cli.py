@@ -166,11 +166,29 @@ def _target_distance_step(params_G, y_star, z1, adam_hyper):
     """One optimizer step pulling G(z1) toward y_star; returns new params."""
     gvars = [Var(p) for p in params_G.flat()]
     out, _ = mlp_forward_vars(gvars, params_G.spec, z1[None, :])
-    dist = (out - Var(y_star[None, :])).square().sum().sqrt()
+    dist = (out - y_star[None, :]).square().sum().sqrt()
     backward(dist)
     new_flat, _ = adam_step(params_G.flat(), [v.grad for v in gvars],
                             adam_init(params_G.flat()), adam_hyper)
     return NetworkParams.from_flat(params_G.spec, new_flat)
+
+
+def _checkpoint_z_dim(state, command: str) -> int:
+    """Latent size of a checkpoint's generator, which must be unconditional.
+
+    A v1 checkpoint does not record the condition width: it is what the
+    discriminator reads beyond the generator's output, and the latent is
+    the rest of the generator's input.
+    """
+    cond_dim = state.params_D.spec.input_dim - state.params_G.spec.output_dim
+    z_dim = state.params_G.spec.input_dim - cond_dim
+    if cond_dim > 0:
+        raise ConfigError(
+            f"{command} needs an unconditional generator, but this checkpoint's "
+            f"generator reads a {cond_dim}-dim condition beside its {z_dim}-dim "
+            f"latent, and the checkpoint does not say which conditions to use"
+        )
+    return z_dim
 
 
 def cmd_verify(args) -> int:
@@ -188,11 +206,15 @@ def cmd_verify(args) -> int:
     if isinstance(doc, dict) and "version" in doc:
         try:
             with open(args.target, "rb") as fh:
-                params_G = load_checkpoint(fh.read()).params_G
+                state = load_checkpoint(fh.read())
+            z_dim = _checkpoint_z_dim(state, "verify")
         except CheckpointError as exc:
             print(f"checkpoint error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        z_dim = params_G.spec.input_dim
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        params_G = state.params_G
     else:
         try:
             cfg = load_run_config(args.target)
@@ -240,14 +262,17 @@ def cmd_interp(args) -> int:
     try:
         with open(args.checkpoint, "rb") as fh:
             state = load_checkpoint(fh.read())
+        z_dim = _checkpoint_z_dim(state, "interp")
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     params_G = state.params_G
-    z_dim = params_G.spec.input_dim
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     z_a = rng.standard_normal(z_dim)
     z_b = rng.standard_normal(z_dim)

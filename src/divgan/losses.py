@@ -250,7 +250,7 @@ def _resample_z2(z1: np.ndarray, z2: np.ndarray, cfg: DiversityConfig, rng,
 def _batch_ratios(y1: Var, y2: Var, feats1, feats2, gaps: np.ndarray,
                   cfg: DiversityConfig, seq_len: int) -> tuple[Var, Var]:
     """Graph-level per-example ratios: (term entering the objective, raw ratio)."""
-    inv_gap = Var(1.0 / gaps)
+    inv_gap = lift(1.0 / gaps)
     if cfg.space == "output":
         raw = _row_norms(y1 - y2, cfg.norm) * inv_gap
         clipped = raw.clip_max(cfg.tau) if cfg.tau is not None else raw
@@ -260,7 +260,7 @@ def _batch_ratios(y1: Var, y2: Var, feats1, feats2, gaps: np.ndarray,
         for f1, f2 in zip(feats1, feats2):
             term = _row_norms(f1 - f2, cfg.norm)
             acc = term if acc is None else acc + term
-        raw = acc * Var(1.0 / len(feats1)) * inv_gap
+        raw = acc * (1.0 / len(feats1)) * inv_gap
         return raw, raw
     # sequence: per-step l1 distances on the flattened (B, T*dim) outputs
     step = y1.shape[1] // seq_len
@@ -268,7 +268,7 @@ def _batch_ratios(y1: Var, y2: Var, feats1, feats2, gaps: np.ndarray,
     for t in range(seq_len):
         term = _row_norms(y1.cols(t * step, (t + 1) * step) - y2.cols(t * step, (t + 1) * step), "l1")
         acc = term if acc is None else acc + term
-    raw = acc * Var(1.0 / seq_len) * inv_gap
+    raw = acc * (1.0 / seq_len) * inv_gap
     return raw, raw
 
 
@@ -283,7 +283,9 @@ def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
     second fake exists for the regularizer. Ratios compare G(x, z1) with
     G(x, z2) in the configured space (discriminator features when
     space="feature"). Returns the loss graph plus the generator parameter
-    leaves so callers can read gradients after backward().
+    leaves so callers can read gradients after backward(). The latents, the
+    condition and D's parameters enter as constants, so backward computes
+    no gradient for them.
     """
     div = cfg.diversity
     if cfg.beta > 0 and batch.y is None:
@@ -294,15 +296,14 @@ def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
     gaps = _row_norms_np(z1 - z2, zgap_norm)
 
     gvars = [Var(p) for p in params_G.flat()]
-    xin = None if batch.x is None else Var(batch.x)
 
-    def gen(zv):
-        inp = zv if xin is None else _concat_cond(xin, zv)
+    def gen(z):
+        inp = z if batch.x is None else concat([batch.x, z], axis=1)
         out, _ = mlp_forward_vars(gvars, params_G.spec, inp)
         return out
 
-    y1 = gen(Var(z1))
-    y2 = gen(Var(z2))
+    y1 = gen(z1)
+    y2 = gen(z2)
 
     logits1, feats1 = discriminator_forward(params_D, y1, batch.x)
     adv = g_adv_loss(logits1, cfg.g_loss_form)
@@ -319,7 +320,7 @@ def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
     if div.weight > 0:
         term, raw = _batch_ratios(y1, y2, feats1, feats2, gaps, div, batch.seq_len)
         l_z = term.mean()
-        total = adv - Var(div.weight) * l_z
+        total = adv - div.weight * l_z
         l_z_val = l_z.item()
         ratio_mean = float(raw.data.mean())
     else:
@@ -329,7 +330,7 @@ def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
         ratio_mean = float(raw.data.mean())
         total = adv
     if rec is not None:
-        total = total + Var(cfg.beta) * rec
+        total = total + cfg.beta * rec
 
     parts = {
         "adv": adv.item(),
@@ -340,7 +341,3 @@ def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
     if not np.isfinite(total.data):
         raise NumericsError("generator_total_loss: non-finite loss")
     return GeneratorLoss(total=total, parts=parts, param_vars=gvars, z2_used=z2)
-
-
-def _concat_cond(xv: Var, zv: Var) -> Var:
-    return concat([xv, zv], axis=1)

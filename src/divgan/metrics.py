@@ -80,16 +80,17 @@ def _as_sample_matrix(samples) -> np.ndarray:
 
 
 def pairwise_diversity(samples) -> float:
-    """Mean squared distance (MSE per pair) over all unordered pairs."""
+    """Mean squared distance (MSE per pair) over all unordered pairs.
+
+    Uses sum_{i<j} ||x_i - x_j||^2 = n * sum_i ||x_i - mean||^2, which is
+    O(n d) and, being centered, stays accurate for nearly collapsed samples.
+    """
     flat = _as_sample_matrix(samples)
     n, d = flat.shape
     if n < 2:
         raise ValueError("pairwise_diversity: need at least 2 samples")
-    sq = np.sum(flat * flat, axis=1)
-    gram = flat @ flat.T
-    dist2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    iu = np.triu_indices(n, k=1)
-    return float(np.mean(dist2[iu]) / d)
+    centered = flat - flat.mean(axis=0)
+    return float(2.0 * np.sum(centered * centered) / ((n - 1) * d))
 
 
 def dist_min(samples, ground_truth) -> float:

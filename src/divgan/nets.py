@@ -20,6 +20,7 @@ __all__ = [
     "OUTPUT_ACTIVATIONS",
     "NetworkSpec",
     "NetworkParams",
+    "NonFiniteParams",
     "mlp_init",
     "mlp_forward",
     "mlp_forward_vars",
@@ -82,6 +83,14 @@ class NetworkSpec:
         )
 
 
+class NonFiniteParams(NumericsError, ValueError):
+    """Weights or biases hold NaN or inf.
+
+    A NumericsError, so a training step that produces them reports a
+    divergence; a ValueError, because as input the values are invalid.
+    """
+
+
 class NetworkParams:
     """Per-layer weight matrices and bias vectors for one NetworkSpec."""
 
@@ -99,7 +108,7 @@ class NetworkParams:
                     f"spec wants W{(dims[i], dims[i + 1])}, b{(dims[i + 1],)}"
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise NumericsError(f"NetworkParams: non-finite values in layer {i}")
+                raise NonFiniteParams(f"NetworkParams: non-finite values in layer {i}")
         self.spec = spec
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
@@ -145,30 +154,19 @@ def _activate(h: Var, kind: str) -> Var:
 
 
 def mlp_forward(params: NetworkParams, inp) -> tuple[Var, list[Var]]:
-    """Forward pass on a (batch, input_dim) array.
+    """Forward pass on a (batch, input_dim) array with the parameters held
+    constant: gradients reach only the input, and with a constant input no
+    graph is built.
 
     Returns (output, hidden) where hidden holds the post-activation hidden
     layers ordered input -> output.
     """
-    h = lift(inp)
-    if h.ndim != 2 or h.shape[1] != params.spec.input_dim:
-        raise ShapeMismatch(
-            f"mlp_forward: input shape {h.shape}, spec wants (batch, {params.spec.input_dim})"
-        )
-    hidden = []
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = (h @ Var(w)) + Var(b)
-        if i < last:
-            h = _activate(h, params.spec.hidden_activation)
-            hidden.append(h)
-        else:
-            h = _activate(h, params.spec.output_activation)
-    return h, hidden
+    return mlp_forward_vars([lift(p) for p in params.flat()], params.spec, inp)
 
 
 def mlp_forward_vars(param_vars, spec: NetworkSpec, inp) -> tuple[Var, list[Var]]:
-    """Forward pass where parameters are already graph leaves (training path)."""
+    """Forward pass over parameter Vars [W0, b0, W1, b1, ...]; explicit Var
+    leaves get gradients (training path)."""
     h = lift(inp)
     if h.ndim != 2 or h.shape[1] != spec.input_dim:
         raise ShapeMismatch(

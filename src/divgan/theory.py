@@ -65,7 +65,7 @@ def _batched_jacobians(params_G: NetworkParams, zs: np.ndarray, x=None) -> np.nd
     leaf = Var(zs)
     if x is not None:
         x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        inp = concat([Var(np.repeat(x, n, axis=0)), leaf], axis=1)
+        inp = concat([np.repeat(x, n, axis=0), leaf], axis=1)
     else:
         inp = leaf
     out, _ = mlp_forward(params_G, inp)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from divgan import losses
 from divgan.autodiff import (
     DIV_GUARD,
     NumericsError,
@@ -11,7 +12,10 @@ from divgan.autodiff import (
     evaluate_with_gradients,
     finite_diff_gradient,
     jacobian,
+    lift,
 )
+from divgan.losses import DiversityConfig, ObjectiveConfig, TrainBatch, generator_total_loss
+from divgan.nets import NetworkSpec, mlp_forward, mlp_forward_vars, mlp_init
 
 from conftest import gradcheck
 
@@ -224,6 +228,106 @@ def test_backward_accumulates_shared_nodes():
 def test_evaluate_with_gradients_rejects_non_var():
     with pytest.raises(TypeError):
         evaluate_with_gradients(lambda v: np.sum(v.data), [np.zeros(2)])
+
+
+# -- gradient pruning -----------------------------------------------------------
+
+
+def _graph_vars(root):
+    seen, stack = {}, [root]
+    while stack:
+        v = stack.pop()
+        if id(v) not in seen:
+            seen[id(v)] = v
+            stack.extend(v._parents)
+    return list(seen.values())
+
+
+def test_lifted_constants_get_no_grad(rng):
+    x = Var(rng.normal(size=(3, 2)))
+    c = lift(rng.normal(size=(2, 4)))
+    assert x.requires_grad and not c.requires_grad
+    backward((x @ c).sum())
+    assert c.grad is None
+    assert np.array_equal(x.grad, np.ones((3, 4)) @ c.data.T)
+
+
+def test_mlp_forward_params_are_constants(rng):
+    params = mlp_init(NetworkSpec(2, (5, 4), 3), 0)
+    z = Var(rng.normal(size=(6, 2)))
+    out, _ = mlp_forward(params, z)
+    backward(out.sum())
+    assert z.grad is not None
+    nodes = _graph_vars(out)
+    consts = [v for v in nodes if not v.requires_grad]
+    for p in params.flat():
+        assert any(v.data is p for v in consts)
+    assert all(v.grad is None for v in consts)
+
+
+def test_graph_of_constants_has_no_parents(rng):
+    params = mlp_init(NetworkSpec(2, (5, 4), 3), 0)
+    out, hidden = mlp_forward(params, rng.normal(size=(6, 2)))
+    for v in [out] + hidden:
+        assert not v.requires_grad
+        assert v._parents == () and v._bwd is None
+
+
+def test_shared_subexpressions_exact_and_unaliased():
+    x = Var(np.array([1.5, -2.0]))
+    y = x + x
+    backward(y.sum())
+    assert np.array_equal(x.grad, [2.0, 2.0])
+    assert np.array_equal(y.grad, [1.0, 1.0])
+
+    a = Var(np.array([2.0, -3.0]))
+    b = Var(np.array([0.5, 4.0]))
+    p = a * b
+    s = p + a  # diamond: a reaches s directly and through p
+    backward(s.sum())
+    assert np.array_equal(a.grad, [1.5, 5.0])
+    assert np.array_equal(b.grad, [2.0, -3.0])
+    assert np.array_equal(p.grad, [1.0, 1.0])
+    assert np.array_equal(s.grad, [1.0, 1.0])
+
+
+def test_first_gradient_contribution_has_no_negative_zero():
+    x = Var(np.array([1.0, 2.0]))
+    backward((x * -0.0).sum())
+    assert np.array_equal(x.grad, [0.0, 0.0])
+    assert not np.any(np.signbit(x.grad))
+
+
+@pytest.mark.parametrize("space", ["output", "feature", "sequence"])
+def test_constant_discriminator_gives_same_generator_gradients(space, rng, monkeypatch):
+    """The G step reads only G's gradients: holding D's parameters constant
+    must leave them bit-identical to a graph where D's are leaves too."""
+    g_spec = NetworkSpec(4, (8,), 4)
+    d_spec = NetworkSpec(6, (8, 5), 1, hidden_activation="relu")
+    params_G, params_D = mlp_init(g_spec, 1), mlp_init(d_spec, 2)
+    batch = TrainBatch(z1=rng.normal(size=(5, 2)), z2=rng.normal(size=(5, 2)),
+                       x=rng.normal(size=(5, 2)), seq_len=2 if space == "sequence" else 1)
+    cfg = ObjectiveConfig(diversity=DiversityConfig(weight=0.7, space=space))
+
+    def g_grads():
+        res = generator_total_loss(batch, params_G, params_D, cfg)
+        backward(res.total)
+        return [v.grad for v in res.param_vars]
+
+    pruned = g_grads()
+    d_leaves = []
+
+    def leaf_discriminator(params, y, x=None):
+        dvars = [Var(p) for p in params.flat()]
+        d_leaves.extend(dvars)
+        return mlp_forward_vars(dvars, params.spec, concat([x, y], axis=1))
+
+    monkeypatch.setattr(losses, "discriminator_forward", leaf_discriminator)
+    full = g_grads()
+    # the reference really did differentiate D: its first call feeds the loss
+    assert all(v.grad is not None for v in d_leaves[:len(params_D.flat())])
+    for a, b in zip(pruned, full):
+        assert np.array_equal(a, b)
 
 
 # -- jacobian -----------------------------------------------------------------

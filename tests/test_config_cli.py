@@ -203,6 +203,21 @@ def test_interp_emits_requested_rows(tmp_path):
     assert len(lines) == 10
 
 
+@pytest.mark.parametrize("task", ["conditional_ring", "trajectory"])
+def test_verify_and_interp_refuse_conditional_checkpoint(task, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(FAST_RING, task=task, steps=2, eval_every=2))
+    run = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(run)]) == 0
+    ckpt = str(run / "final.ckpt.json")
+    capsys.readouterr()
+    assert main(["verify", ckpt, "--out", str(tmp_path / "v.json"),
+                 "--pairs", "2", "--probes", "10"]) == 2
+    assert "unconditional" in capsys.readouterr().err
+    assert main(["interp", ckpt, "--out", str(tmp_path / "i.csv")]) == 2
+    assert "unconditional" in capsys.readouterr().err
+    assert not (tmp_path / "v.json").exists() and not (tmp_path / "i.csv").exists()
+
+
 def test_seed_override_changes_run(tmp_path):
     cfg = write_cfg(tmp_path, FAST_RING)
     main(["train", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "1"])

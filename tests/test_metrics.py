@@ -74,6 +74,17 @@ def test_two_point_diversity_arithmetic():
     assert got == pytest.approx(2.0)
 
 
+def test_diversity_near_collapse():
+    """A nearly collapsed generator: the spread is ~1e-9 around 5.0, far
+    below what an uncentered (Gram) formula can resolve."""
+    samples = 5.0 + 1e-9 * np.random.default_rng(3).standard_normal((2500, 2))
+    x = samples.astype(np.longdouble)
+    centered = x - x.mean(axis=0)
+    n, d = samples.shape
+    ref = float(2 * np.sum(centered * centered) / ((n - 1) * d))
+    assert pairwise_diversity(samples) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
 def test_diversity_matches_bruteforce(rng):
     samples = rng.normal(size=(50, 3))
     fast = pairwise_diversity(samples)
