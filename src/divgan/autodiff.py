@@ -33,7 +33,6 @@ __all__ = [
     "lift",
     "concat",
     "backward",
-    "grad",
     "evaluate_with_gradients",
     "finite_diff_gradient",
     "jacobian",
@@ -402,12 +401,6 @@ def backward(root: Var, seed=None) -> None:
                 _accumulate(parent, g)
 
 
-def grad(root: Var, inputs) -> list[np.ndarray]:
-    """Gradients of a scalar root w.r.t. the given leaf Vars."""
-    backward(root)
-    return [np.array(v.grad) for v in inputs]
-
-
 def evaluate_with_gradients(f, inputs) -> tuple[float, list[np.ndarray]]:
     """Run f on fresh leaves and return (scalar value, gradients per input)."""
     leaves = [Var(x) for x in inputs]
@@ -415,7 +408,8 @@ def evaluate_with_gradients(f, inputs) -> tuple[float, list[np.ndarray]]:
     if not isinstance(out, Var):
         raise TypeError(f"evaluate_with_gradients: f returned {type(out).__name__}, not Var")
     value = out.item()
-    return value, grad(out, leaves)
+    backward(out)
+    return value, [np.array(v.grad) for v in leaves]
 
 
 def finite_diff_gradient(f, x, h: float = 1e-5) -> np.ndarray:

@@ -2,8 +2,15 @@
 
 Commands: train, eval, sweep, verify, interp. The JSON config file is the
 source of truth; flags select the command, paths, and a seed override.
-Exit codes: 0 success, 1 verification failed, 2 config error, 3 training
-divergence, 4 I/O error.
+Commands raise; `main` maps the error to a stderr line and an exit code:
+
+    0  success
+    1  verification failed: a check did not hold, or a non-finite value
+       (Jacobian, gradient, weights) stopped it ("verification failed: ...")
+    2  config error ("config error: ...") or an unreadable, malformed or
+       non-finite checkpoint ("checkpoint error: ...")
+    3  training divergence ("divergence: ..."; metrics.csv is still written)
+    4  I/O error ("io error: ...")
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .autodiff import ShapeMismatch, Var, backward
+from .autodiff import NumericsError, Var, backward
 from .config import ConfigError, load_run_config
 from .metrics import latent_interpolation
 from .nets import NetworkParams, mlp_forward_vars, mlp_init
@@ -40,6 +47,16 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_IO = 4
 
+# error class -> (stderr prefix, exit code); the first class the error is an
+# instance of decides, and commands raise instead of catching
+_ERRORS = {
+    ConfigError: ("config error", EXIT_CONFIG),
+    CheckpointError: ("checkpoint error", EXIT_CONFIG),
+    DivergenceError: ("divergence", EXIT_DIVERGED),
+    NumericsError: ("verification failed", EXIT_VERIFY_FAILED),
+    OSError: ("io error", EXIT_IO),
+}
+
 
 def _write(path, data) -> None:
     mode = "wb" if isinstance(data, bytes) else "w"
@@ -57,108 +74,65 @@ def _load_config(args):
 
 
 def cmd_train(args) -> int:
+    cfg = _load_config(args)
+    os.makedirs(args.out, exist_ok=True)
     try:
-        cfg = _load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        try:
-            result = train(cfg)
-        except DivergenceError as exc:
-            _write(os.path.join(args.out, "metrics.csv"), rows_to_csv(exc.rows))
-            print(f"divergence: {exc}", file=sys.stderr)
-            return EXIT_DIVERGED
-        _write(os.path.join(args.out, "metrics.csv"), rows_to_csv(result.rows))
-        _write(os.path.join(args.out, "final.ckpt.json"), result.final_checkpoint)
-        _write(os.path.join(args.out, "best.ckpt.json"), result.best_checkpoint)
-        _write(os.path.join(args.out, "eval.json"), result.eval_report.to_json())
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        result = train(cfg)
+    except DivergenceError as exc:
+        _write(os.path.join(args.out, "metrics.csv"), rows_to_csv(exc.rows))
+        raise
+    _write(os.path.join(args.out, "metrics.csv"), rows_to_csv(result.rows))
+    _write(os.path.join(args.out, "final.ckpt.json"), result.final_checkpoint)
+    _write(os.path.join(args.out, "best.ckpt.json"), result.best_checkpoint)
+    _write(os.path.join(args.out, "eval.json"), result.eval_report.to_json())
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    try:
-        cfg = _load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        with open(args.checkpoint, "rb") as fh:
-            state = load_checkpoint(fh.read())
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CheckpointError as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_config(args)
+    with open(args.checkpoint, "rb") as fh:
+        state = load_checkpoint(fh.read())
     g_spec, d_spec = task_specs(cfg)
     if state.params_G.spec != g_spec or state.params_D.spec != d_spec:
-        print(
-            f"config error: checkpoint specs do not match the config's task "
-            f"(checkpoint G {state.params_G.spec.layer_dims}, config G {g_spec.layer_dims})",
-            file=sys.stderr,
+        raise ConfigError(
+            f"checkpoint specs do not match the config's task "
+            f"(checkpoint G {state.params_G.spec.layer_dims}, config G {g_spec.layer_dims})"
         )
-        return EXIT_CONFIG
     report = evaluate_generator(state.params_G, cfg)
-    try:
-        _write(args.out, report.to_json())
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write(args.out, report.to_json())
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
+    cfg = _load_config(args)
     try:
-        cfg = _load_config(args)
         lambdas = [float(s) for s in args.lambdas.split(",") if s.strip() != ""]
-        if not lambdas:
-            raise ConfigError("--lambdas must name at least one value")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
-        print(f"config error: bad --lambdas: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise ConfigError(f"bad --lambdas: {exc}") from exc
+    if not lambdas:
+        raise ConfigError("--lambdas must name at least one value")
     entries = sweep(cfg, lambdas, jobs=max(1, args.jobs))
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "summary.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda", "modes", "hq_frac", "diversity", "frechet"])
-            for e in entries:
-                if e.report is None:
-                    writer.writerow([e.weight, "", "", "", ""])
-                else:
-                    writer.writerow([
-                        e.weight, e.report.modes_captured, e.report.hq_fraction,
-                        e.report.pairwise_diversity, e.report.frechet2,
-                    ])
-        doc = [
-            {
-                "lambda": e.weight,
-                "report": None if e.report is None else json.loads(e.report.to_json()),
-                "error": e.error,
-            }
-            for e in entries
-        ]
-        _write(os.path.join(args.out, "sweep.json"), json.dumps(doc, indent=2))
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "summary.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["lambda", "modes", "hq_frac", "diversity", "frechet"])
+        for e in entries:
+            if e.report is None:
+                writer.writerow([e.weight, "", "", "", ""])
+            else:
+                writer.writerow([
+                    e.weight, e.report.modes_captured, e.report.hq_fraction,
+                    e.report.pairwise_diversity, e.report.frechet2,
+                ])
+    doc = [
+        {
+            "lambda": e.weight,
+            "report": None if e.report is None else json.loads(e.report.to_json()),
+            "error": e.error,
+        }
+        for e in entries
+    ]
+    _write(os.path.join(args.out, "sweep.json"), json.dumps(doc, indent=2))
     return EXIT_OK
 
 
@@ -193,38 +167,21 @@ def _checkpoint_z_dim(state, command: str) -> int:
 
 def cmd_verify(args) -> int:
     """Gradient-bound suite on random pairs plus one attraction scenario."""
-    try:
-        with open(args.target, "r", encoding="utf-8") as fh:
+    with open(args.target, "r", encoding="utf-8") as fh:
+        try:
             doc = json.load(fh)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"config error: target is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"target is not valid JSON: {exc}") from exc
     seed = args.seed if args.seed is not None else 0
     if isinstance(doc, dict) and "version" in doc:
-        try:
-            with open(args.target, "rb") as fh:
-                state = load_checkpoint(fh.read())
-            z_dim = _checkpoint_z_dim(state, "verify")
-        except CheckpointError as exc:
-            print(f"checkpoint error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        with open(args.target, "rb") as fh:
+            state = load_checkpoint(fh.read())
+        z_dim = _checkpoint_z_dim(state, "verify")
         params_G = state.params_G
     else:
-        try:
-            cfg = load_run_config(args.target)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        cfg = load_run_config(args.target)
         if cfg.task != "ring":
-            print("config error: verify expects an unconditional (ring) generator",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError("verify expects an unconditional (ring) generator")
         g_spec, _ = task_specs(cfg)
         params_G = mlp_init(g_spec, seed)
         z_dim = cfg.z_dim
@@ -249,53 +206,34 @@ def cmd_verify(args) -> int:
 
     passed = bound["passed"] and attraction["passed"]
     report = {"gradient_bound": bound, "attraction": attraction, "passed": passed}
-    try:
-        _write(args.out, json.dumps(report, indent=2))
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write(args.out, json.dumps(report, indent=2))
     print(json.dumps(report, indent=2))
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
 def cmd_interp(args) -> int:
-    try:
-        with open(args.checkpoint, "rb") as fh:
-            state = load_checkpoint(fh.read())
-        z_dim = _checkpoint_z_dim(state, "interp")
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CheckpointError as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with open(args.checkpoint, "rb") as fh:
+        state = load_checkpoint(fh.read())
+    z_dim = _checkpoint_z_dim(state, "interp")
     params_G = state.params_G
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     z_a = rng.standard_normal(z_dim)
     z_b = rng.standard_normal(z_dim)
     try:
         res = latent_interpolation(params_G, z_a, z_b, steps=args.steps, mode=args.mode)
-    except (ValueError, ShapeMismatch) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            zcols = [f"z{i}" for i in range(z_dim)]
-            ycols = [f"y{i}" for i in range(params_G.spec.output_dim)]
-            writer.writerow(["step"] + zcols + ycols + ["slerp_fallback"])
-            for i in range(args.steps):
-                writer.writerow(
-                    [i] + [repr(float(v)) for v in res.latents[i]]
-                    + [repr(float(v)) for v in res.outputs[i]]
-                    + [int(res.slerp_fallback)]
-                )
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except ValueError as exc:  # its argument checks
+        raise ConfigError(str(exc)) from exc
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        zcols = [f"z{i}" for i in range(z_dim)]
+        ycols = [f"y{i}" for i in range(params_G.spec.output_dim)]
+        writer.writerow(["step"] + zcols + ycols + ["slerp_fallback"])
+        for i in range(args.steps):
+            writer.writerow(
+                [i] + [repr(float(v)) for v in res.latents[i]]
+                + [repr(float(v)) for v in res.outputs[i]]
+                + [int(res.slerp_fallback)]
+            )
     return EXIT_OK
 
 
@@ -345,7 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_ERRORS) as exc:
+        prefix, code = next(v for cls, v in _ERRORS.items() if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

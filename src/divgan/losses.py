@@ -132,13 +132,7 @@ def g_adv_loss(logits_fake, form: str = "non_saturating") -> Var:
     return (-lf).softplus().mean()
 
 
-# -- norms ----------------------------------------------------------------
-
-
-def _pair_norm(diff: np.ndarray, norm: str) -> float:
-    if norm == "l1":
-        return float(np.sum(np.abs(diff)))
-    return float(np.sqrt(np.sum(diff * diff)))
+# -- diversity ratios ------------------------------------------------------
 
 
 def _row_norms_np(diff: np.ndarray, norm: str) -> np.ndarray:
@@ -153,19 +147,38 @@ def _row_norms(diff: Var, norm: str) -> Var:
     return diff.square().sum(axis=1).sqrt()
 
 
+def _batch_ratios(parts1, parts2, gaps: np.ndarray, norm: str,
+                  tau: float | None) -> tuple[Var, Var]:
+    """Per-example ratios of a batch: the row norms of parts1[k] - parts2[k]
+    (each (batch, dim)) averaged over the parts, over the latent gaps.
+
+    Returns (term entering the objective, raw ratio); the term is the raw
+    ratio clipped at tau, or the raw ratio itself when tau is None.
+    """
+    acc = None
+    for a, b in zip(parts1, parts2):
+        d = _row_norms(a - b, norm)
+        acc = d if acc is None else acc + d
+    raw = acc * (1.0 / len(parts1)) * lift(1.0 / gaps)
+    return (raw.clip_max(tau) if tau is not None else raw), raw
+
+
 def _value(t) -> np.ndarray:
     return t.data if isinstance(t, Var) else np.asarray(t, dtype=np.float64)
 
 
-def _check_gap(gap: float, cfg: DiversityConfig) -> float:
-    if gap < cfg.min_z_gap:
+def _pair_ratio(parts1, parts2, z1, z2, norm: str, tau: float | None,
+                min_z_gap: float) -> float:
+    """One latent pair through the batch formula, each part a batch of one."""
+    gap = _row_norms_np(np.reshape(_value(z1) - _value(z2), (1, -1)), norm)
+    if gap[0] < min_z_gap:
         raise DegenerateLatentPair(
-            f"latent gap {gap:.3e} below min_z_gap {cfg.min_z_gap:.3e}; resample z2"
+            f"latent gap {gap[0]:.3e} below min_z_gap {min_z_gap:.3e}; resample z2"
         )
-    return gap
-
-
-# -- diversity ratios (pairwise contracts) ---------------------------------
+    rows1 = [lift(np.reshape(a, (1, -1))) for a in parts1]
+    rows2 = [lift(np.reshape(b, (1, -1))) for b in parts2]
+    term, _ = _batch_ratios(rows1, rows2, gap, norm, tau)
+    return float(term.data[0])
 
 
 def diversity_ratio(y1, y2, z1, z2, cfg: DiversityConfig) -> float:
@@ -175,9 +188,7 @@ def diversity_ratio(y1, y2, z1, z2, cfg: DiversityConfig) -> float:
         raise ShapeMismatch(f"diversity_ratio: output shapes {y1.shape} and {y2.shape}")
     if z1.shape != z2.shape:
         raise ShapeMismatch(f"diversity_ratio: latent shapes {z1.shape} and {z2.shape}")
-    gap = _check_gap(_pair_norm(z1 - z2, cfg.norm), cfg)
-    ratio = _pair_norm(y1 - y2, cfg.norm) / gap
-    return min(ratio, cfg.tau) if cfg.tau is not None else ratio
+    return _pair_ratio([y1], [y2], z1, z2, cfg.norm, cfg.tau, cfg.min_z_gap)
 
 
 def feature_diversity_ratio(feats1, feats2, z1, z2, cfg: DiversityConfig) -> float:
@@ -196,9 +207,7 @@ def feature_diversity_ratio(feats1, feats2, z1, z2, cfg: DiversityConfig) -> flo
             raise ShapeMismatch(
                 f"feature_diversity_ratio: layer {i} shapes {a.shape} and {b.shape}"
             )
-    gap = _check_gap(_pair_norm(_value(z1) - _value(z2), cfg.norm), cfg)
-    mean_dist = np.mean([_pair_norm(a - b, cfg.norm) for a, b in zip(f1, f2)])
-    return float(mean_dist / gap)
+    return _pair_ratio(f1, f2, z1, z2, cfg.norm, None, cfg.min_z_gap)
 
 
 def sequence_diversity_ratio(seq1, seq2, z1, z2, cfg: DiversityConfig) -> float:
@@ -210,11 +219,7 @@ def sequence_diversity_ratio(seq1, seq2, z1, z2, cfg: DiversityConfig) -> float:
         raise ShapeMismatch(
             f"sequence_diversity_ratio: sequences of length {len(s1)} and {len(s2)}"
         )
-    l1_cfg = DiversityConfig(weight=cfg.weight, tau=None, norm="l1", space="sequence",
-                             min_z_gap=cfg.min_z_gap)
-    gap = _check_gap(_pair_norm(_value(z1) - _value(z2), "l1"), l1_cfg)
-    mean_dist = np.mean([_pair_norm(a - b, "l1") for a, b in zip(s1, s2)])
-    return float(mean_dist / gap)
+    return _pair_ratio(s1, s2, z1, z2, "l1", None, cfg.min_z_gap)
 
 
 def reconstruction_loss(y_hat, y) -> Var:
@@ -247,31 +252,6 @@ def _resample_z2(z1: np.ndarray, z2: np.ndarray, cfg: DiversityConfig, rng,
     )
 
 
-def _batch_ratios(y1: Var, y2: Var, feats1, feats2, gaps: np.ndarray,
-                  cfg: DiversityConfig, seq_len: int) -> tuple[Var, Var]:
-    """Graph-level per-example ratios: (term entering the objective, raw ratio)."""
-    inv_gap = lift(1.0 / gaps)
-    if cfg.space == "output":
-        raw = _row_norms(y1 - y2, cfg.norm) * inv_gap
-        clipped = raw.clip_max(cfg.tau) if cfg.tau is not None else raw
-        return clipped, raw
-    if cfg.space == "feature":
-        acc = None
-        for f1, f2 in zip(feats1, feats2):
-            term = _row_norms(f1 - f2, cfg.norm)
-            acc = term if acc is None else acc + term
-        raw = acc * (1.0 / len(feats1)) * inv_gap
-        return raw, raw
-    # sequence: per-step l1 distances on the flattened (B, T*dim) outputs
-    step = y1.shape[1] // seq_len
-    acc = None
-    for t in range(seq_len):
-        term = _row_norms(y1.cols(t * step, (t + 1) * step) - y2.cols(t * step, (t + 1) * step), "l1")
-        acc = term if acc is None else acc + term
-    raw = acc * (1.0 / seq_len) * inv_gap
-    return raw, raw
-
-
 def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
                          params_D: NetworkParams, cfg: ObjectiveConfig,
                          rng=None) -> GeneratorLoss:
@@ -291,9 +271,11 @@ def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
     if cfg.beta > 0 and batch.y is None:
         raise ValueError("generator_total_loss: beta > 0 requires targets y")
     z1 = np.asarray(batch.z1, dtype=np.float64)
-    zgap_norm = "l1" if div.space == "sequence" else div.norm
-    z2 = _resample_z2(z1, batch.z2, div, rng, zgap_norm)
-    gaps = _row_norms_np(z1 - z2, zgap_norm)
+    # the sequence variant fixes both norms to l1; only output space clips
+    norm = "l1" if div.space == "sequence" else div.norm
+    tau = div.tau if div.space == "output" else None
+    z2 = _resample_z2(z1, batch.z2, div, rng, norm)
+    gaps = _row_norms_np(z1 - z2, norm)
 
     gvars = [Var(p) for p in params_G.flat()]
 
@@ -313,21 +295,24 @@ def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
     else:
         rec = None
 
-    feats2 = None
-    if div.space == "feature":
-        _, feats2 = discriminator_forward(params_D, y2, batch.x)
-
+    if div.space == "output":
+        parts1, parts2 = [y1], [y2]
+    elif div.space == "feature":
+        parts1, parts2 = feats1, discriminator_forward(params_D, y2, batch.x)[1]
+    else:  # per-step slices of the flattened (B, T*dim) sequences
+        step = y1.shape[1] // batch.seq_len
+        cuts = [(t * step, (t + 1) * step) for t in range(batch.seq_len)]
+        parts1 = [y1.cols(a, b) for a, b in cuts]
+        parts2 = [y2.cols(a, b) for a, b in cuts]
+    term, raw = _batch_ratios(parts1, parts2, gaps, norm, tau)
+    ratio_mean = float(raw.data.mean())
     if div.weight > 0:
-        term, raw = _batch_ratios(y1, y2, feats1, feats2, gaps, div, batch.seq_len)
         l_z = term.mean()
         total = adv - div.weight * l_z
         l_z_val = l_z.item()
-        ratio_mean = float(raw.data.mean())
     else:
-        # baseline objective: ratios computed off-graph, logging only
-        term, raw = _batch_ratios(y1, y2, feats1, feats2, gaps, div, batch.seq_len)
+        # baseline objective: the ratios stay off the loss, logging only
         l_z_val = float(term.data.mean())
-        ratio_mean = float(raw.data.mean())
         total = adv
     if rec is not None:
         total = total + cfg.beta * rec

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NumericsError, Var, backward, concat
-from .nets import NetworkParams, generator_forward, mlp_forward
+from .autodiff import NumericsError, Var, backward
+from .nets import NetworkParams, generator_forward
 
 __all__ = [
     "BoundCheckReport",
@@ -55,6 +55,13 @@ class BoundCheckReport:
         return self.lhs <= self.rhs * (1.0 + BOUND_RTOL) + BOUND_ATOL
 
 
+def _forward(params_G: NetworkParams, zs, x=None) -> Var:
+    """G(x, z) at every row of zs, all rows sharing the one condition x."""
+    if x is not None:
+        x = np.repeat(np.asarray(x, dtype=np.float64).reshape(1, -1), zs.shape[0], axis=0)
+    return generator_forward(params_G, zs, x)
+
+
 def _batched_jacobians(params_G: NetworkParams, zs: np.ndarray, x=None) -> np.ndarray:
     """Jacobians of G w.r.t. z at each row of zs, shape (n, out_dim, z_dim).
 
@@ -63,12 +70,7 @@ def _batched_jacobians(params_G: NetworkParams, zs: np.ndarray, x=None) -> np.nd
     """
     n, z_dim = zs.shape
     leaf = Var(zs)
-    if x is not None:
-        x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        inp = concat([np.repeat(x, n, axis=0), leaf], axis=1)
-    else:
-        inp = leaf
-    out, _ = mlp_forward(params_G, inp)
+    out = _forward(params_G, leaf, x)
     m = out.shape[1]
     jac = np.zeros((n, m, z_dim))
     for i in range(m):
@@ -107,12 +109,7 @@ def path_gradient_bound(params_G: NetworkParams, z1, z2, n_quad: int = 64,
     gap = float(np.linalg.norm(z2 - z1))
     if gap == 0.0:
         raise ValueError("path_gradient_bound: z1 and z2 coincide")
-    ends = np.stack([z1, z2])
-    if x is not None:
-        xr = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        ys = generator_forward(params_G, ends, np.repeat(xr, 2, axis=0)).data
-    else:
-        ys = generator_forward(params_G, ends).data
+    ys = _forward(params_G, np.stack([z1, z2]), x).data
     lhs = float(np.linalg.norm(ys[1] - ys[0]) / gap)
     jac = path_jacobians(params_G, z1, z2, n_quad, x=x)
     if matrix_norm == "spectral":
@@ -207,22 +204,13 @@ class AttractionReport:
 
 
 def _dists_to(params: NetworkParams, zs: np.ndarray, y_star: np.ndarray, x=None) -> np.ndarray:
-    if x is not None:
-        xr = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        ys = generator_forward(params, zs, np.repeat(xr, len(zs), axis=0)).data
-    else:
-        ys = generator_forward(params, zs).data
+    ys = _forward(params, zs, x).data
     return np.linalg.norm(ys - y_star[None, :], axis=1)
 
 
 def _ratios_from(params: NetworkParams, z1: np.ndarray, zs: np.ndarray,
                  gaps: np.ndarray, x=None) -> np.ndarray:
-    both = np.vstack([z1[None, :], zs])
-    if x is not None:
-        xr = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        ys = generator_forward(params, both, np.repeat(xr, len(both), axis=0)).data
-    else:
-        ys = generator_forward(params, both).data
+    ys = _forward(params, np.vstack([z1[None, :], zs]), x).data
     return np.linalg.norm(ys[1:] - ys[0][None, :], axis=1) / gaps
 
 

@@ -33,6 +33,8 @@ from .metrics import dist_min as metric_dist_min
 from .nets import (
     NetworkParams,
     NetworkSpec,
+    default_discriminator_spec,
+    default_generator_spec,
     generator_forward,
     mlp_forward_vars,
     mlp_init,
@@ -122,21 +124,8 @@ def task_specs(cfg: TrainConfig) -> tuple[NetworkSpec, NetworkSpec]:
     else:
         t = cfg.traj
         cond_dim, out_dim = t.context_len * 2, t.horizon * 2
-    g = NetworkSpec(
-        input_dim=cond_dim + cfg.z_dim,
-        hidden_dims=(128, 128),
-        output_dim=out_dim,
-        hidden_activation="tanh",
-        output_activation="linear",
-    )
-    d = NetworkSpec(
-        input_dim=cond_dim + out_dim,
-        hidden_dims=(128, 128),
-        output_dim=1,
-        hidden_activation="relu",
-        output_activation="linear",
-    )
-    return g, d
+    return (default_generator_spec(cfg.z_dim, cond_dim, out_dim),
+            default_discriminator_spec(out_dim, cond_dim))
 
 
 @dataclass
@@ -508,7 +497,11 @@ def load_checkpoint(blob) -> TrainState:
             step=int(doc["step"]),
             rng=rng,
         )
-    except (KeyError, TypeError) as exc:
+    except CheckpointError:
+        raise
+    # missing keys, wrong types, bad shapes or specs, non-finite weights
+    # (NonFiniteParams is a ValueError), a foreign rng state, overflowing ints
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
 
 

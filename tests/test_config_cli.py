@@ -218,6 +218,41 @@ def test_verify_and_interp_refuse_conditional_checkpoint(task, tmp_path, capsys)
     assert not (tmp_path / "v.json").exists() and not (tmp_path / "i.csv").exists()
 
 
+def trained_checkpoint_doc(tmp_path):
+    cfg = write_cfg(tmp_path, dict(FAST_RING, steps=2, eval_every=2))
+    run = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(run)]) == 0
+    return cfg, json.loads((run / "final.ckpt.json").read_text())
+
+
+@pytest.mark.parametrize("corruption", ["nan_weight", "negative_dim"])
+def test_eval_and_interp_reject_bad_weights(corruption, tmp_path, capsys):
+    cfg, doc = trained_checkpoint_doc(tmp_path)
+    if corruption == "nan_weight":
+        doc["params_G"]["values"][0][0] = float("nan")
+    else:
+        doc["params_G"]["spec"]["input_dim"] = -1
+    ckpt = write_cfg(tmp_path, doc, "bad.ckpt.json")
+    capsys.readouterr()
+    assert main(["eval", ckpt, "--config", cfg, "--out", str(tmp_path / "e.json")]) == 2
+    assert capsys.readouterr().err.startswith("checkpoint error: malformed checkpoint")
+    assert main(["interp", ckpt, "--out", str(tmp_path / "i.csv")]) == 2
+    assert capsys.readouterr().err.startswith("checkpoint error: malformed checkpoint")
+    assert not (tmp_path / "e.json").exists() and not (tmp_path / "i.csv").exists()
+
+
+def test_verify_overflowing_generator_fails_verification(tmp_path, capsys):
+    _, doc = trained_checkpoint_doc(tmp_path)
+    last_w = doc["params_G"]["values"][-2]
+    doc["params_G"]["values"][-2] = [1e308] * len(last_w)  # finite, but G overflows
+    ckpt = write_cfg(tmp_path, doc, "huge.ckpt.json")
+    capsys.readouterr()
+    assert main(["verify", ckpt, "--out", str(tmp_path / "v.json"),
+                 "--pairs", "2", "--probes", "10"]) == 1
+    assert capsys.readouterr().err.startswith("verification failed: ")
+    assert not (tmp_path / "v.json").exists()
+
+
 def test_seed_override_changes_run(tmp_path):
     cfg = write_cfg(tmp_path, FAST_RING)
     main(["train", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "1"])

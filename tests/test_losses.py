@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divgan import losses
 from divgan.autodiff import ShapeMismatch, Var, backward, evaluate_with_gradients
 from divgan.losses import (
     DegenerateLatentPair,
@@ -17,7 +20,7 @@ from divgan.losses import (
     reconstruction_loss,
     sequence_diversity_ratio,
 )
-from divgan.nets import NetworkSpec, mlp_init
+from divgan.nets import NetworkSpec, discriminator_forward, generator_forward, mlp_init
 
 from conftest import gradcheck
 
@@ -294,6 +297,59 @@ def test_resampling_recovers_with_rng(rng):
     )
     gaps = np.sum(np.abs(z - res.z2_used), axis=1)
     assert np.all(gaps >= cfg.diversity.min_z_gap)
+
+
+@pytest.mark.parametrize("space,norm,tau", [
+    ("output", "l1", None), ("output", "l1", 0.1), ("output", "l2", None),
+    ("output", "l2", 0.1), ("feature", "l1", 0.1), ("feature", "l2", None),
+    ("sequence", "l2", 0.1),
+])
+@pytest.mark.parametrize("weight", [0.0, 0.3])
+def test_training_graph_ratios_match_pairwise_functions(space, norm, tau, weight, rng,
+                                                        monkeypatch):
+    """Per example, the ratios the training objective builds equal the public
+    pairwise functions on the same outputs and the z2 actually used."""
+    seq_len = 3 if space == "sequence" else 1
+    params_G = mlp_init(NetworkSpec(2, (5,), 2 * seq_len), 3)
+    params_D = mlp_init(NetworkSpec(2 * seq_len, (4, 3), 1, hidden_activation="tanh"), 4)
+    z1, z2 = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+    z2[0] = z1[0]  # degenerate pair: the objective resamples it
+    div = DiversityConfig(weight=weight, tau=tau, norm=norm, space=space)
+
+    seen = []
+    batch_ratios = losses._batch_ratios
+
+    def spy(*args):
+        seen.append(batch_ratios(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(losses, "_batch_ratios", spy)
+    res = generator_total_loss(TrainBatch(z1=z1, z2=z2, seq_len=seq_len), params_G, params_D,
+                               ObjectiveConfig(diversity=div), rng=rng)
+    monkeypatch.undo()
+    (term, raw), = seen
+    z2 = res.z2_used
+    assert not np.array_equal(z2[0], z1[0])
+
+    y1, y2 = generator_forward(params_G, z1).data, generator_forward(params_G, z2).data
+    feats1 = discriminator_forward(params_D, y1)[1]
+    feats2 = discriminator_forward(params_D, y2)[1]
+    for i in range(len(z1)):
+        if space == "output":
+            want_term = diversity_ratio(y1[i], y2[i], z1[i], z2[i], div)
+            want_raw = diversity_ratio(y1[i], y2[i], z1[i], z2[i], replace(div, tau=None))
+        elif space == "feature":
+            want_term = want_raw = feature_diversity_ratio(
+                [f.data[i] for f in feats1], [f.data[i] for f in feats2], z1[i], z2[i], div)
+        else:
+            want_term = want_raw = sequence_diversity_ratio(
+                np.split(y1[i], seq_len), np.split(y2[i], seq_len), z1[i], z2[i], div)
+        assert term.data[i] == pytest.approx(want_term, rel=1e-12)
+        assert raw.data[i] == pytest.approx(want_raw, rel=1e-12)
+    if space == "output" and tau is not None:
+        assert np.any(term.data < raw.data)  # the clip is exercised
+    assert res.parts["l_z"] == pytest.approx(float(term.data.mean()), rel=1e-12)
+    assert res.parts["ratio_mean"] == float(raw.data.mean())
 
 
 @pytest.mark.parametrize("space", ["output", "feature", "sequence"])

@@ -184,6 +184,37 @@ def test_checkpoint_shape_mismatch():
         load_checkpoint(json.dumps(doc).encode())
 
 
+def _nan_weight(doc):
+    doc["params_G"]["values"][0][0] = float("nan")  # json writes NaN and reads it back
+
+
+def _negative_dim(doc):
+    doc["params_D"]["spec"]["input_dim"] = -1
+
+
+def _foreign_rng(doc):
+    doc["rng_state"]["bit_generator"] = "MT19937"
+
+
+def _adam_shape(doc):
+    doc["adam_G"]["m"][0] = doc["adam_G"]["m"][0][:-1]
+
+
+def _step_overflow(doc):
+    doc["step"] = float("inf")
+
+
+@pytest.mark.parametrize("corrupt", [_nan_weight, _negative_dim, _foreign_rng,
+                                     _adam_shape, _step_overflow])
+def test_checkpoint_bad_values_are_checkpoint_errors(corrupt):
+    import json
+
+    doc = json.loads(save_checkpoint(init_state(small_cfg())))
+    corrupt(doc)
+    with pytest.raises(CheckpointError, match="malformed checkpoint"):
+        load_checkpoint(json.dumps(doc).encode())
+
+
 def test_warm_start_loads_discriminator_exactly(tmp_path):
     cfg = small_cfg(steps=2)
     result = train(cfg)
