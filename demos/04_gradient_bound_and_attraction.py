@@ -7,10 +7,9 @@ Run: python demos/04_gradient_bound_and_attraction.py
 
 import numpy as np
 
-from divgan.autodiff import Var, backward
-from divgan.nets import NetworkSpec, mlp_forward_vars, mlp_init, NetworkParams
-from divgan.optim import AdamHyper, adam_init, adam_step
-from divgan.theory import attraction_check, bound_suite, path_gradient_bound
+from divgan.nets import NetworkSpec, mlp_init
+from divgan.optim import AdamHyper
+from divgan.theory import attraction_check, bound_suite, path_gradient_bound, pull_toward
 
 rng = np.random.default_rng(0)
 params = mlp_init(NetworkSpec(2, (32, 32), 2, hidden_activation="tanh"), seed=4)
@@ -30,14 +29,7 @@ print(f"bound suite: {out['pairs']} pairs, {out['violations']} violations")
 # check that every probe satisfying the closeness condition moved too.
 z1 = rng.standard_normal(2)
 y_star = rng.standard_normal(2) * 2
-
-gvars = [Var(p) for p in params.flat()]
-outv, _ = mlp_forward_vars(gvars, params.spec, z1[None, :])
-dist = (outv - Var(y_star[None, :])).square().sum().sqrt()
-backward(dist)
-new_flat, _ = adam_step(params.flat(), [v.grad for v in gvars],
-                        adam_init(params.flat()), AdamHyper())
-params_next = NetworkParams.from_flat(params.spec, new_flat)
+params_next = pull_toward(params, z1, y_star, AdamHyper())
 
 rep = attraction_check(params, params_next, z1, y_star, probes=10_000, rng=rng)
 s = rep.summary()

@@ -119,9 +119,6 @@ class Var:
     def __matmul__(self, other):
         return _matmul(self, lift(other))
 
-    def __abs__(self):
-        return self.abs()
-
     # -- elementwise nonlinearities -------------------------------------
 
     def tanh(self):

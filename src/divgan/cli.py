@@ -6,10 +6,11 @@ Commands raise; `main` maps the error to a stderr line and an exit code:
 
     0  success
     1  verification failed: a check did not hold, or a non-finite value
-       (Jacobian, gradient, weights) stopped it ("verification failed: ...")
+       (G output, Jacobian, gradient, weights) stopped it ("verification failed: ...")
     2  config error ("config error: ...") or an unreadable, malformed or
-       non-finite checkpoint ("checkpoint error: ...")
-    3  training divergence ("divergence: ..."; metrics.csv is still written)
+       non-finite checkpoint, or one whose G overflows ("checkpoint error: ...")
+    3  training divergence, in a step or an evaluation ("divergence: ...";
+       metrics.csv is still written)
     4  I/O error ("io error: ...")
 """
 
@@ -24,12 +25,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .autodiff import NumericsError, Var, backward
+from .autodiff import NumericsError
 from .config import ConfigError, load_run_config
 from .metrics import latent_interpolation
-from .nets import NetworkParams, mlp_forward_vars, mlp_init
-from .optim import AdamHyper, adam_init, adam_step
-from .theory import attraction_check, bound_suite
+from .nets import mlp_init
+from .optim import AdamHyper
+from .theory import attraction_check, bound_suite, pull_toward
 from .training import (
     CheckpointError,
     DivergenceError,
@@ -98,7 +99,10 @@ def cmd_eval(args) -> int:
             f"checkpoint specs do not match the config's task "
             f"(checkpoint G {state.params_G.spec.layer_dims}, config G {g_spec.layer_dims})"
         )
-    report = evaluate_generator(state.params_G, cfg)
+    try:
+        report = evaluate_generator(state.params_G, cfg)
+    except NumericsError as exc:  # finite weights, overflowing output
+        raise CheckpointError(str(exc)) from exc
     _write(args.out, report.to_json())
     return EXIT_OK
 
@@ -134,17 +138,6 @@ def cmd_sweep(args) -> int:
     ]
     _write(os.path.join(args.out, "sweep.json"), json.dumps(doc, indent=2))
     return EXIT_OK
-
-
-def _target_distance_step(params_G, y_star, z1, adam_hyper):
-    """One optimizer step pulling G(z1) toward y_star; returns new params."""
-    gvars = [Var(p) for p in params_G.flat()]
-    out, _ = mlp_forward_vars(gvars, params_G.spec, z1[None, :])
-    dist = (out - y_star[None, :]).square().sum().sqrt()
-    backward(dist)
-    new_flat, _ = adam_step(params_G.flat(), [v.grad for v in gvars],
-                            adam_init(params_G.flat()), adam_hyper)
-    return NetworkParams.from_flat(params_G.spec, new_flat)
 
 
 def _checkpoint_z_dim(state, command: str) -> int:
@@ -193,7 +186,7 @@ def cmd_verify(args) -> int:
     for _ in range(8):  # rare: a step that fails to decrease the distance
         z1 = rng.standard_normal(z_dim)
         y_star = rng.standard_normal(params_G.spec.output_dim)
-        params_t1 = _target_distance_step(params_G, y_star, z1, AdamHyper())
+        params_t1 = pull_toward(params_G, z1, y_star, AdamHyper())
         try:
             attraction = attraction_check(params_G, params_t1, z1, y_star,
                                           probes=args.probes, rng=rng).summary()

@@ -46,9 +46,6 @@ class RingMixtureSpec:
         angles = 2.0 * np.pi * np.arange(self.n_modes) / self.n_modes
         return self.radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
-    def to_dict(self) -> dict:
-        return {"n_modes": self.n_modes, "radius": self.radius, "std": self.std}
-
 
 @dataclass(frozen=True)
 class ConditionalRingSpec:
@@ -140,16 +137,15 @@ def nearest_mode(point, spec: RingMixtureSpec) -> tuple[int, float]:
     point = np.asarray(point, dtype=np.float64)
     if not np.all(np.isfinite(point)):
         raise ValueError("nearest_mode: point must be finite")
-    d = np.linalg.norm(spec.centers() - point[None, :], axis=1)
-    idx = int(np.argmin(d))  # argmin returns the first minimum
-    return idx, float(d[idx])
+    idx, d = nearest_modes(point[None, :], spec)
+    return int(idx[0]), float(d[0])
 
 
 def nearest_modes(points: np.ndarray, spec: RingMixtureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized nearest_mode over (n, 2) points."""
+    """nearest_mode for each of (n, 2) points."""
     points = np.asarray(points, dtype=np.float64)
     d = np.linalg.norm(points[:, None, :] - spec.centers()[None, :, :], axis=2)
-    idx = np.argmin(d, axis=1)
+    idx = np.argmin(d, axis=1)  # argmin returns the first minimum
     return idx, d[np.arange(len(points)), idx]
 
 

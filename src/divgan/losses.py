@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import NumericsError, ShapeMismatch, Var, concat, lift
-from .nets import NetworkParams, discriminator_forward, mlp_forward_vars
+from .autodiff import NumericsError, ShapeMismatch, Var, lift
+from .nets import NetworkParams, ParamLeaves, discriminator_forward, generator_forward
 
 __all__ = [
     "DiversityConfig",
@@ -33,6 +33,7 @@ __all__ = [
     "sequence_diversity_ratio",
     "reconstruction_loss",
     "generator_total_loss",
+    "MIN_Z_GAP",
     "RESAMPLE_ATTEMPTS",
 ]
 
@@ -41,6 +42,7 @@ SPACES = ("output", "feature", "sequence")
 G_LOSS_FORMS = ("minimax", "non_saturating")
 
 RESAMPLE_ATTEMPTS = 8
+MIN_Z_GAP = 1e-8  # latent pairs closer than this are resampled
 
 
 class DegenerateLatentPair(ValueError):
@@ -53,7 +55,6 @@ class DiversityConfig:
     tau: float | None = 10.0  # margin; None disables the clip
     norm: str = "l1"
     space: str = "output"
-    min_z_gap: float = 1e-8
 
     def __post_init__(self):
         if self.weight < 0:
@@ -64,8 +65,6 @@ class DiversityConfig:
             raise ValueError(f"DiversityConfig: unknown norm {self.norm!r}")
         if self.space not in SPACES:
             raise ValueError(f"DiversityConfig: unknown space {self.space!r}")
-        if self.min_z_gap <= 0:
-            raise ValueError("DiversityConfig: min_z_gap must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,12 +134,6 @@ def g_adv_loss(logits_fake, form: str = "non_saturating") -> Var:
 # -- diversity ratios ------------------------------------------------------
 
 
-def _row_norms_np(diff: np.ndarray, norm: str) -> np.ndarray:
-    if norm == "l1":
-        return np.sum(np.abs(diff), axis=1)
-    return np.sqrt(np.sum(diff * diff, axis=1))
-
-
 def _row_norms(diff: Var, norm: str) -> Var:
     if norm == "l1":
         return diff.abs().sum(axis=1)
@@ -167,13 +160,12 @@ def _value(t) -> np.ndarray:
     return t.data if isinstance(t, Var) else np.asarray(t, dtype=np.float64)
 
 
-def _pair_ratio(parts1, parts2, z1, z2, norm: str, tau: float | None,
-                min_z_gap: float) -> float:
+def _pair_ratio(parts1, parts2, z1, z2, norm: str, tau: float | None) -> float:
     """One latent pair through the batch formula, each part a batch of one."""
-    gap = _row_norms_np(np.reshape(_value(z1) - _value(z2), (1, -1)), norm)
-    if gap[0] < min_z_gap:
+    gap = _row_norms(lift(np.reshape(_value(z1) - _value(z2), (1, -1))), norm).data
+    if gap[0] < MIN_Z_GAP:
         raise DegenerateLatentPair(
-            f"latent gap {gap[0]:.3e} below min_z_gap {min_z_gap:.3e}; resample z2"
+            f"latent gap {gap[0]:.3e} below MIN_Z_GAP {MIN_Z_GAP:.3e}; resample z2"
         )
     rows1 = [lift(np.reshape(a, (1, -1))) for a in parts1]
     rows2 = [lift(np.reshape(b, (1, -1))) for b in parts2]
@@ -188,7 +180,7 @@ def diversity_ratio(y1, y2, z1, z2, cfg: DiversityConfig) -> float:
         raise ShapeMismatch(f"diversity_ratio: output shapes {y1.shape} and {y2.shape}")
     if z1.shape != z2.shape:
         raise ShapeMismatch(f"diversity_ratio: latent shapes {z1.shape} and {z2.shape}")
-    return _pair_ratio([y1], [y2], z1, z2, cfg.norm, cfg.tau, cfg.min_z_gap)
+    return _pair_ratio([y1], [y2], z1, z2, cfg.norm, cfg.tau)
 
 
 def feature_diversity_ratio(feats1, feats2, z1, z2, cfg: DiversityConfig) -> float:
@@ -207,7 +199,7 @@ def feature_diversity_ratio(feats1, feats2, z1, z2, cfg: DiversityConfig) -> flo
             raise ShapeMismatch(
                 f"feature_diversity_ratio: layer {i} shapes {a.shape} and {b.shape}"
             )
-    return _pair_ratio(f1, f2, z1, z2, cfg.norm, None, cfg.min_z_gap)
+    return _pair_ratio(f1, f2, z1, z2, cfg.norm, None)
 
 
 def sequence_diversity_ratio(seq1, seq2, z1, z2, cfg: DiversityConfig) -> float:
@@ -219,7 +211,7 @@ def sequence_diversity_ratio(seq1, seq2, z1, z2, cfg: DiversityConfig) -> float:
         raise ShapeMismatch(
             f"sequence_diversity_ratio: sequences of length {len(s1)} and {len(s2)}"
         )
-    return _pair_ratio(s1, s2, z1, z2, "l1", None, cfg.min_z_gap)
+    return _pair_ratio(s1, s2, z1, z2, "l1", None)
 
 
 def reconstruction_loss(y_hat, y) -> Var:
@@ -233,22 +225,23 @@ def reconstruction_loss(y_hat, y) -> Var:
 # -- combined generator objective ------------------------------------------
 
 
-def _resample_z2(z1: np.ndarray, z2: np.ndarray, cfg: DiversityConfig, rng,
-                 norm: str) -> np.ndarray:
-    """Redraw z2 rows that are too close to z1; error after 8 attempts."""
+def _resample_z2(z1: np.ndarray, z2: np.ndarray, rng, norm: str) -> tuple[np.ndarray, np.ndarray]:
+    """Redraw z2 rows that are too close to z1; error after 8 attempts.
+
+    Returns z2 and the latent gaps ||z1 - z2|| per row."""
     z2 = np.array(z2, dtype=np.float64)
     for _ in range(RESAMPLE_ATTEMPTS):
-        gaps = _row_norms_np(z1 - z2, norm)
-        bad = gaps < cfg.min_z_gap
+        gaps = _row_norms(lift(z1 - z2), norm).data
+        bad = gaps < MIN_Z_GAP
         if not np.any(bad):
-            return z2
+            return z2, gaps
         if rng is None:
             raise DegenerateLatentPair(
                 "degenerate z pair in batch and no rng available to resample"
             )
         z2[bad] = rng.standard_normal((int(bad.sum()), z2.shape[1]))
     raise DegenerateLatentPair(
-        f"z-gap below {cfg.min_z_gap} after {RESAMPLE_ATTEMPTS} resampling attempts"
+        f"z-gap below {MIN_Z_GAP} after {RESAMPLE_ATTEMPTS} resampling attempts"
     )
 
 
@@ -274,18 +267,11 @@ def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
     # the sequence variant fixes both norms to l1; only output space clips
     norm = "l1" if div.space == "sequence" else div.norm
     tau = div.tau if div.space == "output" else None
-    z2 = _resample_z2(z1, batch.z2, div, rng, norm)
-    gaps = _row_norms_np(z1 - z2, norm)
+    z2, gaps = _resample_z2(z1, batch.z2, rng, norm)
 
-    gvars = [Var(p) for p in params_G.flat()]
-
-    def gen(z):
-        inp = z if batch.x is None else concat([batch.x, z], axis=1)
-        out, _ = mlp_forward_vars(gvars, params_G.spec, inp)
-        return out
-
-    y1 = gen(z1)
-    y2 = gen(z2)
+    leaves = ParamLeaves(params_G)
+    y1 = generator_forward(leaves, z1, batch.x)
+    y2 = generator_forward(leaves, z2, batch.x)
 
     logits1, feats1 = discriminator_forward(params_D, y1, batch.x)
     adv = g_adv_loss(logits1, cfg.g_loss_form)
@@ -325,4 +311,4 @@ def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
     }
     if not np.isfinite(total.data):
         raise NumericsError("generator_total_loss: non-finite loss")
-    return GeneratorLoss(total=total, parts=parts, param_vars=gvars, z2_used=z2)
+    return GeneratorLoss(total=total, parts=parts, param_vars=leaves.flat(), z2_used=z2)

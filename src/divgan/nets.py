@@ -21,8 +21,8 @@ __all__ = [
     "NetworkSpec",
     "NetworkParams",
     "NonFiniteParams",
+    "ParamLeaves",
     "mlp_init",
-    "mlp_forward",
     "mlp_forward_vars",
     "generator_forward",
     "discriminator_forward",
@@ -125,8 +125,21 @@ class NetworkParams:
     def from_flat(spec: NetworkSpec, flat) -> "NetworkParams":
         return NetworkParams(spec, flat[0::2], flat[1::2])
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
+
+class ParamLeaves:
+    """A NetworkParams as gradient leaves, one fresh `Var` per array. The
+    forwards take it in place of the params, which they run as constants;
+    after `backward`, `grads()` holds the parameter gradients."""
+
+    def __init__(self, params: NetworkParams):
+        self.spec = params.spec
+        self._vars = [Var(p) for p in params.flat()]
+
+    def flat(self) -> list:
+        return self._vars
+
+    def grads(self) -> list:
+        return [v.grad for v in self._vars]
 
 
 def mlp_init(spec: NetworkSpec, seed: int) -> NetworkParams:
@@ -153,24 +166,18 @@ def _activate(h: Var, kind: str) -> Var:
     return h  # linear
 
 
-def mlp_forward(params: NetworkParams, inp) -> tuple[Var, list[Var]]:
-    """Forward pass on a (batch, input_dim) array with the parameters held
-    constant: gradients reach only the input, and with a constant input no
-    graph is built.
+def mlp_forward_vars(param_vars, spec: NetworkSpec, inp) -> tuple[Var, list[Var]]:
+    """Forward pass on a (batch, input_dim) input over the parameters
+    [W0, b0, W1, b1, ...]. Arrays enter as constants and `Var` leaves get
+    gradients; with constant parameters and input no graph is built.
 
     Returns (output, hidden) where hidden holds the post-activation hidden
     layers ordered input -> output.
     """
-    return mlp_forward_vars([lift(p) for p in params.flat()], params.spec, inp)
-
-
-def mlp_forward_vars(param_vars, spec: NetworkSpec, inp) -> tuple[Var, list[Var]]:
-    """Forward pass over parameter Vars [W0, b0, W1, b1, ...]; explicit Var
-    leaves get gradients (training path)."""
     h = lift(inp)
     if h.ndim != 2 or h.shape[1] != spec.input_dim:
         raise ShapeMismatch(
-            f"mlp_forward: input shape {h.shape}, spec wants (batch, {spec.input_dim})"
+            f"mlp_forward_vars: input shape {h.shape}, spec wants (batch, {spec.input_dim})"
         )
     hidden = []
     n_layers = len(param_vars) // 2
@@ -196,15 +203,16 @@ def _with_condition(x, main) -> Var:
     return concat([x, main], axis=1)
 
 
-def generator_forward(params: NetworkParams, z, x=None) -> Var:
+def generator_forward(params: NetworkParams | ParamLeaves, z, x=None) -> Var:
     """G(x, z) on a batch: condition (optional) concatenated with latents."""
-    out, _ = mlp_forward(params, _with_condition(x, z))
+    out, _ = mlp_forward_vars(params.flat(), params.spec, _with_condition(x, z))
     return out
 
 
-def discriminator_forward(params: NetworkParams, y, x=None) -> tuple[Var, list[Var]]:
+def discriminator_forward(params: NetworkParams | ParamLeaves, y,
+                          x=None) -> tuple[Var, list[Var]]:
     """D(x, y) on a batch: (pre-sigmoid logits (batch, 1), hidden features)."""
-    return mlp_forward(params, _with_condition(x, y))
+    return mlp_forward_vars(params.flat(), params.spec, _with_condition(x, y))
 
 
 def default_generator_spec(z_dim: int = 2, cond_dim: int = 0, out_dim: int = 2) -> NetworkSpec:

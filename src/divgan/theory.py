@@ -16,7 +16,9 @@ Two facts are exercised:
    not computable.
 
 Norms here are l2 / spectral (matching the analysis), regardless of the
-training-side norm choice.
+training-side norm choice. A generator whose output is not finite raises
+NumericsError: the finiteness checks are the error path, so the entry
+points run with numpy's overflow and invalid-value warnings off.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NumericsError, Var, backward
-from .nets import NetworkParams, generator_forward
+from .autodiff import NumericsError, Var, backward, jacobian
+from .nets import NetworkParams, ParamLeaves, generator_forward
+from .optim import AdamHyper, adam_init, adam_step
 
 __all__ = [
     "BoundCheckReport",
@@ -37,6 +40,7 @@ __all__ = [
     "path_gradient_bound",
     "bound_suite",
     "attraction_check",
+    "pull_toward",
 ]
 
 BOUND_RTOL = 1e-6
@@ -59,39 +63,32 @@ def _forward(params_G: NetworkParams, zs, x=None) -> Var:
     """G(x, z) at every row of zs, all rows sharing the one condition x."""
     if x is not None:
         x = np.repeat(np.asarray(x, dtype=np.float64).reshape(1, -1), zs.shape[0], axis=0)
-    return generator_forward(params_G, zs, x)
+    out = generator_forward(params_G, zs, x)
+    if not np.all(np.isfinite(out.data)):
+        raise NumericsError("non-finite generator output")
+    return out
 
 
-def _batched_jacobians(params_G: NetworkParams, zs: np.ndarray, x=None) -> np.ndarray:
-    """Jacobians of G w.r.t. z at each row of zs, shape (n, out_dim, z_dim).
-
-    Rows are independent, so one seeded backward per output component
-    recovers every per-row gradient at once.
-    """
-    n, z_dim = zs.shape
-    leaf = Var(zs)
-    out = _forward(params_G, leaf, x)
-    m = out.shape[1]
-    jac = np.zeros((n, m, z_dim))
-    for i in range(m):
-        seed = np.zeros(out.shape)
-        seed[:, i] = 1.0
-        backward(out, seed=seed)
-        jac[:, i, :] = leaf.grad
-    if not np.all(np.isfinite(jac)):
-        raise NumericsError("path_gradient_bound: non-finite Jacobian")
-    return jac
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def path_jacobians(params_G: NetworkParams, z1, z2, n_quad: int, x=None) -> np.ndarray:
-    """Jacobians at the composite-midpoint nodes of the segment z1 -> z2."""
+    """Jacobians at the composite-midpoint nodes of the segment z1 -> z2,
+    shape (n_quad, out_dim, z_dim).
+
+    Rows are independent, so the Jacobian of G's column sums over all nodes
+    holds every node's Jacobian.
+    """
     z1 = np.asarray(z1, dtype=np.float64).reshape(-1)
     z2 = np.asarray(z2, dtype=np.float64).reshape(-1)
     ts = (np.arange(n_quad) + 0.5) / n_quad
     gamma = ts[:, None] * z2[None, :] + (1.0 - ts)[:, None] * z1[None, :]
-    return _batched_jacobians(params_G, gamma, x=x)
+    jac = jacobian(lambda z: _forward(params_G, z, x).sum(axis=0), gamma)
+    if not np.all(np.isfinite(jac)):
+        raise NumericsError("path_gradient_bound: non-finite Jacobian")
+    # a C-ordered copy: reductions over a transposed view may sum in another order
+    return np.ascontiguousarray(jac.reshape(-1, n_quad, z1.size).transpose(1, 0, 2))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def path_gradient_bound(params_G: NetworkParams, z1, z2, n_quad: int = 64,
                         x=None, matrix_norm: str = "spectral") -> BoundCheckReport:
     """Difference quotient vs averaged Jacobian norm along the segment.
@@ -121,17 +118,14 @@ def path_gradient_bound(params_G: NetworkParams, z1, z2, n_quad: int = 64,
 
 
 def bound_suite(params_G: NetworkParams, n_pairs: int, rng, z_dim: int | None = None,
-                n_quad: int | None = None, refine: int | None = None,
                 x=None) -> dict:
-    """Run the bound on random latent pairs; near-violations get a refined
+    """Run the bound on random latent pairs; near-violations get a 4x finer
     quadrature before counting as failures."""
     if z_dim is None:
         z_dim = params_G.spec.input_dim if x is None else params_G.spec.input_dim - np.asarray(x).size
-    if n_quad is None:
-        # piecewise-constant relu Jacobians need a finer grid than smooth tanh
-        n_quad = 512 if params_G.spec.hidden_activation == "relu" else 64
-    if refine is None:
-        refine = max(4 * n_quad, 256)
+    # piecewise-constant relu Jacobians need a finer grid than smooth tanh
+    n_quad = 512 if params_G.spec.hidden_activation == "relu" else 64
+    refine = 4 * n_quad
     violations = 0
     min_slack = np.inf
     refined = 0
@@ -214,6 +208,7 @@ def _ratios_from(params: NetworkParams, z1: np.ndarray, zs: np.ndarray,
     return np.linalg.norm(ys[1:] - ys[0][None, :], axis=1) / gaps
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def attraction_check(params_t: NetworkParams, params_t1: NetworkParams, z1,
                      y_star, probes: int, rng, x=None,
                      grid_points: int = 61) -> AttractionReport:
@@ -274,3 +269,14 @@ def attraction_check(params_t: NetworkParams, params_t1: NetworkParams, z1,
         radius_estimate=float(radius),
         n_probes=len(z2),
     )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def pull_toward(params_G: NetworkParams, z1, y_star, hyper: AdamHyper) -> NetworkParams:
+    """One Adam step from fresh moments minimizing ||y* - G(z1)||_2."""
+    leaves = ParamLeaves(params_G)
+    out = generator_forward(leaves, np.asarray(z1, dtype=np.float64).reshape(1, -1))
+    dist = (out - np.asarray(y_star, dtype=np.float64).reshape(1, -1)).square().sum().sqrt()
+    backward(dist)
+    new_flat, _ = adam_step(params_G.flat(), leaves.grads(), adam_init(params_G.flat()), hyper)
+    return NetworkParams.from_flat(params_G.spec, new_flat)

@@ -1,9 +1,9 @@
 """Alternating GAN training on the synthetic tasks, with deterministic
 seeding, periodic evaluation, JSON checkpoints, and lambda sweeps.
 
-Each step runs `d_steps_per_g` discriminator updates (real batch vs fresh
-fakes) followed by one generator update on the combined objective with a
-fresh (z1, z2) pair per example. A run is single-threaded and fully
+Each step runs one discriminator update (real batch vs fresh fakes)
+followed by one generator update on the combined objective with a fresh
+(z1, z2) pair per example. A run is single-threaded and fully
 deterministic given its seed; sweep entries use independent processes.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import NumericsError, ShapeMismatch, Var, backward
+from .autodiff import NumericsError, ShapeMismatch, backward
 from .data import (
     ConditionalRingSpec,
     RingMixtureSpec,
@@ -33,10 +33,11 @@ from .metrics import dist_min as metric_dist_min
 from .nets import (
     NetworkParams,
     NetworkSpec,
+    ParamLeaves,
     default_discriminator_spec,
     default_generator_spec,
+    discriminator_forward,
     generator_forward,
-    mlp_forward_vars,
     mlp_init,
 )
 from .optim import AdamHyper, AdamState, adam_init, adam_step
@@ -93,7 +94,6 @@ class TrainConfig:
     z_dim: int = 2
     batch_size: int = 128
     steps: int = 30000
-    d_steps_per_g: int = 1
     adam: AdamHyper = field(default_factory=AdamHyper)
     seed: int = 0
     eval_every: int = 1000
@@ -107,8 +107,8 @@ class TrainConfig:
             raise ValueError("TrainConfig: steps must be >= 1")
         if self.batch_size < 2:
             raise ValueError("TrainConfig: batch_size must be >= 2")
-        if self.z_dim < 1 or self.d_steps_per_g < 1 or self.eval_every < 1:
-            raise ValueError("TrainConfig: z_dim, d_steps_per_g, eval_every must be >= 1")
+        if self.z_dim < 1 or self.eval_every < 1:
+            raise ValueError("TrainConfig: z_dim, eval_every must be >= 1")
 
 
 def cond_ring_spec(cfg: TrainConfig) -> ConditionalRingSpec:
@@ -204,15 +204,11 @@ def _real_batch(cfg: TrainConfig, rng) -> tuple[np.ndarray | None, np.ndarray, i
     return b.x.reshape(n, -1), b.y.reshape(n, -1), cfg.traj.horizon
 
 
-def _d_input(x, y) -> np.ndarray:
-    return y if x is None else np.concatenate([x, y], axis=1)
-
-
 # -- one step ----------------------------------------------------------------
 
 
 def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricRow]:
-    """One discriminator update (or several) then one generator update.
+    """One discriminator update then one generator update.
 
     Losses are logged as observed before the respective parameter updates.
     Raises DivergenceError on any non-finite loss or gradient.
@@ -222,22 +218,19 @@ def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricR
     # explicit finiteness checks are the error path, not the warnings
     try:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            d_spec = state.params_D.spec
-            d_loss_val = 0.0
-            for _ in range(cfg.d_steps_per_g):
-                x, y_real, _ = _real_batch(cfg, state.rng)
-                z = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
-                fake = generator_forward(state.params_G, z, x).data
-                dvars = [Var(p) for p in state.params_D.flat()]
-                logits_real, _ = mlp_forward_vars(dvars, d_spec, _d_input(x, y_real))
-                logits_fake, _ = mlp_forward_vars(dvars, d_spec, _d_input(x, fake))
-                loss_d = d_loss(logits_real, logits_fake)
-                d_loss_val = loss_d.item()
-                backward(loss_d)
-                new_flat, state.adam_D = adam_step(
-                    state.params_D.flat(), [v.grad for v in dvars], state.adam_D, cfg.adam
-                )
-                state.params_D = NetworkParams.from_flat(d_spec, new_flat)
+            x, y_real, _ = _real_batch(cfg, state.rng)
+            z = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
+            fake = generator_forward(state.params_G, z, x).data
+            leaves = ParamLeaves(state.params_D)
+            logits_real, _ = discriminator_forward(leaves, y_real, x)
+            logits_fake, _ = discriminator_forward(leaves, fake, x)
+            loss_d = d_loss(logits_real, logits_fake)
+            d_loss_val = loss_d.item()
+            backward(loss_d)
+            new_flat, state.adam_D = adam_step(
+                state.params_D.flat(), leaves.grads(), state.adam_D, cfg.adam
+            )
+            state.params_D = NetworkParams.from_flat(leaves.spec, new_flat)
 
             x, y_target, seq_len = _real_batch(cfg, state.rng)
             z1 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
@@ -268,14 +261,11 @@ def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricR
 # -- evaluation ---------------------------------------------------------------
 
 
-def _eval_rng(cfg: TrainConfig) -> np.random.Generator:
-    return np.random.default_rng(_seed_for(cfg.seed, _STREAM_EVAL))
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
     """Fixed seeded protocol: generate cfg.eval_samples fakes, score them
-    against a same-size seeded real draw."""
-    rng = _eval_rng(cfg)
+    against a same-size seeded real draw. NumericsError if G overflows."""
+    rng = np.random.default_rng(_seed_for(cfg.seed, _STREAM_EVAL))
     n = cfg.eval_samples
     if cfg.task == "ring":
         z = rng.standard_normal((n, cfg.z_dim))
@@ -318,6 +308,9 @@ def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
         div = pairwise_diversity(fake)
         dmin = metric_dist_min(fake, real.y.reshape(n, -1)[0])
         fre = frechet_2d(pts.reshape(-1, 2), real.y.reshape(-1, 2))
+    # a non-finite sample makes frechet non-finite; so can finite, huge ones
+    if not np.all(np.isfinite([hq, div, dmin, fre])):
+        raise NumericsError("evaluate_generator: non-finite metrics; G's output overflows")
     return EvalReport(
         modes_captured=int(modes),
         hq_fraction=float(hq),
@@ -335,7 +328,8 @@ def train(cfg: TrainConfig) -> TrainResult:
     """Run cfg.steps steps with evaluation every eval_every steps.
 
     Keeps checkpoints for the final state and the best (modes, hq) eval.
-    On divergence the partial metric log rides on the raised error.
+    On divergence (in a step, or an overflowing G in an evaluation) the
+    partial metric log rides on the raised error.
     """
     state = init_state(cfg)
     rows: list[MetricRow] = []
@@ -344,6 +338,7 @@ def train(cfg: TrainConfig) -> TrainResult:
     try:
         for _ in range(cfg.steps):
             state, row = train_step(state, cfg)
+            rows.append(row)
             if state.step % cfg.eval_every == 0 or state.step == cfg.steps:
                 report = evaluate_generator(state.params_G, cfg)
                 row.modes = report.modes_captured
@@ -355,10 +350,11 @@ def train(cfg: TrainConfig) -> TrainResult:
                 if best_key is None or key > best_key:
                     best_key = key
                     best_blob = save_checkpoint(state)
-            rows.append(row)
     except DivergenceError as exc:
         exc.rows = rows
         raise
+    except NumericsError as exc:  # from evaluate_generator; train_step converts its own
+        raise DivergenceError(state.step, str(exc), rows) from exc
     final_blob = save_checkpoint(state)
     if best_blob is None:
         best_blob = final_blob
@@ -415,27 +411,25 @@ def _params_payload(params: NetworkParams) -> dict:
     }
 
 
-def _params_restore(payload: dict) -> NetworkParams:
-    spec = NetworkSpec.from_dict(payload["spec"])
+def _arrays(values, spec: NetworkSpec) -> list:
+    """Flat value lists back into arrays shaped like spec's [W0, b0, W1, ...]."""
     dims = spec.layer_dims
     shapes = []
     for i in range(len(dims) - 1):
         shapes.append((dims[i], dims[i + 1]))
         shapes.append((dims[i + 1],))
-    values = payload["values"]
     if len(values) != len(shapes):
         raise CheckpointError(
-            f"checkpoint has {len(values)} arrays, spec wants {len(shapes)}"
+            f"malformed checkpoint: {len(values)} arrays, spec wants {len(shapes)}"
         )
-    flat = []
-    for arr, shape in zip(values, shapes):
-        a = np.asarray(arr, dtype=np.float64)
-        if a.size != int(np.prod(shape)):
-            raise CheckpointError(
-                f"checkpoint array of {a.size} values cannot fill shape {shape}"
-            )
-        flat.append(a.reshape(shape))
-    return NetworkParams.from_flat(spec, flat)
+    # a list that cannot fill its shape raises ValueError: load_checkpoint's
+    # "malformed checkpoint"
+    return [np.asarray(v, dtype=np.float64).reshape(s) for v, s in zip(values, shapes)]
+
+
+def _params_restore(payload: dict) -> NetworkParams:
+    spec = NetworkSpec.from_dict(payload["spec"])
+    return NetworkParams.from_flat(spec, _arrays(payload["values"], spec))
 
 
 def _adam_payload(state: AdamState) -> dict:
@@ -446,13 +440,9 @@ def _adam_payload(state: AdamState) -> dict:
     }
 
 
-def _adam_restore(payload: dict, like_params: NetworkParams) -> AdamState:
-    shapes = [a.shape for a in like_params.flat()]
-    if len(payload["m"]) != len(shapes) or len(payload["v"]) != len(shapes):
-        raise CheckpointError("checkpoint adam moments do not match parameter count")
-    m = [np.asarray(a, dtype=np.float64).reshape(s) for a, s in zip(payload["m"], shapes)]
-    v = [np.asarray(a, dtype=np.float64).reshape(s) for a, s in zip(payload["v"], shapes)]
-    return AdamState(m=m, v=v, t=int(payload["t"]))
+def _adam_restore(payload: dict, spec: NetworkSpec) -> AdamState:
+    return AdamState(m=_arrays(payload["m"], spec), v=_arrays(payload["v"], spec),
+                     t=int(payload["t"]))
 
 
 def save_checkpoint(state: TrainState) -> bytes:
@@ -492,8 +482,8 @@ def load_checkpoint(blob) -> TrainState:
         return TrainState(
             params_G=params_G,
             params_D=params_D,
-            adam_G=_adam_restore(doc["adam_G"], params_G),
-            adam_D=_adam_restore(doc["adam_D"], params_D),
+            adam_G=_adam_restore(doc["adam_G"], params_G.spec),
+            adam_D=_adam_restore(doc["adam_D"], params_D.spec),
             step=int(doc["step"]),
             rng=rng,
         )
@@ -521,9 +511,5 @@ def rows_to_csv(rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     for r in rows:
-        writer.writerow([
-            _fmt(r.step), _fmt(r.d_loss), _fmt(r.g_adv), _fmt(r.g_rec),
-            _fmt(r.l_z), _fmt(r.ratio_mean), _fmt(r.modes), _fmt(r.hq_frac),
-            _fmt(r.diversity), _fmt(r.dist_min), _fmt(r.frechet),
-        ])
+        writer.writerow([_fmt(getattr(r, k)) for k in CSV_HEADER.split(",")])
     return buf.getvalue()

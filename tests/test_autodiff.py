@@ -15,7 +15,13 @@ from divgan.autodiff import (
     lift,
 )
 from divgan.losses import DiversityConfig, ObjectiveConfig, TrainBatch, generator_total_loss
-from divgan.nets import NetworkSpec, mlp_forward, mlp_forward_vars, mlp_init
+from divgan.nets import (
+    NetworkSpec,
+    discriminator_forward,
+    generator_forward,
+    mlp_forward_vars,
+    mlp_init,
+)
 
 from conftest import gradcheck
 
@@ -252,10 +258,10 @@ def test_lifted_constants_get_no_grad(rng):
     assert np.array_equal(x.grad, np.ones((3, 4)) @ c.data.T)
 
 
-def test_mlp_forward_params_are_constants(rng):
+def test_forward_params_are_constants(rng):
     params = mlp_init(NetworkSpec(2, (5, 4), 3), 0)
     z = Var(rng.normal(size=(6, 2)))
-    out, _ = mlp_forward(params, z)
+    out = generator_forward(params, z)
     backward(out.sum())
     assert z.grad is not None
     nodes = _graph_vars(out)
@@ -267,7 +273,7 @@ def test_mlp_forward_params_are_constants(rng):
 
 def test_graph_of_constants_has_no_parents(rng):
     params = mlp_init(NetworkSpec(2, (5, 4), 3), 0)
-    out, hidden = mlp_forward(params, rng.normal(size=(6, 2)))
+    out, hidden = discriminator_forward(params, rng.normal(size=(6, 2)))
     for v in [out] + hidden:
         assert not v.requires_grad
         assert v._parents == () and v._bwd is None

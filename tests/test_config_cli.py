@@ -1,9 +1,11 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from divgan import training
 from divgan.cli import main
 from divgan.config import ConfigError, load_run_config, parse_run_config
 from divgan.metrics import EvalReport
@@ -241,16 +243,62 @@ def test_eval_and_interp_reject_bad_weights(corruption, tmp_path, capsys):
     assert not (tmp_path / "e.json").exists() and not (tmp_path / "i.csv").exists()
 
 
-def test_verify_overflowing_generator_fails_verification(tmp_path, capsys):
-    _, doc = trained_checkpoint_doc(tmp_path)
+def overflowing_checkpoint(tmp_path, weight=1e308):
+    """A finite checkpoint with G's last-layer weights at `weight`: 1e308
+    overflows G's output, 1e200 only the squared distances on it."""
+    cfg, doc = trained_checkpoint_doc(tmp_path)
     last_w = doc["params_G"]["values"][-2]
-    doc["params_G"]["values"][-2] = [1e308] * len(last_w)  # finite, but G overflows
-    ckpt = write_cfg(tmp_path, doc, "huge.ckpt.json")
+    doc["params_G"]["values"][-2] = [weight] * len(last_w)
+    return cfg, write_cfg(tmp_path, doc, "huge.ckpt.json")
+
+
+def test_verify_overflowing_generator_fails_verification(tmp_path, capsys):
+    _, ckpt = overflowing_checkpoint(tmp_path)
     capsys.readouterr()
-    assert main(["verify", ckpt, "--out", str(tmp_path / "v.json"),
-                 "--pairs", "2", "--probes", "10"]) == 1
-    assert capsys.readouterr().err.startswith("verification failed: ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert main(["verify", ckpt, "--out", str(tmp_path / "v.json"),
+                     "--pairs", "2", "--probes", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.parametrize("weight", [1e308, 1e200])
+def test_eval_overflowing_generator_is_checkpoint_error(weight, tmp_path, capsys):
+    cfg, ckpt = overflowing_checkpoint(tmp_path, weight)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", ckpt, "--config", cfg, "--out", str(tmp_path / "e.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "e.json").exists()
+
+
+def test_train_overflowing_evaluation_is_divergence(tmp_path, capsys, monkeypatch):
+    real_step = training.train_step
+
+    def step_then_overflow(state, cfg):
+        state, row = real_step(state, cfg)
+        if state.step == 4:
+            state.params_G.weights[-1][:] = 1e308  # finite weights, overflowing output
+        return state, row
+
+    monkeypatch.setattr(training, "train_step", step_then_overflow)
+    cfg = write_cfg(tmp_path, dict(FAST_RING, steps=6, eval_every=2))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("divergence: divergence at step 4: ") and len(err.splitlines()) == 1
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4"]
+    assert lines[2].count(",") == 10 and not lines[2].endswith(",")  # step 2's eval landed
+    assert lines[4].endswith(",,,,,")  # step 4 ran, its evaluation did not
+    assert not (out / "final.ckpt.json").exists()
 
 
 def test_seed_override_changes_run(tmp_path):

@@ -296,7 +296,7 @@ def test_resampling_recovers_with_rng(rng):
         TrainBatch(z1=z, z2=z.copy()), params_G, params_D, cfg, rng=rng
     )
     gaps = np.sum(np.abs(z - res.z2_used), axis=1)
-    assert np.all(gaps >= cfg.diversity.min_z_gap)
+    assert np.all(gaps >= losses.MIN_Z_GAP)
 
 
 @pytest.mark.parametrize("space,norm,tau", [

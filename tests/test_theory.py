@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from divgan.autodiff import Var, backward
-from divgan.nets import NetworkParams, NetworkSpec, mlp_forward_vars, mlp_init
-from divgan.optim import AdamHyper, adam_init, adam_step
+from divgan.autodiff import jacobian
+from divgan.nets import NetworkParams, NetworkSpec, generator_forward, mlp_init
+from divgan.optim import AdamHyper
 from divgan.theory import (
     AttractionReport,
     attraction_check,
     bound_suite,
     path_gradient_bound,
+    path_jacobians,
+    pull_toward,
 )
 
 
@@ -82,6 +84,22 @@ def test_bound_validation():
         path_gradient_bound(params, np.zeros(2), np.ones(2), matrix_norm="nuclear")
 
 
+@pytest.mark.parametrize("kind", ["tanh", "conditional", "relu"])
+def test_path_jacobians_match_per_row_jacobian(kind, rng):
+    cond_dim = 3 if kind == "conditional" else 0
+    act = "relu" if kind == "relu" else "tanh"
+    params = mlp_init(NetworkSpec(cond_dim + 2, (16, 16), 3, hidden_activation=act), 5)
+    x = rng.normal(size=cond_dim) if cond_dim else None
+    z1, z2 = rng.standard_normal(2), rng.standard_normal(2)
+    jacs = path_jacobians(params, z1, z2, n_quad=8, x=x)
+    assert jacs.shape == (8, 3, 2)
+    for t, jac in zip((np.arange(8) + 0.5) / 8, jacs):
+        z = (t * z2 + (1.0 - t) * z1)[None, :]
+        xr = None if x is None else x[None, :]
+        ref = jacobian(lambda v: generator_forward(params, v, xr), z)
+        assert jac == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_relu_generator_gets_finer_default_grid():
     relu = mlp_init(NetworkSpec(2, (8,), 2, hidden_activation="relu"), 0)
     out = bound_suite(relu, n_pairs=5, rng=np.random.default_rng(1))
@@ -119,24 +137,13 @@ def test_identical_parameters_violate_precondition():
                          probes=10, rng=np.random.default_rng(0))
 
 
-def adam_pull_toward(params, z1, y_star, lr=2e-4):
-    """One real Adam step minimizing ||y* - G(z1)||_2."""
-    gvars = [Var(p) for p in params.flat()]
-    out, _ = mlp_forward_vars(gvars, params.spec, z1[None, :])
-    dist = (out - Var(y_star[None, :])).square().sum().sqrt()
-    backward(dist)
-    new_flat, _ = adam_step(params.flat(), [v.grad for v in gvars],
-                            adam_init(params.flat()), AdamHyper(lr=lr))
-    return NetworkParams.from_flat(params.spec, new_flat)
-
-
 def test_condition_implies_attraction_after_real_step(rng):
     hits = 0
     for seed in range(5):
         params = tanh_generator(seed)
         z1 = rng.standard_normal(2)
         y_star = rng.standard_normal(2) * 2.0
-        params_next = adam_pull_toward(params, z1, y_star)
+        params_next = pull_toward(params, z1, y_star, AdamHyper())
         rep = attraction_check(params, params_next, z1, y_star,
                                probes=2000, rng=rng)
         assert rep.counterexamples == 0
@@ -162,7 +169,7 @@ def test_radius_estimate_uses_grid(rng):
     params = tanh_generator(2)
     z1 = rng.standard_normal(2)
     y_star = rng.standard_normal(2)
-    params_next = adam_pull_toward(params, z1, y_star, lr=1e-3)
+    params_next = pull_toward(params, z1, y_star, AdamHyper(lr=1e-3))
     few = attraction_check(params, params_next, z1, y_star, probes=3,
                            rng=np.random.default_rng(1), grid_points=0)
     dense = attraction_check(params, params_next, z1, y_star, probes=3,
