@@ -258,7 +258,7 @@ def test_lifted_constants_get_no_grad(rng):
     assert np.array_equal(x.grad, np.ones((3, 4)) @ c.data.T)
 
 
-def test_forward_params_are_constants(rng):
+def test_mlp_forward_params_are_constants(rng):
     params = mlp_init(NetworkSpec(2, (5, 4), 3), 0)
     z = Var(rng.normal(size=(6, 2)))
     out = generator_forward(params, z)
