@@ -6,8 +6,10 @@ Commands raise; `main` maps the error to a stderr line and an exit code:
 
     0  success
     1  verification failed: a check did not hold, or a non-finite value
-       (G output, Jacobian, gradient, weights) stopped it ("verification failed: ...")
-    2  config error ("config error: ...") or an unreadable, malformed or
+       (G output, a distance on it, Jacobian, gradient, weights) stopped it
+       ("verification failed: ...")
+    2  config error ("config error: ..."), a flag out of range (argparse's
+       usage message, before any work), or an unreadable, malformed or
        non-finite checkpoint, or one whose G overflows ("checkpoint error: ...")
     3  training divergence, in a step or an evaluation ("divergence: ...";
        metrics.csv is still written)
@@ -40,6 +42,7 @@ from .training import (
     sweep,
     task_specs,
     train,
+    with_weight,
 )
 
 EXIT_OK = 0
@@ -111,6 +114,8 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     try:
         lambdas = [float(s) for s in args.lambdas.split(",") if s.strip() != ""]
+        for lam in lambdas:
+            with_weight(cfg, lam)  # the weight's range check: finite and >= 0
     except ValueError as exc:
         raise ConfigError(f"bad --lambdas: {exc}") from exc
     if not lambdas:
@@ -214,6 +219,8 @@ def cmd_interp(args) -> int:
     z_b = rng.standard_normal(z_dim)
     try:
         res = latent_interpolation(params_G, z_a, z_b, steps=args.steps, mode=args.mode)
+    except NumericsError as exc:  # finite weights, overflowing output
+        raise CheckpointError(str(exc)) from exc
     except ValueError as exc:  # its argument checks
         raise ConfigError(str(exc)) from exc
     with open(args.out, "w", newline="") as fh:
@@ -230,45 +237,56 @@ def cmd_interp(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(least: int):
+    """argparse type: an integer >= least, so a bad flag exits 2 naming it."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="divgan")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags every command takes
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--out", required=True)
+    shared.add_argument("--seed", type=_int_at_least(0), default=None)
 
-    p = sub.add_parser("train", help="train a model from a JSON config")
+    p = sub.add_parser("train", parents=[shared], help="train a model from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint with the config's protocol")
+    p = sub.add_parser("eval", parents=[shared],
+                       help="evaluate a checkpoint with the config's protocol")
     p.add_argument("checkpoint")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="independent runs over a list of lambda values")
+    p = sub.add_parser("sweep", parents=[shared],
+                       help="independent runs over a list of lambda values")
     p.add_argument("--config", required=True)
     p.add_argument("--lambdas", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("verify", help="numerical checks of the gradient bound and attraction")
+    p = sub.add_parser("verify", parents=[shared],
+                       help="numerical checks of the gradient bound and attraction")
     p.add_argument("target", help="run config or checkpoint JSON")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--pairs", type=int, default=100)
-    p.add_argument("--probes", type=int, default=2000)
+    p.add_argument("--pairs", type=_int_at_least(1), default=100)
+    p.add_argument("--probes", type=_int_at_least(1), default=2000)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("interp", help="latent interpolation through a checkpointed generator")
+    p = sub.add_parser("interp", parents=[shared],
+                       help="latent interpolation through a checkpointed generator")
     p.add_argument("checkpoint")
-    p.add_argument("--out", required=True)
     p.add_argument("--steps", type=int, default=9)
     p.add_argument("--mode", choices=("linear", "slerp"), default="slerp")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_interp)
 
     return parser

@@ -9,6 +9,7 @@ independent streams (spawn), never a shared generator.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +40,9 @@ class RingMixtureSpec:
     def __post_init__(self):
         if self.n_modes < 1:
             raise ValueError("RingMixtureSpec: n_modes must be >= 1")
-        if self.radius <= 0 or self.std <= 0:
-            raise ValueError("RingMixtureSpec: radius and std must be positive")
+        # chained comparisons: NaN and +-inf fail them
+        if not (0 < self.radius < math.inf and 0 < self.std < math.inf):
+            raise ValueError("RingMixtureSpec: radius and std must be finite and positive")
 
     def centers(self) -> np.ndarray:
         angles = 2.0 * np.pi * np.arange(self.n_modes) / self.n_modes
@@ -81,8 +83,10 @@ class TrajectorySpec:
     def __post_init__(self):
         if self.context_len < 1 or self.horizon < 1:
             raise ValueError("TrajectorySpec: context_len and horizon must be >= 1")
-        if self.circle_radius <= 0 or self.angle_step <= 0 or self.noise_std < 0:
-            raise ValueError("TrajectorySpec: radius/step must be positive, noise >= 0")
+        if not (0 < self.circle_radius < math.inf and 0 < self.angle_step < math.inf
+                and 0 <= self.noise_std < math.inf):
+            raise ValueError("TrajectorySpec: radius/step must be finite and positive, "
+                             "noise finite and >= 0")
 
 
 @dataclass

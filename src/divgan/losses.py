@@ -13,6 +13,7 @@ per-step l1 distances over a generated sequence (no margin).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,10 +58,11 @@ class DiversityConfig:
     space: str = "output"
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("DiversityConfig: weight must be >= 0")
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError("DiversityConfig: tau must be positive when bounded")
+        # chained comparisons: NaN and +-inf fail them
+        if not 0 <= self.weight < math.inf:
+            raise ValueError("DiversityConfig: weight must be finite and >= 0")
+        if self.tau is not None and not 0 < self.tau < math.inf:
+            raise ValueError("DiversityConfig: tau must be finite and positive when bounded")
         if self.norm not in NORMS:
             raise ValueError(f"DiversityConfig: unknown norm {self.norm!r}")
         if self.space not in SPACES:
@@ -74,8 +76,8 @@ class ObjectiveConfig:
     diversity: DiversityConfig = field(default_factory=DiversityConfig)
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("ObjectiveConfig: beta must be >= 0")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError("ObjectiveConfig: beta must be finite and >= 0")
         if self.g_loss_form not in G_LOSS_FORMS:
             raise ValueError(f"ObjectiveConfig: unknown g_loss_form {self.g_loss_form!r}")
 

@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .autodiff import NumericsError
 from .data import ConditionalRingSpec, RingMixtureSpec, nearest_modes
 from .nets import NetworkParams, generator_forward
 
@@ -156,13 +157,15 @@ def _linear_path(z_a: np.ndarray, z_b: np.ndarray, ts: np.ndarray) -> np.ndarray
     return (1.0 - ts)[:, None] * z_a[None, :] + ts[:, None] * z_b[None, :]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def latent_interpolation(params_G: NetworkParams, z_a, z_b, steps: int,
                          mode: str = "slerp", x=None) -> InterpolationResult:
     """Generator outputs along a latent path from z_a to z_b.
 
     Endpoints are the exact inputs, so the first and last outputs reproduce
     G(x, z_a) and G(x, z_b). Degenerate slerp (parallel/antipodal endpoints)
-    falls back to the linear path and sets the flag.
+    falls back to the linear path and sets the flag. NumericsError if G's
+    output is not finite.
     """
     if steps < 2:
         raise ValueError("latent_interpolation: steps must be >= 2")
@@ -185,6 +188,8 @@ def latent_interpolation(params_G: NetworkParams, z_a, z_b, steps: int,
     outputs = np.stack([
         generator_forward(params_G, latents[i : i + 1], x).data[0] for i in range(steps)
     ])
+    if not np.all(np.isfinite(outputs)):
+        raise NumericsError("latent_interpolation: non-finite generator output")
     return InterpolationResult(latents=latents, outputs=outputs, slerp_fallback=fallback)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,10 +20,13 @@ class AdamHyper:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("AdamHyper: lr must be positive")
+        # chained comparisons: NaN and +-inf fail them
+        if not 0 < self.lr < math.inf:
+            raise ValueError("AdamHyper: lr must be finite and positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("AdamHyper: betas must lie in [0, 1)")
+        if not math.isfinite(self.eps):
+            raise ValueError("AdamHyper: eps must be finite")
 
 
 @dataclass

@@ -16,7 +16,8 @@ Two facts are exercised:
    not computable.
 
 Norms here are l2 / spectral (matching the analysis), regardless of the
-training-side norm choice. A generator whose output is not finite raises
+training-side norm choice. A generator whose output is not finite, or
+whose distances, difference quotients or Jacobian norms overflow, raises
 NumericsError: the finiteness checks are the error path, so the entry
 points run with numpy's overflow and invalid-value warnings off.
 """
@@ -59,13 +60,19 @@ class BoundCheckReport:
         return self.lhs <= self.rhs * (1.0 + BOUND_RTOL) + BOUND_ATOL
 
 
+def _finite(values, what: str):
+    """values, or NumericsError if any is not finite (e.g. a norm that overflowed)."""
+    if not np.all(np.isfinite(values)):
+        raise NumericsError(f"non-finite {what}")
+    return values
+
+
 def _forward(params_G: NetworkParams, zs, x=None) -> Var:
     """G(x, z) at every row of zs, all rows sharing the one condition x."""
     if x is not None:
         x = np.repeat(np.asarray(x, dtype=np.float64).reshape(1, -1), zs.shape[0], axis=0)
     out = generator_forward(params_G, zs, x)
-    if not np.all(np.isfinite(out.data)):
-        raise NumericsError("non-finite generator output")
+    _finite(out.data, "generator output")
     return out
 
 
@@ -81,9 +88,8 @@ def path_jacobians(params_G: NetworkParams, z1, z2, n_quad: int, x=None) -> np.n
     z2 = np.asarray(z2, dtype=np.float64).reshape(-1)
     ts = (np.arange(n_quad) + 0.5) / n_quad
     gamma = ts[:, None] * z2[None, :] + (1.0 - ts)[:, None] * z1[None, :]
-    jac = jacobian(lambda z: _forward(params_G, z, x).sum(axis=0), gamma)
-    if not np.all(np.isfinite(jac)):
-        raise NumericsError("path_gradient_bound: non-finite Jacobian")
+    jac = _finite(jacobian(lambda z: _forward(params_G, z, x).sum(axis=0), gamma),
+                  "Jacobian in path_gradient_bound")
     # a C-ordered copy: reductions over a transposed view may sum in another order
     return np.ascontiguousarray(jac.reshape(-1, n_quad, z1.size).transpose(1, 0, 2))
 
@@ -107,13 +113,13 @@ def path_gradient_bound(params_G: NetworkParams, z1, z2, n_quad: int = 64,
     if gap == 0.0:
         raise ValueError("path_gradient_bound: z1 and z2 coincide")
     ys = _forward(params_G, np.stack([z1, z2]), x).data
-    lhs = float(np.linalg.norm(ys[1] - ys[0]) / gap)
+    lhs = _finite(float(np.linalg.norm(ys[1] - ys[0]) / gap), "difference quotient")
     jac = path_jacobians(params_G, z1, z2, n_quad, x=x)
     if matrix_norm == "spectral":
         norms = np.linalg.svd(jac, compute_uv=False)[:, 0]
     else:
         norms = np.sqrt(np.sum(jac * jac, axis=(1, 2)))
-    rhs = float(np.mean(norms))
+    rhs = _finite(float(np.mean(norms)), "Jacobian norm")
     return BoundCheckReport(lhs=lhs, rhs=rhs, slack=rhs - lhs, n_quadrature=n_quad)
 
 
@@ -121,6 +127,8 @@ def bound_suite(params_G: NetworkParams, n_pairs: int, rng, z_dim: int | None = 
                 x=None) -> dict:
     """Run the bound on random latent pairs; near-violations get a 4x finer
     quadrature before counting as failures."""
+    if n_pairs < 1:
+        raise ValueError("bound_suite: n_pairs must be >= 1")
     if z_dim is None:
         z_dim = params_G.spec.input_dim if x is None else params_G.spec.input_dim - np.asarray(x).size
     # piecewise-constant relu Jacobians need a finer grid than smooth tanh
@@ -199,13 +207,14 @@ class AttractionReport:
 
 def _dists_to(params: NetworkParams, zs: np.ndarray, y_star: np.ndarray, x=None) -> np.ndarray:
     ys = _forward(params, zs, x).data
-    return np.linalg.norm(ys - y_star[None, :], axis=1)
+    return _finite(np.linalg.norm(ys - y_star[None, :], axis=1), "distance to y*")
 
 
 def _ratios_from(params: NetworkParams, z1: np.ndarray, zs: np.ndarray,
                  gaps: np.ndarray, x=None) -> np.ndarray:
     ys = _forward(params, np.vstack([z1[None, :], zs]), x).data
-    return np.linalg.norm(ys[1:] - ys[0][None, :], axis=1) / gaps
+    return _finite(np.linalg.norm(ys[1:] - ys[0][None, :], axis=1) / gaps,
+                   "difference quotient")
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -102,13 +102,17 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.task not in TASKS:
-            raise ValueError(f"TrainConfig: unknown task {self.task!r}")
+            raise ValueError(f"TrainConfig: unknown task {self.task!r}, expected one of {TASKS}")
         if self.steps < 1:
             raise ValueError("TrainConfig: steps must be >= 1")
         if self.batch_size < 2:
             raise ValueError("TrainConfig: batch_size must be >= 2")
         if self.z_dim < 1 or self.eval_every < 1:
             raise ValueError("TrainConfig: z_dim, eval_every must be >= 1")
+        if self.seed < 0:
+            raise ValueError("TrainConfig: seed must be >= 0")
+        if self.task == "conditional_ring":
+            cond_ring_spec(self)  # raises unless the ring's modes split among the labels
 
 
 def cond_ring_spec(cfg: TrainConfig) -> ConditionalRingSpec:
@@ -395,8 +399,9 @@ def sweep(base_cfg: TrainConfig, lambdas, jobs: int = 1) -> list[SweepEntry]:
     if not lambdas:
         raise ValueError("sweep: empty lambda list")
     tasks = [(base_cfg, float(lam)) for lam in lambdas]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))  # the pool starts every worker it may use
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_one, tasks))
     return [_sweep_one(t) for t in tasks]
 

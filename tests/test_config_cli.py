@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -7,9 +9,12 @@ import pytest
 
 from divgan import training
 from divgan.cli import main
-from divgan.config import ConfigError, load_run_config, parse_run_config
+from divgan.config import FIELDS, ConfigError, load_run_config, parse_run_config
+from divgan.data import RingMixtureSpec, TrajectorySpec
+from divgan.losses import DiversityConfig, ObjectiveConfig
 from divgan.metrics import EvalReport
-from divgan.training import load_checkpoint
+from divgan.optim import AdamHyper
+from divgan.training import TrainConfig, load_checkpoint
 
 FAST_RING = {
     "task": "ring",
@@ -68,6 +73,61 @@ def test_bad_values_are_config_errors():
         parse_run_config({"steps": 0})
     with pytest.raises(ConfigError):
         parse_run_config({"lr": -1.0})
+
+
+@pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
+def test_every_key_sets_its_field(task):
+    doc = {
+        "task": task, "z_dim": 3, "batch_size": 32, "steps": 7, "seed": 5,
+        "eval_every": 4, "warm_start_discriminator": "d.ckpt.json",
+        "lambda": 0.25, "tau": 2, "norm": "l2", "space": "feature", "beta": 1,
+        "g_loss_form": "minimax", "lr": 1e-3, "beta1": 0, "beta2": 0.99,
+        "ring": {"n_modes": 8, "radius": 3, "std": 0.05},
+    }
+    keys = {k for k in doc if k != "ring"} | {f"ring.{k}" for k in doc["ring"]}
+    assert keys == set(FIELDS)
+    want = TrainConfig(
+        task=task,
+        objective=ObjectiveConfig(
+            beta=1.0, g_loss_form="minimax",
+            diversity=DiversityConfig(weight=0.25, tau=2.0, norm="l2", space="feature"),
+        ),
+        ring=RingMixtureSpec(n_modes=8, radius=3.0, std=0.05),
+        z_dim=3, batch_size=32, steps=7, adam=AdamHyper(lr=1e-3, beta1=0.0, beta2=0.99),
+        seed=5, eval_every=4, warm_start_discriminator="d.ckpt.json",
+    )
+    got = parse_run_config(doc)
+    assert got == want and repr(got) == repr(want)  # repr tells 2 from 2.0
+
+
+def doc_setting(key, value):
+    head, _, sub = key.partition(".")
+    return {head: {sub: value}} if sub else {key: value}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("steps", 10.7), ("steps", True), ("ring.n_modes", 8.0), ("lambda", "0.5"),
+    ("lambda", True), ("task", []), ("warm_start_discriminator", 2), ("seed", -1),
+    ("lambda", math.nan), ("tau", math.nan), ("lr", math.inf), ("beta", math.inf),
+    ("ring.std", math.inf),
+])
+def test_malformed_values_name_their_key(key, value):
+    with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+        parse_run_config(doc_setting(key, value))
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (DiversityConfig, "weight", math.nan), (DiversityConfig, "weight", math.inf),
+    (DiversityConfig, "tau", math.nan), (DiversityConfig, "tau", math.inf),
+    (ObjectiveConfig, "beta", math.nan), (AdamHyper, "lr", math.nan),
+    (AdamHyper, "lr", math.inf), (AdamHyper, "eps", math.nan),
+    (RingMixtureSpec, "radius", math.inf), (RingMixtureSpec, "std", math.nan),
+    (TrajectorySpec, "circle_radius", math.nan), (TrajectorySpec, "angle_step", math.inf),
+    (TrajectorySpec, "noise_std", -math.inf),
+])
+def test_dataclasses_reject_non_finite(cls, field, value):
+    with pytest.raises(ValueError, match="finite"):
+        cls(**{field: value})
 
 
 def test_config_overrides(tmp_path):
@@ -135,6 +195,43 @@ def test_eval_reproduces_training_eval(tmp_path):
     assert (tmp_path / "re.json").read_text() == (out / "eval.json").read_text()
 
 
+@pytest.mark.parametrize("text", [
+    '{"steps": 1e400}', '{"task": []}', '{"steps": 2, "lambda": NaN}',
+    '{"steps": 2, "seed": -1}', '{"task": "conditional_ring", "steps": 2, "ring": {"n_modes": 6}}',
+])
+def test_train_rejects_malformed_config(text, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config key ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["train", "--config", "CFG"], "--seed"),
+    (["eval", "CKPT", "--config", "CFG"], "--seed"),
+    (["sweep", "--config", "CFG", "--lambdas", "0"], "--seed"),
+    (["verify", "CFG"], "--seed"),
+    (["interp", "CKPT"], "--seed"),
+    (["verify", "CFG", "--pairs", "0"], "--pairs"),
+    (["verify", "CFG", "--probes", "0"], "--probes"),
+])
+def test_flag_out_of_range_exits_before_work(argv, flag, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FAST_RING)
+    out = tmp_path / "out"
+    argv = [cfg if a == "CFG" else str(tmp_path / "missing.ckpt") if a == "CKPT" else a
+            for a in argv] + ["--out", str(out)]
+    if flag == "--seed":
+        argv += ["--seed", "-1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_missing_checkpoint(tmp_path):
     cfg = write_cfg(tmp_path, FAST_RING)
     assert main(["eval", str(tmp_path / "missing.ckpt"), "--config", cfg,
@@ -170,6 +267,15 @@ def test_sweep_summary_rows(tmp_path):
     assert len(lines) == 5
     doc = json.loads((out / "sweep.json").read_text())
     assert [e["lambda"] for e in doc] == [0.0, 0.05, 0.1, 0.5]
+
+
+@pytest.mark.parametrize("lambdas", ["0,-1", "nan", "0.1,inf"])
+def test_sweep_rejects_bad_lambdas(lambdas, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(FAST_RING, steps=2, eval_every=2))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--lambdas", lambdas, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: bad --lambdas: ")
+    assert not out.exists()
 
 
 def test_verify_passes_on_untrained_generator(tmp_path):
@@ -262,6 +368,31 @@ def test_verify_overflowing_generator_fails_verification(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("verification failed: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "v.json").exists()
+
+
+def test_verify_huge_generator_output_fails_verification(tmp_path, capsys):
+    # outputs ~1e201 are finite, but the distances on them overflow
+    _, ckpt = overflowing_checkpoint(tmp_path, 1e200)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", ckpt, "--out", str(tmp_path / "v.json"),
+                     "--pairs", "2", "--probes", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed: non-finite ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "v.json").exists()
+
+
+def test_interp_overflowing_generator_is_checkpoint_error(tmp_path, capsys):
+    _, ckpt = overflowing_checkpoint(tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["interp", ckpt, "--out", str(tmp_path / "i.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error: latent_interpolation: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "i.csv").exists()
 
 
 @pytest.mark.parametrize("weight", [1e308, 1e200])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divgan.autodiff import jacobian
+from divgan.autodiff import NumericsError, jacobian
 from divgan.nets import NetworkParams, NetworkSpec, generator_forward, mlp_init
 from divgan.optim import AdamHyper
 from divgan.theory import (
@@ -177,3 +177,25 @@ def test_radius_estimate_uses_grid(rng):
     assert dense.epsilon == pytest.approx(few.epsilon)
     # a denser scan can only shrink the sampled infimum, growing the radius
     assert dense.radius_estimate >= few.radius_estimate - 1e-15
+
+
+def huge_output_generator():
+    """Finite weights and outputs (~1e201) whose squared norms overflow."""
+    params = tanh_generator(0)
+    params.weights[-1][:] = 1e200
+    return params
+
+
+def test_overflowing_distances_are_numerics_errors():
+    params = huge_output_generator()
+    z1, z2 = np.ones(2), -np.ones(2)
+    with pytest.raises(NumericsError, match="difference quotient"):
+        path_gradient_bound(params, z1, z2)
+    with pytest.raises(NumericsError, match="distance"):
+        attraction_check(params, params, z1, np.zeros(2), probes=10,
+                         rng=np.random.default_rng(0))
+
+
+def test_bound_suite_needs_a_pair():
+    with pytest.raises(ValueError, match="n_pairs"):
+        bound_suite(tanh_generator(0), n_pairs=0, rng=np.random.default_rng(0))

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from divgan import training
 from divgan.autodiff import backward
+from divgan.data import RingMixtureSpec
 from divgan.losses import DiversityConfig, ObjectiveConfig, TrainBatch, generator_total_loss
 from divgan.nets import NetworkParams
 from divgan.training import (
@@ -274,3 +276,37 @@ def test_task_specs_dimensions():
     assert g.input_dim == 12 and d.input_dim == 6
     g, d = task_specs(small_cfg(task="trajectory", z_dim=8))
     assert g.input_dim == 12 and g.output_dim == 20 and d.input_dim == 24
+
+
+def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Records max_workers and runs the map in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(training, "ProcessPoolExecutor", SerialPool)
+    entries = sweep(small_cfg(steps=2), [0.0, 0.1], jobs=64)
+    assert started == [2]
+    assert [e.weight for e in entries] == [0.0, 0.1]
+    sweep(small_cfg(steps=2), [0.0], jobs=64)
+    assert started == [2]  # one run needs no pool
+
+
+def test_train_config_rejects_negative_seed_and_unsplittable_ring():
+    with pytest.raises(ValueError, match="seed"):
+        TrainConfig(seed=-1)
+    with pytest.raises(ValueError, match="ring modes"):
+        TrainConfig(task="conditional_ring", ring=RingMixtureSpec(n_modes=6))
+    TrainConfig(task="ring", ring=RingMixtureSpec(n_modes=6))
