@@ -29,7 +29,6 @@ __all__ = [
     "Var",
     "ShapeMismatch",
     "NumericsError",
-    "DIV_GUARD",
     "lift",
     "concat",
     "backward",
@@ -38,17 +37,12 @@ __all__ = [
     "jacobian",
 ]
 
-# Denominators smaller than this are an error here; callers that can
-# resample (the diversity regularizer) are expected to do so instead.
-DIV_GUARD = 1e-12
-
-
 class ShapeMismatch(ValueError):
     """Operand shapes are incompatible for the requested op."""
 
 
 class NumericsError(ArithmeticError):
-    """Non-finite value or near-zero denominator where finiteness is promised."""
+    """Non-finite value or negative sqrt input where finiteness is promised."""
 
 
 def _arr(x) -> np.ndarray:
@@ -92,14 +86,8 @@ class Var:
     def __add__(self, other):
         return _add(self, lift(other))
 
-    def __radd__(self, other):
-        return _add(lift(other), self)
-
     def __sub__(self, other):
         return _add(self, _neg(lift(other)))
-
-    def __rsub__(self, other):
-        return _add(lift(other), _neg(self))
 
     def __neg__(self):
         return _neg(self)
@@ -109,12 +97,6 @@ class Var:
 
     def __rmul__(self, other):
         return _mul(lift(other), self)
-
-    def __truediv__(self, other):
-        return _div(self, lift(other))
-
-    def __rtruediv__(self, other):
-        return _div(lift(other), self)
 
     def __matmul__(self, other):
         return _matmul(self, lift(other))
@@ -128,14 +110,6 @@ class Var:
     def relu(self):
         mask = self.data > 0.0
         return _node(np.where(mask, self.data, 0.0), (self,), lambda g, v: (g * mask,))
-
-    def leaky_relu(self, alpha: float = 0.2):
-        slope = np.where(self.data > 0.0, 1.0, alpha)
-        return _node(self.data * slope, (self,), lambda g, v: (g * slope,))
-
-    def sigmoid(self):
-        s = _sigmoid(self.data)
-        return _node(s, (self,), lambda g, v: (g * s * (1.0 - s),))
 
     def softplus(self):
         # log(1 + exp(x)), computed without overflow
@@ -260,24 +234,6 @@ def _mul(a: Var, b: Var) -> Var:
     def bwd(g, v):
         ga = g * b.data
         gb = g * a.data
-        if mode == "b0":
-            gb = gb.sum()
-        elif mode == "a0":
-            ga = ga.sum()
-        return ga, gb
-
-    return _node(out, (a, b), bwd)
-
-
-def _div(a: Var, b: Var) -> Var:
-    mode = _binary_mode("div", a, b)
-    if np.min(np.abs(b.data)) < DIV_GUARD:
-        raise NumericsError(f"div: denominator magnitude below {DIV_GUARD}")
-    out = a.data / b.data
-
-    def bwd(g, v):
-        ga = g / b.data
-        gb = -g * a.data / (b.data * b.data)
         if mode == "b0":
             gb = gb.sum()
         elif mode == "a0":

@@ -120,7 +120,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad --lambdas: {exc}") from exc
     if not lambdas:
         raise ConfigError("--lambdas must name at least one value")
-    entries = sweep(cfg, lambdas, jobs=max(1, args.jobs))
+    entries = sweep(cfg, lambdas, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="independent runs over a list of lambda values")
     p.add_argument("--config", required=True)
     p.add_argument("--lambdas", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", parents=[shared],
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interp", parents=[shared],
                        help="latent interpolation through a checkpointed generator")
     p.add_argument("checkpoint")
-    p.add_argument("--steps", type=int, default=9)
+    p.add_argument("--steps", type=_int_at_least(2), default=9)
     p.add_argument("--mode", choices=("linear", "slerp"), default="slerp")
     p.set_defaults(func=cmd_interp)
 

@@ -24,7 +24,6 @@ FIELDS = {
     "steps": ("steps", int),
     "seed": ("seed", int),
     "eval_every": ("eval_every", int),
-    "warm_start_discriminator": ("warm_start_discriminator", (str, type(None))),
     "lambda": ("objective.diversity.weight", float),
     "tau": ("objective.diversity.tau", (float, type(None))),
     "norm": ("objective.diversity.norm", str),

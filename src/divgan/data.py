@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "MAX_SIZE",
     "RingMixtureSpec",
     "ConditionalRingSpec",
     "TrajectorySpec",
@@ -22,11 +23,15 @@ __all__ = [
     "sample_ring",
     "sample_conditional_ring",
     "sample_trajectories",
-    "nearest_mode",
     "nearest_modes",
     "one_hot",
     "save_points_csv",
 ]
+
+# upper bound on each size a run config sets (z_dim, batch_size, ring.n_modes):
+# with all three at the cap, no array built from them in training, evaluation
+# or the theory checks holds more than 2**25 float64 entries (256 MiB)
+MAX_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -38,8 +43,8 @@ class RingMixtureSpec:
     std: float = 0.02
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("RingMixtureSpec: n_modes must be >= 1")
+        if not 1 <= self.n_modes <= MAX_SIZE:
+            raise ValueError(f"RingMixtureSpec: n_modes must be in [1, {MAX_SIZE}]")
         # chained comparisons: NaN and +-inf fail them
         if not (0 < self.radius < math.inf and 0 < self.std < math.inf):
             raise ValueError("RingMixtureSpec: radius and std must be finite and positive")
@@ -135,18 +140,9 @@ def sample_trajectories(spec: TrajectorySpec, n: int, rng) -> LabeledBatch:
     return LabeledBatch(x=contexts, y=futures, labels=(direction > 0).astype(np.int64))
 
 
-def nearest_mode(point, spec: RingMixtureSpec) -> tuple[int, float]:
-    """Index and l2 distance of the closest mode center; ties go to the
-    smallest index."""
-    point = np.asarray(point, dtype=np.float64)
-    if not np.all(np.isfinite(point)):
-        raise ValueError("nearest_mode: point must be finite")
-    idx, d = nearest_modes(point[None, :], spec)
-    return int(idx[0]), float(d[0])
-
-
 def nearest_modes(points: np.ndarray, spec: RingMixtureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """nearest_mode for each of (n, 2) points."""
+    """Index and l2 distance of the closest mode center for each of (n, 2)
+    points; ties go to the smallest index."""
     points = np.asarray(points, dtype=np.float64)
     d = np.linalg.norm(points[:, None, :] - spec.centers()[None, :, :], axis=2)
     idx = np.argmin(d, axis=1)  # argmin returns the first minimum

@@ -73,11 +73,7 @@ def mode_coverage(samples, spec: RingMixtureSpec) -> tuple[int, float]:
 
 def _as_sample_matrix(samples) -> np.ndarray:
     """Stack samples (or whole sample sets) and flatten each to a vector."""
-    if isinstance(samples, np.ndarray):
-        arr = samples
-    else:
-        arr = np.stack([np.asarray(s, dtype=np.float64) for s in samples])
-    return arr.reshape(len(arr), -1).astype(np.float64)
+    return np.asarray(samples, dtype=np.float64).reshape(len(samples), -1)
 
 
 def pairwise_diversity(samples) -> float:

@@ -1,10 +1,11 @@
 """MLP generators and discriminators on top of the autodiff engine.
 
-Both networks are plain fully connected stacks. The discriminator exposes
-its post-activation hidden layers so the feature-space regularizer can
-measure sample distances there. Conditioning, when present, is input
-concatenation of the condition with the latent code (generator) or the
-candidate output (discriminator).
+Both networks are plain fully connected stacks with tanh or relu hidden
+layers and a linear output. The discriminator exposes its post-activation
+hidden layers so the feature-space regularizer can measure sample
+distances there. Conditioning, when present, is input concatenation of the
+condition with the latent code (generator) or the candidate output
+(discriminator).
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ __all__ = [
     "default_discriminator_spec",
 ]
 
-HIDDEN_ACTIVATIONS = ("tanh", "relu", "leaky_relu")
-OUTPUT_ACTIVATIONS = ("linear", "sigmoid", "tanh")
-
-LEAKY_SLOPE = 0.2
+HIDDEN_ACTIVATIONS = ("tanh", "relu")
+OUTPUT_ACTIVATIONS = ("linear",)
 
 
 @dataclass(frozen=True)
@@ -154,23 +153,12 @@ def mlp_init(spec: NetworkSpec, seed: int) -> NetworkParams:
     return NetworkParams(spec, weights, biases)
 
 
-def _activate(h: Var, kind: str) -> Var:
-    if kind == "tanh":
-        return h.tanh()
-    if kind == "relu":
-        return h.relu()
-    if kind == "leaky_relu":
-        return h.leaky_relu(LEAKY_SLOPE)
-    if kind == "sigmoid":
-        return h.sigmoid()
-    return h  # linear
-
-
 def mlp_forward_vars(param_vars, spec: NetworkSpec, inp) -> tuple[Var, list[Var]]:
     """Forward pass on a (batch, input_dim) input over the parameters
     [W0, b0, W1, b1, ...]. Arrays enter as constants and `Var` leaves get
     gradients; with constant parameters and input no graph is built.
 
+    Hidden layers apply the spec's tanh or relu; the output is linear.
     Returns (output, hidden) where hidden holds the post-activation hidden
     layers ordered input -> output.
     """
@@ -184,10 +172,8 @@ def mlp_forward_vars(param_vars, spec: NetworkSpec, inp) -> tuple[Var, list[Var]
     for i in range(n_layers):
         h = (h @ param_vars[2 * i]) + param_vars[2 * i + 1]
         if i < n_layers - 1:
-            h = _activate(h, spec.hidden_activation)
+            h = h.tanh() if spec.hidden_activation == "tanh" else h.relu()
             hidden.append(h)
-        else:
-            h = _activate(h, spec.output_activation)
     return h, hidden
 
 

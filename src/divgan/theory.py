@@ -96,17 +96,15 @@ def path_jacobians(params_G: NetworkParams, z1, z2, n_quad: int, x=None) -> np.n
 
 @np.errstate(over="ignore", invalid="ignore")
 def path_gradient_bound(params_G: NetworkParams, z1, z2, n_quad: int = 64,
-                        x=None, matrix_norm: str = "spectral") -> BoundCheckReport:
+                        x=None) -> BoundCheckReport:
     """Difference quotient vs averaged Jacobian norm along the segment.
 
     lhs = ||G(x,z2) - G(x,z1)||_2 / ||z2 - z1||_2; rhs integrates the
-    Jacobian norm (spectral by default, Frobenius as a looser option) over
-    the straight line between the latents by midpoint quadrature.
+    Jacobian's spectral norm over the straight line between the latents by
+    midpoint quadrature.
     """
     if n_quad < 8:
         raise ValueError("path_gradient_bound: n_quad must be >= 8")
-    if matrix_norm not in ("spectral", "frobenius"):
-        raise ValueError(f"path_gradient_bound: unknown matrix norm {matrix_norm!r}")
     z1 = np.asarray(z1, dtype=np.float64).reshape(-1)
     z2 = np.asarray(z2, dtype=np.float64).reshape(-1)
     gap = float(np.linalg.norm(z2 - z1))
@@ -115,10 +113,7 @@ def path_gradient_bound(params_G: NetworkParams, z1, z2, n_quad: int = 64,
     ys = _forward(params_G, np.stack([z1, z2]), x).data
     lhs = _finite(float(np.linalg.norm(ys[1] - ys[0]) / gap), "difference quotient")
     jac = path_jacobians(params_G, z1, z2, n_quad, x=x)
-    if matrix_norm == "spectral":
-        norms = np.linalg.svd(jac, compute_uv=False)[:, 0]
-    else:
-        norms = np.sqrt(np.sum(jac * jac, axis=(1, 2)))
+    norms = np.linalg.svd(jac, compute_uv=False)[:, 0]
     rhs = _finite(float(np.mean(norms)), "Jacobian norm")
     return BoundCheckReport(lhs=lhs, rhs=rhs, slack=rhs - lhs, n_quadrature=n_quad)
 
@@ -180,19 +175,6 @@ class AttractionReport:
     def counterexamples(self) -> int:
         return int(np.sum(self.condition_holds & ~self.attracted))
 
-    def records(self) -> list[dict]:
-        return [
-            {
-                "z2": self.z2[i].tolist(),
-                "gap": float(self.gap[i]),
-                "ratio_t": float(self.ratio_t[i]),
-                "ratio_t1": float(self.ratio_t1[i]),
-                "condition_holds": bool(self.condition_holds[i]),
-                "attracted_by_half_eps": bool(self.attracted[i]),
-            }
-            for i in range(self.n_probes)
-        ]
-
     def summary(self) -> dict:
         return {
             "epsilon": self.epsilon,
@@ -219,14 +201,13 @@ def _ratios_from(params: NetworkParams, z1: np.ndarray, zs: np.ndarray,
 
 @np.errstate(over="ignore", invalid="ignore")
 def attraction_check(params_t: NetworkParams, params_t1: NetworkParams, z1,
-                     y_star, probes: int, rng, x=None,
-                     grid_points: int = 61) -> AttractionReport:
+                     y_star, probes: int, rng, x=None) -> AttractionReport:
     """Check that every probe satisfying the closeness condition is pulled
     toward y* by eps/2 when z1 is pulled by eps.
 
     Requires eps = ||y* - G_t(z1)|| - ||y* - G_{t+1}(z1)|| > 0. Probes are
-    standard Gaussian; for 2D latents, a [-3, 3]^2 grid additionally
-    tightens the sampled radius estimate.
+    standard Gaussian; for 2D latents, a 61 x 61 grid on [-3, 3]^2
+    additionally tightens the sampled radius estimate.
     """
     if probes < 1:
         raise ValueError("attraction_check: probes must be >= 1")
@@ -252,8 +233,8 @@ def attraction_check(params_t: NetworkParams, params_t1: NetworkParams, z1,
 
     max_ratios = np.maximum(ratio_t, ratio_t1)
     inf_est = float(np.min(max_ratios)) if len(max_ratios) else np.inf
-    if z1.size == 2 and grid_points > 1:
-        axis = np.linspace(-3.0, 3.0, grid_points)
+    if z1.size == 2:
+        axis = np.linspace(-3.0, 3.0, 61)
         gx, gy = np.meshgrid(axis, axis)
         gz = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
         ggaps = np.linalg.norm(gz - z1[None, :], axis=1)

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import NumericsError, ShapeMismatch, backward
+from .autodiff import NumericsError, backward
 from .data import (
+    MAX_SIZE,
     ConditionalRingSpec,
     RingMixtureSpec,
     TrajectorySpec,
@@ -98,17 +99,18 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 1000
     eval_samples: int = 2500
-    warm_start_discriminator: str | None = None
 
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"TrainConfig: unknown task {self.task!r}, expected one of {TASKS}")
         if self.steps < 1:
             raise ValueError("TrainConfig: steps must be >= 1")
-        if self.batch_size < 2:
-            raise ValueError("TrainConfig: batch_size must be >= 2")
-        if self.z_dim < 1 or self.eval_every < 1:
-            raise ValueError("TrainConfig: z_dim, eval_every must be >= 1")
+        if not 2 <= self.batch_size <= MAX_SIZE:
+            raise ValueError(f"TrainConfig: batch_size must be in [2, {MAX_SIZE}]")
+        if not 1 <= self.z_dim <= MAX_SIZE:
+            raise ValueError(f"TrainConfig: z_dim must be in [1, {MAX_SIZE}]")
+        if self.eval_every < 1:
+            raise ValueError("TrainConfig: eval_every must be >= 1")
         if self.seed < 0:
             raise ValueError("TrainConfig: seed must be >= 0")
         if self.task == "conditional_ring":
@@ -174,15 +176,6 @@ def init_state(cfg: TrainConfig) -> TrainState:
     g_spec, d_spec = task_specs(cfg)
     params_G = mlp_init(g_spec, int(_seed_for(cfg.seed, _STREAM_G_INIT).generate_state(1)[0]))
     params_D = mlp_init(d_spec, int(_seed_for(cfg.seed, _STREAM_D_INIT).generate_state(1)[0]))
-    if cfg.warm_start_discriminator:
-        with open(cfg.warm_start_discriminator, "rb") as fh:
-            warm = load_checkpoint(fh.read())
-        if warm.params_D.spec != d_spec:
-            raise ShapeMismatch(
-                f"warm start: checkpoint discriminator spec {warm.params_D.spec} "
-                f"does not match task spec {d_spec}"
-            )
-        params_D = warm.params_D
     return TrainState(
         params_G=params_G,
         params_D=params_D,

@@ -3,7 +3,6 @@ import pytest
 
 from divgan import losses
 from divgan.autodiff import (
-    DIV_GUARD,
     NumericsError,
     ShapeMismatch,
     Var,
@@ -63,14 +62,12 @@ def test_finite_diff_nonfinite_eval():
 
 SMOOTH_UNARY = [
     ("tanh", lambda v: v.tanh()),
-    ("sigmoid", lambda v: v.sigmoid()),
     ("softplus", lambda v: v.softplus()),
     ("square", lambda v: v.square()),
 ]
 
 KINKED_UNARY = [
     ("relu", lambda v: v.relu()),
-    ("leaky_relu", lambda v: v.leaky_relu(0.2)),
     ("abs", lambda v: v.abs()),
 ]
 
@@ -108,13 +105,6 @@ def test_binary_gradients(rng):
         gradcheck(lambda u, v: (u * v).sum(), [a, b])
         gradcheck(lambda u, v: (u - v).tanh().sum(), [a, b])
         gradcheck(lambda u: (u * float(s)).sum(), [a])
-
-
-def test_div_gradients(rng):
-    for _ in range(100):
-        a = rng.normal(size=(4,))
-        b = rng.uniform(0.5, 2.0, size=(4,)) * rng.choice([-1.0, 1.0], size=(4,))
-        gradcheck(lambda u, v: (u / v).sum(), [a, b])
 
 
 def test_matmul_gradients(rng):
@@ -194,11 +184,6 @@ def test_no_silent_row_broadcast_for_mul():
     # only add carries the bias-style row broadcast
     with pytest.raises(ShapeMismatch):
         Var(np.zeros((4, 3))) * Var(np.zeros(3))
-
-
-def test_division_guard():
-    with pytest.raises(NumericsError):
-        Var(np.ones(2)) / Var(np.array([1.0, DIV_GUARD / 2]))
 
 
 def test_sqrt_rejects_negative():

@@ -79,8 +79,7 @@ def test_bad_values_are_config_errors():
 def test_every_key_sets_its_field(task):
     doc = {
         "task": task, "z_dim": 3, "batch_size": 32, "steps": 7, "seed": 5,
-        "eval_every": 4, "warm_start_discriminator": "d.ckpt.json",
-        "lambda": 0.25, "tau": 2, "norm": "l2", "space": "feature", "beta": 1,
+        "eval_every": 4, "lambda": 0.25, "tau": 2, "norm": "l2", "space": "feature", "beta": 1,
         "g_loss_form": "minimax", "lr": 1e-3, "beta1": 0, "beta2": 0.99,
         "ring": {"n_modes": 8, "radius": 3, "std": 0.05},
     }
@@ -94,7 +93,7 @@ def test_every_key_sets_its_field(task):
         ),
         ring=RingMixtureSpec(n_modes=8, radius=3.0, std=0.05),
         z_dim=3, batch_size=32, steps=7, adam=AdamHyper(lr=1e-3, beta1=0.0, beta2=0.99),
-        seed=5, eval_every=4, warm_start_discriminator="d.ckpt.json",
+        seed=5, eval_every=4,
     )
     got = parse_run_config(doc)
     assert got == want and repr(got) == repr(want)  # repr tells 2 from 2.0
@@ -107,9 +106,10 @@ def doc_setting(key, value):
 
 @pytest.mark.parametrize("key,value", [
     ("steps", 10.7), ("steps", True), ("ring.n_modes", 8.0), ("lambda", "0.5"),
-    ("lambda", True), ("task", []), ("warm_start_discriminator", 2), ("seed", -1),
+    ("lambda", True), ("task", []), ("seed", -1),
     ("lambda", math.nan), ("tau", math.nan), ("lr", math.inf), ("beta", math.inf),
-    ("ring.std", math.inf),
+    ("ring.std", math.inf), ("z_dim", 10**21), ("batch_size", 10**14),
+    ("ring.n_modes", 10**12),
 ])
 def test_malformed_values_name_their_key(key, value):
     with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
@@ -168,7 +168,7 @@ def test_train_rejects_unknown_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"lamda": 0.1})
     code = main(["train", "--config", cfg, "--out", str(tmp_path / "x")])
     assert code == 2
-    assert "lamda" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: unknown config keys: lamda\n"
 
 
 def test_train_determinism_byte_identical(tmp_path):
@@ -198,6 +198,7 @@ def test_eval_reproduces_training_eval(tmp_path):
 @pytest.mark.parametrize("text", [
     '{"steps": 1e400}', '{"task": []}', '{"steps": 2, "lambda": NaN}',
     '{"steps": 2, "seed": -1}', '{"task": "conditional_ring", "steps": 2, "ring": {"n_modes": 6}}',
+    '{"steps": 1, "z_dim": 1000000000000000000000}', '{"steps": 1, "batch_size": 100000000000000}',
 ])
 def test_train_rejects_malformed_config(text, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -217,6 +218,9 @@ def test_train_rejects_malformed_config(text, tmp_path, capsys):
     (["interp", "CKPT"], "--seed"),
     (["verify", "CFG", "--pairs", "0"], "--pairs"),
     (["verify", "CFG", "--probes", "0"], "--probes"),
+    (["sweep", "--config", "CFG", "--lambdas", "0", "--jobs", "0"], "--jobs"),
+    (["sweep", "--config", "CFG", "--lambdas", "0", "--jobs", "-5"], "--jobs"),
+    (["interp", "CKPT", "--steps", "1"], "--steps"),
 ])
 def test_flag_out_of_range_exits_before_work(argv, flag, tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_RING)

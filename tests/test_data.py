@@ -5,7 +5,6 @@ from divgan.data import (
     ConditionalRingSpec,
     RingMixtureSpec,
     TrajectorySpec,
-    nearest_mode,
     nearest_modes,
     sample_conditional_ring,
     sample_ring,
@@ -68,29 +67,23 @@ def test_three_sigma_rule_tail():
 
 
 def test_nearest_mode_exact_center():
-    for k in range(8):
-        idx, dist = nearest_mode(SPEC.centers()[k], SPEC)
-        assert idx == k and dist == 0.0
+    idx, dist = nearest_modes(SPEC.centers(), SPEC)
+    assert np.array_equal(idx, np.arange(8)) and np.all(dist == 0.0)
 
 
 def test_nearest_mode_tie_breaks_to_smallest_index():
-    idx, dist = nearest_mode(np.zeros(2), SPEC)
-    assert idx == 0
-    assert dist == pytest.approx(SPEC.radius)
+    idx, dist = nearest_modes(np.zeros((1, 2)), SPEC)
+    assert idx[0] == 0
+    assert dist[0] == pytest.approx(SPEC.radius)
 
 
 def test_nearest_mode_matches_bruteforce(rng):
-    for _ in range(200):
-        p = rng.normal(size=2) * 3
-        idx, dist = nearest_mode(p, SPEC)
+    points = rng.normal(size=(200, 2)) * 3
+    idx, dist = nearest_modes(points, SPEC)
+    for p, i, di in zip(points, idx, dist):
         d = [float(np.linalg.norm(p - c)) for c in SPEC.centers()]
-        assert idx == int(np.argmin(d))
-        assert dist == pytest.approx(min(d))
-
-
-def test_nearest_mode_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        nearest_mode(np.array([np.nan, 0.0]), SPEC)
+        assert i == int(np.argmin(d))
+        assert di == pytest.approx(min(d))
 
 
 def test_spec_validation():

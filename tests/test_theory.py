@@ -65,23 +65,12 @@ def test_quadrature_refinement_is_stable(rng):
         assert abs(r64.rhs - r256.rhs) <= 1e-4 * max(r256.rhs, 1e-12)
 
 
-def test_frobenius_never_below_spectral(rng):
-    params = tanh_generator(9)
-    for _ in range(10):
-        z1, z2 = rng.standard_normal(2), rng.standard_normal(2)
-        spec = path_gradient_bound(params, z1, z2, n_quad=32)
-        frob = path_gradient_bound(params, z1, z2, n_quad=32, matrix_norm="frobenius")
-        assert frob.rhs >= spec.rhs - 1e-12
-
-
 def test_bound_validation():
     params = tanh_generator(0)
     with pytest.raises(ValueError):
         path_gradient_bound(params, np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
         path_gradient_bound(params, np.zeros(2), np.ones(2), n_quad=4)
-    with pytest.raises(ValueError):
-        path_gradient_bound(params, np.zeros(2), np.ones(2), matrix_norm="nuclear")
 
 
 @pytest.mark.parametrize("kind", ["tanh", "conditional", "relu"])
@@ -156,10 +145,8 @@ def test_report_records_and_summary():
     params_t1 = constant_params([0.1, 0.0])
     rep = attraction_check(params_t, params_t1, np.zeros(2), np.array([1.0, 0.0]),
                            probes=7, rng=np.random.default_rng(3))
-    recs = rep.records()
-    assert len(recs) == rep.n_probes
-    assert set(recs[0]) == {"z2", "gap", "ratio_t", "ratio_t1",
-                            "condition_holds", "attracted_by_half_eps"}
+    per_probe = (rep.z2, rep.gap, rep.ratio_t, rep.ratio_t1, rep.condition_holds, rep.attracted)
+    assert all(len(a) == rep.n_probes == 7 for a in per_probe)
     s = rep.summary()
     assert s["passed"] and s["counterexamples"] == 0
     assert s["radius_estimate"] is None  # inf radius serializes as null
@@ -170,13 +157,11 @@ def test_radius_estimate_uses_grid(rng):
     z1 = rng.standard_normal(2)
     y_star = rng.standard_normal(2)
     params_next = pull_toward(params, z1, y_star, AdamHyper(lr=1e-3))
-    few = attraction_check(params, params_next, z1, y_star, probes=3,
-                           rng=np.random.default_rng(1), grid_points=0)
-    dense = attraction_check(params, params_next, z1, y_star, probes=3,
-                             rng=np.random.default_rng(1), grid_points=61)
-    assert dense.epsilon == pytest.approx(few.epsilon)
-    # a denser scan can only shrink the sampled infimum, growing the radius
-    assert dense.radius_estimate >= few.radius_estimate - 1e-15
+    rep = attraction_check(params, params_next, z1, y_star, probes=3,
+                           rng=np.random.default_rng(1))
+    # the grid can only shrink the probes' sampled infimum, growing the radius
+    probes_only = rep.epsilon / (4 * np.min(np.maximum(rep.ratio_t, rep.ratio_t1)))
+    assert rep.radius_estimate >= probes_only
 
 
 def huge_output_generator():
