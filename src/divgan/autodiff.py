@@ -9,8 +9,8 @@ leaf that requires a gradient; an array wrapped by `lift` (every non-`Var`
 operand) is a constant. An op result requires a gradient iff one of its
 operands does; a result computed only from constants keeps no parents and
 no backward closure, so a forward pass over constants builds no graph.
-`backward` walks only nodes that require a gradient, skips the matmul
-products nobody reads, and leaves `.grad` untouched on constants.
+`backward` walks only nodes that require a gradient, skips the matmul and
+`affine` products nobody reads, and leaves `.grad` untouched on constants.
 
 Everything is float64 and strict: operand shapes must match exactly except
 for the few broadcast forms the networks need (scalar operands, and a
@@ -30,6 +30,7 @@ __all__ = [
     "ShapeMismatch",
     "NumericsError",
     "lift",
+    "affine",
     "concat",
     "backward",
     "evaluate_with_gradients",
@@ -108,8 +109,13 @@ class Var:
         return _node(t, (self,), lambda g, v: (g * (1.0 - t * t),))
 
     def relu(self):
+        """max(x, 0) by np.maximum: -0.0 maps to +0.0 and NaN stays NaN,
+        where the earlier np.where(x > 0, x, 0) form mapped NaN to 0. A NaN
+        reaches a relu only after the values diverged, and a diverging D
+        still fails at the same training step, on the finiteness checks of
+        the gradients and the loss. The gradient mask is x > 0."""
         mask = self.data > 0.0
-        return _node(np.where(mask, self.data, 0.0), (self,), lambda g, v: (g * mask,))
+        return _node(np.maximum(self.data, 0.0), (self,), lambda g, v: (g * mask,))
 
     def softplus(self):
         # log(1 + exp(x)), computed without overflow
@@ -253,6 +259,24 @@ def _matmul(a: Var, b: Var) -> Var:
                 a.data.T @ g if b.requires_grad else None)
 
     return _node(out, (a, b), bwd)
+
+
+def affine(x, W, b) -> Var:
+    """x @ W + b as one node: a (batch, n) input, an (n, m) weight matrix and
+    a length-m bias added to every row. Backward computes g @ W.T, x.T @ g
+    and g.sum(0), each only for an operand that requires a gradient."""
+    x, W, b = lift(x), lift(W), lift(b)
+    if x.ndim != 2 or W.ndim != 2 or x.shape[1] != W.shape[0] or b.shape != W.shape[1:]:
+        raise ShapeMismatch(f"affine: incompatible shapes {x.shape}, {W.shape} and {b.shape}")
+    out = x.data @ W.data
+    out += b.data
+
+    def bwd(g, v):
+        return (g @ W.data.T if x.requires_grad else None,
+                x.data.T @ g if W.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
+
+    return _node(out, (x, W, b), bwd)
 
 
 def concat(parts, axis: int = 0) -> Var:

@@ -39,6 +39,7 @@ from .training import (
     evaluate_generator,
     load_checkpoint,
     rows_to_csv,
+    save_checkpoint,
     sweep,
     task_specs,
     train,
@@ -86,8 +87,13 @@ def cmd_train(args) -> int:
         _write(os.path.join(args.out, "metrics.csv"), rows_to_csv(exc.rows))
         raise
     _write(os.path.join(args.out, "metrics.csv"), rows_to_csv(result.rows))
-    _write(os.path.join(args.out, "final.ckpt.json"), result.final_checkpoint)
-    _write(os.path.join(args.out, "best.ckpt.json"), result.best_checkpoint)
+    final = save_checkpoint(result.state)
+    if result.best_state.step == result.state.step:  # the best eval was the last
+        best = final
+    else:
+        best = save_checkpoint(result.best_state)
+    _write(os.path.join(args.out, "final.ckpt.json"), final)
+    _write(os.path.join(args.out, "best.ckpt.json"), best)
     _write(os.path.join(args.out, "eval.json"), result.eval_report.to_json())
     return EXIT_OK
 

@@ -98,7 +98,7 @@ class TrainBatch:
 class GeneratorLoss:
     total: Var
     parts: dict
-    param_vars: list  # generator leaves, for reading gradients after backward
+    leaves: ParamLeaves  # the generator's, for reading gradients after backward
     z2_used: np.ndarray | None = None
 
 
@@ -313,4 +313,4 @@ def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
     }
     if not np.isfinite(total.data):
         raise NumericsError("generator_total_loss: non-finite loss")
-    return GeneratorLoss(total=total, parts=parts, param_vars=leaves.flat(), z2_used=z2)
+    return GeneratorLoss(total=total, parts=parts, leaves=leaves, z2_used=z2)

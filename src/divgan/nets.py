@@ -10,11 +10,12 @@ condition with the latent code (generator) or the candidate output
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NumericsError, ShapeMismatch, Var, concat, lift
+from .autodiff import NumericsError, ShapeMismatch, Var, affine, concat, lift
 
 __all__ = [
     "HIDDEN_ACTIVATIONS",
@@ -60,6 +61,30 @@ class NetworkSpec:
     def layer_dims(self):
         return (self.input_dim,) + self.hidden_dims + (self.output_dim,)
 
+    @property
+    def param_shapes(self) -> list:
+        """Shapes of the parameter arrays in order: W0, b0, W1, b1, ..."""
+        dims = self.layer_dims
+        return [s for fan_in, fan_out in zip(dims[:-1], dims[1:])
+                for s in ((fan_in, fan_out), (fan_out,))]
+
+    def param_views(self, vector: np.ndarray) -> list:
+        """Views [W0, b0, W1, b1, ...] into a vector in the parameter layout:
+        the arrays in that order, each row-major."""
+        out, end = [], 0
+        for shape in self.param_shapes:
+            start, end = end, end + math.prod(shape)
+            out.append(vector[start:end].reshape(shape))
+        return out
+
+    def param_vector(self, arrays) -> np.ndarray:
+        """The arrays [W0, b0, W1, b1, ...] copied into a new vector in the
+        parameter layout. ValueError if an array cannot fill its shape."""
+        vector = np.empty(sum(math.prod(s) for s in self.param_shapes))
+        for view, a in zip(self.param_views(vector), arrays):
+            view[...] = np.asarray(a, dtype=np.float64).reshape(view.shape)
+        return vector
+
     def to_dict(self) -> dict:
         return {
             "input_dim": self.input_dim,
@@ -91,44 +116,63 @@ class NonFiniteParams(NumericsError, ValueError):
 
 
 class NetworkParams:
-    """Per-layer weight matrices and bias vectors for one NetworkSpec."""
+    """One network's parameters as one contiguous float64 vector.
+
+    `weights[i]` (fan_in, fan_out) and `biases[i]` (fan_out,) are views into
+    `vector`, laid out W0, b0, W1, b1, ... with each array row-major, so an
+    in-place edit of a view is an edit of the vector and of the forward.
+    Finiteness is checked once, on the whole vector; the error names the
+    first layer holding a non-finite value.
+    """
 
     def __init__(self, spec: NetworkSpec, weights, biases):
-        dims = spec.layer_dims
-        if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
+        shapes = spec.param_shapes
+        n_layers = len(shapes) // 2
+        if len(weights) != n_layers or len(biases) != n_layers:
             raise ShapeMismatch(
-                f"NetworkParams: spec wants {len(dims) - 1} layers, "
+                f"NetworkParams: spec wants {n_layers} layers, "
                 f"got {len(weights)} weight matrices and {len(biases)} biases"
             )
         for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
+            if np.shape(w) != shapes[2 * i] or np.shape(b) != shapes[2 * i + 1]:
                 raise ShapeMismatch(
-                    f"NetworkParams: layer {i} has W{w.shape}, b{b.shape}, "
-                    f"spec wants W{(dims[i], dims[i + 1])}, b{(dims[i + 1],)}"
+                    f"NetworkParams: layer {i} has W{np.shape(w)}, b{np.shape(b)}, "
+                    f"spec wants W{shapes[2 * i]}, b{shapes[2 * i + 1]}"
                 )
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise NonFiniteParams(f"NetworkParams: non-finite values in layer {i}")
+        self._bind(spec, spec.param_vector([a for pair in zip(weights, biases) for a in pair]))
+
+    @classmethod
+    def from_vector(cls, spec: NetworkSpec, vector) -> "NetworkParams":
+        """Params over `vector` itself, not a copy: a flat float64 array of
+        every parameter in `vector`'s layout."""
+        params = cls.__new__(cls)
+        params._bind(spec, np.asarray(vector, dtype=np.float64))
+        return params
+
+    def _bind(self, spec: NetworkSpec, vector: np.ndarray) -> None:
+        size = sum(math.prod(s) for s in spec.param_shapes)
+        if vector.shape != (size,):
+            raise ShapeMismatch(
+                f"NetworkParams: spec wants a vector of {size} values, got shape {vector.shape}"
+            )
+        views = spec.param_views(vector)
+        if not np.isfinite(vector).all():
+            layer = next(i for i, a in enumerate(views) if not np.isfinite(a).all()) // 2
+            raise NonFiniteParams(f"NetworkParams: non-finite values in layer {layer}")
         self.spec = spec
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        self.vector = vector
+        self.weights = views[0::2]
+        self.biases = views[1::2]
 
     def flat(self) -> list:
-        """Parameters as one list [W0, b0, W1, b1, ...] for the optimizer."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    @staticmethod
-    def from_flat(spec: NetworkSpec, flat) -> "NetworkParams":
-        return NetworkParams(spec, flat[0::2], flat[1::2])
+        """The views as one list [W0, b0, W1, b1, ...]."""
+        return [a for pair in zip(self.weights, self.biases) for a in pair]
 
 
 class ParamLeaves:
     """A NetworkParams as gradient leaves, one fresh `Var` per array. The
     forwards take it in place of the params, which they run as constants;
-    after `backward`, `grads()` holds the parameter gradients."""
+    after `backward`, `grad_vector()` holds the parameter gradients."""
 
     def __init__(self, params: NetworkParams):
         self.spec = params.spec
@@ -137,8 +181,9 @@ class ParamLeaves:
     def flat(self) -> list:
         return self._vars
 
-    def grads(self) -> list:
-        return [v.grad for v in self._vars]
+    def grad_vector(self) -> np.ndarray:
+        """The gradients in `NetworkParams.vector`'s layout."""
+        return self.spec.param_vector([v.grad for v in self._vars])
 
 
 def mlp_init(spec: NetworkSpec, seed: int) -> NetworkParams:
@@ -170,7 +215,7 @@ def mlp_forward_vars(param_vars, spec: NetworkSpec, inp) -> tuple[Var, list[Var]
     hidden = []
     n_layers = len(param_vars) // 2
     for i in range(n_layers):
-        h = (h @ param_vars[2 * i]) + param_vars[2 * i + 1]
+        h = affine(h, param_vars[2 * i], param_vars[2 * i + 1])
         if i < n_layers - 1:
             h = h.tanh() if spec.hidden_activation == "tanh" else h.relu()
             hidden.append(h)

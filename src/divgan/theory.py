@@ -268,5 +268,6 @@ def pull_toward(params_G: NetworkParams, z1, y_star, hyper: AdamHyper) -> Networ
     out = generator_forward(leaves, np.asarray(z1, dtype=np.float64).reshape(1, -1))
     dist = (out - np.asarray(y_star, dtype=np.float64).reshape(1, -1)).square().sum().sqrt()
     backward(dist)
-    new_flat, _ = adam_step(params_G.flat(), leaves.grads(), adam_init(params_G.flat()), hyper)
-    return NetworkParams.from_flat(params_G.spec, new_flat)
+    vector = params_G.vector
+    (vector,), _ = adam_step([vector], [leaves.grad_vector()], adam_init([vector]), hyper)
+    return NetworkParams.from_vector(params_G.spec, vector)

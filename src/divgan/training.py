@@ -9,6 +9,7 @@ deterministic given its seed; sweep entries use independent processes.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -138,7 +139,7 @@ def task_specs(cfg: TrainConfig) -> tuple[NetworkSpec, NetworkSpec]:
 class TrainState:
     params_G: NetworkParams
     params_D: NetworkParams
-    adam_G: AdamState
+    adam_G: AdamState  # moments: one vector each, in params_G.vector's layout
     adam_D: AdamState
     step: int
     rng: np.random.Generator
@@ -161,10 +162,9 @@ class MetricRow:
 
 @dataclass
 class TrainResult:
-    state: TrainState
+    state: TrainState  # after the last step
     rows: list
-    final_checkpoint: bytes
-    best_checkpoint: bytes
+    best_state: TrainState  # as it was at the best (modes, hq) eval
     eval_report: EvalReport
 
 
@@ -179,8 +179,8 @@ def init_state(cfg: TrainConfig) -> TrainState:
     return TrainState(
         params_G=params_G,
         params_D=params_D,
-        adam_G=adam_init(params_G.flat()),
-        adam_D=adam_init(params_D.flat()),
+        adam_G=adam_init([params_G.vector]),
+        adam_D=adam_init([params_D.vector]),
         step=0,
         rng=np.random.default_rng(_seed_for(cfg.seed, _STREAM_TRAIN)),
     )
@@ -224,10 +224,10 @@ def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricR
             loss_d = d_loss(logits_real, logits_fake)
             d_loss_val = loss_d.item()
             backward(loss_d)
-            new_flat, state.adam_D = adam_step(
-                state.params_D.flat(), leaves.grads(), state.adam_D, cfg.adam
+            (vector,), state.adam_D = adam_step(
+                [state.params_D.vector], [leaves.grad_vector()], state.adam_D, cfg.adam
             )
-            state.params_D = NetworkParams.from_flat(leaves.spec, new_flat)
+            state.params_D = NetworkParams.from_vector(leaves.spec, vector)
 
             x, y_target, seq_len = _real_batch(cfg, state.rng)
             z1 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
@@ -236,10 +236,10 @@ def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricR
             res = generator_total_loss(batch, state.params_G, state.params_D,
                                        cfg.objective, rng=state.rng)
             backward(res.total)
-            new_flat, state.adam_G = adam_step(
-                state.params_G.flat(), [v.grad for v in res.param_vars], state.adam_G, cfg.adam
+            (vector,), state.adam_G = adam_step(
+                [state.params_G.vector], [res.leaves.grad_vector()], state.adam_G, cfg.adam
             )
-            state.params_G = NetworkParams.from_flat(state.params_G.spec, new_flat)
+            state.params_G = NetworkParams.from_vector(state.params_G.spec, vector)
     except NumericsError as exc:
         raise DivergenceError(step, str(exc)) from exc
 
@@ -324,13 +324,14 @@ def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
 def train(cfg: TrainConfig) -> TrainResult:
     """Run cfg.steps steps with evaluation every eval_every steps.
 
-    Keeps checkpoints for the final state and the best (modes, hq) eval.
-    On divergence (in a step, or an overflowing G in an evaluation) the
-    partial metric log rides on the raised error.
+    Returns the final state and a snapshot of the state at the best
+    (modes, hq) eval; the last step is always evaluated, so there is one.
+    Nothing is serialized. On divergence (in a step, or an overflowing G in
+    an evaluation) the partial metric log rides on the raised error.
     """
     state = init_state(cfg)
     rows: list[MetricRow] = []
-    best_key, best_blob = None, None
+    best_key, best_state = None, None
     report = None
     try:
         for _ in range(cfg.steps):
@@ -345,23 +346,16 @@ def train(cfg: TrainConfig) -> TrainResult:
                 row.frechet = report.frechet2
                 key = (report.modes_captured, report.hq_fraction)
                 if best_key is None or key > best_key:
+                    # steps replace the params and moments rather than
+                    # editing them, so only the rng needs a copy
                     best_key = key
-                    best_blob = save_checkpoint(state)
+                    best_state = replace(state, rng=copy.deepcopy(state.rng))
     except DivergenceError as exc:
         exc.rows = rows
         raise
     except NumericsError as exc:  # from evaluate_generator; train_step converts its own
         raise DivergenceError(state.step, str(exc), rows) from exc
-    final_blob = save_checkpoint(state)
-    if best_blob is None:
-        best_blob = final_blob
-    return TrainResult(
-        state=state,
-        rows=rows,
-        final_checkpoint=final_blob,
-        best_checkpoint=best_blob,
-        eval_report=report,
-    )
+    return TrainResult(state=state, rows=rows, best_state=best_state, eval_report=report)
 
 
 @dataclass
@@ -409,37 +403,34 @@ def _params_payload(params: NetworkParams) -> dict:
     }
 
 
-def _arrays(values, spec: NetworkSpec) -> list:
-    """Flat value lists back into arrays shaped like spec's [W0, b0, W1, ...]."""
-    dims = spec.layer_dims
-    shapes = []
-    for i in range(len(dims) - 1):
-        shapes.append((dims[i], dims[i + 1]))
-        shapes.append((dims[i + 1],))
+def _vector(values, spec: NetworkSpec) -> np.ndarray:
+    """Per-array value lists back into one vector in the parameter layout."""
+    shapes = spec.param_shapes
     if len(values) != len(shapes):
         raise CheckpointError(
             f"malformed checkpoint: {len(values)} arrays, spec wants {len(shapes)}"
         )
     # a list that cannot fill its shape raises ValueError: load_checkpoint's
     # "malformed checkpoint"
-    return [np.asarray(v, dtype=np.float64).reshape(s) for v, s in zip(values, shapes)]
+    return spec.param_vector(values)
 
 
 def _params_restore(payload: dict) -> NetworkParams:
     spec = NetworkSpec.from_dict(payload["spec"])
-    return NetworkParams.from_flat(spec, _arrays(payload["values"], spec))
+    return NetworkParams.from_vector(spec, _vector(payload["values"], spec))
 
 
-def _adam_payload(state: AdamState) -> dict:
+def _adam_payload(state: AdamState, spec: NetworkSpec) -> dict:
+    (m,), (v,) = state.m, state.v  # one moment vector per network
     return {
-        "m": [a.reshape(-1).tolist() for a in state.m],
-        "v": [a.reshape(-1).tolist() for a in state.v],
+        "m": [a.reshape(-1).tolist() for a in spec.param_views(m)],
+        "v": [a.reshape(-1).tolist() for a in spec.param_views(v)],
         "t": state.t,
     }
 
 
 def _adam_restore(payload: dict, spec: NetworkSpec) -> AdamState:
-    return AdamState(m=_arrays(payload["m"], spec), v=_arrays(payload["v"], spec),
+    return AdamState(m=[_vector(payload["m"], spec)], v=[_vector(payload["v"], spec)],
                      t=int(payload["t"]))
 
 
@@ -451,8 +442,8 @@ def save_checkpoint(state: TrainState) -> bytes:
         "spec_D": state.params_D.spec.to_dict(),
         "params_G": _params_payload(state.params_G),
         "params_D": _params_payload(state.params_D),
-        "adam_G": _adam_payload(state.adam_G),
-        "adam_D": _adam_payload(state.adam_D),
+        "adam_G": _adam_payload(state.adam_G, state.params_G.spec),
+        "adam_D": _adam_payload(state.adam_D, state.params_D.spec),
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
     }

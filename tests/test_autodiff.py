@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from divgan.autodiff import (
     NumericsError,
     ShapeMismatch,
     Var,
+    affine,
     backward,
     concat,
     evaluate_with_gradients,
@@ -35,6 +38,19 @@ def test_relu_mask_example():
     value, grads = evaluate_with_gradients(lambda x: x.relu().sum(), [np.array([-1.0, 3.0])])
     assert value == 3.0
     assert np.array_equal(grads[0], [0.0, 1.0])
+
+
+def test_relu_negative_zero_is_positive_zero():
+    out = Var(np.array([-0.0, 0.0, -1.0, 2.0])).relu().data
+    assert np.array_equal(out, [0.0, 0.0, 0.0, 2.0])
+    assert not np.any(np.signbit(out))
+    # a layer-sized input, where numpy may take a vectorized loop
+    assert not np.any(np.signbit(Var(np.full((128, 128), -0.0)).relu().data))
+
+
+def test_relu_propagates_nan():
+    out = Var(np.array([np.nan, -1.0])).relu()
+    assert np.isnan(out.data[0]) and out.data[1] == 0.0
 
 
 def test_finite_diff_linear():
@@ -114,6 +130,34 @@ def test_matmul_gradients(rng):
         gradcheck(lambda u, v: (u @ v).square().sum(), [a, b])
 
 
+def test_affine_gradients(rng):
+    for _ in range(100):
+        x = rng.normal(size=(4, 3))
+        w = rng.normal(size=(3, 2))
+        b = rng.normal(size=(2,))
+        gradcheck(lambda u, v, c: affine(u, v, c).tanh().sum(), [x, w, b])
+
+
+@pytest.mark.parametrize("leaves", [(0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)])
+def test_affine_is_matmul_plus_bias_bit_for_bit(leaves, rng):
+    """The fused node gives the two-node graph's value and gradients
+    exactly, and a constant operand gets no `.grad`."""
+    data = [rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=(4,))]
+    fused = [Var(a) if i in leaves else lift(a) for i, a in enumerate(data)]
+    split = [Var(a) if i in leaves else lift(a) for i, a in enumerate(data)]
+    out = affine(*fused)
+    ref = (split[0] @ split[1]) + split[2]
+    assert np.array_equal(out.data, ref.data)
+    backward(out.tanh().sum())
+    backward(ref.tanh().sum())
+    for i, (f, r) in enumerate(zip(fused, split)):
+        if i in leaves:
+            assert np.array_equal(f.grad, r.grad)
+        else:
+            assert f.grad is None
+    assert affine(*[lift(a) for a in data])._parents == ()
+
+
 def test_row_bias_add_gradients(rng):
     for _ in range(100):
         a = rng.normal(size=(4, 3))
@@ -178,6 +222,18 @@ def test_shape_mismatch_names_op_and_shapes():
         Var(np.zeros((2, 2))) * Var(np.zeros(2))
     with pytest.raises(ShapeMismatch, match="concat"):
         concat([Var(np.zeros((2, 2))), Var(np.zeros((3, 3)))], axis=1)
+
+
+@pytest.mark.parametrize("x,w,b", [
+    ((2, 3), (2, 4), (4,)),  # inner dims differ
+    ((2, 3), (3, 4), (3,)),  # bias is not one per output column
+    ((2, 3), (3, 4), (1, 4)),  # bias is not a vector
+    ((3,), (3, 4), (4,)),  # input is not a batch
+])
+def test_affine_shape_mismatch_names_op_and_shapes(x, w, b):
+    with pytest.raises(ShapeMismatch, match=r"affine.*" + r".*".join(
+            re.escape(str(s)) for s in (x, w, b))):
+        affine(Var(np.zeros(x)), Var(np.zeros(w)), Var(np.zeros(b)))
 
 
 def test_no_silent_row_broadcast_for_mul():
@@ -303,7 +359,7 @@ def test_constant_discriminator_gives_same_generator_gradients(space, rng, monke
     def g_grads():
         res = generator_total_loss(batch, params_G, params_D, cfg)
         backward(res.total)
-        return [v.grad for v in res.param_vars]
+        return [v.grad for v in res.leaves.flat()]
 
     pruned = g_grads()
     d_leaves = []

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from divgan import training
+from divgan import cli, training
 from divgan.cli import main
 from divgan.config import FIELDS, ConfigError, load_run_config, parse_run_config
 from divgan.data import RingMixtureSpec, TrajectorySpec
@@ -162,6 +162,60 @@ def test_train_writes_all_artifacts(tmp_path):
     load_checkpoint((out / "best.ckpt.json").read_bytes())
     report = EvalReport.from_json((out / "eval.json").read_text())
     assert report.n_samples == 2500
+
+
+def _count_saves(monkeypatch) -> list:
+    """Route every save_checkpoint call through a counter; returns the list
+    of the saved states' steps."""
+    steps, real = [], training.save_checkpoint
+
+    def counting(state):
+        steps.append(state.step)
+        return real(state)
+
+    monkeypatch.setattr(training, "save_checkpoint", counting)
+    monkeypatch.setattr(cli, "save_checkpoint", counting)
+    return steps
+
+
+def _saved_as_it_ran(cfg) -> tuple:
+    """((best step, best bytes), final bytes) with each state serialized
+    when it occurs: at every new best eval, and after the last step."""
+    state, best_key, best = training.init_state(cfg), None, None
+    for _ in range(cfg.steps):
+        state, _ = training.train_step(state, cfg)
+        if state.step % cfg.eval_every == 0 or state.step == cfg.steps:
+            report = training.evaluate_generator(state.params_G, cfg)
+            key = (report.modes_captured, report.hq_fraction)
+            if best_key is None or key > best_key:
+                best_key, best = key, (state.step, training.save_checkpoint(state))
+    return best, training.save_checkpoint(state)
+
+
+@pytest.mark.parametrize("steps,eval_every,saved_steps", [
+    (300, 100, [300, 200]),  # the best eval, at step 200, precedes the last
+    (100, 100, [100]),  # one eval, at the last step: best is final
+])
+def test_train_serializes_each_state_once(steps, eval_every, saved_steps, tmp_path,
+                                          monkeypatch):
+    doc = {"task": "ring", "steps": steps, "eval_every": eval_every, "seed": 3}
+    out = tmp_path / "run"
+    saves = _count_saves(monkeypatch)
+    assert main(["train", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    assert saves == saved_steps
+    monkeypatch.undo()
+    (best_step, best), final = _saved_as_it_ran(parse_run_config(doc))
+    assert best_step == saved_steps[-1]
+    assert (out / "best.ckpt.json").read_bytes() == best
+    assert (out / "final.ckpt.json").read_bytes() == final
+
+
+def test_sweep_serializes_nothing(tmp_path, monkeypatch):
+    saves = _count_saves(monkeypatch)
+    cfg = write_cfg(tmp_path, dict(FAST_RING, steps=20, eval_every=10))
+    assert main(["sweep", "--config", cfg, "--lambdas", "0,0.1",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert saves == []
 
 
 def test_train_rejects_unknown_key(tmp_path, capsys):

@@ -372,7 +372,7 @@ def test_total_loss_gradients_match_finite_differences(space, norm, rng):
         TrainBatch(z1=z1, z2=z2, y=y, seq_len=seq_len), params_G, params_D, cfg
     )
     backward(res.total)
-    engine = [v.grad for v in res.param_vars]
+    engine = [v.grad for v in res.leaves.flat()]
 
     # finite differences on the loss value as a black box
     from divgan.autodiff import finite_diff_gradient
@@ -383,7 +383,7 @@ def test_total_loss_gradients_match_finite_differences(space, norm, rng):
         def scalar(x, i=i):
             probe = [a.copy() for a in flat0]
             probe[i] = x
-            probe_G = NetworkParams.from_flat(g_spec, probe)
+            probe_G = NetworkParams(g_spec, probe[0::2], probe[1::2])
             return generator_total_loss(
                 TrainBatch(z1=z1, z2=z2, y=y, seq_len=seq_len), probe_G, params_D, cfg
             ).total.item()
@@ -405,7 +405,7 @@ def test_lambda_scales_regularizer_gradient_linearly(rng):
         cfg = ObjectiveConfig(diversity=DiversityConfig(weight=weight, tau=None, norm="l2"))
         res = generator_total_loss(TrainBatch(z1=z1, z2=z2), params_G, params_D, cfg)
         backward(res.total)
-        return [v.grad.copy() for v in res.param_vars]
+        return [v.grad.copy() for v in res.leaves.flat()]
 
     g0 = grads_at(1e-12)  # adversarial part only (weight ~ 0)
     g1 = grads_at(0.2)

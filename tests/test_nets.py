@@ -4,6 +4,7 @@ import pytest
 from divgan.autodiff import ShapeMismatch, Var
 from divgan.nets import (
     NetworkParams,
+    NonFiniteParams,
     NetworkSpec,
     default_discriminator_spec,
     default_generator_spec,
@@ -69,9 +70,50 @@ def test_params_validation():
 
 def test_flat_roundtrip():
     params = mlp_init(RING_G, 1)
-    again = NetworkParams.from_flat(RING_G, params.flat())
-    for a, b in zip(params.flat(), again.flat()):
-        assert np.array_equal(a, b)
+    for again in (NetworkParams(RING_G, params.weights, params.biases),
+                  NetworkParams.from_vector(RING_G, params.vector.copy())):
+        assert np.array_equal(params.vector, again.vector)
+        for a, b in zip(params.flat(), again.flat()):
+            assert np.array_equal(a, b)
+
+
+def test_weights_and_biases_are_views_of_the_vector(rng):
+    params = mlp_init(NetworkSpec(3, (5, 4), 2), 0)
+    assert params.vector.shape == (3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2,)
+    for a in params.flat():
+        assert np.shares_memory(a, params.vector)
+    z = rng.normal(size=(6, 3))
+    before = generator_forward(params, z).data
+    params.weights[2][:] = 0.0
+    params.biases[2][:] = 1.5
+    assert np.array_equal(params.vector[-10:], [0.0] * 8 + [1.5] * 2)
+    assert np.array_equal(generator_forward(params, z).data, np.full((6, 2), 1.5))
+    assert not np.array_equal(before, np.full((6, 2), 1.5))
+
+
+def test_from_vector_uses_the_vector_itself():
+    spec = NetworkSpec(2, (4,), 2)
+    vector = np.arange(2 * 4 + 4 + 4 * 2 + 2, dtype=np.float64)
+    params = NetworkParams.from_vector(spec, vector)
+    assert params.vector is vector
+    assert np.array_equal(params.weights[0], np.arange(8.0).reshape(2, 4))
+    assert np.array_equal(params.biases[0], [8.0, 9.0, 10.0, 11.0])
+    assert np.array_equal(params.weights[1], np.arange(12.0, 20.0).reshape(4, 2))
+    assert np.array_equal(params.biases[1], [20.0, 21.0])
+
+
+@pytest.mark.parametrize("size", [21, 23, 0])
+def test_from_vector_rejects_wrong_length(size):
+    with pytest.raises(ShapeMismatch, match=rf"22 values, got shape \({size},\)"):
+        NetworkParams.from_vector(NetworkSpec(2, (4,), 2), np.zeros(size))
+
+
+@pytest.mark.parametrize("index,layer", [(0, 0), (11, 0), (12, 1), (21, 1)])
+def test_from_vector_names_the_non_finite_layer(index, layer):
+    vector = np.zeros(22)
+    vector[index] = np.nan
+    with pytest.raises(NonFiniteParams, match=f"non-finite values in layer {layer}$"):
+        NetworkParams.from_vector(NetworkSpec(2, (4,), 2), vector)
 
 
 def test_zero_params_give_zero_output():

@@ -80,7 +80,7 @@ def test_lambda_zero_matches_term_free_build():
     obj = ObjectiveConfig(diversity=DiversityConfig(weight=0.0))
     res = generator_total_loss(batch, state.params_G, state.params_D, obj)
     backward(res.total)
-    grads_with_logging = [v.grad.copy() for v in res.param_vars]
+    grads_with_logging = [v.grad.copy() for v in res.leaves.flat()]
 
     from divgan.autodiff import Var
     from divgan.losses import g_adv_loss
@@ -119,6 +119,17 @@ def test_divergence_carries_step_and_rows():
         train(cfg)
     assert err.value.step >= 1
     assert isinstance(err.value.rows, list)
+
+
+@pytest.mark.parametrize("task", ["ring", "conditional_ring"])
+def test_nan_in_discriminator_hidden_layer_diverges_at_once(task):
+    """+-1e308 weights on the two sample coordinates sum to inf - inf: NaN
+    pre-activations that the relu passes on. The first step fails."""
+    cfg = small_cfg(task=task, z_dim=2)
+    state = init_state(cfg)
+    state.params_D.weights[0][-2:, :5] = [[1e308], [-1e308]]
+    with pytest.raises(DivergenceError, match="at step 1: adam_step: non-finite gradient"):
+        train_step(state, cfg)
 
 
 def test_evaluation_is_reproducible():
