@@ -154,7 +154,7 @@ def cmd_sweep(args) -> int:
 def _checkpoint_z_dim(state, command: str) -> int:
     """Latent size of a checkpoint's generator, which must be unconditional.
 
-    A v1 checkpoint does not record the condition width: it is what the
+    A checkpoint does not record the condition width: it is what the
     discriminator reads beyond the generator's output, and the latent is
     the rest of the generator's input.
     """

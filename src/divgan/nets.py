@@ -68,6 +68,11 @@ class NetworkSpec:
         return [s for fan_in, fan_out in zip(dims[:-1], dims[1:])
                 for s in ((fan_in, fan_out), (fan_out,))]
 
+    @property
+    def n_params(self) -> int:
+        """Length of a vector in the parameter layout."""
+        return sum(math.prod(s) for s in self.param_shapes)
+
     def param_views(self, vector: np.ndarray) -> list:
         """Views [W0, b0, W1, b1, ...] into a vector in the parameter layout:
         the arrays in that order, each row-major."""
@@ -80,7 +85,7 @@ class NetworkSpec:
     def param_vector(self, arrays) -> np.ndarray:
         """The arrays [W0, b0, W1, b1, ...] copied into a new vector in the
         parameter layout. ValueError if an array cannot fill its shape."""
-        vector = np.empty(sum(math.prod(s) for s in self.param_shapes))
+        vector = np.empty(self.n_params)
         for view, a in zip(self.param_views(vector), arrays):
             view[...] = np.asarray(a, dtype=np.float64).reshape(view.shape)
         return vector
@@ -150,7 +155,7 @@ class NetworkParams:
         return params
 
     def _bind(self, spec: NetworkSpec, vector: np.ndarray) -> None:
-        size = sum(math.prod(s) for s in spec.param_shapes)
+        size = spec.n_params
         if vector.shape != (size,):
             raise ShapeMismatch(
                 f"NetworkParams: spec wants a vector of {size} values, got shape {vector.shape}"

@@ -9,6 +9,7 @@ deterministic given its seed; sweep entries use independent processes.
 
 from __future__ import annotations
 
+import base64
 import copy
 import csv
 import io
@@ -68,7 +69,7 @@ __all__ = [
 
 TASKS = ("ring", "conditional_ring", "trajectory")
 CSV_HEADER = "step,d_loss,g_adv,g_rec,l_z,ratio_mean,modes,hq_frac,diversity,dist_min,frechet"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # load_checkpoint also reads version 1
 
 # fixed stream tags so init, training, and evaluation draw independent seeds
 _STREAM_G_INIT, _STREAM_D_INIT, _STREAM_TRAIN, _STREAM_EVAL = 11, 13, 17, 19
@@ -223,6 +224,8 @@ def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricR
             logits_fake, _ = discriminator_forward(leaves, fake, x)
             loss_d = d_loss(logits_real, logits_fake)
             d_loss_val = loss_d.item()
+            if not np.isfinite(d_loss_val):  # D's gradients can stay finite
+                raise NumericsError("d_loss: non-finite discriminator loss")
             backward(loss_d)
             (vector,), state.adam_D = adam_step(
                 [state.params_D.vector], [leaves.grad_vector()], state.adam_D, cfg.adam
@@ -394,56 +397,67 @@ def sweep(base_cfg: TrainConfig, lambdas, jobs: int = 1) -> list[SweepEntry]:
 
 
 # -- checkpoints ---------------------------------------------------------------
+#
+# A version 2 checkpoint stores each vector in a network's parameter layout
+# (the parameters and both Adam moments) as one base64 string of its
+# little-endian float64 bytes. Version 1, still read, stored one JSON value
+# list per weight or bias array.
+
+
+def _encode(vector: np.ndarray) -> str:
+    return base64.b64encode(vector.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _decode(payload, spec: NetworkSpec, version: int) -> np.ndarray:
+    """A stored vector as a new, native float64 vector in spec's layout. A
+    payload of the wrong JSON type, bad base64 (binascii.Error) or a list
+    that cannot fill its shape raises TypeError or ValueError, which
+    load_checkpoint reports as malformed."""
+    if version == 1:
+        if len(payload) != len(spec.param_shapes):
+            raise CheckpointError(f"malformed checkpoint: {len(payload)} arrays, "
+                                  f"spec wants {len(spec.param_shapes)}")
+        return spec.param_vector(payload)
+    raw = base64.b64decode(payload, validate=True)
+    if len(raw) != 8 * spec.n_params:
+        raise CheckpointError(f"malformed checkpoint: {len(raw)} bytes, not {8 * spec.n_params}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)  # a writable copy
 
 
 def _params_payload(params: NetworkParams) -> dict:
-    return {
-        "spec": params.spec.to_dict(),
-        "values": [a.reshape(-1).tolist() for a in params.flat()],
-    }
+    return {"spec": params.spec.to_dict(), "vector": _encode(params.vector)}
 
 
-def _vector(values, spec: NetworkSpec) -> np.ndarray:
-    """Per-array value lists back into one vector in the parameter layout."""
-    shapes = spec.param_shapes
-    if len(values) != len(shapes):
-        raise CheckpointError(
-            f"malformed checkpoint: {len(values)} arrays, spec wants {len(shapes)}"
-        )
-    # a list that cannot fill its shape raises ValueError: load_checkpoint's
-    # "malformed checkpoint"
-    return spec.param_vector(values)
-
-
-def _params_restore(payload: dict) -> NetworkParams:
+def _params_restore(payload: dict, version: int) -> NetworkParams:
     spec = NetworkSpec.from_dict(payload["spec"])
-    return NetworkParams.from_vector(spec, _vector(payload["values"], spec))
+    stored = payload["values" if version == 1 else "vector"]
+    return NetworkParams.from_vector(spec, _decode(stored, spec, version))
 
 
-def _adam_payload(state: AdamState, spec: NetworkSpec) -> dict:
+def _adam_payload(state: AdamState) -> dict:
     (m,), (v,) = state.m, state.v  # one moment vector per network
-    return {
-        "m": [a.reshape(-1).tolist() for a in spec.param_views(m)],
-        "v": [a.reshape(-1).tolist() for a in spec.param_views(v)],
-        "t": state.t,
-    }
+    return {"m": _encode(m), "v": _encode(v), "t": state.t}
 
 
-def _adam_restore(payload: dict, spec: NetworkSpec) -> AdamState:
-    return AdamState(m=[_vector(payload["m"], spec)], v=[_vector(payload["v"], spec)],
-                     t=int(payload["t"]))
+def _adam_restore(doc: dict, name: str, spec: NetworkSpec, version: int) -> AdamState:
+    payload = doc[name]
+    m, v = _decode(payload["m"], spec, version), _decode(payload["v"], spec, version)
+    for moment, a in (("m", m), ("v", v)):
+        if not np.isfinite(a).all():
+            raise CheckpointError(f"malformed checkpoint: {name}.{moment} is not finite")
+    if (v < 0).any():  # a running mean of squared gradients
+        raise CheckpointError(f"malformed checkpoint: {name}.v is negative")
+    return AdamState(m=[m], v=[v], t=int(payload["t"]))
 
 
 def save_checkpoint(state: TrainState) -> bytes:
     """Versioned JSON blob; load_checkpoint(save_checkpoint(s)) is exact."""
     doc = {
         "version": CHECKPOINT_VERSION,
-        "spec_G": state.params_G.spec.to_dict(),
-        "spec_D": state.params_D.spec.to_dict(),
         "params_G": _params_payload(state.params_G),
         "params_D": _params_payload(state.params_D),
-        "adam_G": _adam_payload(state.adam_G, state.params_G.spec),
-        "adam_D": _adam_payload(state.adam_D, state.params_D.spec),
+        "adam_G": _adam_payload(state.adam_G),
+        "adam_D": _adam_payload(state.adam_D),
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
     }
@@ -451,6 +465,7 @@ def save_checkpoint(state: TrainState) -> bytes:
 
 
 def load_checkpoint(blob) -> TrainState:
+    """A version 2 or version 1 blob back as the state it was saved from."""
     if isinstance(blob, str):
         blob = blob.encode("utf-8")
     try:
@@ -459,27 +474,29 @@ def load_checkpoint(blob) -> TrainState:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointError("malformed checkpoint: missing version")
-    if doc["version"] != CHECKPOINT_VERSION:
+    version = doc["version"]
+    if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(
-            f"unsupported checkpoint version {doc['version']} (expected {CHECKPOINT_VERSION})"
+            f"unsupported checkpoint version {version} (expected 1 or {CHECKPOINT_VERSION})"
         )
     try:
-        params_G = _params_restore(doc["params_G"])
-        params_D = _params_restore(doc["params_D"])
+        params_G = _params_restore(doc["params_G"], version)
+        params_D = _params_restore(doc["params_D"], version)
         rng = np.random.default_rng(0)
         rng.bit_generator.state = doc["rng_state"]
         return TrainState(
             params_G=params_G,
             params_D=params_D,
-            adam_G=_adam_restore(doc["adam_G"], params_G.spec),
-            adam_D=_adam_restore(doc["adam_D"], params_D.spec),
+            adam_G=_adam_restore(doc, "adam_G", params_G.spec, version),
+            adam_D=_adam_restore(doc, "adam_D", params_D.spec, version),
             step=int(doc["step"]),
             rng=rng,
         )
     except CheckpointError:
         raise
-    # missing keys, wrong types, bad shapes or specs, non-finite weights
-    # (NonFiniteParams is a ValueError), a foreign rng state, overflowing ints
+    # missing keys, wrong types, bad base64, shapes or specs, non-finite
+    # weights (NonFiniteParams is a ValueError), a foreign rng state,
+    # overflowing ints
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
 

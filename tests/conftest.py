@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,13 @@ def gradcheck(f, inputs, h=1e-5, rtol=1e-4, atol=1e-8):
         err = np.max(np.abs(grads[i] - fd) / scale)
         assert err <= rtol + atol, f"input {i}: max relative error {err:.3e}"
     return grads
+
+
+def edit_vector(doc, network, key, edit):
+    """Replace the vector doc[network][key] of a version 2 checkpoint doc
+    (base64 of little-endian float64 bytes) with edit(vector)."""
+    vector = np.frombuffer(base64.b64decode(doc[network][key], validate=True), "<f8").copy()
+    doc[network][key] = base64.b64encode(np.asarray(edit(vector), "<f8").tobytes()).decode()
 
 
 @pytest.fixture

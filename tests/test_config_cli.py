@@ -7,12 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import edit_vector
 from divgan import cli, training
 from divgan.cli import main
 from divgan.config import FIELDS, ConfigError, load_run_config, parse_run_config
 from divgan.data import RingMixtureSpec, TrajectorySpec
 from divgan.losses import DiversityConfig, ObjectiveConfig
 from divgan.metrics import EvalReport
+from divgan.nets import NetworkSpec
 from divgan.optim import AdamHyper
 from divgan.training import TrainConfig, load_checkpoint
 
@@ -395,7 +397,7 @@ def trained_checkpoint_doc(tmp_path):
 def test_eval_and_interp_reject_bad_weights(corruption, tmp_path, capsys):
     cfg, doc = trained_checkpoint_doc(tmp_path)
     if corruption == "nan_weight":
-        doc["params_G"]["values"][0][0] = float("nan")
+        edit_vector(doc, "params_G", "vector", lambda v: np.r_[np.nan, v[1:]])
     else:
         doc["params_G"]["spec"]["input_dim"] = -1
     ckpt = write_cfg(tmp_path, doc, "bad.ckpt.json")
@@ -407,12 +409,31 @@ def test_eval_and_interp_reject_bad_weights(corruption, tmp_path, capsys):
     assert not (tmp_path / "e.json").exists() and not (tmp_path / "i.csv").exists()
 
 
+@pytest.mark.parametrize("network,moment,value,what", [
+    ("adam_G", "m", float("nan"), "is not finite"),
+    ("adam_D", "v", -1.0, "is negative"),
+])
+def test_eval_rejects_impossible_adam_moments(network, moment, value, what, tmp_path, capsys):
+    cfg, doc = trained_checkpoint_doc(tmp_path)
+    edit_vector(doc, network, moment, lambda v: np.r_[value, v[1:]])
+    ckpt = write_cfg(tmp_path, doc, "bad.ckpt.json")
+    capsys.readouterr()
+    assert main(["eval", ckpt, "--config", cfg, "--out", str(tmp_path / "e.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"checkpoint error: malformed checkpoint: {network}.{moment} {what}\n"
+    assert not (tmp_path / "e.json").exists()
+
+
 def overflowing_checkpoint(tmp_path, weight=1e308):
     """A finite checkpoint with G's last-layer weights at `weight`: 1e308
     overflows G's output, 1e200 only the squared distances on it."""
     cfg, doc = trained_checkpoint_doc(tmp_path)
-    last_w = doc["params_G"]["values"][-2]
-    doc["params_G"]["values"][-2] = [weight] * len(last_w)
+
+    def huge_last_weights(vector):
+        NetworkSpec.from_dict(doc["params_G"]["spec"]).param_views(vector)[-2][...] = weight
+        return vector
+
+    edit_vector(doc, "params_G", "vector", huge_last_weights)
     return cfg, write_cfg(tmp_path, doc, "huge.ckpt.json")
 
 

@@ -1,17 +1,23 @@
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
+from conftest import edit_vector
 from divgan import training
 from divgan.autodiff import backward
 from divgan.data import RingMixtureSpec
 from divgan.losses import DiversityConfig, ObjectiveConfig, TrainBatch, generator_total_loss
-from divgan.nets import NetworkParams
+from divgan.nets import NetworkParams, NetworkSpec
+from divgan.optim import AdamState
 from divgan.training import (
     CheckpointError,
     CSV_HEADER,
     DivergenceError,
     TrainConfig,
+    TrainState,
     evaluate_generator,
     init_state,
     load_checkpoint,
@@ -124,11 +130,21 @@ def test_divergence_carries_step_and_rows():
 @pytest.mark.parametrize("task", ["ring", "conditional_ring"])
 def test_nan_in_discriminator_hidden_layer_diverges_at_once(task):
     """+-1e308 weights on the two sample coordinates sum to inf - inf: NaN
-    pre-activations that the relu passes on. The first step fails."""
+    pre-activations that the relu passes on to D's loss. The first step fails."""
     cfg = small_cfg(task=task, z_dim=2)
     state = init_state(cfg)
     state.params_D.weights[0][-2:, :5] = [[1e308], [-1e308]]
-    with pytest.raises(DivergenceError, match="at step 1: adam_step: non-finite gradient"):
+    with pytest.raises(DivergenceError, match="at step 1: d_loss: non-finite discriminator loss"):
+        train_step(state, cfg)
+
+
+def test_infinite_discriminator_loss_diverges_at_once():
+    """On trajectories the same weights overflow D's logits to +-inf while
+    D's gradients stay finite: only the loss itself shows the divergence."""
+    cfg = small_cfg(task="trajectory", batch_size=16, seed=1)
+    state = init_state(cfg)
+    state.params_D.weights[0][-2:, :5] = [[1e308], [-1e308]]
+    with pytest.raises(DivergenceError, match="at step 1: d_loss: non-finite discriminator loss"):
         train_step(state, cfg)
 
 
@@ -157,6 +173,77 @@ def test_trajectory_task_runs():
 # -- checkpoints ------------------------------------------------------------
 
 
+def assert_same_state(a, b):
+    """Every parameter and moment vector bitwise equal, and step, Adam t
+    and the rng state equal."""
+    for pa, pb in ((a.params_G, b.params_G), (a.params_D, b.params_D)):
+        assert pa.spec == pb.spec and pa.vector.tobytes() == pb.vector.tobytes()
+    for sa, sb in ((a.adam_G, b.adam_G), (a.adam_D, b.adam_D)):
+        assert [x.tobytes() for x in sa.m + sa.v] == [x.tobytes() for x in sb.m + sb.v]
+        assert sa.t == sb.t
+    assert a.step == b.step
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
+def test_checkpoint_v2_roundtrip_is_byte_exact(task):
+    state = train(small_cfg(task=task, z_dim=4, steps=2)).state
+    blob = save_checkpoint(state)
+    doc = json.loads(blob)
+    assert doc["version"] == 2
+    assert sorted(doc) == ["adam_D", "adam_G", "params_D", "params_G", "rng_state",
+                           "step", "version"]  # no duplicate specs
+    assert isinstance(doc["params_G"]["vector"], str) and isinstance(doc["adam_D"]["v"], str)
+    loaded = load_checkpoint(blob)
+    assert_same_state(loaded, state)
+    assert save_checkpoint(loaded) == blob
+    loaded.params_G.weights[0][0, 0] = 0.5  # the loaded vectors are native and writable
+    assert loaded.params_G.vector[0] == 0.5
+
+
+def test_checkpoint_vector_golden_encoding():
+    """A vector is stored as base64 of its little-endian float64 bytes."""
+    spec = NetworkSpec(1, (1,), 1)  # W0, b0, W1, b1: four parameters
+    state = init_state(small_cfg())
+    state.params_G = NetworkParams.from_vector(spec, np.array([1.0, -0.0, 5e-324, -2.5]))
+    state.adam_G = AdamState(m=[np.zeros(4)], v=[np.zeros(4)], t=0)
+    blob = save_checkpoint(state)
+    assert json.loads(blob)["params_G"]["vector"] == "AAAAAAAA8D8AAAAAAAAAgAEAAAAAAAAAAAAAAAAABMA="
+    assert load_checkpoint(blob).params_G.vector.tobytes() == state.params_G.vector.tobytes()
+
+
+V1_FIXTURE = Path(__file__).parent / "data" / "checkpoint_v1.json"
+
+
+def v1_fixture_state() -> TrainState:
+    """The state that tests/data/checkpoint_v1.json was written from by the
+    version 1 writer: tiny networks, exact values and the float64 extremes."""
+    g_spec = NetworkSpec(3, (4,), 2)
+    d_spec = NetworkSpec(2, (3,), 1, hidden_activation="relu")
+
+    def params(spec, size, shift):
+        vector = (np.arange(size) - shift) / 3.0
+        vector[:4] = [-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308]
+        return NetworkParams.from_vector(spec, vector)
+
+    def moments(size, t):
+        k = np.arange(size)
+        return AdamState(m=[(5 - k) / 9.0], v=[k * k / 7.0], t=t)
+
+    rng = np.random.default_rng(2019)
+    rng.random(3)
+    return TrainState(params_G=params(g_spec, 26, 7), params_D=params(d_spec, 13, 2),
+                      adam_G=moments(26, 3), adam_D=moments(13, 4), step=3, rng=rng)
+
+
+def test_checkpoint_v1_fixture_loads_exactly():
+    blob = V1_FIXTURE.read_bytes()
+    assert json.loads(blob)["version"] == 1 and len(blob) < 8192
+    loaded = load_checkpoint(blob)
+    assert_same_state(loaded, v1_fixture_state())
+    assert save_checkpoint(loaded) == save_checkpoint(v1_fixture_state())  # rewritten as v2
+
+
 def test_checkpoint_roundtrip_exact():
     cfg = small_cfg(steps=3)
     result = train(cfg)
@@ -180,8 +267,6 @@ def test_checkpoint_truncated_blob():
 
 
 def test_checkpoint_version_check():
-    import json
-
     doc = json.loads(save_checkpoint(init_state(small_cfg())))
     doc["version"] = 999
     with pytest.raises(CheckpointError, match="999"):
@@ -189,16 +274,14 @@ def test_checkpoint_version_check():
 
 
 def test_checkpoint_shape_mismatch():
-    import json
-
     doc = json.loads(save_checkpoint(init_state(small_cfg())))
-    doc["params_G"]["values"][0] = doc["params_G"]["values"][0][:-3]
+    edit_vector(doc, "params_G", "vector", lambda v: v[3:])  # W0 three values short
     with pytest.raises(CheckpointError):
         load_checkpoint(json.dumps(doc).encode())
 
 
 def _nan_weight(doc):
-    doc["params_G"]["values"][0][0] = float("nan")  # json writes NaN and reads it back
+    edit_vector(doc, "params_G", "vector", lambda v: np.r_[np.nan, v[1:]])
 
 
 def _negative_dim(doc):
@@ -210,7 +293,7 @@ def _foreign_rng(doc):
 
 
 def _adam_shape(doc):
-    doc["adam_G"]["m"][0] = doc["adam_G"]["m"][0][:-1]
+    edit_vector(doc, "adam_G", "m", lambda v: v[:-1])
 
 
 def _step_overflow(doc):
@@ -221,14 +304,61 @@ def _sigmoid_output(doc):
     doc["params_G"]["spec"]["output_activation"] = "sigmoid"  # no network has one
 
 
-@pytest.mark.parametrize("corrupt", [_nan_weight, _negative_dim, _foreign_rng,
-                                     _adam_shape, _step_overflow, _sigmoid_output])
-def test_checkpoint_bad_values_are_checkpoint_errors(corrupt):
-    import json
+def _bad_base64(doc):
+    vector = doc["params_G"]["vector"]
+    doc["params_G"]["vector"] = vector[:8] + "*" + vector[8:]  # not in the alphabet
 
+
+def _one_float_short(doc):
+    edit_vector(doc, "params_D", "vector", lambda v: v[:-1])
+
+
+def _list_for_base64(doc):
+    doc["params_D"]["vector"] = [0.0] * len(init_state(small_cfg()).params_D.vector)
+
+
+def _as_v1_fixture(doc):
+    doc.clear()
+    doc.update(json.loads(V1_FIXTURE.read_text()))
+
+
+def _base64_in_v1(doc):
+    _as_v1_fixture(doc)
+    doc["adam_D"]["m"] = json.loads(save_checkpoint(v1_fixture_state()))["adam_D"]["m"]
+
+
+def _v1_array_missing(doc):
+    _as_v1_fixture(doc)
+    doc["params_G"]["values"].pop()  # b1
+
+
+@pytest.mark.parametrize("corrupt", [_nan_weight, _negative_dim, _foreign_rng,
+                                     _adam_shape, _step_overflow, _sigmoid_output,
+                                     _bad_base64, _one_float_short, _list_for_base64,
+                                     _base64_in_v1, _v1_array_missing])
+def test_checkpoint_bad_values_are_checkpoint_errors(corrupt):
     doc = json.loads(save_checkpoint(init_state(small_cfg())))
     corrupt(doc)
     with pytest.raises(CheckpointError, match="malformed checkpoint"):
+        load_checkpoint(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("network,moment,value,what", [
+    ("adam_G", "m", float("nan"), "is not finite"),
+    ("adam_D", "m", float("-inf"), "is not finite"),
+    ("adam_G", "v", float("inf"), "is not finite"),
+    ("adam_D", "v", -1e-300, "is negative"),
+])
+def test_checkpoint_impossible_adam_moments_are_refused(version, network, moment, value, what):
+    if version == 1:
+        doc = json.loads(V1_FIXTURE.read_text())
+        doc[network][moment][1][1] = value  # in b0
+    else:
+        doc = json.loads(save_checkpoint(init_state(small_cfg())))
+        edit_vector(doc, network, moment, lambda v: np.r_[v[0], value, v[2:]])
+    with pytest.raises(CheckpointError,
+                       match=f"^malformed checkpoint: {network}.{moment} {what}$"):
         load_checkpoint(json.dumps(doc).encode())
 
 
