@@ -243,8 +243,14 @@ def cmd_interp(args) -> int:
     return EXIT_OK
 
 
-def _int_at_least(least: int):
-    """argparse type: an integer >= least, so a bad flag exits 2 naming it."""
+# upper bound on --probes and --steps: a 128-wide layer over that many rows
+# holds 2**25 float64 entries, the budget divgan.data.MAX_SIZE keeps configs to
+MAX_COUNT = 2**18
+
+
+def _int_in_range(least: int, most: int | None = None):
+    """argparse type: an integer >= least (and <= most, if given), so a bad
+    flag exits 2 naming it."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -252,6 +258,8 @@ def _int_at_least(least: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < least:
             raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
         return value
     return parse
 
@@ -262,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     # flags every command takes
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out", required=True)
-    shared.add_argument("--seed", type=_int_at_least(0), default=None)
+    shared.add_argument("--seed", type=_int_in_range(0), default=None)
 
     p = sub.add_parser("train", parents=[shared], help="train a model from a JSON config")
     p.add_argument("--config", required=True)
@@ -278,20 +286,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="independent runs over a list of lambda values")
     p.add_argument("--config", required=True)
     p.add_argument("--lambdas", required=True)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_in_range(1), default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", parents=[shared],
                        help="numerical checks of the gradient bound and attraction")
     p.add_argument("target", help="run config or checkpoint JSON")
-    p.add_argument("--pairs", type=_int_at_least(1), default=100)
-    p.add_argument("--probes", type=_int_at_least(1), default=2000)
+    p.add_argument("--pairs", type=_int_in_range(1), default=100)
+    p.add_argument("--probes", type=_int_in_range(1, MAX_COUNT), default=2000)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("interp", parents=[shared],
                        help="latent interpolation through a checkpointed generator")
     p.add_argument("checkpoint")
-    p.add_argument("--steps", type=_int_at_least(2), default=9)
+    p.add_argument("--steps", type=_int_in_range(2, MAX_COUNT), default=9)
     p.add_argument("--mode", choices=("linear", "slerp"), default="slerp")
     p.set_defaults(func=cmd_interp)
 

@@ -15,6 +15,11 @@ Two facts are exercised:
    reported as a sampled estimate only, since the infimum over all z is
    not computable.
 
+The Jacobians for fact 1 come from one reverse pass per segment that
+carries every output's cotangent at once (`path_jacobians`). It computes
+exactly the products and activation derivatives that one engine backward
+per output row computes, so it gives `autodiff.jacobian`'s bits.
+
 Norms here are l2 / spectral (matching the analysis), regardless of the
 training-side norm choice. A generator whose output is not finite, or
 whose distances, difference quotients or Jacobian norms overflow, raises
@@ -28,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NumericsError, Var, backward, jacobian
-from .nets import NetworkParams, ParamLeaves, generator_forward
+from .autodiff import NumericsError, backward
+from .nets import NetworkParams, ParamLeaves, generator_forward, mlp_forward_vars
 from .optim import AdamHyper, adam_init, adam_step
 
 __all__ = [
@@ -67,13 +72,14 @@ def _finite(values, what: str):
     return values
 
 
-def _forward(params_G: NetworkParams, zs, x=None) -> Var:
-    """G(x, z) at every row of zs, all rows sharing the one condition x."""
+def _forward(params_G: NetworkParams, zs, x=None) -> tuple[np.ndarray, list]:
+    """G(x, z) at every row of zs, all rows sharing the one condition x, and
+    G's post-activation hidden layers there, ordered input -> output."""
     if x is not None:
         x = np.repeat(np.asarray(x, dtype=np.float64).reshape(1, -1), zs.shape[0], axis=0)
-    out = generator_forward(params_G, zs, x)
-    _finite(out.data, "generator output")
-    return out
+        zs = np.concatenate([x, zs], axis=1)
+    out, hidden = mlp_forward_vars(params_G.flat(), params_G.spec, zs)
+    return _finite(out.data, "generator output"), [h.data for h in hidden]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -81,17 +87,32 @@ def path_jacobians(params_G: NetworkParams, z1, z2, n_quad: int, x=None) -> np.n
     """Jacobians at the composite-midpoint nodes of the segment z1 -> z2,
     shape (n_quad, out_dim, z_dim).
 
-    Rows are independent, so the Jacobian of G's column sums over all nodes
-    holds every node's Jacobian.
+    One reverse pass carries all out_dim one-hot cotangents at once, stacked
+    on a leading axis, and gives the bits of `autodiff.jacobian`, which
+    replays the graph once per output. A one-hot cotangent times W_last.T is
+    a row of W_last.T at every node, exact but for the sign of zeros. Down
+    each hidden layer the pass applies the engine's activation derivative
+    (1 - t*t for tanh, t > 0 for relu) and W.T, and the stacked matmul runs,
+    per output, the same C-ordered 2-D product the engine's backward runs.
+    The engine adds 0.0 to each node's first gradient, which changes only the
+    sign of zeros, so one 0.0 added at the end reproduces it.
     """
     z1 = np.asarray(z1, dtype=np.float64).reshape(-1)
     z2 = np.asarray(z2, dtype=np.float64).reshape(-1)
     ts = (np.arange(n_quad) + 0.5) / n_quad
     gamma = ts[:, None] * z2[None, :] + (1.0 - ts)[:, None] * z1[None, :]
-    jac = _finite(jacobian(lambda z: _forward(params_G, z, x).sum(axis=0), gamma),
-                  "Jacobian in path_gradient_bound")
+    _, hidden = _forward(params_G, gamma, x)
+    weights = params_G.weights
+    # (out_dim, n_quad, width): output i's cotangent on the top hidden layer,
+    # C-ordered like the engine's gradients so each slice's matmul takes the
+    # same BLAS path
+    cot = np.repeat(weights[-1].T[:, None, :], n_quad, axis=1)
+    for h, W in zip(reversed(hidden), reversed(weights[:-1])):
+        deriv = 1.0 - h * h if params_G.spec.hidden_activation == "tanh" else h > 0.0
+        cot = (cot * deriv) @ W.T
+    jac = _finite(cot[:, :, cot.shape[2] - z1.size:] + 0.0, "Jacobian in path_gradient_bound")
     # a C-ordered copy: reductions over a transposed view may sum in another order
-    return np.ascontiguousarray(jac.reshape(-1, n_quad, z1.size).transpose(1, 0, 2))
+    return np.ascontiguousarray(jac.transpose(1, 0, 2))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -110,7 +131,7 @@ def path_gradient_bound(params_G: NetworkParams, z1, z2, n_quad: int = 64,
     gap = float(np.linalg.norm(z2 - z1))
     if gap == 0.0:
         raise ValueError("path_gradient_bound: z1 and z2 coincide")
-    ys = _forward(params_G, np.stack([z1, z2]), x).data
+    ys, _ = _forward(params_G, np.stack([z1, z2]), x)
     lhs = _finite(float(np.linalg.norm(ys[1] - ys[0]) / gap), "difference quotient")
     jac = path_jacobians(params_G, z1, z2, n_quad, x=x)
     norms = np.linalg.svd(jac, compute_uv=False)[:, 0]
@@ -187,16 +208,17 @@ class AttractionReport:
         }
 
 
-def _dists_to(params: NetworkParams, zs: np.ndarray, y_star: np.ndarray, x=None) -> np.ndarray:
-    ys = _forward(params, zs, x).data
+def _dists_to(ys: np.ndarray, y_star: np.ndarray) -> np.ndarray:
     return _finite(np.linalg.norm(ys - y_star[None, :], axis=1), "distance to y*")
 
 
 def _ratios_from(params: NetworkParams, z1: np.ndarray, zs: np.ndarray,
-                 gaps: np.ndarray, x=None) -> np.ndarray:
-    ys = _forward(params, np.vstack([z1[None, :], zs]), x).data
+                 gaps: np.ndarray, x=None) -> tuple[np.ndarray, np.ndarray]:
+    """Difference quotients of G from z1 to every row of zs, and G at those
+    rows, all from one pass of G over [z1; zs]."""
+    ys, _ = _forward(params, np.vstack([z1[None, :], zs]), x)
     return _finite(np.linalg.norm(ys[1:] - ys[0][None, :], axis=1) / gaps,
-                   "difference quotient")
+                   "difference quotient"), ys[1:]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -213,8 +235,10 @@ def attraction_check(params_t: NetworkParams, params_t1: NetworkParams, z1,
         raise ValueError("attraction_check: probes must be >= 1")
     z1 = np.asarray(z1, dtype=np.float64).reshape(-1)
     y_star = np.asarray(y_star, dtype=np.float64).reshape(-1)
-    d1 = _dists_to(params_t, z1[None, :], y_star, x=x)[0]
-    d1_next = _dists_to(params_t1, z1[None, :], y_star, x=x)[0]
+    # own 1-row passes: reusing row 0 of the probe passes below would move
+    # eps's bits, since a 1-row product takes BLAS's matrix-vector path
+    d1 = _dists_to(_forward(params_t, z1[None, :], x)[0], y_star)[0]
+    d1_next = _dists_to(_forward(params_t1, z1[None, :], x)[0], y_star)[0]
     eps = float(d1 - d1_next)
     if eps <= 0:
         raise ValueError(
@@ -225,11 +249,10 @@ def attraction_check(params_t: NetworkParams, params_t1: NetworkParams, z1,
     gaps = np.linalg.norm(z2 - z1[None, :], axis=1)
     keep = gaps > 0.0
     z2, gaps = z2[keep], gaps[keep]
-    ratio_t = _ratios_from(params_t, z1, z2, gaps, x=x)
-    ratio_t1 = _ratios_from(params_t1, z1, z2, gaps, x=x)
+    ratio_t, ys_t = _ratios_from(params_t, z1, z2, gaps, x=x)
+    ratio_t1, ys_t1 = _ratios_from(params_t1, z1, z2, gaps, x=x)
     condition = (ratio_t + ratio_t1) * gaps <= eps / 2.0
-    attracted = (_dists_to(params_t1, z2, y_star, x=x) + eps / 2.0
-                 < _dists_to(params_t, z2, y_star, x=x))
+    attracted = _dists_to(ys_t1, y_star) + eps / 2.0 < _dists_to(ys_t, y_star)
 
     max_ratios = np.maximum(ratio_t, ratio_t1)
     inf_est = float(np.min(max_ratios)) if len(max_ratios) else np.inf
@@ -241,8 +264,8 @@ def attraction_check(params_t: NetworkParams, params_t1: NetworkParams, z1,
         sel = ggaps > 0.0
         gz, ggaps = gz[sel], ggaps[sel]
         gmax = np.maximum(
-            _ratios_from(params_t, z1, gz, ggaps, x=x),
-            _ratios_from(params_t1, z1, gz, ggaps, x=x),
+            _ratios_from(params_t, z1, gz, ggaps, x=x)[0],
+            _ratios_from(params_t1, z1, gz, ggaps, x=x)[0],
         )
         if len(gmax):
             inf_est = min(inf_est, float(np.min(gmax)))

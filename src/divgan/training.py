@@ -439,6 +439,15 @@ def _adam_payload(state: AdamState) -> dict:
     return {"m": _encode(m), "v": _encode(v), "t": state.t}
 
 
+def _count(value, what: str) -> int:
+    """A stored count: a JSON integer >= 0, not a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise CheckpointError(
+            f"malformed checkpoint: {what} must be an integer >= 0, got {json.dumps(value)}"
+        )
+    return value
+
+
 def _adam_restore(doc: dict, name: str, spec: NetworkSpec, version: int) -> AdamState:
     payload = doc[name]
     m, v = _decode(payload["m"], spec, version), _decode(payload["v"], spec, version)
@@ -447,7 +456,7 @@ def _adam_restore(doc: dict, name: str, spec: NetworkSpec, version: int) -> Adam
             raise CheckpointError(f"malformed checkpoint: {name}.{moment} is not finite")
     if (v < 0).any():  # a running mean of squared gradients
         raise CheckpointError(f"malformed checkpoint: {name}.v is negative")
-    return AdamState(m=[m], v=[v], t=int(payload["t"]))
+    return AdamState(m=[m], v=[v], t=_count(payload["t"], f"{name}.t"))
 
 
 def save_checkpoint(state: TrainState) -> bytes:
@@ -489,14 +498,14 @@ def load_checkpoint(blob) -> TrainState:
             params_D=params_D,
             adam_G=_adam_restore(doc, "adam_G", params_G.spec, version),
             adam_D=_adam_restore(doc, "adam_D", params_D.spec, version),
-            step=int(doc["step"]),
+            step=_count(doc["step"], "step"),
             rng=rng,
         )
     except CheckpointError:
         raise
     # missing keys, wrong types, bad base64, shapes or specs, non-finite
     # weights (NonFiniteParams is a ValueError), a foreign rng state,
-    # overflowing ints
+    # overflowing ints in a spec
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
 

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import edit_vector
 from divgan import cli, training
-from divgan.cli import main
+from divgan.cli import MAX_COUNT, main
 from divgan.config import FIELDS, ConfigError, load_run_config, parse_run_config
 from divgan.data import RingMixtureSpec, TrajectorySpec
 from divgan.losses import DiversityConfig, ObjectiveConfig
@@ -277,6 +277,8 @@ def test_train_rejects_malformed_config(text, tmp_path, capsys):
     (["sweep", "--config", "CFG", "--lambdas", "0", "--jobs", "0"], "--jobs"),
     (["sweep", "--config", "CFG", "--lambdas", "0", "--jobs", "-5"], "--jobs"),
     (["interp", "CKPT", "--steps", "1"], "--steps"),
+    (["verify", "CFG", "--probes", "10000000000000"], "--probes"),
+    (["interp", "CKPT", "--steps", "10000000000000"], "--steps"),
 ])
 def test_flag_out_of_range_exits_before_work(argv, flag, tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_RING)
@@ -288,7 +290,8 @@ def test_flag_out_of_range_exits_before_work(argv, flag, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"argument {flag}: must be >= " in capsys.readouterr().err
+    bound = "<=" if int(argv[argv.index(flag) + 1]) > MAX_COUNT else ">="
+    assert f"argument {flag}: must be {bound} " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -421,6 +424,18 @@ def test_eval_rejects_impossible_adam_moments(network, moment, value, what, tmp_
     assert main(["eval", ckpt, "--config", cfg, "--out", str(tmp_path / "e.json")]) == 2
     err = capsys.readouterr().err
     assert err == f"checkpoint error: malformed checkpoint: {network}.{moment} {what}\n"
+    assert not (tmp_path / "e.json").exists()
+
+
+def test_eval_rejects_negative_adam_step_count(tmp_path, capsys):
+    cfg, doc = trained_checkpoint_doc(tmp_path)
+    doc["adam_G"]["t"] = -1
+    ckpt = write_cfg(tmp_path, doc, "bad.ckpt.json")
+    capsys.readouterr()
+    assert main(["eval", ckpt, "--config", cfg, "--out", str(tmp_path / "e.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("checkpoint error: malformed checkpoint: "
+                   "adam_G.t must be an integer >= 0, got -1\n")
     assert not (tmp_path / "e.json").exists()
 
 

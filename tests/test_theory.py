@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from divgan import autodiff, theory
 from divgan.autodiff import NumericsError, jacobian
 from divgan.nets import NetworkParams, NetworkSpec, generator_forward, mlp_init
 from divgan.optim import AdamHyper
@@ -73,20 +74,85 @@ def test_bound_validation():
         path_gradient_bound(params, np.zeros(2), np.ones(2), n_quad=4)
 
 
-@pytest.mark.parametrize("kind", ["tanh", "conditional", "relu"])
+# kind -> (cond_dim, hidden_dims, out_dim, activation, z_dim, n_quad)
+JACOBIAN_NETS = {
+    "tanh": (0, (16, 16), 3, "tanh", 2, 8),
+    "conditional": (3, (16, 16), 3, "tanh", 2, 8),
+    "relu": (0, (16, 16), 3, "relu", 2, 8),
+    "one_hidden": (0, (16,), 3, "tanh", 2, 64),
+    "three_hidden": (2, (16, 8, 12), 3, "tanh", 3, 64),
+    "trajectory_shaped": (20, (128, 128), 20, "tanh", 8, 64),  # out_dim > z_dim
+    "one_output": (0, (16, 16), 1, "tanh", 2, 64),
+    "relu_fine": (0, (16, 16), 2, "relu", 2, 512),
+    "one_latent": (0, (16,), 2, "relu", 1, 64),  # a matrix-vector product last
+}
+
+
+@pytest.mark.parametrize("kind", list(JACOBIAN_NETS))
 def test_path_jacobians_match_per_row_jacobian(kind, rng):
-    cond_dim = 3 if kind == "conditional" else 0
-    act = "relu" if kind == "relu" else "tanh"
-    params = mlp_init(NetworkSpec(cond_dim + 2, (16, 16), 3, hidden_activation=act), 5)
+    """Bit for bit what autodiff.jacobian gives with one seeded backward per
+    output row of G's column sums over all nodes."""
+    cond_dim, hidden, out_dim, act, z_dim, n_quad = JACOBIAN_NETS[kind]
+    params = mlp_init(NetworkSpec(cond_dim + z_dim, hidden, out_dim, hidden_activation=act), 5)
     x = rng.normal(size=cond_dim) if cond_dim else None
-    z1, z2 = rng.standard_normal(2), rng.standard_normal(2)
-    jacs = path_jacobians(params, z1, z2, n_quad=8, x=x)
-    assert jacs.shape == (8, 3, 2)
-    for t, jac in zip((np.arange(8) + 0.5) / 8, jacs):
-        z = (t * z2 + (1.0 - t) * z1)[None, :]
-        xr = None if x is None else x[None, :]
-        ref = jacobian(lambda v: generator_forward(params, v, xr), z)
-        assert jac == pytest.approx(ref, rel=1e-12, abs=0.0)
+    z1, z2 = rng.standard_normal(z_dim), rng.standard_normal(z_dim)
+    jacs = path_jacobians(params, z1, z2, n_quad=n_quad, x=x)
+    assert jacs.shape == (n_quad, out_dim, z_dim)
+    ts = (np.arange(n_quad) + 0.5) / n_quad
+    gamma = ts[:, None] * z2[None, :] + (1.0 - ts)[:, None] * z1[None, :]
+    xs = None if x is None else np.repeat(x[None, :], n_quad, axis=0)
+    ref = jacobian(lambda v: generator_forward(params, v, xs).sum(axis=0), gamma)
+    ref = ref.reshape(out_dim, n_quad, z_dim).transpose(1, 0, 2)
+    assert np.array_equal(jacs, ref) and np.array_equal(np.signbit(jacs), np.signbit(ref))
+    # and each node's slice is that node's Jacobian
+    node = jacobian(lambda v: generator_forward(params, v, None if x is None else x[None, :]),
+                    gamma[:1])
+    assert jacs[0] == pytest.approx(node, rel=1e-12, abs=1e-15)
+
+
+def test_path_jacobians_turn_negative_zero_weights_into_zeros():
+    """The engine's backward adds 0.0 to each first gradient, so a -0.0
+    weight reaches the Jacobian as +0.0."""
+    params = linear_params([[2.0, -0.0], [-0.0, 1.0]])
+    jacs = path_jacobians(params, np.zeros(2), np.ones(2), n_quad=8)
+    assert np.array_equal(jacs, np.broadcast_to(np.diag([2.0, 1.0]), (8, 2, 2)))
+    assert not np.signbit(jacs).any()
+
+
+class CallCount:
+    """Wraps a function and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+def test_bound_suite_makes_no_backward_call(monkeypatch):
+    spy = CallCount(autodiff.backward)
+    monkeypatch.setattr(autodiff, "backward", spy)
+    monkeypatch.setattr(theory, "backward", spy)
+    for act in ("tanh", "relu"):
+        params = mlp_init(NetworkSpec(3, (8, 8), 4, hidden_activation=act), 0)
+        bound_suite(params, n_pairs=3, rng=np.random.default_rng(0), z_dim=2, x=np.ones(1))
+    assert spy.calls == 0
+    pull_toward(tanh_generator(0), np.zeros(2), np.ones(2), AdamHyper())
+    assert spy.calls == 1  # the spy sees the calls theory makes
+
+
+@pytest.mark.parametrize("z_dim,passes", [(2, 6), (3, 4)])
+def test_attraction_check_runs_each_generator_pass_once(z_dim, passes, monkeypatch):
+    """d1 and d1_next, one pass of G_t and one of G_{t+1} over [z1; probes],
+    and in 2-D one of each over [z1; grid]."""
+    params = tanh_generator(1, z_dim=z_dim)
+    z1, y_star = np.zeros(z_dim), np.full(2, 5.0)
+    params_next = pull_toward(params, z1, y_star, AdamHyper())
+    spy = CallCount(theory.mlp_forward_vars)
+    monkeypatch.setattr(theory, "mlp_forward_vars", spy)
+    attraction_check(params, params_next, z1, y_star, probes=50, rng=np.random.default_rng(0))
+    assert spy.calls == passes
 
 
 def test_relu_generator_gets_finer_default_grid():

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -332,14 +333,53 @@ def _v1_array_missing(doc):
     doc["params_G"]["values"].pop()  # b1
 
 
+def _adam_t_negative(doc):
+    doc["adam_G"]["t"] = -1  # the next Adam step would divide by zero
+
+
+def _adam_t_fraction(doc):
+    doc["adam_G"]["t"] = 2.7
+
+
+def _adam_t_bool(doc):
+    _as_v1_fixture(doc)  # version 1 stores the counts the same way
+    doc["adam_D"]["t"] = True
+
+
+def _step_negative(doc):
+    doc["step"] = -7
+
+
+def _step_string(doc):
+    doc["step"] = "3"
+
+
+def _step_huge_float(doc):
+    doc["step"] = 1e300
+
+
+# counts that are not JSON integers >= 0, each named exactly
+COUNT_MESSAGES = {
+    _adam_t_negative: "adam_G.t must be an integer >= 0, got -1",
+    _adam_t_fraction: "adam_G.t must be an integer >= 0, got 2.7",
+    _adam_t_bool: "adam_D.t must be an integer >= 0, got true",
+    _step_negative: "step must be an integer >= 0, got -7",
+    _step_string: 'step must be an integer >= 0, got "3"',
+    _step_huge_float: "step must be an integer >= 0, got 1e+300",
+}
+
+
 @pytest.mark.parametrize("corrupt", [_nan_weight, _negative_dim, _foreign_rng,
                                      _adam_shape, _step_overflow, _sigmoid_output,
                                      _bad_base64, _one_float_short, _list_for_base64,
-                                     _base64_in_v1, _v1_array_missing])
+                                     _base64_in_v1, _v1_array_missing, *COUNT_MESSAGES])
 def test_checkpoint_bad_values_are_checkpoint_errors(corrupt):
     doc = json.loads(save_checkpoint(init_state(small_cfg())))
     corrupt(doc)
-    with pytest.raises(CheckpointError, match="malformed checkpoint"):
+    message = COUNT_MESSAGES.get(corrupt)
+    match = ("malformed checkpoint" if message is None
+             else f"^malformed checkpoint: {re.escape(message)}$")
+    with pytest.raises(CheckpointError, match=match):
         load_checkpoint(json.dumps(doc).encode())
 
 
