@@ -12,6 +12,10 @@ no backward closure, so a forward pass over constants builds no graph.
 `backward` walks only nodes that require a gradient, skips the matmul and
 `affine` products nobody reads, and leaves `.grad` untouched on constants.
 
+Nodes are few and fat where the networks spend their time: `affine` is one
+node for a layer, its tanh or relu included, and a reduction over a
+reshaped or transposed array replaces a chain of slices.
+
 Everything is float64 and strict: operand shapes must match exactly except
 for the few broadcast forms the networks need (scalar operands, and a
 row-vector bias added to a matrix). Anything else raises `ShapeMismatch`
@@ -31,6 +35,7 @@ __all__ = [
     "NumericsError",
     "lift",
     "affine",
+    "activation_grad",
     "concat",
     "backward",
     "evaluate_with_gradients",
@@ -106,7 +111,7 @@ class Var:
 
     def tanh(self):
         t = np.tanh(self.data)
-        return _node(t, (self,), lambda g, v: (g * (1.0 - t * t),))
+        return _node(t, (self,), lambda g, v: (g * activation_grad("tanh", t),))
 
     def relu(self):
         """max(x, 0) by np.maximum: -0.0 maps to +0.0 and NaN stays NaN,
@@ -114,8 +119,8 @@ class Var:
         reaches a relu only after the values diverged, and a diverging D
         still fails at the same training step, on the finiteness checks of
         the gradients and the loss. The gradient mask is x > 0."""
-        mask = self.data > 0.0
-        return _node(np.maximum(self.data, 0.0), (self,), lambda g, v: (g * mask,))
+        out = np.maximum(self.data, 0.0)
+        return _node(out, (self,), lambda g, v: (g * activation_grad("relu", out),))
 
     def softplus(self):
         # log(1 + exp(x)), computed without overflow
@@ -153,9 +158,9 @@ class Var:
         shape = self.shape
 
         def bwd(g, v):
-            if axis is None:
-                return (np.broadcast_to(g, shape).copy(),)
-            return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
+            full = np.empty(shape)
+            full[...] = g if axis is None else np.expand_dims(g, axis)
+            return (full,)
 
         return _node(out, (self,), bwd)
 
@@ -163,19 +168,20 @@ class Var:
         n = self.data.size if axis is None else self.shape[axis]
         return self.sum(axis=axis) * (1.0 / n)
 
-    def cols(self, start: int, stop: int):
-        """Column slice of a 2-d array."""
-        if self.ndim != 2:
-            raise ShapeMismatch(f"cols: expected a 2-d array, got shape {self.shape}")
-        sl = self.data[:, start:stop]
-        shape = self.shape
+    def reshape(self, *shape):
+        """The same values in another shape (numpy's reshape rules)."""
+        try:
+            out = self.data.reshape(shape)
+        except ValueError as exc:
+            raise ShapeMismatch(f"reshape: cannot reshape {self.shape} to {shape}") from exc
+        in_shape = self.shape
+        return _node(out, (self,), lambda g, v: (g.reshape(in_shape),))
 
-        def bwd(g, v):
-            full = np.zeros(shape)
-            full[:, start:stop] = g
-            return (full,)
-
-        return _node(sl, (self,), bwd)
+    def transpose(self):
+        """Axes reversed, as a C-ordered copy: a sum over the leading axis of
+        the copy adds its rows one by one, in order, where a sum over a
+        contiguous axis would sum pairwise."""
+        return _node(np.ascontiguousarray(self.data.T), (self,), lambda g, v: (g.T,))
 
 
 def lift(x) -> Var:
@@ -261,17 +267,43 @@ def _matmul(a: Var, b: Var) -> Var:
     return _node(out, (a, b), bwd)
 
 
-def affine(x, W, b) -> Var:
+def activation_grad(kind: str, out: np.ndarray) -> np.ndarray:
+    """The derivative of a tanh or relu, read off its output t: 1 - t*t for
+    tanh, the boolean mask t > 0 for relu (true exactly where the input
+    was > 0; NaN gives false)."""
+    if kind == "tanh":
+        return 1.0 - out * out
+    return out > 0.0
+
+
+def affine(x, W, b, activation=None) -> Var:
     """x @ W + b as one node: a (batch, n) input, an (n, m) weight matrix and
-    a length-m bias added to every row. Backward computes g @ W.T, x.T @ g
-    and g.sum(0), each only for an operand that requires a gradient."""
+    a length-m bias added to every row, followed by `activation` ("tanh" or
+    "relu") when one is given. Backward computes g @ W.T, x.T @ g and
+    g.sum(0), each only for an operand that requires a gradient.
+
+    The activation runs in place on the fresh output, and backward first
+    multiplies g by the derivative read off that output: the bits of
+    `affine` then `Var.tanh`/`Var.relu`. (The unfused graph stored that
+    product plus 0.0, which only turns -0.0 into 0.0; every backward is
+    linear in g and `_accumulate` adds 0.0 to each node's first gradient,
+    so no stored gradient can tell.)
+    """
+    if activation not in (None, "tanh", "relu"):
+        raise ValueError(f"affine: unknown activation {activation!r}")
     x, W, b = lift(x), lift(W), lift(b)
     if x.ndim != 2 or W.ndim != 2 or x.shape[1] != W.shape[0] or b.shape != W.shape[1:]:
         raise ShapeMismatch(f"affine: incompatible shapes {x.shape}, {W.shape} and {b.shape}")
     out = x.data @ W.data
     out += b.data
+    if activation == "tanh":
+        np.tanh(out, out=out)
+    elif activation == "relu":
+        np.maximum(out, 0.0, out=out)
 
     def bwd(g, v):
+        if activation is not None:
+            g = g * activation_grad(activation, out)
         return (g @ W.data.T if x.requires_grad else None,
                 x.data.T @ g if W.requires_grad else None,
                 g.sum(axis=0) if b.requires_grad else None)
@@ -309,11 +341,10 @@ def concat(parts, axis: int = 0) -> Var:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        pos = 1.0 / (1.0 + np.exp(-np.maximum(x, 0.0)))
-        ex = np.exp(np.minimum(x, 0.0))
-        neg = ex / (1.0 + ex)
-    return np.where(x >= 0.0, pos, neg)
+    """1 / (1 + e) for x >= 0 and e / (1 + e) for x < 0, with e = exp(-|x|),
+    which cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 # -- backward pass --------------------------------------------------------

@@ -137,24 +137,33 @@ def g_adv_loss(logits_fake, form: str = "non_saturating") -> Var:
 
 
 def _row_norms(diff: Var, norm: str) -> Var:
+    """Norms over the last axis."""
     if norm == "l1":
-        return diff.abs().sum(axis=1)
-    return diff.square().sum(axis=1).sqrt()
+        return diff.abs().sum(axis=-1)
+    return diff.square().sum(axis=-1).sqrt()
 
 
 def _batch_ratios(parts1, parts2, gaps: np.ndarray, norm: str,
                   tau: float | None) -> tuple[Var, Var]:
     """Per-example ratios of a batch: the row norms of parts1[k] - parts2[k]
-    (each (batch, dim)) averaged over the parts, over the latent gaps.
+    averaged over the parts, over the latent gaps. A (batch, dim) part is one
+    part; a (batch, T, dim) sequence counts as T parts, one per step, whose
+    norms are summed in step order (the leading-axis sum of a C-ordered
+    (T, batch) copy adds them one by one, as a chain of adds would).
 
     Returns (term entering the objective, raw ratio); the term is the raw
     ratio clipped at tau, or the raw ratio itself when tau is None.
     """
-    acc = None
+    acc, count = None, 0
     for a, b in zip(parts1, parts2):
         d = _row_norms(a - b, norm)
+        if d.ndim == 2:
+            count += d.shape[1]
+            d = d.transpose().sum(axis=0)
+        else:
+            count += 1
         acc = d if acc is None else acc + d
-    raw = acc * (1.0 / len(parts1)) * lift(1.0 / gaps)
+    raw = acc * (1.0 / count) * lift(1.0 / gaps)
     return (raw.clip_max(tau) if tau is not None else raw), raw
 
 
@@ -287,11 +296,9 @@ def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
         parts1, parts2 = [y1], [y2]
     elif div.space == "feature":
         parts1, parts2 = feats1, discriminator_forward(params_D, y2, batch.x)[1]
-    else:  # per-step slices of the flattened (B, T*dim) sequences
-        step = y1.shape[1] // batch.seq_len
-        cuts = [(t * step, (t + 1) * step) for t in range(batch.seq_len)]
-        parts1 = [y1.cols(a, b) for a, b in cuts]
-        parts2 = [y2.cols(a, b) for a, b in cuts]
+    else:  # the flattened (B, T*dim) sequences as (B, T, dim)
+        shape = (y1.shape[0], batch.seq_len, -1)
+        parts1, parts2 = [y1.reshape(*shape)], [y2.reshape(*shape)]
     term, raw = _batch_ratios(parts1, parts2, gaps, norm, tau)
     ratio_mean = float(raw.data.mean())
     if div.weight > 0:

@@ -10,6 +10,7 @@ condition with the latent code (generator) or the candidate output
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -102,14 +103,35 @@ class NetworkSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "NetworkSpec":
+        """The spec `to_dict` stored, read strictly: dims are JSON integers
+        >= 1 and init_scale a finite positive number (bools, strings and
+        fractional dims are refused with a ValueError, not rounded)."""
+        for key in ("input_dim", "output_dim"):
+            if not _is_dim(d[key]):
+                raise ValueError(f"NetworkSpec: {key} must be an integer >= 1, "
+                                 f"got {json.dumps(d[key])}")
+        hidden = d["hidden_dims"]
+        if not isinstance(hidden, list) or not all(map(_is_dim, hidden)):
+            raise ValueError(f"NetworkSpec: hidden_dims must be a list of integers >= 1, "
+                             f"got {json.dumps(hidden)}")
+        scale = d["init_scale"]
+        number = isinstance(scale, (int, float)) and not isinstance(scale, bool)
+        if not number or not 0 < scale < math.inf:
+            raise ValueError(f"NetworkSpec: init_scale must be a finite positive number, "
+                             f"got {json.dumps(scale)}")
         return NetworkSpec(
-            input_dim=int(d["input_dim"]),
-            hidden_dims=tuple(d["hidden_dims"]),
-            output_dim=int(d["output_dim"]),
+            input_dim=d["input_dim"],
+            hidden_dims=tuple(hidden),
+            output_dim=d["output_dim"],
             hidden_activation=d["hidden_activation"],
             output_activation=d["output_activation"],
-            init_scale=float(d["init_scale"]),
+            init_scale=float(scale),
         )
+
+
+def _is_dim(value) -> bool:
+    """A stored dim: a JSON integer >= 1, not a bool or a float."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 class NonFiniteParams(NumericsError, ValueError):
@@ -208,9 +230,9 @@ def mlp_forward_vars(param_vars, spec: NetworkSpec, inp) -> tuple[Var, list[Var]
     [W0, b0, W1, b1, ...]. Arrays enter as constants and `Var` leaves get
     gradients; with constant parameters and input no graph is built.
 
-    Hidden layers apply the spec's tanh or relu; the output is linear.
-    Returns (output, hidden) where hidden holds the post-activation hidden
-    layers ordered input -> output.
+    Hidden layers apply the spec's tanh or relu, fused into their `affine`
+    node; the output is linear. Returns (output, hidden) where hidden holds
+    the post-activation hidden layers ordered input -> output.
     """
     h = lift(inp)
     if h.ndim != 2 or h.shape[1] != spec.input_dim:
@@ -220,9 +242,9 @@ def mlp_forward_vars(param_vars, spec: NetworkSpec, inp) -> tuple[Var, list[Var]
     hidden = []
     n_layers = len(param_vars) // 2
     for i in range(n_layers):
-        h = affine(h, param_vars[2 * i], param_vars[2 * i + 1])
-        if i < n_layers - 1:
-            h = h.tanh() if spec.hidden_activation == "tanh" else h.relu()
+        activation = spec.hidden_activation if i < n_layers - 1 else None
+        h = affine(h, param_vars[2 * i], param_vars[2 * i + 1], activation)
+        if activation is not None:
             hidden.append(h)
     return h, hidden
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NumericsError, backward
+from .autodiff import NumericsError, activation_grad, backward
 from .nets import NetworkParams, ParamLeaves, generator_forward, mlp_forward_vars
 from .optim import AdamHyper, adam_init, adam_step
 
@@ -92,7 +92,7 @@ def path_jacobians(params_G: NetworkParams, z1, z2, n_quad: int, x=None) -> np.n
     replays the graph once per output. A one-hot cotangent times W_last.T is
     a row of W_last.T at every node, exact but for the sign of zeros. Down
     each hidden layer the pass applies the engine's activation derivative
-    (1 - t*t for tanh, t > 0 for relu) and W.T, and the stacked matmul runs,
+    (`autodiff.activation_grad`) and W.T, and the stacked matmul runs,
     per output, the same C-ordered 2-D product the engine's backward runs.
     The engine adds 0.0 to each node's first gradient, which changes only the
     sign of zeros, so one 0.0 added at the end reproduces it.
@@ -108,8 +108,7 @@ def path_jacobians(params_G: NetworkParams, z1, z2, n_quad: int, x=None) -> np.n
     # same BLAS path
     cot = np.repeat(weights[-1].T[:, None, :], n_quad, axis=1)
     for h, W in zip(reversed(hidden), reversed(weights[:-1])):
-        deriv = 1.0 - h * h if params_G.spec.hidden_activation == "tanh" else h > 0.0
-        cot = (cot * deriv) @ W.T
+        cot = (cot * activation_grad(params_G.spec.hidden_activation, h)) @ W.T
     jac = _finite(cot[:, :, cot.shape[2] - z1.size:] + 0.0, "Jacobian in path_gradient_bound")
     # a C-ordered copy: reductions over a transposed view may sum in another order
     return np.ascontiguousarray(jac.transpose(1, 0, 2))

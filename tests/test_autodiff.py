@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from divgan import losses
+from divgan import autodiff, losses
 from divgan.autodiff import (
     NumericsError,
     ShapeMismatch,
@@ -158,6 +158,105 @@ def test_affine_is_matmul_plus_bias_bit_for_bit(leaves, rng):
     assert affine(*[lift(a) for a in data])._parents == ()
 
 
+def same_bits(a, b) -> bool:
+    """Equal arrays down to the sign of every zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("leaves", [(0,), (1, 2), (0, 1, 2)])
+def test_fused_activation_matches_unfused_chain(activation, leaves, rng):
+    """affine(x, W, b, activation) gives the value and the gradients of
+    affine(x, W, b) followed by the activation op, down to the sign of
+    zeros: -0.0 weights, a relu unit dead on every row, and the output read
+    twice, once with a negative weight."""
+    x = rng.normal(size=(6, 3))
+    W = rng.normal(size=(3, 5))
+    W[:, 1] = -0.0
+    W[1, 2] = -0.0
+    b = rng.normal(size=(5,))
+    b[3] = -50.0  # relu unit 3 is 0 on every row
+    data = [x, W, b]
+    c = rng.normal(size=(6, 5))
+
+    def run(fused):
+        ops = [Var(a) if i in leaves else lift(a) for i, a in enumerate(data)]
+        h = affine(*ops, activation) if fused else getattr(affine(*ops), activation)()
+        backward((h * -1.0).sum() + (h * c).square().sum())
+        return h, ops
+
+    h_fused, fused = run(True)
+    h_split, split = run(False)
+    assert same_bits(h_fused.data, h_split.data)
+    for i, (f, r) in enumerate(zip(fused, split)):
+        if i in leaves:
+            assert same_bits(f.grad, r.grad)
+        else:
+            assert f.grad is None
+    if 2 in leaves and activation == "relu":
+        # the dead unit's cotangent is -0.0 on every row; the bias gradient
+        # holds 0.0, as in the unfused graph
+        assert same_bits(fused[2].grad[3], 0.0)
+
+
+def test_affine_rejects_unknown_activation():
+    with pytest.raises(ValueError, match="unknown activation 'sigmoid'"):
+        affine(np.ones((1, 2)), np.ones((2, 2)), np.zeros(2), "sigmoid")
+
+
+def test_activation_grad_matches_the_ops(rng):
+    """The one derivative helper: tanh's 1 - t*t and relu's boolean x > 0,
+    read off the activation output."""
+    x = np.concatenate([rng.normal(size=20), [0.0, -0.0, np.nan, np.inf, -np.inf]])
+    t = np.tanh(x)
+    assert same_bits(autodiff.activation_grad("tanh", t), 1.0 - t * t)
+    with np.errstate(invalid="ignore"):
+        mask = autodiff.activation_grad("relu", np.maximum(x, 0.0))
+        assert mask.dtype == bool and np.array_equal(mask, x > 0.0)
+
+
+def _two_exp_sigmoid(x):
+    with np.errstate(over="ignore"):
+        pos = 1.0 / (1.0 + np.exp(-np.maximum(x, 0.0)))
+        ex = np.exp(np.minimum(x, 0.0))
+        neg = ex / (1.0 + ex)
+    return np.where(x >= 0.0, pos, neg)
+
+
+def test_sigmoid_one_exp_matches_two_exp_formula(rng):
+    tiny = np.finfo(np.float64).tiny
+    x = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0, 709.8, -709.8,
+         5e-324, -5e-324, tiny / 2, -tiny / 2, tiny, -tiny, 36.8, -36.8, 1e308, -1e308],
+        rng.normal(size=200) * 10.0,
+    ])
+    assert same_bits(autodiff._sigmoid(x), _two_exp_sigmoid(x))
+    nan = autodiff._sigmoid(np.array([np.nan, -np.nan]))
+    assert np.isnan(nan).all()
+
+
+def test_reshape_and_transpose_gradients(rng):
+    for _ in range(50):
+        x = rng.normal(size=(2, 6))
+        c = rng.normal(size=(4, 3))
+        gradcheck(lambda v: (v.reshape(3, 4).transpose() * c).square().sum(), [x])
+        gradcheck(lambda v: v.reshape(2, 3, 2).abs().sum(axis=-1).transpose().sum(axis=0)
+                  .square().sum(), [x])
+
+
+def test_transpose_is_a_c_ordered_copy(rng):
+    x = Var(rng.normal(size=(4, 3)))
+    t = x.transpose()
+    assert t.data.flags["C_CONTIGUOUS"] and np.array_equal(t.data, x.data.T)
+    assert not np.shares_memory(t.data, x.data)
+
+
+def test_reshape_mismatch_names_op_and_shapes():
+    with pytest.raises(ShapeMismatch, match=re.escape("reshape: cannot reshape (2, 3) to (4, -1)")):
+        Var(np.ones((2, 3))).reshape(4, -1)
+
+
 def test_row_bias_add_gradients(rng):
     for _ in range(100):
         a = rng.normal(size=(4, 3))
@@ -174,12 +273,11 @@ def test_reduction_gradients(rng):
         gradcheck(lambda v: v.mean(axis=1).square().sum(), [x])
 
 
-def test_concat_and_cols_gradients(rng):
+def test_concat_gradients(rng):
     for _ in range(100):
         a = rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 3))
         gradcheck(lambda u, v: concat([u, v], axis=1).square().sum(), [a, b])
-        gradcheck(lambda u, v: concat([u, v], axis=1).cols(1, 4).sum(), [a, b])
 
 
 def test_clip_max_gradients(rng):
@@ -388,8 +486,8 @@ def test_jacobian_linear_map():
 
 def test_jacobian_componentwise():
     def f(z):
-        z0 = z.cols(0, 1)
-        z1 = z.cols(1, 2)
+        z0 = z @ np.array([[1.0], [0.0]])
+        z1 = z @ np.array([[0.0], [1.0]])
         return concat([z0.square(), z1], axis=1)
 
     jac = jacobian(f, np.array([[3.0, 1.0]]))

@@ -412,6 +412,22 @@ def test_eval_and_interp_reject_bad_weights(corruption, tmp_path, capsys):
     assert not (tmp_path / "e.json").exists() and not (tmp_path / "i.csv").exists()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("input_dim", 2.5, "input_dim must be an integer >= 1, got 2.5"),
+    ("hidden_dims", [128.9, 128], "hidden_dims must be a list of integers >= 1, got [128.9, 128]"),
+    ("init_scale", "7", 'init_scale must be a finite positive number, got "7"'),
+    ("output_dim", True, "output_dim must be an integer >= 1, got true"),
+])
+def test_eval_rejects_mistyped_spec(key, value, message, tmp_path, capsys):
+    cfg, doc = trained_checkpoint_doc(tmp_path)
+    doc["params_G"]["spec"][key] = value
+    ckpt = write_cfg(tmp_path, doc, "bad.ckpt.json")
+    capsys.readouterr()
+    assert main(["eval", ckpt, "--config", cfg, "--out", str(tmp_path / "e.json")]) == 2
+    assert capsys.readouterr().err == f"checkpoint error: malformed checkpoint: NetworkSpec: {message}\n"
+    assert not (tmp_path / "e.json").exists()
+
+
 @pytest.mark.parametrize("network,moment,value,what", [
     ("adam_G", "m", float("nan"), "is not finite"),
     ("adam_D", "v", -1.0, "is negative"),

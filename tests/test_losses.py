@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divgan import losses
-from divgan.autodiff import ShapeMismatch, Var, backward, evaluate_with_gradients
+from divgan import autodiff, losses
+from divgan.autodiff import ShapeMismatch, Var, backward, evaluate_with_gradients, lift
 from divgan.losses import (
     DegenerateLatentPair,
     DiversityConfig,
@@ -20,7 +20,13 @@ from divgan.losses import (
     reconstruction_loss,
     sequence_diversity_ratio,
 )
-from divgan.nets import NetworkSpec, discriminator_forward, generator_forward, mlp_init
+from divgan.nets import (
+    NetworkSpec,
+    ParamLeaves,
+    discriminator_forward,
+    generator_forward,
+    mlp_init,
+)
 
 from conftest import gradcheck
 
@@ -412,3 +418,75 @@ def test_lambda_scales_regularizer_gradient_linearly(rng):
     g2 = grads_at(0.4)
     for a, b, c in zip(g0, g1, g2):
         np.testing.assert_allclose(c - a, 2.0 * (b - a), rtol=1e-6, atol=1e-12)
+
+
+def _cols(v, start, stop):
+    """Columns start:stop of a 2-d Var as a node whose gradient is zero off
+    the slice: the per-step slice the sequence regularizer once used."""
+    shape = v.shape
+
+    def bwd(g, _):
+        full = np.zeros(shape)
+        full[:, start:stop] = g
+        return (full,)
+
+    return autodiff._node(v.data[:, start:stop], (v,), bwd)
+
+
+def _per_step_objective(batch, params_G, params_D, cfg, z2):
+    """The sequence objective with one column slice per step and a chain of
+    adds over the steps, as a reference for the one-pass graph."""
+    leaves = ParamLeaves(params_G)
+    y1 = generator_forward(leaves, batch.z1)
+    y2 = generator_forward(leaves, z2)
+    adv = g_adv_loss(discriminator_forward(params_D, y1)[0], cfg.g_loss_form)
+    step = y1.shape[1] // batch.seq_len
+    acc = None
+    for t in range(batch.seq_len):
+        a, b = _cols(y1, t * step, (t + 1) * step), _cols(y2, t * step, (t + 1) * step)
+        d = (a - b).abs().sum(axis=1)
+        acc = d if acc is None else acc + d
+    gaps = np.abs(batch.z1 - z2).sum(axis=1)
+    raw = acc * (1.0 / batch.seq_len) * lift(1.0 / gaps)
+    weight = cfg.diversity.weight
+    total = adv - weight * raw.mean() if weight > 0 else adv
+    if cfg.beta > 0:
+        total = total + cfg.beta * reconstruction_loss(y1, batch.y)
+    return total, raw, leaves
+
+
+@pytest.mark.parametrize("seq_len", [1, 2, 10])
+@pytest.mark.parametrize("weight,beta", [(0.0, 0.0), (0.7, 0.0), (10.0, 0.5)])
+def test_sequence_objective_equals_per_step_reference_bit_for_bit(seq_len, weight, beta, rng,
+                                                                 monkeypatch):
+    """The one-pass sequence ratio (a (B, T, dim) reshape, step norms summed
+    over the leading axis of a (T, B) copy) gives the per-step chain's
+    ratios, loss and G gradients to the last bit."""
+    params_G = mlp_init(NetworkSpec(3, (9,), 2 * seq_len), 21)
+    params_D = mlp_init(NetworkSpec(2 * seq_len, (8,), 1, hidden_activation="relu"), 22)
+    params_G.weights[1][:, 0] = -0.0  # step 0's first coordinate ignores z
+    batch = TrainBatch(z1=rng.normal(size=(7, 3)), z2=rng.normal(size=(7, 3)),
+                       y=rng.normal(size=(7, 2 * seq_len)), seq_len=seq_len)
+    cfg = ObjectiveConfig(beta=beta, diversity=DiversityConfig(weight=weight,
+                                                                space="sequence"))
+    seen = []
+    batch_ratios = losses._batch_ratios
+
+    def spy(*args):
+        seen.append(batch_ratios(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(losses, "_batch_ratios", spy)
+    res = generator_total_loss(batch, params_G, params_D, cfg)
+    monkeypatch.undo()
+    (term, raw), = seen
+    ref_total, ref_raw, ref_leaves = _per_step_objective(batch, params_G, params_D, cfg,
+                                                         res.z2_used)
+    assert raw.data.tobytes() == ref_raw.data.tobytes()
+    assert term.data.tobytes() == ref_raw.data.tobytes()  # no clip off output space
+    assert res.parts["ratio_mean"] == float(ref_raw.data.mean())
+    assert res.total.data.tobytes() == ref_total.data.tobytes()
+    backward(res.total)
+    backward(ref_total)
+    for got, want in zip(res.leaves.flat(), ref_leaves.flat()):
+        assert got.grad.tobytes() == want.grad.tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divgan.autodiff import ShapeMismatch, Var
+from divgan.autodiff import ShapeMismatch, Var, affine, backward
 from divgan.nets import (
     NetworkParams,
     NonFiniteParams,
@@ -187,3 +187,39 @@ def test_mlp_gradients_match_finite_differences(rng):
         return out.mean()
 
     gradcheck(head, params.flat())
+
+
+def _unfused_forward(param_vars, spec, inp):
+    """The MLP as one affine node per layer and a separate activation node."""
+    h, hidden = inp, []
+    for i in range(len(param_vars) // 2):
+        h = affine(h, param_vars[2 * i], param_vars[2 * i + 1])
+        if i < len(param_vars) // 2 - 1:
+            h = getattr(h, spec.hidden_activation)()
+            hidden.append(h)
+    return h, hidden
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_fused_forward_gradients_equal_unfused_bit_for_bit(activation, rng):
+    """The fused hidden layers give the gradients of an affine + activation
+    chain exactly, with each hidden layer read twice (by the next layer and,
+    as the feature-space regularizer does, by the loss), -0.0 weights and a
+    relu unit that is dead on every row."""
+    spec = NetworkSpec(3, (6, 5), 2, hidden_activation=activation)
+    params = mlp_init(spec, 13)
+    params.weights[0][:, 2] = -0.0
+    params.weights[1][4, :] = -0.0
+    params.biases[0][1] = -40.0
+    x = rng.normal(size=(7, 3))
+    grads = []
+    for forward in (mlp_forward_vars, _unfused_forward):
+        leaves = [Var(a) for a in params.flat()]
+        out, hidden = forward(leaves, spec, x)
+        loss = out.square().sum()
+        for h in hidden:
+            loss = loss - (h * -0.5).abs().sum()
+        backward(loss)
+        grads.append([v.grad.tobytes() for v in leaves] + [out.data.tobytes()]
+                     + [h.data.tobytes() for h in hidden])
+    assert grads[0] == grads[1]

@@ -383,6 +383,41 @@ def test_checkpoint_bad_values_are_checkpoint_errors(corrupt):
         load_checkpoint(json.dumps(doc).encode())
 
 
+# stored spec values that int()/float() would round or coerce, each refused
+# with its exact message
+SPEC_MESSAGES = [
+    ("input_dim", 2.5, "input_dim must be an integer >= 1, got 2.5"),
+    ("input_dim", True, "input_dim must be an integer >= 1, got true"),
+    ("output_dim", "2", 'output_dim must be an integer >= 1, got "2"'),
+    ("output_dim", 0, "output_dim must be an integer >= 1, got 0"),
+    ("hidden_dims", [128.9, 128],
+     "hidden_dims must be a list of integers >= 1, got [128.9, 128]"),
+    ("hidden_dims", [True, 128], "hidden_dims must be a list of integers >= 1, got [true, 128]"),
+    ("hidden_dims", "128", 'hidden_dims must be a list of integers >= 1, got "128"'),
+    ("init_scale", "7", 'init_scale must be a finite positive number, got "7"'),
+    ("init_scale", True, "init_scale must be a finite positive number, got true"),
+    ("init_scale", float("nan"), "init_scale must be a finite positive number, got NaN"),
+    ("init_scale", -1.0, "init_scale must be a finite positive number, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("key,value,message", SPEC_MESSAGES)
+def test_checkpoint_spec_with_wrong_types_is_refused(version, key, value, message):
+    doc = (json.loads(V1_FIXTURE.read_text()) if version == 1
+           else json.loads(save_checkpoint(init_state(small_cfg()))))
+    doc["params_D"]["spec"][key] = value
+    with pytest.raises(CheckpointError,
+                       match=f"^malformed checkpoint: NetworkSpec: {re.escape(message)}$"):
+        load_checkpoint(json.dumps(doc).encode())
+
+
+def test_checkpoint_spec_accepts_an_integer_init_scale():
+    doc = json.loads(save_checkpoint(init_state(small_cfg())))
+    doc["params_G"]["spec"]["init_scale"] = 1
+    assert load_checkpoint(json.dumps(doc).encode()).params_G.spec.init_scale == 1.0
+
+
 @pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("network,moment,value,what", [
     ("adam_G", "m", float("nan"), "is not finite"),
