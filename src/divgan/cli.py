@@ -10,7 +10,8 @@ Commands raise; `main` maps the error to a stderr line and an exit code:
        ("verification failed: ...")
     2  config error ("config error: ..."), a flag out of range (argparse's
        usage message, before any work), or an unreadable, malformed or
-       non-finite checkpoint, or one whose G overflows ("checkpoint error: ...")
+       non-finite checkpoint, one of another version, one whose D does not
+       fit its G, or one whose G overflows ("checkpoint error: ...")
     3  training divergence, in a step or an evaluation ("divergence: ...";
        metrics.csv is still written)
     4  I/O error ("io error: ...")
@@ -156,7 +157,8 @@ def _checkpoint_z_dim(state, command: str) -> int:
 
     A checkpoint does not record the condition width: it is what the
     discriminator reads beyond the generator's output, and the latent is
-    the rest of the generator's input.
+    the rest of the generator's input (load_checkpoint has checked that
+    the first is >= 0 and the second >= 1).
     """
     cond_dim = state.params_D.spec.input_dim - state.params_G.spec.output_dim
     z_dim = state.params_G.spec.input_dim - cond_dim

@@ -28,9 +28,9 @@ __all__ = [
     "save_points_csv",
 ]
 
-# upper bound on each size a run config sets (z_dim, batch_size, ring.n_modes):
-# with all three at the cap, no array built from them in training, evaluation
-# or the theory checks holds more than 2**25 float64 entries (256 MiB)
+# upper bound on each size a TrainConfig sets (z_dim, batch_size, eval_samples,
+# ring.n_modes): with all four at the cap, no array built from them in training,
+# evaluation or the theory checks holds more than 2**25 float64 entries (256 MiB)
 MAX_SIZE = 4096
 
 

@@ -83,14 +83,6 @@ class NetworkSpec:
             out.append(vector[start:end].reshape(shape))
         return out
 
-    def param_vector(self, arrays) -> np.ndarray:
-        """The arrays [W0, b0, W1, b1, ...] copied into a new vector in the
-        parameter layout. ValueError if an array cannot fill its shape."""
-        vector = np.empty(self.n_params)
-        for view, a in zip(self.param_views(vector), arrays):
-            view[...] = np.asarray(a, dtype=np.float64).reshape(view.shape)
-        return vector
-
     def to_dict(self) -> dict:
         return {
             "input_dim": self.input_dim,
@@ -160,13 +152,16 @@ class NetworkParams:
                 f"NetworkParams: spec wants {n_layers} layers, "
                 f"got {len(weights)} weight matrices and {len(biases)} biases"
             )
+        vector = np.empty(spec.n_params)
+        views = spec.param_views(vector)
         for i, (w, b) in enumerate(zip(weights, biases)):
             if np.shape(w) != shapes[2 * i] or np.shape(b) != shapes[2 * i + 1]:
                 raise ShapeMismatch(
                     f"NetworkParams: layer {i} has W{np.shape(w)}, b{np.shape(b)}, "
                     f"spec wants W{shapes[2 * i]}, b{shapes[2 * i + 1]}"
                 )
-        self._bind(spec, spec.param_vector([a for pair in zip(weights, biases) for a in pair]))
+            views[2 * i][...], views[2 * i + 1][...] = w, b
+        self._bind(spec, vector)
 
     @classmethod
     def from_vector(cls, spec: NetworkSpec, vector) -> "NetworkParams":
@@ -210,19 +205,16 @@ class ParamLeaves:
 
     def grad_vector(self) -> np.ndarray:
         """The gradients in `NetworkParams.vector`'s layout."""
-        return self.spec.param_vector([v.grad for v in self._vars])
+        return np.concatenate([v.grad.ravel() for v in self._vars])
 
 
 def mlp_init(spec: NetworkSpec, seed: int) -> NetworkParams:
     """Scaled-Gaussian weights (std init_scale/sqrt(fan_in)), zero biases."""
     rng = np.random.default_rng(seed)
-    dims = spec.layer_dims
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        std = spec.init_scale / np.sqrt(fan_in)
-        weights.append(rng.normal(0.0, std, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return NetworkParams(spec, weights, biases)
+    vector = np.zeros(spec.n_params)
+    for fan_in, w in zip(spec.layer_dims, spec.param_views(vector)[0::2]):
+        w[...] = rng.normal(0.0, spec.init_scale / np.sqrt(fan_in), size=w.shape)
+    return NetworkParams.from_vector(spec, vector)
 
 
 def mlp_forward_vars(param_vars, spec: NetworkSpec, inp) -> tuple[Var, list[Var]]:

@@ -1,9 +1,10 @@
-"""Adam with bias correction, as a pure functional update on array lists."""
+"""Adam with bias correction, as a pure functional update on one parameter
+vector."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,54 +26,43 @@ class AdamHyper:
             raise ValueError("AdamHyper: lr must be finite and positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("AdamHyper: betas must lie in [0, 1)")
-        if not math.isfinite(self.eps):
-            raise ValueError("AdamHyper: eps must be finite")
+        # a zero eps turns a zero gradient entry into 0/0
+        if not 0 < self.eps < math.inf:
+            raise ValueError("AdamHyper: eps must be finite and positive")
 
 
 @dataclass
 class AdamState:
-    """First/second moment buffers mirroring the parameter shapes."""
+    """First/second moment vectors in the parameter vector's layout."""
 
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
-def adam_init(params) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        t=0,
-    )
+def adam_init(params: np.ndarray) -> AdamState:
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params), t=0)
 
 
-def adam_step(params, grads, state: AdamState, hyper: AdamHyper):
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, hyper: AdamHyper):
     """One bias-corrected Adam update; returns (new params, new state).
 
     Inputs are untouched; the state's step counter advances by exactly 1.
     Non-finite gradients are an error so training loops can surface
     divergence instead of silently poisoning the moments.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
+    if not params.shape == grads.shape == state.m.shape == state.v.shape:
         raise ValueError(
-            f"adam_step: got {len(params)} params, {len(grads)} grads, "
-            f"{len(state.m)} moment buffers"
+            f"adam_step: param shape {params.shape}, grad shape {grads.shape}, "
+            f"moment shapes {state.m.shape} and {state.v.shape}"
         )
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"adam_step: param shape {p.shape} != grad shape {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericsError("adam_step: non-finite gradient")
+    if not np.all(np.isfinite(grads)):
+        raise NumericsError("adam_step: non-finite gradient")
 
     t = state.t + 1
     c1 = 1.0 - hyper.beta1**t
     c2 = 1.0 - hyper.beta2**t
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = hyper.beta1 * m + (1.0 - hyper.beta1) * g
-        v = hyper.beta2 * v + (1.0 - hyper.beta2) * (g * g)
-        step = hyper.lr * (m / c1) / (np.sqrt(v / c2) + hyper.eps)
-        new_params.append(p - step)
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+    m = hyper.beta1 * state.m + (1.0 - hyper.beta1) * grads
+    v = hyper.beta2 * state.v + (1.0 - hyper.beta2) * (grads * grads)
+    step = hyper.lr * (m / c1) / (np.sqrt(v / c2) + hyper.eps)
+    return params - step, AdamState(m=m, v=v, t=t)

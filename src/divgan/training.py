@@ -69,7 +69,7 @@ __all__ = [
 
 TASKS = ("ring", "conditional_ring", "trajectory")
 CSV_HEADER = "step,d_loss,g_adv,g_rec,l_z,ratio_mean,modes,hq_frac,diversity,dist_min,frechet"
-CHECKPOINT_VERSION = 2  # load_checkpoint also reads version 1
+CHECKPOINT_VERSION = 2
 
 # fixed stream tags so init, training, and evaluation draw independent seeds
 _STREAM_G_INIT, _STREAM_D_INIT, _STREAM_TRAIN, _STREAM_EVAL = 11, 13, 17, 19
@@ -113,6 +113,8 @@ class TrainConfig:
             raise ValueError(f"TrainConfig: z_dim must be in [1, {MAX_SIZE}]")
         if self.eval_every < 1:
             raise ValueError("TrainConfig: eval_every must be >= 1")
+        if not 3 <= self.eval_samples <= MAX_SIZE:  # frechet_2d fits a covariance
+            raise ValueError(f"TrainConfig: eval_samples must be in [3, {MAX_SIZE}]")
         if self.seed < 0:
             raise ValueError("TrainConfig: seed must be >= 0")
         if self.task == "conditional_ring":
@@ -180,8 +182,8 @@ def init_state(cfg: TrainConfig) -> TrainState:
     return TrainState(
         params_G=params_G,
         params_D=params_D,
-        adam_G=adam_init([params_G.vector]),
-        adam_D=adam_init([params_D.vector]),
+        adam_G=adam_init(params_G.vector),
+        adam_D=adam_init(params_D.vector),
         step=0,
         rng=np.random.default_rng(_seed_for(cfg.seed, _STREAM_TRAIN)),
     )
@@ -227,8 +229,8 @@ def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricR
             if not np.isfinite(d_loss_val):  # D's gradients can stay finite
                 raise NumericsError("d_loss: non-finite discriminator loss")
             backward(loss_d)
-            (vector,), state.adam_D = adam_step(
-                [state.params_D.vector], [leaves.grad_vector()], state.adam_D, cfg.adam
+            vector, state.adam_D = adam_step(
+                state.params_D.vector, leaves.grad_vector(), state.adam_D, cfg.adam
             )
             state.params_D = NetworkParams.from_vector(leaves.spec, vector)
 
@@ -239,8 +241,8 @@ def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricR
             res = generator_total_loss(batch, state.params_G, state.params_D,
                                        cfg.objective, rng=state.rng)
             backward(res.total)
-            (vector,), state.adam_G = adam_step(
-                [state.params_G.vector], [res.leaves.grad_vector()], state.adam_G, cfg.adam
+            vector, state.adam_G = adam_step(
+                state.params_G.vector, res.leaves.grad_vector(), state.adam_G, cfg.adam
             )
             state.params_G = NetworkParams.from_vector(state.params_G.spec, vector)
     except NumericsError as exc:
@@ -400,24 +402,17 @@ def sweep(base_cfg: TrainConfig, lambdas, jobs: int = 1) -> list[SweepEntry]:
 #
 # A version 2 checkpoint stores each vector in a network's parameter layout
 # (the parameters and both Adam moments) as one base64 string of its
-# little-endian float64 bytes. Version 1, still read, stored one JSON value
-# list per weight or bias array.
+# little-endian float64 bytes.
 
 
 def _encode(vector: np.ndarray) -> str:
     return base64.b64encode(vector.astype("<f8", copy=False).tobytes()).decode("ascii")
 
 
-def _decode(payload, spec: NetworkSpec, version: int) -> np.ndarray:
+def _decode(payload, spec: NetworkSpec) -> np.ndarray:
     """A stored vector as a new, native float64 vector in spec's layout. A
-    payload of the wrong JSON type, bad base64 (binascii.Error) or a list
-    that cannot fill its shape raises TypeError or ValueError, which
-    load_checkpoint reports as malformed."""
-    if version == 1:
-        if len(payload) != len(spec.param_shapes):
-            raise CheckpointError(f"malformed checkpoint: {len(payload)} arrays, "
-                                  f"spec wants {len(spec.param_shapes)}")
-        return spec.param_vector(payload)
+    payload of the wrong JSON type or bad base64 (binascii.Error) raises
+    TypeError or ValueError, which load_checkpoint reports as malformed."""
     raw = base64.b64decode(payload, validate=True)
     if len(raw) != 8 * spec.n_params:
         raise CheckpointError(f"malformed checkpoint: {len(raw)} bytes, not {8 * spec.n_params}")
@@ -428,15 +423,13 @@ def _params_payload(params: NetworkParams) -> dict:
     return {"spec": params.spec.to_dict(), "vector": _encode(params.vector)}
 
 
-def _params_restore(payload: dict, version: int) -> NetworkParams:
+def _params_restore(payload: dict) -> NetworkParams:
     spec = NetworkSpec.from_dict(payload["spec"])
-    stored = payload["values" if version == 1 else "vector"]
-    return NetworkParams.from_vector(spec, _decode(stored, spec, version))
+    return NetworkParams.from_vector(spec, _decode(payload["vector"], spec))
 
 
 def _adam_payload(state: AdamState) -> dict:
-    (m,), (v,) = state.m, state.v  # one moment vector per network
-    return {"m": _encode(m), "v": _encode(v), "t": state.t}
+    return {"m": _encode(state.m), "v": _encode(state.v), "t": state.t}
 
 
 def _count(value, what: str) -> int:
@@ -448,15 +441,27 @@ def _count(value, what: str) -> int:
     return value
 
 
-def _adam_restore(doc: dict, name: str, spec: NetworkSpec, version: int) -> AdamState:
+def _adam_restore(doc: dict, name: str, spec: NetworkSpec) -> AdamState:
     payload = doc[name]
-    m, v = _decode(payload["m"], spec, version), _decode(payload["v"], spec, version)
+    m, v = _decode(payload["m"], spec), _decode(payload["v"], spec)
     for moment, a in (("m", m), ("v", v)):
         if not np.isfinite(a).all():
             raise CheckpointError(f"malformed checkpoint: {name}.{moment} is not finite")
     if (v < 0).any():  # a running mean of squared gradients
         raise CheckpointError(f"malformed checkpoint: {name}.v is negative")
-    return AdamState(m=[m], v=[v], t=_count(payload["t"], f"{name}.t"))
+    return AdamState(m=m, v=v, t=_count(payload["t"], f"{name}.t"))
+
+
+def _check_fit(spec_G: NetworkSpec, spec_D: NetworkSpec) -> None:
+    """D reads a condition of cond >= 0 values beside G's output and writes
+    one logit; G reads the same condition beside a latent of >= 1 values."""
+    cond = spec_D.input_dim - spec_G.output_dim
+    if spec_D.output_dim != 1 or cond < 0 or spec_G.input_dim - cond < 1:
+        raise CheckpointError(
+            f"malformed checkpoint: params_D (input_dim {spec_D.input_dim}, output_dim "
+            f"{spec_D.output_dim}) does not fit params_G (input_dim {spec_G.input_dim}, "
+            f"output_dim {spec_G.output_dim})"
+        )
 
 
 def save_checkpoint(state: TrainState) -> bytes:
@@ -474,7 +479,7 @@ def save_checkpoint(state: TrainState) -> bytes:
 
 
 def load_checkpoint(blob) -> TrainState:
-    """A version 2 or version 1 blob back as the state it was saved from."""
+    """A version 2 blob back as the state it was saved from."""
     if isinstance(blob, str):
         blob = blob.encode("utf-8")
     try:
@@ -483,21 +488,20 @@ def load_checkpoint(blob) -> TrainState:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointError("malformed checkpoint: missing version")
-    version = doc["version"]
-    if version not in (1, CHECKPOINT_VERSION):
-        raise CheckpointError(
-            f"unsupported checkpoint version {version} (expected 1 or {CHECKPOINT_VERSION})"
-        )
+    if doc["version"] != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {json.dumps(doc['version'])} "
+                              f"(expected {CHECKPOINT_VERSION})")
     try:
-        params_G = _params_restore(doc["params_G"], version)
-        params_D = _params_restore(doc["params_D"], version)
+        params_G = _params_restore(doc["params_G"])
+        params_D = _params_restore(doc["params_D"])
+        _check_fit(params_G.spec, params_D.spec)
         rng = np.random.default_rng(0)
         rng.bit_generator.state = doc["rng_state"]
         return TrainState(
             params_G=params_G,
             params_D=params_D,
-            adam_G=_adam_restore(doc, "adam_G", params_G.spec, version),
-            adam_D=_adam_restore(doc, "adam_D", params_D.spec, version),
+            adam_G=_adam_restore(doc, "adam_G", params_G.spec),
+            adam_D=_adam_restore(doc, "adam_D", params_D.spec),
             step=_count(doc["step"], "step"),
             rng=rng,
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from divgan.autodiff import evaluate_with_gradients, finite_diff_gradient
+from divgan.nets import NetworkSpec
 
 
 def gradcheck(f, inputs, h=1e-5, rtol=1e-4, atol=1e-8):
@@ -34,6 +35,30 @@ def edit_vector(doc, network, key, edit):
     (base64 of little-endian float64 bytes) with edit(vector)."""
     vector = np.frombuffer(base64.b64decode(doc[network][key], validate=True), "<f8").copy()
     doc[network][key] = base64.b64encode(np.asarray(edit(vector), "<f8").tobytes()).decode()
+
+
+def refit(doc, network, **dims):
+    """Set `dims` in doc[network]'s spec ("params_G" or "params_D") and
+    resize its parameter and moment vectors to match, so only the two
+    networks' shapes can disagree."""
+    doc[network]["spec"].update(dims)
+    size = NetworkSpec.from_dict(doc[network]["spec"]).n_params
+    moments = "adam_" + network[-1]
+    for name, key in ((network, "vector"), (moments, "m"), (moments, "v")):
+        edit_vector(doc, name, key, lambda v: np.resize(v, size))
+
+
+def as_version_1(doc):
+    """A version 2 checkpoint doc rewritten in the version 1 layout, which
+    stored one JSON value list per weight or bias array."""
+    for network, moments in (("params_G", "adam_G"), ("params_D", "adam_D")):
+        spec = NetworkSpec.from_dict(doc[network]["spec"])
+        for name, key, new_key in ((network, "vector", "values"), (moments, "m", "m"),
+                                   (moments, "v", "v")):
+            vector = np.frombuffer(base64.b64decode(doc[name].pop(key)), "<f8")
+            doc[name][new_key] = [a.tolist() for a in spec.param_views(vector)]
+    doc["version"] = 1
+    return doc
 
 
 @pytest.fixture

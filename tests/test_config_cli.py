@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import edit_vector
+from conftest import as_version_1, edit_vector, refit
 from divgan import cli, training
 from divgan.cli import MAX_COUNT, main
 from divgan.config import FIELDS, ConfigError, load_run_config, parse_run_config
@@ -453,6 +453,40 @@ def test_eval_rejects_negative_adam_step_count(tmp_path, capsys):
     assert err == ("checkpoint error: malformed checkpoint: "
                    "adam_G.t must be an integer >= 0, got -1\n")
     assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "verify", "interp"])
+def test_version_1_checkpoint_is_refused(command, tmp_path, capsys):
+    cfg, doc = trained_checkpoint_doc(tmp_path)
+    ckpt = write_cfg(tmp_path, as_version_1(doc), "v1.ckpt.json")
+    out = str(tmp_path / "out")
+    argv = {"eval": ["eval", ckpt, "--config", cfg, "--out", out],
+            "verify": ["verify", ckpt, "--out", out, "--pairs", "2", "--probes", "10"],
+            "interp": ["interp", ckpt, "--out", out]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "checkpoint error: unsupported checkpoint version 1 (expected 2)\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("d_input_dim", [1, 5])
+def test_verify_and_interp_refuse_a_discriminator_that_does_not_fit(d_input_dim, tmp_path,
+                                                                    capsys):
+    """D reading 1 value cannot judge G's 2; D reading 5 would leave G's
+    2 inputs a 3-dim condition and a -1-dim latent."""
+    _, doc = trained_checkpoint_doc(tmp_path)
+    refit(doc, "params_D", input_dim=d_input_dim)
+    ckpt = write_cfg(tmp_path, doc, "bad.ckpt.json")
+    want = (f"checkpoint error: malformed checkpoint: params_D (input_dim {d_input_dim}, "
+            "output_dim 1) does not fit params_G (input_dim 2, output_dim 2)\n")
+    capsys.readouterr()
+    assert main(["verify", ckpt, "--out", str(tmp_path / "v.json"),
+                 "--pairs", "2", "--probes", "10"]) == 2
+    assert capsys.readouterr().err == want
+    assert main(["interp", ckpt, "--out", str(tmp_path / "i.csv")]) == 2
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "v.json").exists() and not (tmp_path / "i.csv").exists()
 
 
 def overflowing_checkpoint(tmp_path, weight=1e308):

@@ -6,6 +6,7 @@ from divgan.nets import (
     NetworkParams,
     NonFiniteParams,
     NetworkSpec,
+    ParamLeaves,
     default_discriminator_spec,
     default_generator_spec,
     discriminator_forward,
@@ -42,6 +43,31 @@ def test_init_weight_scale():
     emp = np.std(params.weights[0])  # 10^4 entries
     expected = spec.init_scale / np.sqrt(spec.input_dim)
     assert abs(emp - expected) / expected < 0.10
+
+
+@pytest.mark.parametrize("spec", [RING_G, RING_D, NetworkSpec(3, (5, 4), 2, init_scale=0.3)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_init_equals_the_per_layer_build_bit_for_bit(spec, seed):
+    """The same draws as a per-layer build: rng.normal per weight matrix,
+    input to output, and zero biases, then copied into one vector."""
+    rng = np.random.default_rng(seed)
+    dims = spec.layer_dims
+    weights, biases = [], []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(rng.normal(0.0, spec.init_scale / np.sqrt(fan_in), size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    want = NetworkParams(spec, weights, biases)
+    assert mlp_init(spec, seed).vector.tobytes() == want.vector.tobytes()
+
+
+def test_grad_vector_is_in_the_parameter_layout(rng):
+    params = mlp_init(NetworkSpec(3, (5, 4), 2), 0)
+    leaves = ParamLeaves(params)
+    backward(generator_forward(leaves, rng.normal(size=(6, 3))).square().sum())
+    grads = leaves.grad_vector()
+    assert grads.shape == params.vector.shape
+    for view, leaf in zip(params.spec.param_views(grads), leaves.flat()):
+        assert np.array_equal(view, leaf.grad)
 
 
 def test_spec_validation():

@@ -1,15 +1,14 @@
 import json
 import re
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import edit_vector
+from conftest import as_version_1, edit_vector, refit
 from divgan import training
 from divgan.autodiff import backward
-from divgan.data import RingMixtureSpec
+from divgan.data import MAX_SIZE, RingMixtureSpec
 from divgan.losses import DiversityConfig, ObjectiveConfig, TrainBatch, generator_total_loss
 from divgan.nets import NetworkParams, NetworkSpec
 from divgan.optim import AdamState
@@ -18,7 +17,6 @@ from divgan.training import (
     CSV_HEADER,
     DivergenceError,
     TrainConfig,
-    TrainState,
     evaluate_generator,
     init_state,
     load_checkpoint,
@@ -180,7 +178,7 @@ def assert_same_state(a, b):
     for pa, pb in ((a.params_G, b.params_G), (a.params_D, b.params_D)):
         assert pa.spec == pb.spec and pa.vector.tobytes() == pb.vector.tobytes()
     for sa, sb in ((a.adam_G, b.adam_G), (a.adam_D, b.adam_D)):
-        assert [x.tobytes() for x in sa.m + sa.v] == [x.tobytes() for x in sb.m + sb.v]
+        assert sa.m.tobytes() == sb.m.tobytes() and sa.v.tobytes() == sb.v.tobytes()
         assert sa.t == sb.t
     assert a.step == b.step
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
@@ -207,42 +205,19 @@ def test_checkpoint_vector_golden_encoding():
     spec = NetworkSpec(1, (1,), 1)  # W0, b0, W1, b1: four parameters
     state = init_state(small_cfg())
     state.params_G = NetworkParams.from_vector(spec, np.array([1.0, -0.0, 5e-324, -2.5]))
-    state.adam_G = AdamState(m=[np.zeros(4)], v=[np.zeros(4)], t=0)
+    state.params_D = NetworkParams.from_vector(spec, np.ones(4))  # D reads G's one output
+    state.adam_G = AdamState(m=np.zeros(4), v=np.zeros(4), t=0)
+    state.adam_D = AdamState(m=np.zeros(4), v=np.zeros(4), t=0)
     blob = save_checkpoint(state)
     assert json.loads(blob)["params_G"]["vector"] == "AAAAAAAA8D8AAAAAAAAAgAEAAAAAAAAAAAAAAAAABMA="
     assert load_checkpoint(blob).params_G.vector.tobytes() == state.params_G.vector.tobytes()
 
 
-V1_FIXTURE = Path(__file__).parent / "data" / "checkpoint_v1.json"
-
-
-def v1_fixture_state() -> TrainState:
-    """The state that tests/data/checkpoint_v1.json was written from by the
-    version 1 writer: tiny networks, exact values and the float64 extremes."""
-    g_spec = NetworkSpec(3, (4,), 2)
-    d_spec = NetworkSpec(2, (3,), 1, hidden_activation="relu")
-
-    def params(spec, size, shift):
-        vector = (np.arange(size) - shift) / 3.0
-        vector[:4] = [-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308]
-        return NetworkParams.from_vector(spec, vector)
-
-    def moments(size, t):
-        k = np.arange(size)
-        return AdamState(m=[(5 - k) / 9.0], v=[k * k / 7.0], t=t)
-
-    rng = np.random.default_rng(2019)
-    rng.random(3)
-    return TrainState(params_G=params(g_spec, 26, 7), params_D=params(d_spec, 13, 2),
-                      adam_G=moments(26, 3), adam_D=moments(13, 4), step=3, rng=rng)
-
-
-def test_checkpoint_v1_fixture_loads_exactly():
-    blob = V1_FIXTURE.read_bytes()
-    assert json.loads(blob)["version"] == 1 and len(blob) < 8192
-    loaded = load_checkpoint(blob)
-    assert_same_state(loaded, v1_fixture_state())
-    assert save_checkpoint(loaded) == save_checkpoint(v1_fixture_state())  # rewritten as v2
+def test_checkpoint_version_1_is_refused():
+    doc = as_version_1(json.loads(save_checkpoint(init_state(small_cfg()))))
+    with pytest.raises(CheckpointError,
+                       match=r"^unsupported checkpoint version 1 \(expected 2\)$"):
+        load_checkpoint(json.dumps(doc).encode())
 
 
 def test_checkpoint_roundtrip_exact():
@@ -254,8 +229,7 @@ def test_checkpoint_roundtrip_exact():
     assert loaded.step == state.step
     for a, b in zip(state.params_G.flat(), loaded.params_G.flat()):
         assert np.array_equal(a, b)
-    for a, b in zip(state.adam_D.m, loaded.adam_D.m):
-        assert np.array_equal(a, b)
+    assert np.array_equal(state.adam_D.m, loaded.adam_D.m)
     assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
     # the restored rng continues the exact stream
     assert np.array_equal(loaded.rng.standard_normal(3), state.rng.standard_normal(3))
@@ -318,21 +292,6 @@ def _list_for_base64(doc):
     doc["params_D"]["vector"] = [0.0] * len(init_state(small_cfg()).params_D.vector)
 
 
-def _as_v1_fixture(doc):
-    doc.clear()
-    doc.update(json.loads(V1_FIXTURE.read_text()))
-
-
-def _base64_in_v1(doc):
-    _as_v1_fixture(doc)
-    doc["adam_D"]["m"] = json.loads(save_checkpoint(v1_fixture_state()))["adam_D"]["m"]
-
-
-def _v1_array_missing(doc):
-    _as_v1_fixture(doc)
-    doc["params_G"]["values"].pop()  # b1
-
-
 def _adam_t_negative(doc):
     doc["adam_G"]["t"] = -1  # the next Adam step would divide by zero
 
@@ -342,7 +301,6 @@ def _adam_t_fraction(doc):
 
 
 def _adam_t_bool(doc):
-    _as_v1_fixture(doc)  # version 1 stores the counts the same way
     doc["adam_D"]["t"] = True
 
 
@@ -372,7 +330,7 @@ COUNT_MESSAGES = {
 @pytest.mark.parametrize("corrupt", [_nan_weight, _negative_dim, _foreign_rng,
                                      _adam_shape, _step_overflow, _sigmoid_output,
                                      _bad_base64, _one_float_short, _list_for_base64,
-                                     _base64_in_v1, _v1_array_missing, *COUNT_MESSAGES])
+                                     *COUNT_MESSAGES])
 def test_checkpoint_bad_values_are_checkpoint_errors(corrupt):
     doc = json.loads(save_checkpoint(init_state(small_cfg())))
     corrupt(doc)
@@ -401,11 +359,9 @@ SPEC_MESSAGES = [
 ]
 
 
-@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("key,value,message", SPEC_MESSAGES)
-def test_checkpoint_spec_with_wrong_types_is_refused(version, key, value, message):
-    doc = (json.loads(V1_FIXTURE.read_text()) if version == 1
-           else json.loads(save_checkpoint(init_state(small_cfg()))))
+def test_checkpoint_spec_with_wrong_types_is_refused(key, value, message):
+    doc = json.loads(save_checkpoint(init_state(small_cfg())))
     doc["params_D"]["spec"][key] = value
     with pytest.raises(CheckpointError,
                        match=f"^malformed checkpoint: NetworkSpec: {re.escape(message)}$"):
@@ -418,23 +374,45 @@ def test_checkpoint_spec_accepts_an_integer_init_scale():
     assert load_checkpoint(json.dumps(doc).encode()).params_G.spec.init_scale == 1.0
 
 
-@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("network,moment,value,what", [
     ("adam_G", "m", float("nan"), "is not finite"),
     ("adam_D", "m", float("-inf"), "is not finite"),
     ("adam_G", "v", float("inf"), "is not finite"),
     ("adam_D", "v", -1e-300, "is negative"),
 ])
-def test_checkpoint_impossible_adam_moments_are_refused(version, network, moment, value, what):
-    if version == 1:
-        doc = json.loads(V1_FIXTURE.read_text())
-        doc[network][moment][1][1] = value  # in b0
-    else:
-        doc = json.loads(save_checkpoint(init_state(small_cfg())))
-        edit_vector(doc, network, moment, lambda v: np.r_[v[0], value, v[2:]])
+def test_checkpoint_impossible_adam_moments_are_refused(network, moment, value, what):
+    doc = json.loads(save_checkpoint(init_state(small_cfg())))
+    edit_vector(doc, network, moment, lambda v: np.r_[v[0], value, v[2:]])
     with pytest.raises(CheckpointError,
                        match=f"^malformed checkpoint: {network}.{moment} {what}$"):
         load_checkpoint(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("task,network,dims,described", [
+    # D reads fewer values than G writes
+    ("ring", "params_D", dict(input_dim=1), "params_D (input_dim 1, output_dim 1) "
+     "does not fit params_G (input_dim 2, output_dim 2)"),
+    # D's extra 3 inputs would be a condition that leaves G no latent
+    ("ring", "params_D", dict(input_dim=5), "params_D (input_dim 5, output_dim 1) "
+     "does not fit params_G (input_dim 2, output_dim 2)"),
+    ("ring", "params_D", dict(output_dim=2), "params_D (input_dim 2, output_dim 2) "
+     "does not fit params_G (input_dim 2, output_dim 2)"),
+    # a 4-dim condition and no latent
+    ("conditional_ring", "params_G", dict(input_dim=4), "params_D (input_dim 6, output_dim 1) "
+     "does not fit params_G (input_dim 4, output_dim 2)"),
+])
+def test_checkpoint_whose_discriminator_does_not_fit_the_generator_is_refused(
+        task, network, dims, described):
+    doc = json.loads(save_checkpoint(init_state(small_cfg(task=task, z_dim=2))))
+    refit(doc, network, **dims)
+    with pytest.raises(CheckpointError, match=f"^malformed checkpoint: {re.escape(described)}$"):
+        load_checkpoint(json.dumps(doc).encode())
+
+
+def test_checkpoint_with_the_smallest_latent_loads():
+    doc = json.loads(save_checkpoint(init_state(small_cfg(task="conditional_ring", z_dim=2))))
+    refit(doc, "params_G", input_dim=5)  # the 4-dim condition and a 1-dim latent
+    assert load_checkpoint(json.dumps(doc).encode()).params_G.spec.input_dim == 5
 
 
 # -- sweep --------------------------------------------------------------------
@@ -500,6 +478,16 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
     assert [e.weight for e in entries] == [0.0, 0.1]
     sweep(small_cfg(steps=2), [0.0], jobs=64)
     assert started == [2]  # one run needs no pool
+
+
+@pytest.mark.parametrize("eval_samples", [2, 0, MAX_SIZE + 1])
+def test_train_config_rejects_eval_samples_out_of_range(eval_samples):
+    with pytest.raises(ValueError, match=re.escape(f"eval_samples must be in [3, {MAX_SIZE}]")):
+        small_cfg(eval_samples=eval_samples)
+
+
+def test_smallest_eval_samples_evaluates():
+    assert train(small_cfg(steps=1, eval_samples=3)).eval_report.n_samples == 3
 
 
 def test_train_config_rejects_negative_seed_and_unsplittable_ring():
