@@ -4,7 +4,14 @@ A self-contained numpy library: a small reverse-mode autodiff engine, MLP
 generator/discriminator pairs, adversarial + diversity objectives, ring and
 trajectory data, evaluation metrics, a deterministic trainer, and numerical
 checks of the gradient-bound and mode-attraction analysis.
+
+On glibc, importing the package fixes the allocator's mmap and trim
+thresholds so freed temporaries stay in the process (see `_allocator`).
 """
+
+from . import _allocator
+
+_allocator.keep_freed_memory()
 
 from .autodiff import (
     Var,

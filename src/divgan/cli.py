@@ -20,7 +20,9 @@ Commands raise; `main` maps the error to a stderr line and an exit code:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import sys
@@ -29,7 +31,7 @@ from dataclasses import replace
 import numpy as np
 
 from .autodiff import NumericsError
-from .config import ConfigError, load_run_config
+from .config import ConfigError, load_run_config, parse_run_config
 from .metrics import latent_interpolation
 from .nets import mlp_init
 from .optim import AdamHyper
@@ -65,9 +67,29 @@ _ERRORS = {
 
 
 def _write(path, data) -> None:
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(path, mode) as fh:
-        fh.write(data)
+    """Write `data` (bytes, or str as UTF-8) to `path` all at once: into a new
+    file beside it, then moved over it with os.replace. A failure or a crash
+    leaves the old file, or none, but never part of one; on an error the
+    temporary file is removed."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _csv(rows) -> str:
+    """CSV text of `rows` in csv.writer's default dialect, rows ending in CRLF."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _load_config(args):
@@ -129,17 +151,16 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--lambdas must name at least one value")
     entries = sweep(cfg, lambdas, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "modes", "hq_frac", "diversity", "frechet"])
-        for e in entries:
-            if e.report is None:
-                writer.writerow([e.weight, "", "", "", ""])
-            else:
-                writer.writerow([
-                    e.weight, e.report.modes_captured, e.report.hq_fraction,
-                    e.report.pairwise_diversity, e.report.frechet2,
-                ])
+    summary = [["lambda", "modes", "hq_frac", "diversity", "frechet"]]
+    for e in entries:
+        if e.report is None:
+            summary.append([e.weight, "", "", "", ""])
+        else:
+            summary.append([
+                e.weight, e.report.modes_captured, e.report.hq_fraction,
+                e.report.pairwise_diversity, e.report.frechet2,
+            ])
+    _write(os.path.join(args.out, "summary.csv"), _csv(summary))
     doc = [
         {
             "lambda": e.weight,
@@ -176,6 +197,8 @@ def cmd_verify(args) -> int:
     with open(args.target, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"target is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"target is not valid JSON: {exc}") from exc
     seed = args.seed if args.seed is not None else 0
@@ -185,7 +208,7 @@ def cmd_verify(args) -> int:
         z_dim = _checkpoint_z_dim(state, "verify")
         params_G = state.params_G
     else:
-        cfg = load_run_config(args.target)
+        cfg = parse_run_config(doc)
         if cfg.task != "ring":
             raise ConfigError("verify expects an unconditional (ring) generator")
         g_spec, _ = task_specs(cfg)
@@ -231,17 +254,16 @@ def cmd_interp(args) -> int:
         raise CheckpointError(str(exc)) from exc
     except ValueError as exc:  # its argument checks
         raise ConfigError(str(exc)) from exc
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        zcols = [f"z{i}" for i in range(z_dim)]
-        ycols = [f"y{i}" for i in range(params_G.spec.output_dim)]
-        writer.writerow(["step"] + zcols + ycols + ["slerp_fallback"])
-        for i in range(args.steps):
-            writer.writerow(
-                [i] + [repr(float(v)) for v in res.latents[i]]
-                + [repr(float(v)) for v in res.outputs[i]]
-                + [int(res.slerp_fallback)]
-            )
+    zcols = [f"z{i}" for i in range(z_dim)]
+    ycols = [f"y{i}" for i in range(params_G.spec.output_dim)]
+    rows = [["step"] + zcols + ycols + ["slerp_fallback"]]
+    for i in range(args.steps):
+        rows.append(
+            [i] + [repr(float(v)) for v in res.latents[i]]
+            + [repr(float(v)) for v in res.outputs[i]]
+            + [int(res.slerp_fallback)]
+        )
+    _write(args.out, _csv(rows))
     return EXIT_OK
 
 

@@ -94,5 +94,7 @@ def load_run_config(path) -> TrainConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return parse_run_config(json.load(fh))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc

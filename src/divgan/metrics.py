@@ -107,7 +107,10 @@ def frechet_2d(set_a, set_b) -> float:
         ||mu_a - mu_b||^2 + tr(S_a + S_b - 2 (S_a S_b)^{1/2})
 
     using the closed-form trace of a 2x2 matrix square root. Unbiased
-    covariance (n-1). Tiny negative residue (>= -1e-9) is clamped to 0.
+    covariance (n-1). A negative residue is rounding and is clamped to 0 if
+    it is at most 1e-9 times max(1, ||mu_a - mu_b||^2 + tr S_a + tr S_b),
+    the size of the terms it is the difference of; a larger one raises
+    NumericsError.
     """
     a = np.asarray(set_a, dtype=np.float64)
     b = np.asarray(set_b, dtype=np.float64)
@@ -122,9 +125,10 @@ def frechet_2d(set_a, set_b) -> float:
     det_prod = max(np.linalg.det(cov_a) * np.linalg.det(cov_b), 0.0)
     tr_ab = float(np.trace(cov_a @ cov_b))
     tr_sqrt = np.sqrt(max(tr_ab + 2.0 * np.sqrt(det_prod), 0.0))
-    value = float(np.sum((mu_a - mu_b) ** 2) + np.trace(cov_a) + np.trace(cov_b) - 2.0 * tr_sqrt)
-    if value < -1e-9:
-        raise ArithmeticError(f"frechet_2d: negative distance {value} beyond tolerance")
+    terms = np.sum((mu_a - mu_b) ** 2) + np.trace(cov_a) + np.trace(cov_b)
+    value = float(terms - 2.0 * tr_sqrt)
+    if value < -1e-9 * max(1.0, float(terms)):
+        raise NumericsError(f"frechet_2d: negative distance {value} beyond tolerance")
     return max(value, 0.0)
 
 

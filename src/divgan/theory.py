@@ -108,7 +108,10 @@ def path_jacobians(params_G: NetworkParams, z1, z2, n_quad: int, x=None) -> np.n
     # same BLAS path
     cot = np.repeat(weights[-1].T[:, None, :], n_quad, axis=1)
     for h, W in zip(reversed(hidden), reversed(weights[:-1])):
-        cot = (cot * activation_grad(params_G.spec.hidden_activation, h)) @ W.T
+        # cot is fresh (the repeat, then each product), so the derivative
+        # is multiplied into it in place
+        cot *= activation_grad(params_G.spec.hidden_activation, h)
+        cot = cot @ W.T
     jac = _finite(cot[:, :, cot.shape[2] - z1.size:] + 0.0, "Jacobian in path_gradient_bound")
     # a C-ordered copy: reductions over a transposed view may sum in another order
     return np.ascontiguousarray(jac.transpose(1, 0, 2))

@@ -14,7 +14,6 @@ import copy
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -393,6 +392,10 @@ def sweep(base_cfg: TrainConfig, lambdas, jobs: int = 1) -> list[SweepEntry]:
     tasks = [(base_cfg, float(lam)) for lam in lambdas]
     workers = min(jobs, len(tasks))  # the pool starts every worker it may use
     if workers > 1:
+        # imported here: concurrent.futures and multiprocessing cost every
+        # `import divgan` 20-30 ms, and only a parallel sweep needs them
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_one, tasks))
     return [_sweep_one(t) for t in tasks]

@@ -200,6 +200,30 @@ def test_fused_activation_matches_unfused_chain(activation, leaves, rng):
         assert same_bits(fused[2].grad[3], 0.0)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_fused_tanh_backward_matches_unfused_on_random_inputs(seed):
+    """The fused tanh backward multiplies g into the fresh 1 - t*t; it keeps
+    the bits and zero signs of affine then Var.tanh, also where wide inputs
+    saturate t to +-1 (a 0.0 derivative) and g is negative or -0.0."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-2, 2)
+    x = rng.normal(size=(7, 4)) * scale
+    W = rng.normal(size=(4, 6))
+    W[rng.random(W.shape) < 0.2] = -0.0
+    b = rng.normal(size=(6,))
+    c = rng.normal(size=(7, 6))
+    c[rng.random(c.shape) < 0.2] = -0.0
+
+    def run(fused):
+        ops = [Var(a) for a in (x, W, b)]
+        h = affine(*ops, "tanh") if fused else affine(*ops).tanh()
+        backward((h * c).sum())
+        return [h.data] + [v.grad for v in ops]
+
+    for f, r in zip(run(True), run(False)):
+        assert same_bits(f, r)
+
+
 def test_affine_rejects_unknown_activation():
     with pytest.raises(ValueError, match="unknown activation 'sigmoid'"):
         affine(np.ones((1, 2)), np.ones((2, 2)), np.zeros(2), "sigmoid")

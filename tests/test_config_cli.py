@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -293,6 +295,73 @@ def test_flag_out_of_range_exits_before_work(argv, flag, tmp_path, capsys):
     bound = "<=" if int(argv[argv.index(flag) + 1]) > MAX_COUNT else ">="
     assert f"argument {flag}: must be {bound} " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "eval", "verify"])
+def test_config_that_is_not_utf8_is_config_error(command, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00{}")
+    argv = {
+        "train": ["train", "--config", str(bad)],
+        "sweep": ["sweep", "--config", str(bad), "--lambdas", "0"],
+        "eval": ["eval", str(tmp_path / "unread.ckpt.json"), "--config", str(bad)],
+        "verify": ["verify", str(bad)],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    what = "target" if command == "verify" else "config"
+    assert err.startswith(f"config error: {what} is not UTF-8: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_failed_replace_keeps_the_previous_artifact(tmp_path, monkeypatch, capsys):
+    """An artifact is written beside its target and moved over it: when the
+    move fails, the old file survives byte for byte and no temporary is
+    left behind."""
+    cfg = write_cfg(tmp_path, dict(FAST_RING, steps=2, eval_every=2))
+    run = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(run)]) == 0
+    target = run / "eval.json"
+    previous = target.read_bytes()
+    listing = sorted(os.listdir(run))
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    code = main(["eval", str(run / "final.ckpt.json"), "--config", cfg, "--seed", "5",
+                 "--out", str(target)])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("io error: ")
+    assert target.read_bytes() == previous
+    assert sorted(os.listdir(run)) == listing
+
+
+def test_csv_artifacts_keep_crlf_rows(tmp_path):
+    """summary.csv and the interp CSV are csv.writer text, rows ending in CRLF."""
+    cfg = write_cfg(tmp_path, dict(FAST_RING, steps=2, eval_every=2))
+    assert main(["sweep", "--config", cfg, "--lambdas", "0", "--out", str(tmp_path / "s")]) == 0
+    summary = (tmp_path / "s" / "summary.csv").read_bytes()
+    assert summary.startswith(b"lambda,modes,hq_frac,diversity,frechet\r\n0.0,")
+    assert summary.count(b"\r\n") == 2 and summary.endswith(b"\r\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    out = tmp_path / "i.csv"
+    assert main(["interp", str(tmp_path / "run" / "final.ckpt.json"), "--out", str(out),
+                 "--steps", "3"]) == 0
+    lines = out.read_bytes().split(b"\r\n")
+    assert lines[0] == b"step,z0,z1,y0,y1,slerp_fallback" and len(lines) == 5 and lines[-1] == b""
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """Only a parallel sweep imports concurrent.futures and multiprocessing."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, divgan.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_eval_missing_checkpoint(tmp_path):

@@ -160,6 +160,13 @@ def test_frechet_matches_sqrtm_oracle(rng):
         assert frechet_2d(a, b) == pytest.approx(sqrtm_frechet(a, b), abs=1e-8)
 
 
+def test_frechet_identical_wide_sets_are_zero():
+    """Covariance traces near 1e10 round by ~1e-5; the tolerance scales with
+    them (this draw's residue is -3.8e-05, past a fixed -1e-9)."""
+    a = np.random.default_rng(0).normal(scale=1e5, size=(2500, 2))
+    assert frechet_2d(a, a.copy()) == 0.0
+
+
 def test_frechet_symmetric(rng):
     a = rng.normal(size=(100, 2))
     b = 2 * rng.normal(size=(100, 2)) + 1

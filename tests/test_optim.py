@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from divgan.autodiff import NumericsError
-from divgan.optim import AdamHyper, adam_init, adam_step
+from divgan.optim import AdamHyper, AdamState, adam_init, adam_step
 
 
 def make_params(rng):
@@ -95,3 +95,39 @@ def test_matches_reference_formula(rng):
         vhat = v / (1 - hyper.beta2**t)
         q = q - hyper.lr * mhat / (np.sqrt(vhat) + hyper.eps)
         assert np.allclose(p, q, atol=1e-15)
+
+
+def test_matches_textbook_expression_bit_for_bit():
+    """The in-place update has the bits of the textbook expression, down to
+    the sign of zeros, on -0.0, subnormals, 1e300 and mixed signs, and
+    leaves its inputs untouched."""
+    tiny = 5e-324
+    rng = np.random.default_rng(4)
+    # the edge values, then random ones of mixed sign and magnitude, where a
+    # reordered product or quotient would round differently
+    mixed = lambda: rng.normal(size=200) * 10.0 ** rng.uniform(-8, 8, size=200)
+    params = np.concatenate([[0.0, -0.0, tiny, -tiny, 1e300, -1e300, 1.5, -2.25, 3e-310, -7.0],
+                             mixed()])
+    grads = np.concatenate([[-0.0, 0.0, -tiny, tiny, 1e300, -3.0, -1e300, 2.5e-320, 0.5, -0.0],
+                            mixed()])
+    m = np.concatenate([[-0.0, tiny, 0.0, -1e300, 2.0, -tiny, 1e300, -0.5, 0.0, 4e-321],
+                        mixed()])
+    v = np.concatenate([[0.0, tiny, 1e300, 0.0, 3.0, 2.5e-320, 1e-300, 0.25, 1e300, 0.0],
+                        np.abs(mixed())])
+    state = AdamState(m=m, v=v, t=2)
+    hyper = AdamHyper(lr=1e-3, beta1=0.9, beta2=0.99, eps=1e-8)
+    before = [a.tobytes() for a in (params, grads, m, v)]
+    with np.errstate(over="ignore"):  # 1e300 squared is inf, as in the expression
+        new, out = adam_step(params, grads, state, hyper)
+        t = 3
+        c1 = 1.0 - hyper.beta1**t
+        c2 = 1.0 - hyper.beta2**t
+        m_ref = hyper.beta1 * m + (1.0 - hyper.beta1) * grads
+        v_ref = hyper.beta2 * v + (1.0 - hyper.beta2) * (grads * grads)
+        p_ref = params - hyper.lr * (m_ref / c1) / (np.sqrt(v_ref / c2) + hyper.eps)
+    assert out.t == t
+    for got, ref in ((new, p_ref), (out.m, m_ref), (out.v, v_ref)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert [a.tobytes() for a in (params, grads, m, v)] == before
+    assert not any(np.shares_memory(a, b) for a in (new, out.m, out.v)
+                   for b in (params, grads, m, v))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import re
 from dataclasses import replace
@@ -472,7 +473,8 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(training, "ProcessPoolExecutor", SerialPool)
+    # sweep imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     entries = sweep(small_cfg(steps=2), [0.0, 0.1], jobs=64)
     assert started == [2]
     assert [e.weight for e in entries] == [0.0, 0.1]
