@@ -272,8 +272,7 @@ def activation_grad(kind: str, out: np.ndarray) -> np.ndarray:
     tanh, the boolean mask t > 0 for relu (true exactly where the input
     was > 0; NaN gives false)."""
     if kind == "tanh":
-        d = out * out
-        return np.subtract(1.0, d, out=d)
+        return 1.0 - out * out
     return out > 0.0
 
 
@@ -303,11 +302,7 @@ def affine(x, W, b, activation=None) -> Var:
         np.maximum(out, 0.0, out=out)
 
     def bwd(g, v):
-        if activation == "tanh":  # g times the fresh 1 - t*t, in its buffer
-            d = activation_grad(activation, out)
-            d *= g
-            g = d
-        elif activation == "relu":  # the bool mask cannot hold the product
+        if activation is not None:
             g = g * activation_grad(activation, out)
         return (g @ W.data.T if x.requires_grad else None,
                 x.data.T @ g if W.requires_grad else None,

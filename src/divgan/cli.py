@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 from dataclasses import replace
 
@@ -67,16 +68,32 @@ _ERRORS = {
 
 
 def _write(path, data) -> None:
-    """Write `data` (bytes, or str as UTF-8) to `path` all at once: into a new
-    file beside it, then moved over it with os.replace. A failure or a crash
-    leaves the old file, or none, but never part of one; on an error the
-    temporary file is removed."""
+    """Write `data` (bytes, or str as UTF-8) to `path`.
+
+    A missing target, or a regular file with one link, is replaced all at
+    once: the data goes into a new file in the same directory, which takes
+    the old file's permission bits, and os.replace moves it over the target.
+    A failure or a crash leaves the old file, or none, but never part of
+    one; on an error the new file is removed. Any other target (a symlink,
+    a device such as /dev/null, a FIFO, a hard-linked file) is opened and
+    written in place, as open() would, so it stays what it is."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        old = os.lstat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not (stat.S_ISREG(old.st_mode) and old.st_nlink == 1):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return
+    # a short name of its own, so a target name near NAME_MAX still fits
+    tmp = os.path.join(os.path.dirname(path), f".divgan-{os.getpid()}-{os.urandom(4).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
+            if old is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -50,15 +50,6 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, hyper: Ad
     Inputs are untouched; the state's step counter advances by exactly 1.
     Non-finite gradients are an error so training loops can surface
     divergence instead of silently poisoning the moments.
-
-    The update is the textbook one, operation for operation:
-
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * (g * g)
-        params - lr * (m / c1) / (sqrt(v / c2) + eps)
-
-    evaluated into the three fresh result vectors and one scratch vector,
-    so it has the same bits as the expression and allocates four vectors.
     """
     if not params.shape == grads.shape == state.m.shape == state.v.shape:
         raise ValueError(
@@ -71,18 +62,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, hyper: Ad
     t = state.t + 1
     c1 = 1.0 - hyper.beta1**t
     c2 = 1.0 - hyper.beta2**t
-    scratch = np.multiply(grads, 1.0 - hyper.beta1)
-    m = np.multiply(state.m, hyper.beta1)
-    m += scratch
-    np.multiply(grads, grads, out=scratch)
-    scratch *= 1.0 - hyper.beta2
-    v = np.multiply(state.v, hyper.beta2)
-    v += scratch
-    np.divide(v, c2, out=scratch)  # scratch becomes the denominator
-    np.sqrt(scratch, out=scratch)
-    scratch += hyper.eps
-    new = np.divide(m, c1)  # becomes the new parameter vector
-    new *= hyper.lr
-    new /= scratch
-    np.subtract(params, new, out=new)
-    return new, AdamState(m=m, v=v, t=t)
+    m = hyper.beta1 * state.m + (1.0 - hyper.beta1) * grads
+    v = hyper.beta2 * state.v + (1.0 - hyper.beta2) * (grads * grads)
+    step = hyper.lr * (m / c1) / (np.sqrt(v / c2) + hyper.eps)
+    return params - step, AdamState(m=m, v=v, t=t)

@@ -202,9 +202,9 @@ def test_fused_activation_matches_unfused_chain(activation, leaves, rng):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_fused_tanh_backward_matches_unfused_on_random_inputs(seed):
-    """The fused tanh backward multiplies g into the fresh 1 - t*t; it keeps
-    the bits and zero signs of affine then Var.tanh, also where wide inputs
-    saturate t to +-1 (a 0.0 derivative) and g is negative or -0.0."""
+    """The fused tanh backward keeps the bits and zero signs of affine then
+    Var.tanh, also where wide inputs saturate t to +-1 (a 0.0 derivative)
+    and g is negative or -0.0."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-2, 2)
     x = rng.normal(size=(7, 4)) * scale

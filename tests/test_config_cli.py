@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -336,6 +337,49 @@ def test_failed_replace_keeps_the_previous_artifact(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err.startswith("io error: ")
     assert target.read_bytes() == previous
     assert sorted(os.listdir(run)) == listing
+
+
+def _verify_untrained(tmp_path, out):
+    cfg = write_cfg(tmp_path, FAST_RING)
+    return main(["verify", cfg, "--out", str(out), "--pairs", "2", "--probes", "10"])
+
+
+def test_out_to_a_device_is_written_in_place(tmp_path, monkeypatch, capsys):
+    """`--out /dev/null` writes to the device; it is never replaced by a file."""
+    moved = []
+
+    def refused_replace(src, dst):  # were it called, nothing would be moved
+        moved.append(dst)
+        raise OSError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "replace", refused_replace)
+    assert _verify_untrained(tmp_path, os.devnull) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert moved == []
+    assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
+
+
+def test_out_through_a_symlink_writes_the_file_it_names(tmp_path):
+    real = tmp_path / "reports" / "verify.json"
+    real.parent.mkdir()
+    real.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    assert _verify_untrained(tmp_path, link) == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert json.loads(real.read_text())["passed"] is True
+
+
+def test_replaced_artifact_keeps_its_mode_and_long_names_fit(tmp_path):
+    """The new file takes the old one's permission bits, and a target name
+    near NAME_MAX (255 bytes on common file systems) still fits beside it."""
+    out = tmp_path / ("v" * 245 + ".json")
+    out.write_text("old")
+    out.chmod(0o600)
+    assert _verify_untrained(tmp_path, out) == 0
+    assert json.loads(out.read_text())["passed"] is True
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json", out.name])
 
 
 def test_csv_artifacts_keep_crlf_rows(tmp_path):

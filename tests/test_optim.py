@@ -98,9 +98,9 @@ def test_matches_reference_formula(rng):
 
 
 def test_matches_textbook_expression_bit_for_bit():
-    """The in-place update has the bits of the textbook expression, down to
-    the sign of zeros, on -0.0, subnormals, 1e300 and mixed signs, and
-    leaves its inputs untouched."""
+    """The update has the bits of the textbook expression, down to the sign
+    of zeros, on -0.0, subnormals, 1e300 and mixed signs, and leaves its
+    inputs untouched."""
     tiny = 5e-324
     rng = np.random.default_rng(4)
     # the edge values, then random ones of mixed sign and magnitude, where a
