@@ -42,6 +42,7 @@ from .training import (
     DivergenceError,
     evaluate_generator,
     load_checkpoint,
+    restore_checkpoint,
     rows_to_csv,
     save_checkpoint,
     sweep,
@@ -211,17 +212,19 @@ def _checkpoint_z_dim(state, command: str) -> int:
 
 def cmd_verify(args) -> int:
     """Gradient-bound suite on random pairs plus one attraction scenario."""
-    with open(args.target, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"target is not UTF-8: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"target is not valid JSON: {exc}") from exc
+    with open(args.target, "rb") as fh:
+        blob = fh.read()
+    try:
+        # newlines translated as a text-mode read would, so JSON error
+        # positions count a CRLF as one character
+        doc = json.loads(blob.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"target is not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"target is not valid JSON: {exc}") from exc
     seed = args.seed if args.seed is not None else 0
     if isinstance(doc, dict) and "version" in doc:
-        with open(args.target, "rb") as fh:
-            state = load_checkpoint(fh.read())
+        state = restore_checkpoint(doc)  # the one parse serves both readings
         z_dim = _checkpoint_z_dim(state, "verify")
         params_G = state.params_G
     else:
@@ -284,8 +287,9 @@ def cmd_interp(args) -> int:
     return EXIT_OK
 
 
-# upper bound on --probes and --steps: a 128-wide layer over that many rows
-# holds 2**25 float64 entries, the budget divgan.data.MAX_SIZE keeps configs to
+# upper bound on --pairs, --probes and --steps: a 128-wide layer over that
+# many rows holds 2**25 float64 entries, the budget divgan.data.MAX_SIZE keeps
+# configs to (--pairs runs one pair at a time, so its cap bounds time only)
 MAX_COUNT = 2**18
 
 
@@ -333,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[shared],
                        help="numerical checks of the gradient bound and attraction")
     p.add_argument("target", help="run config or checkpoint JSON")
-    p.add_argument("--pairs", type=_int_in_range(1), default=100)
+    p.add_argument("--pairs", type=_int_in_range(1, MAX_COUNT), default=100)
     p.add_argument("--probes", type=_int_in_range(1, MAX_COUNT), default=2000)
     p.set_defaults(func=cmd_verify)
 

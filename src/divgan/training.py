@@ -63,6 +63,7 @@ __all__ = [
     "evaluate_generator",
     "save_checkpoint",
     "load_checkpoint",
+    "restore_checkpoint",
     "rows_to_csv",
 ]
 
@@ -408,8 +409,8 @@ def sweep(base_cfg: TrainConfig, lambdas, jobs: int = 1) -> list[SweepEntry]:
 # little-endian float64 bytes.
 
 
-def _encode(vector: np.ndarray) -> str:
-    return base64.b64encode(vector.astype("<f8", copy=False).tobytes()).decode("ascii")
+def _encode(vector: np.ndarray) -> bytes:
+    return base64.b64encode(vector.astype("<f8", copy=False).tobytes())
 
 
 def _decode(payload, spec: NetworkSpec) -> np.ndarray:
@@ -422,17 +423,9 @@ def _decode(payload, spec: NetworkSpec) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64)  # a writable copy
 
 
-def _params_payload(params: NetworkParams) -> dict:
-    return {"spec": params.spec.to_dict(), "vector": _encode(params.vector)}
-
-
 def _params_restore(payload: dict) -> NetworkParams:
     spec = NetworkSpec.from_dict(payload["spec"])
     return NetworkParams.from_vector(spec, _decode(payload["vector"], spec))
-
-
-def _adam_payload(state: AdamState) -> dict:
-    return {"m": _encode(state.m), "v": _encode(state.v), "t": state.t}
 
 
 def _count(value, what: str) -> int:
@@ -467,18 +460,41 @@ def _check_fit(spec_G: NetworkSpec, spec_D: NetworkSpec) -> None:
         )
 
 
+# what json.dumps writes for the string save_checkpoint puts where a vector
+# goes: no other string in a checkpoint (specs' activation names, the rng
+# state's) can hold a NUL
+_SLOT = "\0"
+_SLOT_JSON = json.dumps(_SLOT).encode("ascii")
+
+
 def save_checkpoint(state: TrainState) -> bytes:
-    """Versioned JSON blob; load_checkpoint(save_checkpoint(s)) is exact."""
+    """Versioned JSON blob; load_checkpoint(save_checkpoint(s)) is exact.
+
+    The bytes are json.dumps(doc).encode("utf-8") of the document with each
+    vector as its base64 string. json.dumps would only scan that base64 for
+    characters to escape, and base64 has none, so each vector goes into the
+    document as a placeholder and its base64 replaces the placeholder's text.
+    """
+    vectors = []
+
+    def slot(vector: np.ndarray) -> str:
+        vectors.append(vector)
+        return _SLOT
+
     doc = {
         "version": CHECKPOINT_VERSION,
-        "params_G": _params_payload(state.params_G),
-        "params_D": _params_payload(state.params_D),
-        "adam_G": _adam_payload(state.adam_G),
-        "adam_D": _adam_payload(state.adam_D),
+        "params_G": {"spec": state.params_G.spec.to_dict(), "vector": slot(state.params_G.vector)},
+        "params_D": {"spec": state.params_D.spec.to_dict(), "vector": slot(state.params_D.vector)},
+        "adam_G": {"m": slot(state.adam_G.m), "v": slot(state.adam_G.v), "t": state.adam_G.t},
+        "adam_D": {"m": slot(state.adam_D.m), "v": slot(state.adam_D.v), "t": state.adam_D.t},
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
     }
-    return json.dumps(doc).encode("utf-8")
+    head, *tails = json.dumps(doc).encode("utf-8").split(_SLOT_JSON)
+    parts = [head]
+    for vector, tail in zip(vectors, tails, strict=True):
+        parts += [b'"', _encode(vector), b'"', tail]
+    return b"".join(parts)
 
 
 def load_checkpoint(blob) -> TrainState:
@@ -489,6 +505,12 @@ def load_checkpoint(blob) -> TrainState:
         doc = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
+    return restore_checkpoint(doc)
+
+
+def restore_checkpoint(doc) -> TrainState:
+    """load_checkpoint for a blob already parsed: the state a version 2
+    document was saved from, or CheckpointError."""
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointError("malformed checkpoint: missing version")
     if doc["version"] != CHECKPOINT_VERSION:

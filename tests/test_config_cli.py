@@ -282,6 +282,7 @@ def test_train_rejects_malformed_config(text, tmp_path, capsys):
     (["interp", "CKPT", "--steps", "1"], "--steps"),
     (["verify", "CFG", "--probes", "10000000000000"], "--probes"),
     (["interp", "CKPT", "--steps", "10000000000000"], "--steps"),
+    (["verify", "CFG", "--pairs", "10000000000000"], "--pairs"),
 ])
 def test_flag_out_of_range_exits_before_work(argv, flag, tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_RING)
@@ -472,6 +473,39 @@ def test_verify_accepts_checkpoint(tmp_path):
     code = main(["verify", str(run / "final.ckpt.json"),
                  "--out", str(tmp_path / "v.json"), "--pairs", "10", "--probes", "100"])
     assert code == 0
+
+
+def test_verify_reads_and_parses_a_checkpoint_once(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, dict(FAST_RING, steps=2, eval_every=2))
+    run = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(run)]) == 0
+    ckpt = str(run / "final.ckpt.json")
+    opened, parsed = [], []
+    real_open, real_loads = open, json.loads
+
+    def spy_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    def spy_loads(*args, **kwargs):  # json.load parses through json.loads too
+        parsed.append(args[0])
+        return real_loads(*args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy_open)
+    monkeypatch.setattr(json, "loads", spy_loads)
+    assert main(["verify", ckpt, "--out", str(tmp_path / "v.json"),
+                 "--pairs", "2", "--probes", "10"]) == 0
+    assert opened.count(ckpt) == 1 and len(parsed) == 1
+
+
+def test_verify_json_error_counts_crlf_as_one_character(tmp_path, capsys):
+    bad = tmp_path / "crlf.json"
+    bad.write_bytes(b'{\r\n  "steps": 1,\r\n  "seed": \r\n}\r\n')
+    with open(bad, encoding="utf-8") as fh:  # a text-mode read sets the position
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.load(fh)
+    assert main(["verify", str(bad), "--out", str(tmp_path / "v.json")]) == 2
+    assert capsys.readouterr().err == f"config error: target is not valid JSON: {want.value}\n"
 
 
 def test_interp_emits_requested_rows(tmp_path):

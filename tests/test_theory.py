@@ -74,6 +74,43 @@ def test_bound_validation():
         path_gradient_bound(params, np.zeros(2), np.ones(2), n_quad=4)
 
 
+@pytest.mark.parametrize("magnitude", [1e-200, 1.0, 1e200, 1e300])
+@pytest.mark.parametrize("shape", [(2, 2), (2, 8), (20, 8), (8, 20)])
+def test_spectral_norms_match_svd(shape, magnitude, rng):
+    jac = rng.standard_normal((16,) + shape) * magnitude
+    ref = np.linalg.svd(jac, compute_uv=False)[:, 0]
+    norms = theory._spectral_norms(jac)
+    assert np.all(np.abs(norms - ref) <= 1e-14 * ref)
+
+
+def test_spectral_norm_of_a_zero_node_is_zero(rng):
+    jac = rng.standard_normal((3, 20, 8))
+    jac[1] = 0.0
+    norms = theory._spectral_norms(jac)
+    assert norms[1] == 0.0 and np.all(norms[[0, 2]] > 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("z_dim,out_dim", [(2, 2), (8, 20)])
+def test_bound_on_extreme_jacobians_has_finite_nonzero_rhs(scale, z_dim, out_dim, rng):
+    """Jacobian entries whose squares overflow (1e200) or underflow
+    (1e-200): a Gram matrix of the raw entries would hold inf, or only
+    zeros. The latents sit ~1e-60 apart, so G's output differences and
+    their squared norm stay finite."""
+    params = mlp_init(NetworkSpec(z_dim, (24, 24), out_dim, hidden_activation="tanh"), 3)
+    params.weights[-1][:] *= scale
+    z1, z2 = 1e-60 * rng.standard_normal(z_dim), 1e-60 * rng.standard_normal(z_dim)
+    jac = path_jacobians(params, z1, z2, n_quad=64)
+    peak = np.max(np.abs(jac))
+    assert 1e-3 < peak / scale < 1e3
+    with np.errstate(over="ignore"):
+        assert np.isinf(peak * peak) if scale > 1 else peak * peak == 0.0
+    rep = path_gradient_bound(params, z1, z2, n_quad=64)
+    assert np.isfinite(rep.rhs) and rep.rhs > 0.0 and rep.holds
+    ref = np.mean(np.linalg.svd(jac, compute_uv=False)[:, 0])
+    assert rep.rhs == pytest.approx(ref, rel=1e-14)
+
+
 # kind -> (cond_dim, hidden_dims, out_dim, activation, z_dim, n_quad)
 JACOBIAN_NETS = {
     "tanh": (0, (16, 16), 3, "tanh", 2, 8),

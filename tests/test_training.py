@@ -1,3 +1,4 @@
+import base64
 import concurrent.futures
 import json
 import re
@@ -212,6 +213,35 @@ def test_checkpoint_vector_golden_encoding():
     blob = save_checkpoint(state)
     assert json.loads(blob)["params_G"]["vector"] == "AAAAAAAA8D8AAAAAAAAAgAEAAAAAAAAAAAAAAAAABMA="
     assert load_checkpoint(blob).params_G.vector.tobytes() == state.params_G.vector.tobytes()
+
+
+def plain_save_checkpoint(state):
+    """The writer as json.dumps of the whole version 2 document, base64
+    strings and all: save_checkpoint must give these bytes."""
+    def b64(vector):
+        return base64.b64encode(vector.astype("<f8").tobytes()).decode("ascii")
+
+    doc = {
+        "version": 2,
+        "params_G": {"spec": state.params_G.spec.to_dict(), "vector": b64(state.params_G.vector)},
+        "params_D": {"spec": state.params_D.spec.to_dict(), "vector": b64(state.params_D.vector)},
+        "adam_G": {"m": b64(state.adam_G.m), "v": b64(state.adam_G.v), "t": state.adam_G.t},
+        "adam_D": {"m": b64(state.adam_D.m), "v": b64(state.adam_D.v), "t": state.adam_D.t},
+        "step": state.step,
+        "rng_state": state.rng.bit_generator.state,
+    }
+    return json.dumps(doc).encode("utf-8")
+
+
+@pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
+def test_save_checkpoint_matches_plain_json_dumps(task):
+    state = train(small_cfg(task=task, z_dim=4, steps=2)).state
+    assert save_checkpoint(state) == plain_save_checkpoint(state)
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    for vector in (state.params_G.vector, state.params_D.vector, state.adam_G.m,
+                   state.adam_G.v, state.adam_D.m, state.adam_D.v):
+        vector[:4] = extremes
+    assert save_checkpoint(state) == plain_save_checkpoint(state)
 
 
 def test_checkpoint_version_1_is_refused():
