@@ -32,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from .autodiff import NumericsError
-from .config import ConfigError, load_run_config, parse_run_config
+from .config import ConfigError, load_run_config, parse_run_config, read_json
 from .metrics import latent_interpolation
 from .nets import mlp_init
 from .optim import AdamHyper
@@ -40,6 +40,7 @@ from .theory import attraction_check, bound_suite, pull_toward
 from .training import (
     CheckpointError,
     DivergenceError,
+    check_fit,
     evaluate_generator,
     load_checkpoint,
     restore_checkpoint,
@@ -192,15 +193,8 @@ def cmd_sweep(args) -> int:
 
 
 def _checkpoint_z_dim(state, command: str) -> int:
-    """Latent size of a checkpoint's generator, which must be unconditional.
-
-    A checkpoint does not record the condition width: it is what the
-    discriminator reads beyond the generator's output, and the latent is
-    the rest of the generator's input (load_checkpoint has checked that
-    the first is >= 0 and the second >= 1).
-    """
-    cond_dim = state.params_D.spec.input_dim - state.params_G.spec.output_dim
-    z_dim = state.params_G.spec.input_dim - cond_dim
+    """Latent size of a checkpoint's generator, which must be unconditional."""
+    cond_dim, z_dim = check_fit(state.params_G.spec, state.params_D.spec)
     if cond_dim > 0:
         raise ConfigError(
             f"{command} needs an unconditional generator, but this checkpoint's "
@@ -212,16 +206,7 @@ def _checkpoint_z_dim(state, command: str) -> int:
 
 def cmd_verify(args) -> int:
     """Gradient-bound suite on random pairs plus one attraction scenario."""
-    with open(args.target, "rb") as fh:
-        blob = fh.read()
-    try:
-        # newlines translated as a text-mode read would, so JSON error
-        # positions count a CRLF as one character
-        doc = json.loads(blob.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"target is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"target is not valid JSON: {exc}") from exc
+    doc = read_json(args.target, "target")
     seed = args.seed if args.seed is not None else 0
     if isinstance(doc, dict) and "version" in doc:
         state = restore_checkpoint(doc)  # the one parse serves both readings

@@ -14,7 +14,8 @@ from dataclasses import replace
 
 from .training import TrainConfig
 
-__all__ = ["ConfigError", "FIELDS", "TASK_DEFAULTS", "parse_run_config", "load_run_config"]
+__all__ = ["ConfigError", "FIELDS", "TASK_DEFAULTS", "parse_run_config", "read_json",
+           "load_run_config"]
 
 # JSON key -> (field path, JSON type); floats take integers, type(None) is null
 FIELDS = {
@@ -90,11 +91,18 @@ def parse_run_config(doc: dict) -> TrainConfig:
     return cfg
 
 
-def load_run_config(path) -> TrainConfig:
+def read_json(path, what: str):
+    """The JSON document in the UTF-8 file at `path`, read in text mode (so a
+    JSON error position counts a CRLF as one character), or ConfigError
+    naming `what`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return parse_run_config(json.load(fh))
+            return json.load(fh)
         except UnicodeDecodeError as exc:
-            raise ConfigError(f"config is not UTF-8: {exc}") from exc
+            raise ConfigError(f"{what} is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def load_run_config(path) -> TrainConfig:
+    return parse_run_config(read_json(path, "config"))

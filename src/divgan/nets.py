@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ from .autodiff import NumericsError, ShapeMismatch, Var, affine, concat, lift
 
 __all__ = [
     "HIDDEN_ACTIVATIONS",
-    "OUTPUT_ACTIVATIONS",
     "NetworkSpec",
     "NetworkParams",
     "NonFiniteParams",
@@ -34,29 +34,42 @@ __all__ = [
 ]
 
 HIDDEN_ACTIVATIONS = ("tanh", "relu")
-OUTPUT_ACTIVATIONS = ("linear",)
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
+    """A fully connected network's shape. Every spec is checked here, by the
+    rules a stored spec is read with: dims are integers >= 1 and init_scale a
+    finite positive number (bools, strings and fractional dims are refused
+    with a ValueError, not rounded). Dims are kept as int and init_scale as
+    float, so `to_dict` always serializes. The output layer is linear."""
+
     input_dim: int
     hidden_dims: tuple
     output_dim: int
     hidden_activation: str = "tanh"
-    output_activation: str = "linear"
     init_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-        dims = (self.input_dim, self.output_dim) + self.hidden_dims
-        if any(d < 1 for d in dims):
-            raise ValueError(f"NetworkSpec: all dims must be >= 1, got {dims}")
-        if self.init_scale <= 0:
-            raise ValueError("NetworkSpec: init_scale must be positive")
+        for key in ("input_dim", "output_dim"):
+            value = getattr(self, key)
+            if not _is_dim(value):
+                raise ValueError(f"NetworkSpec: {key} must be an integer >= 1, "
+                                 f"got {_shown(value)}")
+            object.__setattr__(self, key, int(value))
+        hidden = self.hidden_dims
+        if not isinstance(hidden, (list, tuple)) or not all(map(_is_dim, hidden)):
+            raise ValueError(f"NetworkSpec: hidden_dims must be a list of integers >= 1, "
+                             f"got {_shown(hidden)}")
+        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in hidden))
+        scale = self.init_scale
+        number = isinstance(scale, numbers.Real) and not isinstance(scale, bool)
+        if not number or not 0 < scale < math.inf:
+            raise ValueError(f"NetworkSpec: init_scale must be a finite positive number, "
+                             f"got {_shown(scale)}")
+        object.__setattr__(self, "init_scale", float(scale))
         if self.hidden_activation not in HIDDEN_ACTIVATIONS:
             raise ValueError(f"NetworkSpec: unknown hidden activation {self.hidden_activation!r}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"NetworkSpec: unknown output activation {self.output_activation!r}")
 
     @property
     def layer_dims(self):
@@ -89,41 +102,32 @@ class NetworkSpec:
             "hidden_dims": list(self.hidden_dims),
             "output_dim": self.output_dim,
             "hidden_activation": self.hidden_activation,
-            "output_activation": self.output_activation,
+            "output_activation": "linear",  # a constant of the stored format
             "init_scale": self.init_scale,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "NetworkSpec":
-        """The spec `to_dict` stored, read strictly: dims are JSON integers
-        >= 1 and init_scale a finite positive number (bools, strings and
-        fractional dims are refused with a ValueError, not rounded)."""
-        for key in ("input_dim", "output_dim"):
-            if not _is_dim(d[key]):
-                raise ValueError(f"NetworkSpec: {key} must be an integer >= 1, "
-                                 f"got {json.dumps(d[key])}")
-        hidden = d["hidden_dims"]
-        if not isinstance(hidden, list) or not all(map(_is_dim, hidden)):
-            raise ValueError(f"NetworkSpec: hidden_dims must be a list of integers >= 1, "
-                             f"got {json.dumps(hidden)}")
-        scale = d["init_scale"]
-        number = isinstance(scale, (int, float)) and not isinstance(scale, bool)
-        if not number or not 0 < scale < math.inf:
-            raise ValueError(f"NetworkSpec: init_scale must be a finite positive number, "
-                             f"got {json.dumps(scale)}")
-        return NetworkSpec(
-            input_dim=d["input_dim"],
-            hidden_dims=tuple(hidden),
-            output_dim=d["output_dim"],
-            hidden_activation=d["hidden_activation"],
-            output_activation=d["output_activation"],
-            init_scale=float(scale),
-        )
+        """The spec `to_dict` stored, checked as every spec is."""
+        spec = NetworkSpec(d["input_dim"], d["hidden_dims"], d["output_dim"],
+                           d["hidden_activation"], d["init_scale"])
+        if d["output_activation"] != "linear":
+            raise ValueError(f"NetworkSpec: unknown output activation {d['output_activation']!r}")
+        return spec
 
 
 def _is_dim(value) -> bool:
-    """A stored dim: a JSON integer >= 1, not a bool or a float."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    """A dim: an integer >= 1, not a bool or a float."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 1)
+
+
+def _shown(value) -> str:
+    """`value` as JSON, or its repr where JSON has no form for it."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
 
 
 class NonFiniteParams(NumericsError, ValueError):
@@ -144,34 +148,10 @@ class NetworkParams:
     first layer holding a non-finite value.
     """
 
-    def __init__(self, spec: NetworkSpec, weights, biases):
-        shapes = spec.param_shapes
-        n_layers = len(shapes) // 2
-        if len(weights) != n_layers or len(biases) != n_layers:
-            raise ShapeMismatch(
-                f"NetworkParams: spec wants {n_layers} layers, "
-                f"got {len(weights)} weight matrices and {len(biases)} biases"
-            )
-        vector = np.empty(spec.n_params)
-        views = spec.param_views(vector)
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if np.shape(w) != shapes[2 * i] or np.shape(b) != shapes[2 * i + 1]:
-                raise ShapeMismatch(
-                    f"NetworkParams: layer {i} has W{np.shape(w)}, b{np.shape(b)}, "
-                    f"spec wants W{shapes[2 * i]}, b{shapes[2 * i + 1]}"
-                )
-            views[2 * i][...], views[2 * i + 1][...] = w, b
-        self._bind(spec, vector)
-
-    @classmethod
-    def from_vector(cls, spec: NetworkSpec, vector) -> "NetworkParams":
+    def __init__(self, spec: NetworkSpec, vector):
         """Params over `vector` itself, not a copy: a flat float64 array of
-        every parameter in `vector`'s layout."""
-        params = cls.__new__(cls)
-        params._bind(spec, np.asarray(vector, dtype=np.float64))
-        return params
-
-    def _bind(self, spec: NetworkSpec, vector: np.ndarray) -> None:
+        every parameter in the layout above."""
+        vector = np.asarray(vector, dtype=np.float64)
         size = spec.n_params
         if vector.shape != (size,):
             raise ShapeMismatch(
@@ -214,7 +194,7 @@ def mlp_init(spec: NetworkSpec, seed: int) -> NetworkParams:
     vector = np.zeros(spec.n_params)
     for fan_in, w in zip(spec.layer_dims, spec.param_views(vector)[0::2]):
         w[...] = rng.normal(0.0, spec.init_scale / np.sqrt(fan_in), size=w.shape)
-    return NetworkParams.from_vector(spec, vector)
+    return NetworkParams(spec, vector)
 
 
 def mlp_forward_vars(param_vars, spec: NetworkSpec, inp) -> tuple[Var, list[Var]]:
@@ -272,7 +252,6 @@ def default_generator_spec(z_dim: int = 2, cond_dim: int = 0, out_dim: int = 2) 
         hidden_dims=(128, 128),
         output_dim=out_dim,
         hidden_activation="tanh",
-        output_activation="linear",
     )
 
 
@@ -283,5 +262,4 @@ def default_discriminator_spec(y_dim: int = 2, cond_dim: int = 0) -> NetworkSpec
         hidden_dims=(128, 128),
         output_dim=1,
         hidden_activation="relu",
-        output_activation="linear",
     )

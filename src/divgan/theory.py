@@ -24,11 +24,13 @@ Norms here are l2 / spectral (matching the analysis), regardless of the
 training-side norm choice. A spectral norm is the root of the largest
 eigenvalue of the node's Gram matrix, formed after an exact power-of-two
 rescaling so that squaring entries can neither overflow nor underflow; it
-agrees with an SVD's largest singular value to ~1e-16 relative. A generator
-whose output is not finite, or whose distances, difference quotients or
-Jacobian norms overflow, raises NumericsError: the finiteness checks are the
-error path, so the entry points run with numpy's overflow and invalid-value
-warnings off.
+agrees with an SVD's largest singular value to ~1e-16 relative. The
+difference quotient's norm is taken after the same rescaling of the output
+difference, so a difference whose squares would overflow or underflow
+still gives its exact quotient. A generator whose output is not finite, or
+whose distances, difference quotients or Jacobian norms overflow, raises
+NumericsError: the finiteness checks are the error path, so the entry
+points run with numpy's overflow and invalid-value warnings off.
 """
 
 from __future__ import annotations
@@ -161,7 +163,11 @@ def path_gradient_bound(params_G: NetworkParams, z1, z2, n_quad: int = 64,
     if gap == 0.0:
         raise ValueError("path_gradient_bound: z1 and z2 coincide")
     ys, _ = _forward(params_G, np.stack([z1, z2]), x)
-    lhs = _finite(float(np.linalg.norm(ys[1] - ys[0]) / gap), "difference quotient")
+    diff = ys[1] - ys[0]
+    # scaled exactly, as in _spectral_norms, so the squares stay in range
+    _, exp = np.frexp(np.max(np.abs(diff)))
+    lhs = np.ldexp(np.linalg.norm(np.ldexp(diff, -exp)), exp)
+    lhs = _finite(float(lhs / gap), "difference quotient")
     norms = _spectral_norms(path_jacobians(params_G, z1, z2, n_quad, x=x))
     rhs = _finite(float(np.mean(norms)), "Jacobian norm")
     return BoundCheckReport(lhs=lhs, rhs=rhs, slack=rhs - lhs, n_quadrature=n_quad)
@@ -321,4 +327,4 @@ def pull_toward(params_G: NetworkParams, z1, y_star, hyper: AdamHyper) -> Networ
     backward(dist)
     vector = params_G.vector
     vector, _ = adam_step(vector, leaves.grad_vector(), adam_init(vector), hyper)
-    return NetworkParams.from_vector(params_G.spec, vector)
+    return NetworkParams(params_G.spec, vector)

@@ -30,7 +30,7 @@ from .data import (
     sample_trajectories,
 )
 from .losses import ObjectiveConfig, TrainBatch, d_loss, generator_total_loss
-from .metrics import EvalReport, frechet_2d, mode_coverage, pairwise_diversity
+from .metrics import HQ_STD_MULTIPLE, EvalReport, frechet_2d, mode_coverage, pairwise_diversity
 from .metrics import dist_min as metric_dist_min
 from .nets import (
     NetworkParams,
@@ -64,6 +64,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "restore_checkpoint",
+    "check_fit",
     "rows_to_csv",
 ]
 
@@ -232,7 +233,7 @@ def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricR
             vector, state.adam_D = adam_step(
                 state.params_D.vector, leaves.grad_vector(), state.adam_D, cfg.adam
             )
-            state.params_D = NetworkParams.from_vector(leaves.spec, vector)
+            state.params_D = NetworkParams(leaves.spec, vector)
 
             x, y_target, seq_len = _real_batch(cfg, state.rng)
             z1 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
@@ -244,7 +245,7 @@ def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricR
             vector, state.adam_G = adam_step(
                 state.params_G.vector, res.leaves.grad_vector(), state.adam_G, cfg.adam
             )
-            state.params_G = NetworkParams.from_vector(state.params_G.spec, vector)
+            state.params_G = NetworkParams(state.params_G.spec, vector)
     except NumericsError as exc:
         raise DivergenceError(step, str(exc)) from exc
 
@@ -306,7 +307,8 @@ def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
         cross = (pts[:, :-1, 0] * pts[:, 1:, 1] - pts[:, :-1, 1] * pts[:, 1:, 0]).sum(axis=1)
         modes = int(np.any(cross > 0)) + int(np.any(cross < 0))
         radii = np.linalg.norm(pts, axis=2)
-        hq = float(np.mean(np.abs(radii - t.circle_radius) <= 3.0 * max(t.noise_std, 1e-12)))
+        band = HQ_STD_MULTIPLE * max(t.noise_std, 1e-12)
+        hq = float(np.mean(np.abs(radii - t.circle_radius) <= band))
         div = pairwise_diversity(fake)
         dmin = metric_dist_min(fake, real.y.reshape(n, -1)[0])
         fre = frechet_2d(pts.reshape(-1, 2), real.y.reshape(-1, 2))
@@ -425,7 +427,7 @@ def _decode(payload, spec: NetworkSpec) -> np.ndarray:
 
 def _params_restore(payload: dict) -> NetworkParams:
     spec = NetworkSpec.from_dict(payload["spec"])
-    return NetworkParams.from_vector(spec, _decode(payload["vector"], spec))
+    return NetworkParams(spec, _decode(payload["vector"], spec))
 
 
 def _count(value, what: str) -> int:
@@ -448,16 +450,20 @@ def _adam_restore(doc: dict, name: str, spec: NetworkSpec) -> AdamState:
     return AdamState(m=m, v=v, t=_count(payload["t"], f"{name}.t"))
 
 
-def _check_fit(spec_G: NetworkSpec, spec_D: NetworkSpec) -> None:
-    """D reads a condition of cond >= 0 values beside G's output and writes
-    one logit; G reads the same condition beside a latent of >= 1 values."""
-    cond = spec_D.input_dim - spec_G.output_dim
-    if spec_D.output_dim != 1 or cond < 0 or spec_G.input_dim - cond < 1:
+def check_fit(spec_G: NetworkSpec, spec_D: NetworkSpec) -> tuple[int, int]:
+    """(cond_dim, z_dim) of a G and D pair, which a checkpoint does not
+    record: D reads a condition of cond_dim >= 0 values beside G's output and
+    writes one logit; G reads the same condition beside a latent of z_dim >= 1
+    values."""
+    cond_dim = spec_D.input_dim - spec_G.output_dim
+    z_dim = spec_G.input_dim - cond_dim
+    if spec_D.output_dim != 1 or cond_dim < 0 or z_dim < 1:
         raise CheckpointError(
             f"malformed checkpoint: params_D (input_dim {spec_D.input_dim}, output_dim "
             f"{spec_D.output_dim}) does not fit params_G (input_dim {spec_G.input_dim}, "
             f"output_dim {spec_G.output_dim})"
         )
+    return cond_dim, z_dim
 
 
 # what json.dumps writes for the string save_checkpoint puts where a vector
@@ -519,7 +525,7 @@ def restore_checkpoint(doc) -> TrainState:
     try:
         params_G = _params_restore(doc["params_G"])
         params_D = _params_restore(doc["params_D"])
-        _check_fit(params_G.spec, params_D.spec)
+        check_fit(params_G.spec, params_D.spec)
         rng = np.random.default_rng(0)
         rng.bit_generator.state = doc["rng_state"]
         return TrainState(

@@ -389,7 +389,7 @@ def test_total_loss_gradients_match_finite_differences(space, norm, rng):
         def scalar(x, i=i):
             probe = [a.copy() for a in flat0]
             probe[i] = x
-            probe_G = NetworkParams(g_spec, probe[0::2], probe[1::2])
+            probe_G = NetworkParams(g_spec, np.concatenate([a.ravel() for a in probe]))
             return generator_total_loss(
                 TrainBatch(z1=z1, z2=z2, y=y, seq_len=seq_len), probe_G, params_D, cfg
             ).total.item()

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -52,12 +55,12 @@ def test_init_equals_the_per_layer_build_bit_for_bit(spec, seed):
     input to output, and zero biases, then copied into one vector."""
     rng = np.random.default_rng(seed)
     dims = spec.layer_dims
-    weights, biases = [], []
+    layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(rng.normal(0.0, spec.init_scale / np.sqrt(fan_in), size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    want = NetworkParams(spec, weights, biases)
-    assert mlp_init(spec, seed).vector.tobytes() == want.vector.tobytes()
+        w = rng.normal(0.0, spec.init_scale / np.sqrt(fan_in), size=(fan_in, fan_out))
+        layers += [w.ravel(), np.zeros(fan_out)]
+    want = np.concatenate(layers)
+    assert mlp_init(spec, seed).vector.tobytes() == want.tobytes()
 
 
 def test_grad_vector_is_in_the_parameter_layout(rng):
@@ -77,27 +80,49 @@ def test_spec_validation():
         NetworkSpec(2, (4,), 2, init_scale=0.0)
     with pytest.raises(ValueError):
         NetworkSpec(2, (4,), 2, hidden_activation="gelu")
-    with pytest.raises(ValueError):
-        NetworkSpec(2, (4,), 2, output_activation="softmax")
+    with pytest.raises(TypeError):  # the output is linear by format, not a setting
+        NetworkSpec(2, (4,), 2, output_activation="linear")
+
+
+@pytest.mark.parametrize("key,value,shown", [
+    ("init_scale", float("nan"), "NaN"),
+    ("init_scale", float("inf"), "Infinity"),
+    ("init_scale", -1, "-1"),
+    ("init_scale", np.float64(-np.inf), "-Infinity"),
+    ("input_dim", np.int64(0), repr(np.int64(0))),  # no JSON form: its repr
+    ("hidden_dims", (np.int64(4), 0), repr((np.int64(4), 0))),
+    ("hidden_dims", np.array([4]), repr(np.array([4]))),
+])
+def test_python_spec_refusals_name_the_value(key, value, shown):
+    args = {**dict(input_dim=2, hidden_dims=(4,), output_dim=2, init_scale=1.0), key: value}
+    rule = {"init_scale": "a finite positive number", "input_dim": "an integer >= 1",
+            "hidden_dims": "a list of integers >= 1"}[key]
+    with pytest.raises(ValueError, match=f"^NetworkSpec: {key} must be {re.escape(rule)}, "
+                                         f"got {re.escape(shown)}$"):
+        NetworkSpec(**args)
+
+
+def test_spec_stores_plain_ints_and_a_float():
+    spec = NetworkSpec(np.int64(2), [np.int64(4), 3], np.int32(2), init_scale=np.int64(1))
+    assert spec == NetworkSpec(2, (4, 3), 2, init_scale=1.0)
+    values = [spec.input_dim, *spec.hidden_dims, spec.output_dim, spec.init_scale]
+    assert [type(v) for v in values] == [int, int, int, int, float]
+    assert isinstance(spec.hidden_dims, tuple)
+    assert NetworkSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
 def test_params_validation():
     spec = NetworkSpec(2, (4,), 2)
-    good = mlp_init(spec, 0)
-    with pytest.raises(ShapeMismatch):
-        NetworkParams(spec, good.weights[:1], good.biases)
-    with pytest.raises(ShapeMismatch):
-        NetworkParams(spec, [w.T for w in good.weights], good.biases)
-    bad_w = [w.copy() for w in good.weights]
-    bad_w[0][0, 0] = np.nan
+    bad = mlp_init(spec, 0).vector.copy()
+    bad[0] = np.nan
     with pytest.raises(ValueError):
-        NetworkParams(spec, bad_w, good.biases)
+        NetworkParams(spec, bad)
 
 
 def test_flat_roundtrip():
     params = mlp_init(RING_G, 1)
-    for again in (NetworkParams(RING_G, params.weights, params.biases),
-                  NetworkParams.from_vector(RING_G, params.vector.copy())):
+    for again in (NetworkParams(RING_G, np.concatenate([a.ravel() for a in params.flat()])),
+                  NetworkParams(RING_G, params.vector.copy())):
         assert np.array_equal(params.vector, again.vector)
         for a, b in zip(params.flat(), again.flat()):
             assert np.array_equal(a, b)
@@ -120,7 +145,7 @@ def test_weights_and_biases_are_views_of_the_vector(rng):
 def test_from_vector_uses_the_vector_itself():
     spec = NetworkSpec(2, (4,), 2)
     vector = np.arange(2 * 4 + 4 + 4 * 2 + 2, dtype=np.float64)
-    params = NetworkParams.from_vector(spec, vector)
+    params = NetworkParams(spec, vector)
     assert params.vector is vector
     assert np.array_equal(params.weights[0], np.arange(8.0).reshape(2, 4))
     assert np.array_equal(params.biases[0], [8.0, 9.0, 10.0, 11.0])
@@ -131,7 +156,7 @@ def test_from_vector_uses_the_vector_itself():
 @pytest.mark.parametrize("size", [21, 23, 0])
 def test_from_vector_rejects_wrong_length(size):
     with pytest.raises(ShapeMismatch, match=rf"22 values, got shape \({size},\)"):
-        NetworkParams.from_vector(NetworkSpec(2, (4,), 2), np.zeros(size))
+        NetworkParams(NetworkSpec(2, (4,), 2), np.zeros(size))
 
 
 @pytest.mark.parametrize("index,layer", [(0, 0), (11, 0), (12, 1), (21, 1)])
@@ -139,14 +164,12 @@ def test_from_vector_names_the_non_finite_layer(index, layer):
     vector = np.zeros(22)
     vector[index] = np.nan
     with pytest.raises(NonFiniteParams, match=f"non-finite values in layer {layer}$"):
-        NetworkParams.from_vector(NetworkSpec(2, (4,), 2), vector)
+        NetworkParams(NetworkSpec(2, (4,), 2), vector)
 
 
 def test_zero_params_give_zero_output():
     spec = NetworkSpec(2, (8,), 2)
-    zero = NetworkParams(
-        spec, [np.zeros((2, 8)), np.zeros((8, 2))], [np.zeros(8), np.zeros(2)]
-    )
+    zero = NetworkParams(spec, np.zeros(spec.n_params))
     out = generator_forward(zero, np.ones((5, 2)))
     assert np.array_equal(out.data, np.zeros((5, 2)))
 
@@ -176,11 +199,7 @@ def test_conditional_concat_dimensions(rng):
 
 def test_discriminator_zero_params_logit():
     spec = NetworkSpec(2, (8, 8), 1, hidden_activation="relu")
-    zero = NetworkParams(
-        spec,
-        [np.zeros(s) for s in [(2, 8), (8, 8), (8, 1)]],
-        [np.zeros(s) for s in [(8,), (8,), (1,)]],
-    )
+    zero = NetworkParams(spec, np.zeros(spec.n_params))
     logit, feats = discriminator_forward(zero, np.ones((1, 2)))
     assert logit.data[0, 0] == 0.0  # sigmoid(0) = 0.5
     assert len(feats) == 2

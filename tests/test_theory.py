@@ -18,8 +18,8 @@ from divgan.theory import (
 def linear_params(A):
     """Single-layer linear network computing z @ A.T (i.e. G(z) = A z)."""
     A = np.asarray(A, dtype=np.float64)
-    spec = NetworkSpec(A.shape[1], (), A.shape[0], output_activation="linear")
-    return NetworkParams(spec, [A.T.copy()], [np.zeros(A.shape[0])])
+    spec = NetworkSpec(A.shape[1], (), A.shape[0])
+    return NetworkParams(spec, np.concatenate([A.T.ravel(), np.zeros(A.shape[0])]))
 
 
 def tanh_generator(seed=0, z_dim=2, width=24):
@@ -205,8 +205,8 @@ def test_relu_generator_gets_finer_default_grid():
 def constant_params(value, z_dim=2):
     """Zero-weight network whose output is a constant bias vector."""
     value = np.asarray(value, dtype=np.float64)
-    spec = NetworkSpec(z_dim, (), value.size, output_activation="linear")
-    return NetworkParams(spec, [np.zeros((z_dim, value.size))], [value.copy()])
+    spec = NetworkSpec(z_dim, (), value.size)
+    return NetworkParams(spec, np.concatenate([np.zeros(z_dim * value.size), value]))
 
 
 def test_constant_generators_attract_everywhere():
@@ -276,12 +276,30 @@ def huge_output_generator():
 
 def test_overflowing_distances_are_numerics_errors():
     params = huge_output_generator()
-    z1, z2 = np.ones(2), -np.ones(2)
-    with pytest.raises(NumericsError, match="difference quotient"):
-        path_gradient_bound(params, z1, z2)
+    z1 = np.ones(2)
     with pytest.raises(NumericsError, match="distance"):
         attraction_check(params, params, z1, np.zeros(2), probes=10,
                          rng=np.random.default_rng(0))
+
+
+def test_bound_on_huge_outputs_is_a_finite_report_that_holds():
+    """The squared distance of outputs ~1e201 overflows, but the difference
+    quotient comes from the exactly rescaled difference."""
+    rep = path_gradient_bound(huge_output_generator(), np.ones(2), -np.ones(2))
+    assert np.isfinite(rep.rhs) and 1e199 < rep.lhs <= rep.rhs and rep.holds
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-200])
+def test_bound_lhs_scales_with_the_output_past_the_squares_range(scale):
+    """Output differences whose squared norm overflows (1e160) or underflows
+    to zero (1e-200) give the quotient of the unscaled network times scale."""
+    z1, z2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    ref = path_gradient_bound(tanh_generator(3), z1, z2)
+    params = tanh_generator(3)
+    params.weights[-1][:] *= scale
+    rep = path_gradient_bound(params, z1, z2)
+    assert rep.lhs == pytest.approx(ref.lhs * scale, rel=1e-14)
+    assert rep.rhs == pytest.approx(ref.rhs * scale, rel=1e-14) and rep.holds
 
 
 def test_bound_suite_needs_a_pair():

@@ -206,8 +206,8 @@ def test_checkpoint_vector_golden_encoding():
     """A vector is stored as base64 of its little-endian float64 bytes."""
     spec = NetworkSpec(1, (1,), 1)  # W0, b0, W1, b1: four parameters
     state = init_state(small_cfg())
-    state.params_G = NetworkParams.from_vector(spec, np.array([1.0, -0.0, 5e-324, -2.5]))
-    state.params_D = NetworkParams.from_vector(spec, np.ones(4))  # D reads G's one output
+    state.params_G = NetworkParams(spec, np.array([1.0, -0.0, 5e-324, -2.5]))
+    state.params_D = NetworkParams(spec, np.ones(4))  # D reads G's one output
     state.adam_G = AdamState(m=np.zeros(4), v=np.zeros(4), t=0)
     state.adam_D = AdamState(m=np.zeros(4), v=np.zeros(4), t=0)
     blob = save_checkpoint(state)
@@ -397,6 +397,23 @@ def test_checkpoint_spec_with_wrong_types_is_refused(key, value, message):
     with pytest.raises(CheckpointError,
                        match=f"^malformed checkpoint: NetworkSpec: {re.escape(message)}$"):
         load_checkpoint(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("key,value,message", SPEC_MESSAGES)
+def test_spec_built_in_python_is_refused_with_the_same_message(key, value, message):
+    args = {**init_state(small_cfg()).params_D.spec.to_dict(), key: value}
+    del args["output_activation"]  # stored, but not a setting
+    with pytest.raises(ValueError, match=f"^NetworkSpec: {re.escape(message)}$"):
+        NetworkSpec(**args)
+
+
+def test_python_spec_with_an_integer_init_scale_round_trips_byte_exact():
+    state = init_state(small_cfg())
+    state.params_G = NetworkParams(replace(state.params_G.spec, init_scale=1),
+                                   state.params_G.vector)
+    blob = save_checkpoint(state)
+    assert b'"init_scale": 1.0' in blob
+    assert save_checkpoint(load_checkpoint(blob)) == blob
 
 
 def test_checkpoint_spec_accepts_an_integer_init_scale():
