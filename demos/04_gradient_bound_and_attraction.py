@@ -37,3 +37,11 @@ print(f"epsilon = {s['epsilon']:.3e}")
 print(f"probes with the condition: {s['n_condition_holds']} / {s['n_probes']}")
 print(f"counterexamples to 'condition implies attraction': {s['counterexamples']}")
 print(f"sampled neighborhood-radius estimate: {s['radius_estimate']}")
+
+# A generator wider than its latent (z 8 -> 20, the trajectory task's
+# shape): the bound's Jacobians come from a forward (tangent) pass, 8
+# products per node where a reverse pass would take 20.
+wide = mlp_init(NetworkSpec(8, (32, 32), 20, hidden_activation="tanh"), seed=5)
+out = bound_suite(wide, n_pairs=20, rng=rng)
+print(f"wide generator (z 8 -> 20) bound suite: {out['pairs']} pairs, "
+      f"{out['violations']} violations, min slack {out['min_slack']:.6f}")

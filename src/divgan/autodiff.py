@@ -82,7 +82,7 @@ class Var:
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeMismatch(f"item: expected a scalar, got shape {self.shape}")
-        return float(self.data)
+        return float(self.data.reshape(()))
 
     def __repr__(self):
         return f"Var(shape={self.shape})"
@@ -410,14 +410,16 @@ def backward(root: Var, seed=None) -> None:
 
 
 def evaluate_with_gradients(f, inputs) -> tuple[float, list[np.ndarray]]:
-    """Run f on fresh leaves and return (scalar value, gradients per input)."""
+    """Run f on fresh leaves and return (scalar value, gradients per input).
+    An input that f's result does not depend on gets zeros."""
     leaves = [Var(x) for x in inputs]
     out = f(*leaves)
     if not isinstance(out, Var):
         raise TypeError(f"evaluate_with_gradients: f returned {type(out).__name__}, not Var")
     value = out.item()
     backward(out)
-    return value, [np.array(v.grad) for v in leaves]
+    return value, [np.zeros_like(v.data) if v.grad is None else np.array(v.grad)
+                   for v in leaves]
 
 
 def finite_diff_gradient(f, x, h: float = 1e-5) -> np.ndarray:
@@ -450,6 +452,7 @@ def jacobian(f, z) -> np.ndarray:
 
     Output and input are flattened row-major, so the result has shape
     (output.size, z.size). One forward pass, one seeded backward per row.
+    An output that does not depend on z gets a zero row.
     """
     leaf = Var(z)
     out = f(leaf)
@@ -461,5 +464,6 @@ def jacobian(f, z) -> np.ndarray:
         seed = np.zeros(out.shape)
         seed.reshape(-1)[i] = 1.0
         backward(out, seed=seed)
-        jac[i] = leaf.grad.reshape(-1)
+        if leaf.grad is not None:
+            jac[i] = leaf.grad.reshape(-1)
     return jac

@@ -15,10 +15,15 @@ Two facts are exercised:
    reported as a sampled estimate only, since the infimum over all z is
    not computable.
 
-The Jacobians for fact 1 come from one reverse pass per segment that
-carries every output's cotangent at once (`path_jacobians`). It computes
-exactly the products and activation derivatives that one engine backward
-per output row computes, so it gives `autodiff.jacobian`'s bits.
+The Jacobians for fact 1 come from one pass per segment over all its
+quadrature nodes, in the mode with fewer products: a forward (tangent) pass
+carries z_dim tangents per node, a reverse pass out_dim cotangents. So the
+tangent pass runs iff z_dim < out_dim (the trajectory task's 8 -> 20), the
+reverse pass otherwise (the ring tasks). The reverse pass (`path_jacobians`)
+computes exactly the products and activation derivatives that one engine
+backward per output row computes, so it gives `autodiff.jacobian`'s bits.
+The tangent pass multiplies the same factors in the other order: it agrees
+to rounding, not bit for bit, which moves `rhs` by ~1e-16 relative.
 
 Norms here are l2 / spectral (matching the analysis), regardless of the
 training-side norm choice. A spectral norm is the root of the largest
@@ -88,6 +93,15 @@ def _forward(params_G: NetworkParams, zs, x=None) -> tuple[np.ndarray, list]:
     return _finite(out.data, "generator output"), [h.data for h in hidden]
 
 
+def _segment_hidden(params_G: NetworkParams, z1: np.ndarray, z2: np.ndarray,
+                    n_quad: int, x=None) -> list:
+    """G's hidden layers at the composite-midpoint nodes of the segment
+    z1 -> z2, from one forward over all nodes."""
+    ts = (np.arange(n_quad) + 0.5) / n_quad
+    gamma = ts[:, None] * z2[None, :] + (1.0 - ts)[:, None] * z1[None, :]
+    return _forward(params_G, gamma, x)[1]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def path_jacobians(params_G: NetworkParams, z1, z2, n_quad: int, x=None) -> np.ndarray:
     """Jacobians at the composite-midpoint nodes of the segment z1 -> z2,
@@ -105,9 +119,7 @@ def path_jacobians(params_G: NetworkParams, z1, z2, n_quad: int, x=None) -> np.n
     """
     z1 = np.asarray(z1, dtype=np.float64).reshape(-1)
     z2 = np.asarray(z2, dtype=np.float64).reshape(-1)
-    ts = (np.arange(n_quad) + 0.5) / n_quad
-    gamma = ts[:, None] * z2[None, :] + (1.0 - ts)[:, None] * z1[None, :]
-    _, hidden = _forward(params_G, gamma, x)
+    hidden = _segment_hidden(params_G, z1, z2, n_quad, x)
     weights = params_G.weights
     # (out_dim, n_quad, width): output i's cotangent on the top hidden layer,
     # C-ordered like the engine's gradients so each slice's matmul takes the
@@ -121,6 +133,31 @@ def path_jacobians(params_G: NetworkParams, z1, z2, n_quad: int, x=None) -> np.n
     jac = _finite(cot[:, :, cot.shape[2] - z1.size:] + 0.0, "Jacobian in path_gradient_bound")
     # a C-ordered copy: reductions over a transposed view may sum in another order
     return np.ascontiguousarray(jac.transpose(1, 0, 2))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _tangent_jacobians(params_G: NetworkParams, z1: np.ndarray, z2: np.ndarray,
+                       n_quad: int, x=None) -> np.ndarray:
+    """`path_jacobians` by one forward (tangent) pass, which carries z_dim
+    tangents per node where the reverse pass carries out_dim cotangents. It
+    agrees with `path_jacobians` to rounding, not bit for bit.
+
+    G's input is [condition, latent], so the latent's tangents start as the
+    last z_dim rows of W0 at every node. Per hidden layer they take the
+    activation derivative and the next W, as one 2-D product over all
+    nodes' tangents; with no hidden layer each node's Jacobian is W0's
+    latent rows, transposed.
+    """
+    hidden = _segment_hidden(params_G, z1, z2, n_quad, x)
+    weights = params_G.weights
+    w0_latent = weights[0][-z1.size:]
+    # (n_quad, z_dim, width): node k's tangents on the current layer
+    tan = np.broadcast_to(w0_latent, (n_quad,) + w0_latent.shape)
+    for h, W in zip(hidden, weights[1:]):
+        tan = tan * activation_grad(params_G.spec.hidden_activation, h)[:, None, :]
+        tan = (tan.reshape(-1, W.shape[0]) @ W).reshape(n_quad, z1.size, W.shape[1])
+    jac = np.ascontiguousarray(tan.transpose(0, 2, 1))
+    return _finite(jac, "Jacobian in path_gradient_bound")
 
 
 def _spectral_norms(jac: np.ndarray) -> np.ndarray:
@@ -153,7 +190,9 @@ def path_gradient_bound(params_G: NetworkParams, z1, z2, n_quad: int = 64,
     lhs = ||G(x,z2) - G(x,z1)||_2 / ||z2 - z1||_2; rhs integrates the
     Jacobian's spectral norm over the straight line between the latents by
     midpoint quadrature, each node's norm taken from its exactly rescaled
-    Gram matrix (`_spectral_norms`).
+    Gram matrix (`_spectral_norms`). The Jacobians come from the tangent
+    pass when the latent is narrower than G's output, else from the
+    reverse pass `path_jacobians`.
     """
     if n_quad < 8:
         raise ValueError("path_gradient_bound: n_quad must be >= 8")
@@ -168,7 +207,9 @@ def path_gradient_bound(params_G: NetworkParams, z1, z2, n_quad: int = 64,
     _, exp = np.frexp(np.max(np.abs(diff)))
     lhs = np.ldexp(np.linalg.norm(np.ldexp(diff, -exp)), exp)
     lhs = _finite(float(lhs / gap), "difference quotient")
-    norms = _spectral_norms(path_jacobians(params_G, z1, z2, n_quad, x=x))
+    # forward mode costs z_dim products per node, reverse mode out_dim
+    jacobians = _tangent_jacobians if z1.size < ys.shape[1] else path_jacobians
+    norms = _spectral_norms(jacobians(params_G, z1, z2, n_quad, x=x))
     rhs = _finite(float(np.mean(norms)), "Jacobian norm")
     return BoundCheckReport(lhs=lhs, rhs=rhs, slack=rhs - lhs, n_quadrature=n_quad)
 

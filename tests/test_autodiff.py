@@ -399,6 +399,28 @@ def test_evaluate_with_gradients_rejects_non_var():
         evaluate_with_gradients(lambda v: np.sum(v.data), [np.zeros(2)])
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_item_and_gradients_of_a_size_one_result(shape):
+    assert Var(np.full(shape, 2.0)).item() == 2.0
+    value, grads = evaluate_with_gradients(lambda v: v.square(), [np.full(shape, 3.0)])
+    assert value == 9.0
+    assert grads[0].shape == shape and np.array_equal(grads[0], np.full(shape, 6.0))
+
+
+def test_item_rejects_more_than_one_value():
+    with pytest.raises(ShapeMismatch, match="item"):
+        Var(np.zeros(2)).item()
+
+
+def test_unreached_input_gets_zero_gradient():
+    value, grads = evaluate_with_gradients(lambda a, b: (a * a).sum(),
+                                           [np.array([1.0, 2.0]), np.ones((2, 3))])
+    assert value == 5.0
+    assert np.array_equal(grads[0], [2.0, 4.0])
+    assert grads[1].dtype == np.float64 and grads[1].shape == (2, 3)
+    assert np.array_equal(grads[1], np.zeros((2, 3)))
+
+
 # -- gradient pruning -----------------------------------------------------------
 
 
@@ -506,6 +528,11 @@ def test_jacobian_linear_map():
     A = np.array([[2.0, 0.0], [0.0, 1.0]])
     jac = jacobian(lambda z: z @ Var(A.T), np.array([[0.5, -1.0]]))
     assert np.array_equal(jac, A)
+
+
+def test_jacobian_of_a_constant_output_is_zero():
+    jac = jacobian(lambda z: lift(np.ones(2)), np.zeros((1, 3)))
+    assert jac.dtype == np.float64 and np.array_equal(jac, np.zeros((2, 3)))
 
 
 def test_jacobian_componentwise():

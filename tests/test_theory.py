@@ -156,6 +156,44 @@ def test_path_jacobians_turn_negative_zero_weights_into_zeros():
     assert not np.signbit(jacs).any()
 
 
+# every JACOBIAN_NETS shape, and a G with no hidden layer and out_dim > z_dim
+TANGENT_NETS = {**JACOBIAN_NETS, "no_hidden_wide": (1, (), 5, "tanh", 2, 8)}
+
+
+@pytest.mark.parametrize("kind", list(TANGENT_NETS))
+def test_tangent_jacobians_match_engine_jacobians(kind, rng):
+    """Node by node within 1e-14 of the node's largest |entry|: the tangent
+    pass sums its products in another order than the engine's backward."""
+    cond_dim, hidden, out_dim, act, z_dim, n_quad = TANGENT_NETS[kind]
+    params = mlp_init(NetworkSpec(cond_dim + z_dim, hidden, out_dim, hidden_activation=act), 5)
+    x = rng.normal(size=cond_dim) if cond_dim else None
+    z1, z2 = rng.standard_normal(z_dim), rng.standard_normal(z_dim)
+    jacs = theory._tangent_jacobians(params, z1, z2, n_quad, x=x)
+    assert jacs.shape == (n_quad, out_dim, z_dim) and jacs.flags.c_contiguous
+    ts = (np.arange(n_quad) + 0.5) / n_quad
+    gamma = ts[:, None] * z2[None, :] + (1.0 - ts)[:, None] * z1[None, :]
+    xs = None if x is None else np.repeat(x[None, :], n_quad, axis=0)
+    ref = jacobian(lambda v: generator_forward(params, v, xs).sum(axis=0), gamma)
+    ref = ref.reshape(out_dim, n_quad, z_dim).transpose(1, 0, 2)
+    err = np.max(np.abs(jacs - ref), axis=(1, 2))
+    assert np.all(err <= 1e-14 * np.max(np.abs(ref), axis=(1, 2)))
+
+
+def test_overflowing_tangents_are_numerics_errors():
+    """z 8 -> 20 with latent 0's W0 row at 1e300: along a segment with
+    latent 0 fixed at 0, G and its difference quotient stay finite while
+    the Jacobian's first column overflows."""
+    params = mlp_init(NetworkSpec(8, (24, 24), 20, hidden_activation="tanh"), 3)
+    params.weights[0][0] *= 1e300
+    params.weights[-1][:] *= 1e10
+    z1, z2 = np.zeros(8), np.zeros(8)
+    z1[1], z2[1] = 1.0, -1.0
+    with pytest.raises(NumericsError, match="non-finite Jacobian in path_gradient_bound"):
+        theory._tangent_jacobians(params, z1, z2, 64)
+    with pytest.raises(NumericsError, match="non-finite Jacobian in path_gradient_bound"):
+        path_gradient_bound(params, z1, z2)
+
+
 class CallCount:
     """Wraps a function and counts its calls."""
 
@@ -171,12 +209,44 @@ def test_bound_suite_makes_no_backward_call(monkeypatch):
     spy = CallCount(autodiff.backward)
     monkeypatch.setattr(autodiff, "backward", spy)
     monkeypatch.setattr(theory, "backward", spy)
-    for act in ("tanh", "relu"):
-        params = mlp_init(NetworkSpec(3, (8, 8), 4, hidden_activation=act), 0)
-        bound_suite(params, n_pairs=3, rng=np.random.default_rng(0), z_dim=2, x=np.ones(1))
+    # z 2 -> 4 takes the tangent pass, z 3 -> 2 the reverse pass
+    for z_dim, out_dim in ((2, 4), (3, 2)):
+        for act in ("tanh", "relu"):
+            params = mlp_init(NetworkSpec(z_dim + 1, (8, 8), out_dim, hidden_activation=act), 0)
+            bound_suite(params, n_pairs=3, rng=np.random.default_rng(0), z_dim=z_dim,
+                        x=np.ones(1))
     assert spy.calls == 0
     pull_toward(tanh_generator(0), np.zeros(2), np.ones(2), AdamHyper())
     assert spy.calls == 1  # the spy sees the calls theory makes
+
+
+# name -> (cond_dim, z_dim, out_dim, the Jacobian pass path_gradient_bound runs)
+BOUND_SHAPES = {
+    "ring": (0, 2, 2, "path_jacobians"),
+    "conditional_ring": (4, 8, 2, "path_jacobians"),
+    "trajectory": (4, 8, 20, "_tangent_jacobians"),
+}
+
+
+@pytest.mark.parametrize("task", list(BOUND_SHAPES))
+def test_bound_takes_the_pass_with_fewer_products(task, monkeypatch):
+    """Tangent iff z_dim < out_dim (z_dim products per node against out_dim),
+    and in either mode two passes of G per pair: endpoints, then nodes."""
+    cond_dim, z_dim, out_dim, chosen = BOUND_SHAPES[task]
+    params = mlp_init(NetworkSpec(cond_dim + z_dim, (16, 16), out_dim), 0)
+    spies = {name: CallCount(getattr(theory, name))
+             for name in ("path_jacobians", "_tangent_jacobians", "mlp_forward_vars")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(theory, name, spy)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=cond_dim) if cond_dim else None
+    for _ in range(3):
+        path_gradient_bound(params, rng.standard_normal(z_dim), rng.standard_normal(z_dim), x=x)
+    assert {name: spy.calls for name, spy in spies.items()} == {
+        "path_jacobians": 3 * (chosen == "path_jacobians"),
+        "_tangent_jacobians": 3 * (chosen == "_tangent_jacobians"),
+        "mlp_forward_vars": 6,
+    }
 
 
 @pytest.mark.parametrize("z_dim,passes", [(2, 6), (3, 4)])
