@@ -2,7 +2,7 @@
 
 Define-by-run engine: arithmetic on `Var` objects records a computation
 graph, `backward` replays it in reverse topological order and accumulates
-gradients into `Var.grad`.
+gradients into the `.grad` of the graph's leaves.
 
 Only what a gradient can flow to is recorded. A `Var` built explicitly is a
 leaf that requires a gradient; an array wrapped by `lift` (every non-`Var`
@@ -10,7 +10,14 @@ operand) is a constant. An op result requires a gradient iff one of its
 operands does; a result computed only from constants keeps no parents and
 no backward closure, so a forward pass over constants builds no graph.
 `backward` walks only nodes that require a gradient, skips the matmul and
-`affine` products nobody reads, and leaves `.grad` untouched on constants.
+`affine` products nobody reads, and leaves `.grad` untouched on constants,
+a constant root included.
+
+Only leaves keep a gradient. An op result holds its gradient only while
+`backward` needs it: once the node has handed its contributions to its
+parents, its `.grad` goes back to None and the array is freed, so a
+backward pass holds the interior gradients of its frontier, not of the
+whole graph (the liveness-based sharing of Chen et al., arXiv:1604.06174).
 
 Nodes are few and fat where the networks spend their time: `affine` is one
 node for a layer, its tanh or relu included, and a reduction over a
@@ -378,8 +385,14 @@ def _accumulate(node: Var, g) -> None:
 
 
 def backward(root: Var, seed=None) -> None:
-    """Accumulate d(root)/d(node) into .grad for the root and every node
-    under it that requires a gradient; constants below the root get none.
+    """Set .grad to d(root)/d(leaf) on every leaf under the root that
+    requires a gradient; constants get none.
+
+    Op results are visited in reverse topological order and each one's
+    .grad is set back to None as soon as its contributions reach its
+    parents, so after the call no op result holds a gradient (a leaf root
+    holds the seed). A constant root changes nothing. Each call starts
+    from zero, so a graph can be replayed with other seeds.
 
     `seed` is the cotangent at the root; it defaults to 1 and then the root
     must be a scalar.
@@ -396,17 +409,25 @@ def backward(root: Var, seed=None) -> None:
             raise ShapeMismatch(
                 f"backward: seed shape {seed.shape} != root shape {root.shape}"
             )
+    if not root.requires_grad:
+        return
     order = _toposort(root)
     for node in order:
         node.grad = None
     _accumulate(root, seed)
     for node in reversed(order):
-        if node._bwd is None:
-            continue
-        parent_grads = node._bwd(node.grad, node)
-        for parent, g in zip(node._parents, parent_grads):
-            if parent.requires_grad:
-                _accumulate(parent, g)
+        if node._bwd is not None:
+            _pass_down(node)
+
+
+def _pass_down(node: Var) -> None:
+    """Add an op result's contributions to its parents' gradients and drop
+    its own; returning frees the contributions too."""
+    parent_grads = node._bwd(node.grad, node)
+    node.grad = None
+    for parent, g in zip(node._parents, parent_grads):
+        if parent.requires_grad:
+            _accumulate(parent, g)
 
 
 def evaluate_with_gradients(f, inputs) -> tuple[float, list[np.ndarray]]:

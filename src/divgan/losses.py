@@ -282,7 +282,9 @@ def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
 
     leaves = ParamLeaves(params_G)
     y1 = generator_forward(leaves, z1, batch.x)
-    y2 = generator_forward(leaves, z2, batch.x)
+    # at weight 0 the second fake only feeds the logged ratios: it is built
+    # from constants and records no graph
+    y2 = generator_forward(leaves if div.weight > 0 else params_G, z2, batch.x)
 
     logits1, feats1 = discriminator_forward(params_D, y1, batch.x)
     adv = g_adv_loss(logits1, cfg.g_loss_form)

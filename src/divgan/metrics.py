@@ -40,19 +40,28 @@ class EvalReport:
     dist_min: float
     frechet2: float
     n_samples: int
+    # per-label coverage (`conditional_coverage`), None off conditional_ring:
+    # labels with a high-quality sample in each of their modes, and the
+    # share of high-quality samples that land in their own label's modes
+    labels_covered: int | None = None
+    in_label_frac: float | None = None
 
     def __post_init__(self):
         vals = [self.hq_fraction, self.pairwise_diversity, self.dist_min, self.frechet2]
         if not all(np.isfinite(v) for v in vals):
             raise ValueError(f"EvalReport: non-finite fields {vals}")
-        if not 0.0 <= self.hq_fraction <= 1.0:
-            raise ValueError(f"EvalReport: hq_fraction {self.hq_fraction} outside [0, 1]")
+        for name in ("hq_fraction", "in_label_frac"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"EvalReport: {name} {value} outside [0, 1]")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        """The fields as a JSON object; fields that are None are left out."""
+        return json.dumps({k: v for k, v in asdict(self).items() if v is not None}, indent=2)
 
     @staticmethod
     def from_json(text: str) -> "EvalReport":
+        """A report from `to_json`'s text, with or without the per-label fields."""
         return EvalReport(**json.loads(text))
 
 

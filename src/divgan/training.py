@@ -30,7 +30,14 @@ from .data import (
     sample_trajectories,
 )
 from .losses import ObjectiveConfig, TrainBatch, d_loss, generator_total_loss
-from .metrics import HQ_STD_MULTIPLE, EvalReport, frechet_2d, mode_coverage, pairwise_diversity
+from .metrics import (
+    HQ_STD_MULTIPLE,
+    EvalReport,
+    conditional_coverage,
+    frechet_2d,
+    mode_coverage,
+    pairwise_diversity,
+)
 from .metrics import dist_min as metric_dist_min
 from .nets import (
     NetworkParams,
@@ -206,6 +213,38 @@ def _real_batch(cfg: TrainConfig, rng) -> tuple[np.ndarray | None, np.ndarray, i
 
 
 # -- one step ----------------------------------------------------------------
+#
+# Each update's graph is built and differentiated inside a helper that hands
+# back only the gradient vector and the logged values, so the D step's graph
+# is freed before the G step builds its own, and the G step's before Adam.
+
+
+def _d_gradient(state: TrainState, cfg: TrainConfig) -> tuple[np.ndarray, float]:
+    """D's gradient vector and loss on a real batch against fresh fakes."""
+    x, y_real, _ = _real_batch(cfg, state.rng)
+    z = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
+    fake = generator_forward(state.params_G, z, x).data
+    leaves = ParamLeaves(state.params_D)
+    logits_real, _ = discriminator_forward(leaves, y_real, x)
+    logits_fake, _ = discriminator_forward(leaves, fake, x)
+    loss_d = d_loss(logits_real, logits_fake)
+    d_loss_val = loss_d.item()
+    if not np.isfinite(d_loss_val):  # D's gradients can stay finite
+        raise NumericsError("d_loss: non-finite discriminator loss")
+    backward(loss_d)
+    return leaves.grad_vector(), d_loss_val
+
+
+def _g_gradient(state: TrainState, cfg: TrainConfig) -> tuple[np.ndarray, dict]:
+    """G's gradient vector and the logged parts of its objective."""
+    x, y_target, seq_len = _real_batch(cfg, state.rng)
+    z1 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
+    z2 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
+    batch = TrainBatch(z1=z1, z2=z2, x=x, y=y_target, seq_len=seq_len)
+    res = generator_total_loss(batch, state.params_G, state.params_D,
+                               cfg.objective, rng=state.rng)
+    backward(res.total)
+    return res.leaves.grad_vector(), res.parts
 
 
 def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricRow]:
@@ -219,32 +258,13 @@ def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricR
     # explicit finiteness checks are the error path, not the warnings
     try:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            x, y_real, _ = _real_batch(cfg, state.rng)
-            z = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
-            fake = generator_forward(state.params_G, z, x).data
-            leaves = ParamLeaves(state.params_D)
-            logits_real, _ = discriminator_forward(leaves, y_real, x)
-            logits_fake, _ = discriminator_forward(leaves, fake, x)
-            loss_d = d_loss(logits_real, logits_fake)
-            d_loss_val = loss_d.item()
-            if not np.isfinite(d_loss_val):  # D's gradients can stay finite
-                raise NumericsError("d_loss: non-finite discriminator loss")
-            backward(loss_d)
-            vector, state.adam_D = adam_step(
-                state.params_D.vector, leaves.grad_vector(), state.adam_D, cfg.adam
-            )
-            state.params_D = NetworkParams(leaves.spec, vector)
+            grad, d_loss_val = _d_gradient(state, cfg)
+            vector, state.adam_D = adam_step(state.params_D.vector, grad, state.adam_D, cfg.adam)
+            state.params_D = NetworkParams(state.params_D.spec, vector)
+            del grad  # nothing in the G step reads D's gradient
 
-            x, y_target, seq_len = _real_batch(cfg, state.rng)
-            z1 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
-            z2 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
-            batch = TrainBatch(z1=z1, z2=z2, x=x, y=y_target, seq_len=seq_len)
-            res = generator_total_loss(batch, state.params_G, state.params_D,
-                                       cfg.objective, rng=state.rng)
-            backward(res.total)
-            vector, state.adam_G = adam_step(
-                state.params_G.vector, res.leaves.grad_vector(), state.adam_G, cfg.adam
-            )
+            grad, parts = _g_gradient(state, cfg)
+            vector, state.adam_G = adam_step(state.params_G.vector, grad, state.adam_G, cfg.adam)
             state.params_G = NetworkParams(state.params_G.spec, vector)
     except NumericsError as exc:
         raise DivergenceError(step, str(exc)) from exc
@@ -253,10 +273,10 @@ def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricR
     row = MetricRow(
         step=step,
         d_loss=d_loss_val,
-        g_adv=res.parts["adv"],
-        g_rec=res.parts["rec"],
-        l_z=res.parts["l_z"],
-        ratio_mean=res.parts["ratio_mean"],
+        g_adv=parts["adv"],
+        g_rec=parts["rec"],
+        l_z=parts["l_z"],
+        ratio_mean=parts["ratio_mean"],
     )
     return state, row
 
@@ -267,9 +287,11 @@ def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricR
 @np.errstate(over="ignore", invalid="ignore")
 def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
     """Fixed seeded protocol: generate cfg.eval_samples fakes, score them
-    against a same-size seeded real draw. NumericsError if G overflows."""
+    against a same-size seeded real draw; on conditional_ring, also per
+    label. NumericsError if G overflows."""
     rng = np.random.default_rng(_seed_for(cfg.seed, _STREAM_EVAL))
     n = cfg.eval_samples
+    labels_covered = in_label_frac = None
     if cfg.task == "ring":
         z = rng.standard_normal((n, cfg.z_dim))
         fake = generator_forward(params_G, z).data
@@ -286,6 +308,8 @@ def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
         fake = generator_forward(params_G, z, x).data
         real = sample_conditional_ring(spec, n, rng)
         modes, hq = mode_coverage(fake, cfg.ring)
+        per_label, in_label_frac = conditional_coverage(fake, labels, spec)
+        labels_covered = sum(per_label)
         divs, dmins = [], []
         for lab in range(spec.n_labels):
             sel = labels == lab
@@ -322,6 +346,8 @@ def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
         dist_min=float(dmin),
         frechet2=float(fre),
         n_samples=n,
+        labels_covered=labels_covered,
+        in_label_frac=in_label_frac,
     )
 
 

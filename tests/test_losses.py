@@ -359,6 +359,36 @@ def test_training_graph_ratios_match_pairwise_functions(space, norm, tau, weight
 
 
 @pytest.mark.parametrize("space", ["output", "feature", "sequence"])
+def test_second_fake_records_a_graph_only_when_weighted(space, rng, monkeypatch):
+    """At weight 0 the second fake only feeds the logged ratios, so it is
+    built from constants and records no graph; at weight > 0 it carries G's
+    gradient. The ratios keep their bits either way."""
+    seq_len = 2 if space == "sequence" else 1
+    params_G = mlp_init(NetworkSpec(2, (5,), 2 * seq_len), 3)
+    params_D = mlp_init(NetworkSpec(2 * seq_len, (4, 3), 1, hidden_activation="relu"), 4)
+    batch = TrainBatch(z1=rng.normal(size=(6, 2)), z2=rng.normal(size=(6, 2)),
+                       seq_len=seq_len)
+    seen = []
+    batch_ratios = losses._batch_ratios
+
+    def spy(parts1, parts2, *rest):
+        seen.append(([p.requires_grad for p in parts2], batch_ratios(parts1, parts2, *rest)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(losses, "_batch_ratios", spy)
+    logged = [generator_total_loss(batch, params_G, params_D,
+                                   ObjectiveConfig(diversity=DiversityConfig(weight=w,
+                                                                             space=space)))
+              for w in (0.0, 0.3)]
+    (grads0, ratios0), (grads1, ratios1) = seen
+    assert grads0 and not any(grads0)
+    assert grads1 and all(grads1)
+    for a, b in zip(ratios0, ratios1):  # (term, raw)
+        assert a.data.tobytes() == b.data.tobytes()
+    assert logged[0].parts["ratio_mean"] == logged[1].parts["ratio_mean"]
+
+
+@pytest.mark.parametrize("space", ["output", "feature", "sequence"])
 @pytest.mark.parametrize("norm", ["l1", "l2"])
 def test_total_loss_gradients_match_finite_differences(space, norm, rng):
     g_spec = NetworkSpec(2, (4,), 2, hidden_activation="tanh")

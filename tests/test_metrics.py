@@ -266,11 +266,29 @@ def test_eval_report_json_roundtrip():
     assert EvalReport.from_json(rep.to_json()) == rep
 
 
+def test_eval_report_json_with_per_label_coverage():
+    rep = EvalReport(
+        modes_captured=8, hq_fraction=0.8, pairwise_diversity=4.2,
+        dist_min=0.01, frechet2=0.3, n_samples=2500, labels_covered=3, in_label_frac=0.75,
+    )
+    doc = json.loads(rep.to_json())
+    assert list(doc)[-2:] == ["labels_covered", "in_label_frac"]
+    assert doc["labels_covered"] == 3 and doc["in_label_frac"] == 0.75
+    assert EvalReport.from_json(rep.to_json()) == rep
+    # a report written before the per-label fields existed still reads
+    del doc["labels_covered"], doc["in_label_frac"]
+    old = EvalReport.from_json(json.dumps(doc))
+    assert old.labels_covered is None and old.in_label_frac is None
+
+
 def test_eval_report_validation():
     with pytest.raises(ValueError):
         EvalReport(1, 1.5, 0.0, 0.0, 0.0, 10)
     with pytest.raises(ValueError):
         EvalReport(1, 0.5, np.nan, 0.0, 0.0, 10)
+    for frac in (1.5, -0.1, np.nan):
+        with pytest.raises(ValueError, match="in_label_frac"):
+            EvalReport(1, 0.5, 0.0, 0.0, 0.0, 10, labels_covered=1, in_label_frac=frac)
 
 
 def test_conditional_coverage_perfect_and_misplaced():

@@ -2,6 +2,8 @@ import base64
 import concurrent.futures
 import json
 import re
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +12,17 @@ import pytest
 from conftest import as_version_1, edit_vector, refit
 from divgan import training
 from divgan.autodiff import backward
-from divgan.data import MAX_SIZE, RingMixtureSpec
-from divgan.losses import DiversityConfig, ObjectiveConfig, TrainBatch, generator_total_loss
-from divgan.nets import NetworkParams, NetworkSpec
-from divgan.optim import AdamState
+from divgan.config import parse_run_config
+from divgan.data import MAX_SIZE, ConditionalRingSpec, RingMixtureSpec
+from divgan.losses import (
+    DiversityConfig,
+    ObjectiveConfig,
+    TrainBatch,
+    d_loss,
+    generator_total_loss,
+)
+from divgan.nets import NetworkParams, NetworkSpec, generator_forward
+from divgan.optim import AdamState, adam_step
 from divgan.training import (
     CheckpointError,
     CSV_HEADER,
@@ -99,6 +108,115 @@ def test_lambda_zero_matches_term_free_build():
     backward(bare)
     for a, v in zip(grads_with_logging, gvars):
         assert np.array_equal(a, v.grad)
+
+
+def test_steady_ring_step_traced_peak():
+    """A steady ring step at the task defaults peaks at most 3.0 MB of
+    traced allocations: ~1.9 MB with each phase's graph and every interior
+    gradient freed once read, ~4.2 MB when they lived to the step's end."""
+    cfg = parse_run_config({"task": "ring", "seed": 0})
+    state = init_state(cfg)
+    for _ in range(5):
+        state, _ = train_step(state, cfg)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        train_step(state, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak - before <= 3.0e6
+
+
+@pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
+def test_each_phase_graph_is_freed_before_the_next(task, monkeypatch):
+    """The D step's graph (its leaves, fakes and loss) is gone when the G
+    step starts, and the G step's loss graph is gone when G's Adam update
+    runs."""
+    d_graph, g_graph, seen = [], [], []
+
+    class TrackedLeaves(training.ParamLeaves):
+        def __init__(self, params):
+            super().__init__(params)
+            d_graph.append(weakref.ref(self))
+
+    def fakes(*args):
+        out = generator_forward(*args)
+        d_graph.append(weakref.ref(out.data))
+        return out
+
+    def loss_d(*args):
+        out = d_loss(*args)
+        d_graph.append(weakref.ref(out.data))
+        return out
+
+    def g_loss(*args, **kwargs):
+        seen.append(("G step", [r() is None for r in d_graph]))
+        res = generator_total_loss(*args, **kwargs)
+        g_graph.extend([weakref.ref(res), weakref.ref(res.total.data)])
+        return res
+
+    def adam(vector, grad, adam_state, hyper):
+        if g_graph:
+            seen.append(("G Adam", [r() is None for r in g_graph]))
+        return adam_step(vector, grad, adam_state, hyper)
+
+    monkeypatch.setattr(training, "ParamLeaves", TrackedLeaves)
+    monkeypatch.setattr(training, "generator_forward", fakes)
+    monkeypatch.setattr(training, "d_loss", loss_d)
+    monkeypatch.setattr(training, "generator_total_loss", g_loss)
+    monkeypatch.setattr(training, "adam_step", adam)
+    cfg = small_cfg(task=task, z_dim=4)
+    train_step(init_state(cfg), cfg)
+    assert seen == [("G step", [True] * 3), ("G Adam", [True] * 2)]
+
+
+def _label_generator(split: bool) -> NetworkParams:
+    """A tanh G for the 4-label ring with z_dim 2 that puts label k on the
+    centre of its first mode or, with split, of its first or its second
+    mode by the sign of z's first coordinate."""
+    spec = ConditionalRingSpec()
+    centers = spec.base.centers()
+    g_spec = NetworkSpec(4 + 2, (8,), 2)
+    params = NetworkParams(g_spec, np.zeros(g_spec.n_params))
+    (w0, w1), (b0, b1) = params.weights, params.biases
+    for k in range(4):
+        first, second = (centers[m] for m in spec.label_modes(k))
+        w0[k, k] = 50.0  # hidden unit k: 1 on label k, else 0
+        w1[k] = first
+        if split:
+            # hidden unit 4 + k: sign(z0) on label k, -1 on the others;
+            # (unit + 1) / 2 moves label k to its second mode when z0 > 0
+            w0[k, 4 + k], w0[4, 4 + k], b0[4 + k] = 1e4, 1e3, -1e4
+            w1[4 + k] = (second - first) / 2
+            b1 += (second - first) / 2
+    return params
+
+
+@pytest.mark.parametrize("split,labels,modes", [(False, 0, 4), (True, 4, 8)])
+def test_conditional_eval_reports_per_label_coverage(split, labels, modes):
+    """A G that ignores z covers no label's two modes; one that splits each
+    label over its two modes covers all four. Every high-quality sample
+    lands in its own label's modes either way."""
+    cfg = TrainConfig(task="conditional_ring", z_dim=2)
+    report = evaluate_generator(_label_generator(split), cfg)
+    assert report.modes_captured == modes
+    assert report.labels_covered == labels
+    assert report.in_label_frac == 1.0
+    doc = json.loads(report.to_json())
+    assert doc["labels_covered"] == labels and doc["in_label_frac"] == 1.0
+
+
+@pytest.mark.parametrize("task", ["ring", "trajectory"])
+def test_unconditional_eval_json_has_no_per_label_keys(task):
+    cfg = small_cfg(task=task, z_dim=4)
+    report = evaluate_generator(init_state(cfg).params_G, cfg)
+    assert report.labels_covered is None and report.in_label_frac is None
+    assert "labels_covered" not in report.to_json()
+    assert "in_label_frac" not in report.to_json()
 
 
 def test_lz_logged_within_tau():
