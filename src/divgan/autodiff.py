@@ -289,6 +289,11 @@ def affine(x, W, b, activation=None) -> Var:
     "relu") when one is given. Backward computes g @ W.T, x.T @ g and
     g.sum(0), each only for an operand that requires a gradient.
 
+    x may also be stacked, (..., batch, n), when W and b are constants:
+    numpy then runs one 2-D product per slice, each with the bits of that
+    slice's own call. A W or b that requires a gradient needs a 2-D x,
+    since x.T @ g is 2-D only.
+
     The activation runs in place on the fresh output, and backward first
     multiplies g by the derivative read off that output: the bits of
     `affine` then `Var.tanh`/`Var.relu`. (The unfused graph stored that
@@ -299,8 +304,10 @@ def affine(x, W, b, activation=None) -> Var:
     if activation not in (None, "tanh", "relu"):
         raise ValueError(f"affine: unknown activation {activation!r}")
     x, W, b = lift(x), lift(W), lift(b)
-    if x.ndim != 2 or W.ndim != 2 or x.shape[1] != W.shape[0] or b.shape != W.shape[1:]:
+    if x.ndim < 2 or W.ndim != 2 or x.shape[-1] != W.shape[0] or b.shape != W.shape[1:]:
         raise ShapeMismatch(f"affine: incompatible shapes {x.shape}, {W.shape} and {b.shape}")
+    if x.ndim > 2 and (W.requires_grad or b.requires_grad):
+        raise ShapeMismatch(f"affine: a stacked input {x.shape} needs constant W and b")
     out = x.data @ W.data
     out += b.data
     if activation == "tanh":

@@ -274,7 +274,8 @@ def cmd_interp(args) -> int:
 
 # upper bound on --pairs, --probes and --steps: a 128-wide layer over that
 # many rows holds 2**25 float64 entries, the budget divgan.data.MAX_SIZE keeps
-# configs to (--pairs runs one pair at a time, so its cap bounds time only)
+# configs to (--pairs runs in fixed-size blocks of pairs, and the block size,
+# not the cap, bounds its memory; the cap bounds time only)
 MAX_COUNT = 2**18
 
 

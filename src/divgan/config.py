@@ -14,8 +14,8 @@ from dataclasses import replace
 
 from .training import TrainConfig
 
-__all__ = ["ConfigError", "FIELDS", "TASK_DEFAULTS", "parse_run_config", "read_json",
-           "load_run_config"]
+__all__ = ["ConfigError", "FIELDS", "TASK_DEFAULTS", "parse_run_config", "to_document",
+           "read_json", "load_run_config"]
 
 # JSON key -> (field path, JSON type); floats take integers, type(None) is null
 FIELDS = {
@@ -89,6 +89,26 @@ def parse_run_config(doc: dict) -> TrainConfig:
         except ValueError as exc:  # the dataclasses' range checks
             raise ConfigError(f"config key {key!r}: {exc}") from exc
     return cfg
+
+
+def to_document(cfg: TrainConfig) -> dict:
+    """The config document that `parse_run_config` reads back as cfg: every
+    key in `FIELDS`, the ring's under "ring", and a tau of None as null.
+    ValueError if cfg sets a field no key holds (the trajectory spec, the
+    eval sample count), since the document could not say it."""
+    doc = {}
+    for key, (path, _) in FIELDS.items():
+        value = cfg
+        for name in path.split("."):
+            value = getattr(value, name)
+        head, _, sub = key.partition(".")
+        if sub:
+            doc.setdefault(head, {})[sub] = value
+        else:
+            doc[key] = value
+    if parse_run_config(doc) != cfg:
+        raise ValueError("to_document: the config sets a field no config key holds")
+    return doc
 
 
 def read_json(path, what: str):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import NumericsError
 from .data import ConditionalRingSpec, RingMixtureSpec, nearest_modes
-from .nets import NetworkParams, generator_forward
+from .nets import NetworkParams, mlp_forward_vars
 
 __all__ = [
     "EvalReport",
@@ -42,7 +42,8 @@ class EvalReport:
     n_samples: int
     # per-label coverage (`conditional_coverage`), None off conditional_ring:
     # labels with a high-quality sample in each of their modes, and the
-    # share of high-quality samples that land in their own label's modes
+    # share of high-quality samples that land in their own label's modes,
+    # None too when no sample is high quality (no evidence either way)
     labels_covered: int | None = None
     in_label_frac: float | None = None
 
@@ -65,16 +66,17 @@ class EvalReport:
         return EvalReport(**json.loads(text))
 
 
-def mode_coverage(samples, spec: RingMixtureSpec) -> tuple[int, float]:
+def mode_coverage(samples, spec: RingMixtureSpec, *, nearest=None) -> tuple[int, float]:
     """(modes with at least one high-quality sample, high-quality fraction).
 
     High quality means l2 distance to the nearest mode center at most
-    3 * spec.std.
+    3 * spec.std. `nearest` is `data.nearest_modes(samples, spec)` when the
+    caller already has it.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or len(samples) == 0:
         raise ValueError(f"mode_coverage: expected nonempty (n, 2) samples, got {samples.shape}")
-    idx, dist = nearest_modes(samples, spec)
+    idx, dist = nearest_modes(samples, spec) if nearest is None else nearest
     hq = dist <= HQ_STD_MULTIPLE * spec.std
     captured = np.unique(idx[hq])
     return int(len(captured)), float(np.mean(hq))
@@ -190,23 +192,28 @@ def latent_interpolation(params_G: NetworkParams, z_a, z_b, steps: int,
         latents = _linear_path(z_a, z_b, ts)
     latents[0] = z_a
     latents[-1] = z_b
+    inp = latents
     if x is not None:
-        x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    # one row at a time so the endpoint outputs are bit-identical to
-    # single-sample generator calls (batched BLAS may round differently)
-    outputs = np.stack([
-        generator_forward(params_G, latents[i : i + 1], x).data[0] for i in range(steps)
-    ])
+        x = np.asarray(x, dtype=np.float64).reshape(-1)
+        inp = np.concatenate([np.broadcast_to(x, (steps, x.size)), latents], axis=1)
+    # one stacked pass of 1-row slices: each runs the product of a
+    # single-sample generator call, so the endpoints keep its bits
+    outputs = mlp_forward_vars(params_G.flat(), params_G.spec, inp[:, None, :])[0].data[:, 0]
     if not np.all(np.isfinite(outputs)):
         raise NumericsError("latent_interpolation: non-finite generator output")
     return InterpolationResult(latents=latents, outputs=outputs, slerp_fallback=fallback)
 
 
-def conditional_coverage(y: np.ndarray, labels: np.ndarray,
-                         spec: ConditionalRingSpec) -> tuple[list[bool], float]:
+def conditional_coverage(y: np.ndarray, labels: np.ndarray, spec: ConditionalRingSpec,
+                         *, nearest=None) -> tuple[list[bool], float | None]:
     """Per-label check that both owned modes got a high-quality sample, plus
-    the fraction of high-quality samples landing in their label's modes."""
-    idx, dist = nearest_modes(np.asarray(y, dtype=np.float64), spec.base)
+    the fraction of high-quality samples landing in their label's modes:
+    None when no sample is high quality, which is no evidence, where 0.0
+    would read as every sample misplaced. `nearest` is
+    `data.nearest_modes(y, spec.base)` when the caller already has it."""
+    if nearest is None:
+        nearest = nearest_modes(np.asarray(y, dtype=np.float64), spec.base)
+    idx, dist = nearest
     hq = dist <= HQ_STD_MULTIPLE * spec.base.std
     per_label = []
     for lab in range(spec.n_labels):
@@ -219,5 +226,5 @@ def conditional_coverage(y: np.ndarray, labels: np.ndarray,
         owned = np.array(spec.label_modes(lab))
         in_owned |= (labels == lab) & np.isin(idx, owned)
     n_hq = int(np.sum(hq))
-    frac = float(np.sum(hq & in_owned) / n_hq) if n_hq else 0.0
+    frac = float(np.sum(hq & in_owned) / n_hq) if n_hq else None
     return per_label, frac

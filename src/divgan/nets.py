@@ -201,15 +201,17 @@ def mlp_forward_vars(param_vars, spec: NetworkSpec, inp) -> tuple[Var, list[Var]
     """Forward pass on a (batch, input_dim) input over the parameters
     [W0, b0, W1, b1, ...]. Arrays enter as constants and `Var` leaves get
     gradients; with constant parameters and input no graph is built.
+    Constant parameters also take a stacked (..., batch, input_dim) input,
+    each slice with the bits of its own pass (see `autodiff.affine`).
 
     Hidden layers apply the spec's tanh or relu, fused into their `affine`
     node; the output is linear. Returns (output, hidden) where hidden holds
     the post-activation hidden layers ordered input -> output.
     """
     h = lift(inp)
-    if h.ndim != 2 or h.shape[1] != spec.input_dim:
+    if h.ndim < 2 or h.shape[-1] != spec.input_dim:
         raise ShapeMismatch(
-            f"mlp_forward_vars: input shape {h.shape}, spec wants (batch, {spec.input_dim})"
+            f"mlp_forward_vars: input shape {h.shape}, spec wants (..., batch, {spec.input_dim})"
         )
     hidden = []
     n_layers = len(param_vars) // 2

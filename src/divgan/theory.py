@@ -25,6 +25,17 @@ backward per output row computes, so it gives `autodiff.jacobian`'s bits.
 The tangent pass multiplies the same factors in the other order: it agrees
 to rounding, not bit for bit, which moves `rhs` by ~1e-16 relative.
 
+`bound_suite` runs its pairs on a leading pair axis: one stacked pass of G
+over every pair's endpoints, then per block of pairs one stacked pass over
+the nodes, one Jacobian pass, one batch of spectral norms and one node mean
+per pair. Numpy runs a stacked product as one 2-D product per slice, so
+each pair keeps the bits of its own `path_gradient_bound`, which is the same
+core on one pair. (Merging the pairs into a product's row dimension would
+not: BLAS rounds a product differently by its row count.) Each pair's
+quotient keeps its own 1-D norms. The block sizes bound memory and are
+fixed per pass: 8 pairs of 64 nodes for the reverse pass, one pair for the
+tangent pass, whose larger blocks spill the L2 cache.
+
 Norms here are l2 / spectral (matching the analysis), regardless of the
 training-side norm choice. A spectral norm is the root of the largest
 eigenvalue of the node's Gram matrix, formed after an exact power-of-two
@@ -63,6 +74,18 @@ __all__ = [
 BOUND_RTOL = 1e-6
 BOUND_ATOL = 1e-8
 
+# Pairs per stacked pass. Numpy runs a stacked product as one 2-D product per
+# slice, so these set speed and memory, never bits.
+_SUITE_PAIRS = 1024  # bound_suite's draws and endpoint pass: 2 rows per pair
+_REVERSE_NODES = 512  # reverse Jacobian block: 8 pairs of 64 nodes
+_TANGENT_NODES = 64  # tangent Jacobian block: one pair of 64 nodes; more spilled L2
+
+
+def _holds(lhs, rhs):
+    """Whether the quotient lhs stays under the Jacobian bound rhs, up to
+    rounding; elementwise on arrays."""
+    return lhs <= rhs * (1.0 + BOUND_RTOL) + BOUND_ATOL
+
 
 @dataclass
 class BoundCheckReport:
@@ -73,7 +96,7 @@ class BoundCheckReport:
 
     @property
     def holds(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + BOUND_RTOL) + BOUND_ATOL
+        return _holds(self.lhs, self.rhs)
 
 
 def _finite(values, what: str):
@@ -84,25 +107,50 @@ def _finite(values, what: str):
 
 
 def _forward(params_G: NetworkParams, zs, x=None) -> tuple[np.ndarray, list]:
-    """G(x, z) at every row of zs, all rows sharing the one condition x, and
-    G's post-activation hidden layers there, ordered input -> output."""
+    """G(x, z) at every row of zs, shape (..., rows, z_dim), all rows sharing
+    the one condition x, and G's post-activation hidden layers there,
+    ordered input -> output."""
     if x is not None:
-        x = np.repeat(np.asarray(x, dtype=np.float64).reshape(1, -1), zs.shape[0], axis=0)
-        zs = np.concatenate([x, zs], axis=1)
+        x = np.asarray(x, dtype=np.float64).reshape(-1)
+        zs = np.concatenate([np.broadcast_to(x, zs.shape[:-1] + x.shape), zs], axis=-1)
     out, hidden = mlp_forward_vars(params_G.flat(), params_G.spec, zs)
     return _finite(out.data, "generator output"), [h.data for h in hidden]
 
 
-def _segment_hidden(params_G: NetworkParams, z1: np.ndarray, z2: np.ndarray,
-                    n_quad: int, x=None) -> list:
-    """G's hidden layers at the composite-midpoint nodes of the segment
-    z1 -> z2, from one forward over all nodes."""
+def _node_hidden(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray,
+                 n_quad: int, x=None) -> list:
+    """G's hidden layers at the composite-midpoint nodes of each segment
+    z1s[p] -> z2s[p], shape (pairs, n_quad, width), from one stacked
+    forward over all nodes."""
     ts = (np.arange(n_quad) + 0.5) / n_quad
-    gamma = ts[:, None] * z2[None, :] + (1.0 - ts)[:, None] * z1[None, :]
+    gamma = ts[:, None] * z2s[:, None, :] + (1.0 - ts)[:, None] * z1s[:, None, :]
     return _forward(params_G, gamma, x)[1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _reverse_jacobians(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray,
+                       n_quad: int, x=None) -> np.ndarray:
+    """`path_jacobians` for each pair of rows z1s[p], z2s[p], shape
+    (pairs, n_quad, out_dim, z_dim). Every product is stacked over pairs
+    and outputs, so each slice runs the 2-D product one pair's pass runs."""
+    hidden = _node_hidden(params_G, z1s, z2s, n_quad, x)
+    weights = params_G.weights
+    # (pairs, out_dim, n_quad, width): output i's cotangent on the top hidden
+    # layer, C-ordered like the engine's gradients so each slice's matmul
+    # takes the same BLAS path
+    cot = np.empty((len(z1s), weights[-1].shape[1], n_quad, weights[-1].shape[0]))
+    cot[...] = weights[-1].T[:, None, :]
+    for h, W in zip(reversed(hidden), reversed(weights[:-1])):
+        # cot is fresh (the fill, then each product), so the derivative
+        # is multiplied into it in place
+        cot *= activation_grad(params_G.spec.hidden_activation, h)[:, None]
+        cot = cot @ W.T
+    jac = _finite(cot[..., cot.shape[-1] - z1s.shape[1]:] + 0.0,
+                  "Jacobian in path_gradient_bound")
+    # a C-ordered copy: reductions over a transposed view may sum in another order
+    return np.ascontiguousarray(jac.transpose(0, 2, 1, 3))
+
+
 def path_jacobians(params_G: NetworkParams, z1, z2, n_quad: int, x=None) -> np.ndarray:
     """Jacobians at the composite-midpoint nodes of the segment z1 -> z2,
     shape (n_quad, out_dim, z_dim).
@@ -117,46 +165,34 @@ def path_jacobians(params_G: NetworkParams, z1, z2, n_quad: int, x=None) -> np.n
     The engine adds 0.0 to each node's first gradient, which changes only the
     sign of zeros, so one 0.0 added at the end reproduces it.
     """
-    z1 = np.asarray(z1, dtype=np.float64).reshape(-1)
-    z2 = np.asarray(z2, dtype=np.float64).reshape(-1)
-    hidden = _segment_hidden(params_G, z1, z2, n_quad, x)
-    weights = params_G.weights
-    # (out_dim, n_quad, width): output i's cotangent on the top hidden layer,
-    # C-ordered like the engine's gradients so each slice's matmul takes the
-    # same BLAS path
-    cot = np.repeat(weights[-1].T[:, None, :], n_quad, axis=1)
-    for h, W in zip(reversed(hidden), reversed(weights[:-1])):
-        # cot is fresh (the repeat, then each product), so the derivative
-        # is multiplied into it in place
-        cot *= activation_grad(params_G.spec.hidden_activation, h)
-        cot = cot @ W.T
-    jac = _finite(cot[:, :, cot.shape[2] - z1.size:] + 0.0, "Jacobian in path_gradient_bound")
-    # a C-ordered copy: reductions over a transposed view may sum in another order
-    return np.ascontiguousarray(jac.transpose(1, 0, 2))
+    z1 = np.asarray(z1, dtype=np.float64).reshape(1, -1)
+    z2 = np.asarray(z2, dtype=np.float64).reshape(1, -1)
+    return _reverse_jacobians(params_G, z1, z2, n_quad, x)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _tangent_jacobians(params_G: NetworkParams, z1: np.ndarray, z2: np.ndarray,
+def _tangent_jacobians(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray,
                        n_quad: int, x=None) -> np.ndarray:
-    """`path_jacobians` by one forward (tangent) pass, which carries z_dim
-    tangents per node where the reverse pass carries out_dim cotangents. It
-    agrees with `path_jacobians` to rounding, not bit for bit.
+    """`_reverse_jacobians` by one forward (tangent) pass, which carries
+    z_dim tangents per node where the reverse pass carries out_dim
+    cotangents. It agrees with the reverse pass to rounding, not bit for bit.
 
     G's input is [condition, latent], so the latent's tangents start as the
     last z_dim rows of W0 at every node. Per hidden layer they take the
-    activation derivative and the next W, as one 2-D product over all
-    nodes' tangents; with no hidden layer each node's Jacobian is W0's
-    latent rows, transposed.
+    activation derivative and the next W, as one 2-D product over all of a
+    pair's nodes, stacked over pairs; with no hidden layer each node's
+    Jacobian is W0's latent rows, transposed.
     """
-    hidden = _segment_hidden(params_G, z1, z2, n_quad, x)
+    hidden = _node_hidden(params_G, z1s, z2s, n_quad, x)
     weights = params_G.weights
-    w0_latent = weights[0][-z1.size:]
-    # (n_quad, z_dim, width): node k's tangents on the current layer
-    tan = np.broadcast_to(w0_latent, (n_quad,) + w0_latent.shape)
+    pairs, z_dim = z1s.shape
+    w0_latent = weights[0][-z_dim:]
+    # (pairs, n_quad, z_dim, width): node k's tangents on the current layer
+    tan = np.broadcast_to(w0_latent, (pairs, n_quad) + w0_latent.shape)
     for h, W in zip(hidden, weights[1:]):
-        tan = tan * activation_grad(params_G.spec.hidden_activation, h)[:, None, :]
-        tan = (tan.reshape(-1, W.shape[0]) @ W).reshape(n_quad, z1.size, W.shape[1])
-    jac = np.ascontiguousarray(tan.transpose(0, 2, 1))
+        tan = tan * activation_grad(params_G.spec.hidden_activation, h)[:, :, None, :]
+        tan = (tan.reshape(pairs, -1, W.shape[0]) @ W).reshape(pairs, n_quad, z_dim, W.shape[1])
+    jac = np.ascontiguousarray(tan.transpose(0, 1, 3, 2))
     return _finite(jac, "Jacobian in path_gradient_bound")
 
 
@@ -183,6 +219,35 @@ def _spectral_norms(jac: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _bounds(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray, n_quad: int,
+            x=None) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of `path_gradient_bound` for each pair of rows z1s[p],
+    z2s[p], each of shape (pairs,): every pair's endpoints in one stacked
+    pass of G, then the nodes, Jacobians, norms and node means of a block of
+    pairs at a time."""
+    gaps = np.array([np.linalg.norm(d) for d in z2s - z1s])
+    if np.any(gaps == 0.0):
+        raise ValueError("path_gradient_bound: z1 and z2 coincide")
+    ys, _ = _forward(params_G, np.stack([z1s, z2s], axis=1), x)
+    diff = ys[:, 1] - ys[:, 0]
+    # scaled exactly, as in _spectral_norms, so the squares stay in range
+    _, exp = np.frexp(np.max(np.abs(diff), axis=1))
+    lhs = np.ldexp([np.linalg.norm(d) for d in np.ldexp(diff, -exp[:, None])], exp)
+    lhs = _finite(lhs / gaps, "difference quotient")
+    # forward mode costs z_dim products per node, reverse mode out_dim
+    if z1s.shape[1] < ys.shape[-1]:
+        jacobians, nodes = _tangent_jacobians, _TANGENT_NODES
+    else:
+        jacobians, nodes = _reverse_jacobians, _REVERSE_NODES
+    block = max(1, nodes // n_quad)
+    rhs = np.empty(len(z1s))
+    for s in range(0, len(z1s), block):
+        jac = jacobians(params_G, z1s[s:s + block], z2s[s:s + block], n_quad, x=x)
+        norms = _spectral_norms(jac.reshape((-1,) + jac.shape[2:]))
+        rhs[s:s + block] = norms.reshape(-1, n_quad).mean(axis=1)
+    return lhs, _finite(rhs, "Jacobian norm")
+
+
 def path_gradient_bound(params_G: NetworkParams, z1, z2, n_quad: int = 64,
                         x=None) -> BoundCheckReport:
     """Difference quotient vs averaged Jacobian norm along the segment.
@@ -192,52 +257,44 @@ def path_gradient_bound(params_G: NetworkParams, z1, z2, n_quad: int = 64,
     midpoint quadrature, each node's norm taken from its exactly rescaled
     Gram matrix (`_spectral_norms`). The Jacobians come from the tangent
     pass when the latent is narrower than G's output, else from the
-    reverse pass `path_jacobians`.
+    reverse pass `path_jacobians`. It is `bound_suite`'s core on one pair.
     """
     if n_quad < 8:
         raise ValueError("path_gradient_bound: n_quad must be >= 8")
-    z1 = np.asarray(z1, dtype=np.float64).reshape(-1)
-    z2 = np.asarray(z2, dtype=np.float64).reshape(-1)
-    gap = float(np.linalg.norm(z2 - z1))
-    if gap == 0.0:
-        raise ValueError("path_gradient_bound: z1 and z2 coincide")
-    ys, _ = _forward(params_G, np.stack([z1, z2]), x)
-    diff = ys[1] - ys[0]
-    # scaled exactly, as in _spectral_norms, so the squares stay in range
-    _, exp = np.frexp(np.max(np.abs(diff)))
-    lhs = np.ldexp(np.linalg.norm(np.ldexp(diff, -exp)), exp)
-    lhs = _finite(float(lhs / gap), "difference quotient")
-    # forward mode costs z_dim products per node, reverse mode out_dim
-    jacobians = _tangent_jacobians if z1.size < ys.shape[1] else path_jacobians
-    norms = _spectral_norms(jacobians(params_G, z1, z2, n_quad, x=x))
-    rhs = _finite(float(np.mean(norms)), "Jacobian norm")
+    z1 = np.asarray(z1, dtype=np.float64).reshape(1, -1)
+    z2 = np.asarray(z2, dtype=np.float64).reshape(1, -1)
+    (lhs,), (rhs,) = _bounds(params_G, z1, z2, n_quad, x=x)
+    lhs, rhs = float(lhs), float(rhs)
     return BoundCheckReport(lhs=lhs, rhs=rhs, slack=rhs - lhs, n_quadrature=n_quad)
 
 
 def bound_suite(params_G: NetworkParams, n_pairs: int, rng, z_dim: int | None = None,
                 x=None) -> dict:
     """Run the bound on random latent pairs; near-violations get a 4x finer
-    quadrature before counting as failures."""
+    quadrature before counting as failures.
+
+    Each pair is z1 then z2 from rng, drawn _SUITE_PAIRS pairs at a time
+    (the stream of drawing them one by one) and checked by `_bounds`, as
+    `path_gradient_bound` checks one pair; the pairs that fail go through
+    `_bounds` again at the finer quadrature.
+    """
     if n_pairs < 1:
         raise ValueError("bound_suite: n_pairs must be >= 1")
     if z_dim is None:
         z_dim = params_G.spec.input_dim if x is None else params_G.spec.input_dim - np.asarray(x).size
     # piecewise-constant relu Jacobians need a finer grid than smooth tanh
     n_quad = 512 if params_G.spec.hidden_activation == "relu" else 64
-    refine = 4 * n_quad
-    violations = 0
+    violations = refined = 0
     min_slack = np.inf
-    refined = 0
-    for _ in range(n_pairs):
-        z1 = rng.standard_normal(z_dim)
-        z2 = rng.standard_normal(z_dim)
-        rep = path_gradient_bound(params_G, z1, z2, n_quad=n_quad, x=x)
-        if not rep.holds:
-            refined += 1
-            rep = path_gradient_bound(params_G, z1, z2, n_quad=refine, x=x)
-            if not rep.holds:
-                violations += 1
-        min_slack = min(min_slack, rep.slack)
+    for start in range(0, n_pairs, _SUITE_PAIRS):
+        zs = rng.standard_normal((min(_SUITE_PAIRS, n_pairs - start), 2, z_dim))
+        lhs, rhs = _bounds(params_G, zs[:, 0], zs[:, 1], n_quad, x=x)
+        redo = ~_holds(lhs, rhs)
+        if redo.any():
+            lhs[redo], rhs[redo] = _bounds(params_G, zs[redo, 0], zs[redo, 1], 4 * n_quad, x=x)
+        refined += int(np.sum(redo))
+        violations += int(np.sum(~_holds(lhs, rhs)))
+        min_slack = min(min_slack, float(np.min(rhs - lhs)))
     return {
         "pairs": n_pairs,
         "n_quad": n_quad,

@@ -24,6 +24,7 @@ from .data import (
     ConditionalRingSpec,
     RingMixtureSpec,
     TrajectorySpec,
+    nearest_modes,
     one_hot,
     sample_conditional_ring,
     sample_ring,
@@ -307,8 +308,9 @@ def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
         z = rng.standard_normal((n, cfg.z_dim))
         fake = generator_forward(params_G, z, x).data
         real = sample_conditional_ring(spec, n, rng)
-        modes, hq = mode_coverage(fake, cfg.ring)
-        per_label, in_label_frac = conditional_coverage(fake, labels, spec)
+        nearest = nearest_modes(fake, cfg.ring)
+        modes, hq = mode_coverage(fake, cfg.ring, nearest=nearest)
+        per_label, in_label_frac = conditional_coverage(fake, labels, spec, nearest=nearest)
         labels_covered = sum(per_label)
         divs, dmins = [], []
         for lab in range(spec.n_labels):

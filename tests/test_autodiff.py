@@ -358,6 +358,18 @@ def test_affine_shape_mismatch_names_op_and_shapes(x, w, b):
         affine(Var(np.zeros(x)), Var(np.zeros(w)), Var(np.zeros(b)))
 
 
+@pytest.mark.parametrize("needs_grad", ["W", "b"])
+def test_affine_refuses_a_stacked_input_when_w_or_b_needs_a_gradient(needs_grad):
+    """x.T @ g, the weight gradient, is 2-D only."""
+    x = np.ones((3, 2, 4))
+    W = Var(np.ones((4, 5)), requires_grad=needs_grad == "W")
+    b = Var(np.ones(5), requires_grad=needs_grad == "b")
+    with pytest.raises(ShapeMismatch, match=re.escape("stacked input (3, 2, 4)")):
+        affine(x, W, b)
+    out = affine(x, W.data, b.data, "tanh")  # constants take it
+    assert np.array_equal(out.data, np.full((3, 2, 5), np.tanh(5.0)))
+
+
 def test_no_silent_row_broadcast_for_mul():
     # only add carries the bias-style row broadcast
     with pytest.raises(ShapeMismatch):

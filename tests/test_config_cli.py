@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from conftest import as_version_1, edit_vector, refit
 from divgan import cli, training
 from divgan.cli import MAX_COUNT, main
-from divgan.config import FIELDS, ConfigError, load_run_config, parse_run_config
+from divgan.config import FIELDS, ConfigError, load_run_config, parse_run_config, to_document
 from divgan.data import RingMixtureSpec, TrajectorySpec
 from divgan.losses import DiversityConfig, ObjectiveConfig
 from divgan.metrics import EvalReport
@@ -107,6 +108,43 @@ def test_every_key_sets_its_field(task):
 def doc_setting(key, value):
     head, _, sub = key.partition(".")
     return {head: {sub: value}} if sub else {key: value}
+
+
+# every key, at a value none of the tasks' defaults has
+OTHER_VALUES = {
+    "task": "trajectory", "z_dim": 3, "batch_size": 32, "steps": 7, "seed": 5,
+    "eval_every": 4, "lambda": 0.25, "tau": None, "norm": "l2", "space": "feature",
+    "beta": 1.5, "g_loss_form": "minimax", "lr": 1e-3, "beta1": 0.0, "beta2": 0.99,
+    "ring.n_modes": 12, "ring.radius": 3.0, "ring.std": 0.05,
+}
+
+
+# conditional_ring's 4 labels of 2 modes fix its n_modes at 8
+@pytest.mark.parametrize("task,key", [
+    (task, key) for task in ("ring", "conditional_ring", "trajectory") for key in FIELDS
+    if (task, key) != ("conditional_ring", "ring.n_modes")
+])
+def test_to_document_is_parse_run_config_inverse(task, key):
+    assert set(OTHER_VALUES) == set(FIELDS)
+    cfg = parse_run_config({"task": task, **doc_setting(key, OTHER_VALUES[key])})
+    out = to_document(cfg)
+    assert set(out) == {k for k in FIELDS if "." not in k} | {"ring"}
+    assert set(out["ring"]) == {"n_modes", "radius", "std"}
+    back = parse_run_config(json.loads(json.dumps(out)))
+    assert back == cfg and repr(back) == repr(cfg)  # repr tells 2 from 2.0
+
+
+def test_to_document_writes_tau_none_as_null():
+    text = json.dumps(to_document(parse_run_config({"tau": None})))
+    assert '"tau": null' in text
+
+
+def test_to_document_refuses_a_field_no_key_holds():
+    cfg = parse_run_config({"task": "trajectory"})
+    with pytest.raises(ValueError, match="no config key"):
+        to_document(replace(cfg, eval_samples=100))
+    with pytest.raises(ValueError, match="no config key"):
+        to_document(replace(cfg, traj=replace(cfg.traj, horizon=cfg.traj.horizon + 1)))
 
 
 @pytest.mark.parametrize("key,value", [

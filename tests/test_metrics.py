@@ -14,7 +14,9 @@ from divgan.metrics import (
     mode_coverage,
     pairwise_diversity,
 )
-from divgan.nets import NetworkSpec, mlp_init
+from divgan.config import parse_run_config
+from divgan.nets import NetworkSpec, generator_forward, mlp_init
+from divgan.training import task_specs
 
 SPEC = RingMixtureSpec()
 
@@ -197,6 +199,21 @@ def test_interpolation_endpoints_exact(rng):
     assert np.array_equal(res.outputs[-1], yb)
 
 
+@pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
+def test_interpolation_rows_are_single_sample_calls(task, rng):
+    """Every row of the one stacked pass has the bits of a 1-row call."""
+    cfg = parse_run_config({"task": task})
+    spec = task_specs(cfg)[0]
+    params = mlp_init(spec, seed=2)
+    cond_dim = spec.input_dim - cfg.z_dim
+    x = rng.normal(size=cond_dim) if cond_dim else None
+    res = latent_interpolation(params, rng.normal(size=cfg.z_dim), rng.normal(size=cfg.z_dim),
+                               steps=9, mode="slerp", x=x)
+    xr = None if x is None else x[None, :]
+    for latent, output in zip(res.latents, res.outputs):
+        assert np.array_equal(output, generator_forward(params, latent[None, :], xr).data[0])
+
+
 def test_interpolation_two_steps_is_endpoints_only(rng):
     params = ring_generator()
     z_a, z_b = rng.normal(size=2), rng.normal(size=2)
@@ -301,3 +318,22 @@ def test_conditional_coverage_perfect_and_misplaced():
     wrong = np.roll(labels, 2)  # every sample now credited to the wrong label
     per_label, frac = conditional_coverage(y, wrong, spec)
     assert frac == 0.0
+
+
+def test_conditional_coverage_without_a_high_quality_sample_has_no_fraction():
+    """No high-quality sample is no evidence of misplacement: None, not 0.0."""
+    spec = ConditionalRingSpec()
+    y = 10.0 * spec.base.centers()  # every sample far off the ring
+    labels = np.repeat(np.arange(4), 2)
+    per_label, frac = conditional_coverage(y, labels, spec)
+    assert per_label == [False] * 4 and frac is None
+
+
+def test_coverage_takes_the_nearest_modes_it_is_given():
+    spec = ConditionalRingSpec()
+    y = spec.base.centers()[[0, 1, 2, 2, 5]] + 0.01
+    labels = np.array([0, 0, 1, 1, 2])
+    nearest = nearest_modes(y, spec.base)
+    assert mode_coverage(y, spec.base, nearest=nearest) == mode_coverage(y, spec.base)
+    assert (conditional_coverage(y, labels, spec, nearest=nearest)
+            == conditional_coverage(y, labels, spec))

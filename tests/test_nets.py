@@ -18,6 +18,9 @@ from divgan.nets import (
     mlp_init,
 )
 
+from divgan.config import parse_run_config
+from divgan.training import task_specs
+
 from conftest import gradcheck
 
 RING_G = default_generator_spec()
@@ -268,3 +271,23 @@ def test_fused_forward_gradients_equal_unfused_bit_for_bit(activation, rng):
         grads.append([v.grad.tobytes() for v in leaves] + [out.data.tobytes()]
                      + [h.data.tobytes() for h in hidden])
     assert grads[0] == grads[1]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 64])
+@pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
+def test_stacked_forward_gives_each_slice_its_own_bits(task, rows):
+    """A (slices, rows, in) pass on constants runs one 2-D product per
+    slice, so every slice's output and hidden layers equal its own 2-D
+    pass bit for bit: 1-row slices (matrix-vector products), 2-row ones,
+    and the trajectory G's (128, 20) output layer, whose bits change with
+    the row count of a 2-D product."""
+    spec = task_specs(parse_run_config({"task": task}))[0]
+    params = mlp_init(spec, 3)
+    x = np.random.default_rng(rows).standard_normal((5, rows, spec.input_dim))
+    out, hidden = mlp_forward_vars(params.flat(), spec, x)
+    assert out.shape == (5, rows, spec.output_dim)
+    for k in range(5):
+        ref_out, ref_hidden = mlp_forward_vars(params.flat(), spec, x[k])
+        for got, ref in zip([out, *hidden], [ref_out, *ref_hidden]):
+            assert np.array_equal(got.data[k], ref.data)
+            assert np.array_equal(np.signbit(got.data[k]), np.signbit(ref.data))

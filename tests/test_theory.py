@@ -168,8 +168,9 @@ def test_tangent_jacobians_match_engine_jacobians(kind, rng):
     params = mlp_init(NetworkSpec(cond_dim + z_dim, hidden, out_dim, hidden_activation=act), 5)
     x = rng.normal(size=cond_dim) if cond_dim else None
     z1, z2 = rng.standard_normal(z_dim), rng.standard_normal(z_dim)
-    jacs = theory._tangent_jacobians(params, z1, z2, n_quad, x=x)
-    assert jacs.shape == (n_quad, out_dim, z_dim) and jacs.flags.c_contiguous
+    jacs = theory._tangent_jacobians(params, z1[None], z2[None], n_quad, x=x)
+    assert jacs.shape == (1, n_quad, out_dim, z_dim) and jacs.flags.c_contiguous
+    jacs = jacs[0]
     ts = (np.arange(n_quad) + 0.5) / n_quad
     gamma = ts[:, None] * z2[None, :] + (1.0 - ts)[:, None] * z1[None, :]
     xs = None if x is None else np.repeat(x[None, :], n_quad, axis=0)
@@ -189,7 +190,7 @@ def test_overflowing_tangents_are_numerics_errors():
     z1, z2 = np.zeros(8), np.zeros(8)
     z1[1], z2[1] = 1.0, -1.0
     with pytest.raises(NumericsError, match="non-finite Jacobian in path_gradient_bound"):
-        theory._tangent_jacobians(params, z1, z2, 64)
+        theory._tangent_jacobians(params, z1[None], z2[None], 64)
     with pytest.raises(NumericsError, match="non-finite Jacobian in path_gradient_bound"):
         path_gradient_bound(params, z1, z2)
 
@@ -222,8 +223,8 @@ def test_bound_suite_makes_no_backward_call(monkeypatch):
 
 # name -> (cond_dim, z_dim, out_dim, the Jacobian pass path_gradient_bound runs)
 BOUND_SHAPES = {
-    "ring": (0, 2, 2, "path_jacobians"),
-    "conditional_ring": (4, 8, 2, "path_jacobians"),
+    "ring": (0, 2, 2, "_reverse_jacobians"),
+    "conditional_ring": (4, 8, 2, "_reverse_jacobians"),
     "trajectory": (4, 8, 20, "_tangent_jacobians"),
 }
 
@@ -235,7 +236,7 @@ def test_bound_takes_the_pass_with_fewer_products(task, monkeypatch):
     cond_dim, z_dim, out_dim, chosen = BOUND_SHAPES[task]
     params = mlp_init(NetworkSpec(cond_dim + z_dim, (16, 16), out_dim), 0)
     spies = {name: CallCount(getattr(theory, name))
-             for name in ("path_jacobians", "_tangent_jacobians", "mlp_forward_vars")}
+             for name in ("_reverse_jacobians", "_tangent_jacobians", "mlp_forward_vars")}
     for name, spy in spies.items():
         monkeypatch.setattr(theory, name, spy)
     rng = np.random.default_rng(0)
@@ -243,10 +244,104 @@ def test_bound_takes_the_pass_with_fewer_products(task, monkeypatch):
     for _ in range(3):
         path_gradient_bound(params, rng.standard_normal(z_dim), rng.standard_normal(z_dim), x=x)
     assert {name: spy.calls for name, spy in spies.items()} == {
-        "path_jacobians": 3 * (chosen == "path_jacobians"),
+        "_reverse_jacobians": 3 * (chosen == "_reverse_jacobians"),
         "_tangent_jacobians": 3 * (chosen == "_tangent_jacobians"),
         "mlp_forward_vars": 6,
     }
+
+
+def per_pair_suite(params, n_pairs, rng, z_dim, x=None):
+    """bound_suite one pair at a time: z1 then z2 from rng, the bound at 64
+    nodes (512 for relu), and 4x the nodes for a pair whose bound fails."""
+    n_quad = 512 if params.spec.hidden_activation == "relu" else 64
+    violations = refined = 0
+    min_slack = np.inf
+    for _ in range(n_pairs):
+        z1, z2 = rng.standard_normal(z_dim), rng.standard_normal(z_dim)
+        rep = path_gradient_bound(params, z1, z2, n_quad=n_quad, x=x)
+        if not rep.holds:
+            refined += 1
+            rep = path_gradient_bound(params, z1, z2, n_quad=4 * n_quad, x=x)
+            violations += int(not rep.holds)
+        min_slack = min(min_slack, rep.slack)
+    return {"pairs": n_pairs, "n_quad": n_quad, "violations": violations, "refined": refined,
+            "min_slack": float(min_slack), "passed": violations == 0}
+
+
+# name -> (cond_dim, z_dim, out_dim, hidden_dims, activation)
+SUITE_NETS = {
+    "ring": (0, 2, 2, (128, 128), "tanh"),
+    "conditional_ring": (4, 8, 2, (128, 128), "tanh"),
+    "trajectory": (4, 8, 20, (128, 128), "tanh"),
+    "relu": (0, 2, 2, (16, 16), "relu"),
+    "relu_tangent": (1, 2, 5, (16, 16), "relu"),
+}
+
+
+@pytest.mark.parametrize("kind", ["ring", "conditional_ring", "trajectory", "relu"])
+def test_path_gradient_bound_is_its_own_two_row_pass(kind, rng):
+    """lhs from a 2-row pass of G and 1-D norms, rhs the mean node norm of
+    the pair's own Jacobians: bit for bit, so that stacking pairs moved
+    nothing."""
+    cond_dim, z_dim, out_dim, hidden, act = SUITE_NETS[kind]
+    params = mlp_init(NetworkSpec(cond_dim + z_dim, hidden, out_dim, hidden_activation=act), 4)
+    x = rng.normal(size=cond_dim) if cond_dim else None
+    z1, z2 = rng.standard_normal(z_dim), rng.standard_normal(z_dim)
+    rep = path_gradient_bound(params, z1, z2, n_quad=64, x=x)
+    ys = generator_forward(params, np.stack([z1, z2]), None if x is None else np.stack([x, x]))
+    diff = ys.data[1] - ys.data[0]
+    _, e = np.frexp(np.max(np.abs(diff)))
+    assert rep.lhs == float(np.ldexp(np.linalg.norm(np.ldexp(diff, -e)), e)
+                            / np.linalg.norm(z2 - z1))
+    jacobians = theory._tangent_jacobians if z_dim < out_dim else theory._reverse_jacobians
+    jac = jacobians(params, z1[None], z2[None], 64, x=x)[0]
+    assert rep.rhs == float(np.mean(theory._spectral_norms(jac)))
+
+
+@pytest.mark.parametrize("blocks", ["module", "small"])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("kind", list(SUITE_NETS))
+def test_bound_suite_is_a_loop_of_per_pair_bounds(kind, forced, blocks, monkeypatch):
+    """The same dict, and the same rng state after, as one pair at a time,
+    whatever the block sizes. `forced` raises the bar so about half the pairs
+    fail at first and are refined."""
+    cond_dim, z_dim, out_dim, hidden, act = SUITE_NETS[kind]
+    params = mlp_init(NetworkSpec(cond_dim + z_dim, hidden, out_dim, hidden_activation=act), 4)
+    x = np.random.default_rng(1).normal(size=cond_dim) if cond_dim else None
+    n_pairs = 11
+    if forced:
+        rng = np.random.default_rng(2)
+        n_quad = 512 if act == "relu" else 64
+        slacks = [path_gradient_bound(params, rng.standard_normal(z_dim),
+                                      rng.standard_normal(z_dim), n_quad=n_quad, x=x).slack
+                  for _ in range(n_pairs)]
+        monkeypatch.setattr(theory, "BOUND_ATOL", -float(np.median(slacks)))
+    if blocks == "small":  # endpoint chunks of 3 pairs; Jacobian blocks of 2 or 4 pairs
+        monkeypatch.setattr(theory, "_SUITE_PAIRS", 3)
+        monkeypatch.setattr(theory, "_REVERSE_NODES", 128)
+        monkeypatch.setattr(theory, "_TANGENT_NODES", 256)
+    rng_ref, rng = np.random.default_rng(2), np.random.default_rng(2)
+    ref = per_pair_suite(params, n_pairs, rng_ref, z_dim, x)
+    got = bound_suite(params, n_pairs, rng, z_dim=z_dim, x=x)
+    assert got == ref
+    assert (got["refined"] > 0) == forced and (got["violations"] > 0) == forced
+    assert rng.standard_normal() == rng_ref.standard_normal()
+
+
+@pytest.mark.parametrize("task", list(BOUND_SHAPES))
+def test_bound_suite_runs_g_once_per_block(task, monkeypatch):
+    """One stacked pass over all endpoints, then one over the nodes of each
+    block of pairs, where a pass per pair would make 2 passes per pair."""
+    cond_dim, z_dim, out_dim, chosen = BOUND_SHAPES[task]
+    params = mlp_init(NetworkSpec(cond_dim + z_dim, (16, 16), out_dim), 0)
+    spy = CallCount(theory.mlp_forward_vars)
+    monkeypatch.setattr(theory, "mlp_forward_vars", spy)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=cond_dim) if cond_dim else None
+    out = bound_suite(params, n_pairs=32, rng=rng, z_dim=z_dim, x=x)
+    assert out["refined"] == 0 and out["n_quad"] == 64
+    nodes = theory._TANGENT_NODES if chosen == "_tangent_jacobians" else theory._REVERSE_NODES
+    assert spy.calls == 1 + -(-32 // max(1, nodes // 64)) < 2 * 32
 
 
 @pytest.mark.parametrize("z_dim,passes", [(2, 6), (3, 4)])

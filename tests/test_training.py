@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import as_version_1, edit_vector, refit
-from divgan import training
+from divgan import metrics, training
 from divgan.autodiff import backward
 from divgan.config import parse_run_config
-from divgan.data import MAX_SIZE, ConditionalRingSpec, RingMixtureSpec
+from divgan.data import MAX_SIZE, ConditionalRingSpec, RingMixtureSpec, nearest_modes
 from divgan.losses import (
     DiversityConfig,
     ObjectiveConfig,
@@ -208,6 +208,30 @@ def test_conditional_eval_reports_per_label_coverage(split, labels, modes):
     assert report.in_label_frac == 1.0
     doc = json.loads(report.to_json())
     assert doc["labels_covered"] == labels and doc["in_label_frac"] == 1.0
+
+
+def test_untrained_conditional_eval_has_no_in_label_fraction():
+    """No sample of an untrained G is high quality, so the share of them in
+    their own label's modes is unknown: None, and eval.json leaves it out."""
+    cfg = TrainConfig(task="conditional_ring", z_dim=8, seed=0)
+    report = evaluate_generator(init_state(cfg).params_G, cfg)
+    assert report.hq_fraction == 0.0 and report.labels_covered == 0
+    assert report.in_label_frac is None
+    assert "in_label_frac" not in json.loads(report.to_json())
+
+
+def test_conditional_eval_finds_nearest_modes_once(monkeypatch):
+    calls = []
+
+    def spy(points, spec):
+        calls.append(len(points))
+        return nearest_modes(points, spec)
+
+    monkeypatch.setattr(training, "nearest_modes", spy)
+    monkeypatch.setattr(metrics, "nearest_modes", spy)
+    cfg = small_cfg(task="conditional_ring", z_dim=8)
+    evaluate_generator(init_state(cfg).params_G, cfg)
+    assert calls == [cfg.eval_samples]
 
 
 @pytest.mark.parametrize("task", ["ring", "trajectory"])
