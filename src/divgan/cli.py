@@ -34,7 +34,6 @@ import numpy as np
 from .autodiff import NumericsError
 from .config import ConfigError, load_run_config, parse_run_config, read_json
 from .metrics import latent_interpolation
-from .nets import mlp_init
 from .optim import AdamHyper
 from .theory import attraction_check, bound_suite, pull_toward
 from .training import (
@@ -42,6 +41,7 @@ from .training import (
     DivergenceError,
     check_fit,
     evaluate_generator,
+    init_state,
     load_checkpoint,
     restore_checkpoint,
     rows_to_csv,
@@ -111,13 +111,15 @@ def _csv(rows) -> str:
     return buf.getvalue()
 
 
+def _seeded(cfg, args):
+    """cfg with the --seed override applied, if one was given."""
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+
+
 def _load_config(args):
     if not args.config:
         raise ConfigError("missing --config")
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+    return _seeded(load_run_config(args.config), args)
 
 
 def cmd_train(args) -> int:
@@ -205,7 +207,9 @@ def _checkpoint_z_dim(state, command: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Gradient-bound suite on random pairs plus one attraction scenario."""
+    """Gradient-bound suite on random pairs plus one attraction scenario, on
+    a checkpoint's G or on the G that `train` starts from for a config. The
+    suite's draws are seeded from --seed (default 0)."""
     doc = read_json(args.target, "target")
     seed = args.seed if args.seed is not None else 0
     if isinstance(doc, dict) and "version" in doc:
@@ -213,11 +217,10 @@ def cmd_verify(args) -> int:
         z_dim = _checkpoint_z_dim(state, "verify")
         params_G = state.params_G
     else:
-        cfg = parse_run_config(doc)
+        cfg = _seeded(parse_run_config(doc), args)
         if cfg.task != "ring":
             raise ConfigError("verify expects an unconditional (ring) generator")
-        g_spec, _ = task_specs(cfg)
-        params_G = mlp_init(g_spec, seed)
+        params_G = init_state(cfg).params_G
         z_dim = cfg.z_dim
 
     rng = np.random.default_rng(seed)

@@ -1,14 +1,14 @@
-"""Loss terms: adversarial losses, the diversity regularizer and its
-feature-space and sequence variants, reconstruction, and the combined
-generator objective.
+"""Loss terms: adversarial losses, the diversity regularizer,
+reconstruction, and the combined generator objective.
 
 The diversity regularizer rewards the generator for mapping distinct
 latent codes to distinct outputs: it is the ratio of the output distance
-to the latent distance for an independently sampled pair (z1, z2), clipped
-at a margin tau for numerical stability. A collapsed generator scores 0.
-The feature-space variant measures the output distance in the
-discriminator's hidden layers (no margin); the sequence variant averages
-per-step l1 distances over a generated sequence (no margin).
+to the latent distance for an independently sampled pair (z1, z2). A
+collapsed generator scores 0. The distance is taken in one of three spaces:
+G's output (clipped at a margin tau for numerical stability), the
+discriminator's hidden layers averaged over layers, or a generated sequence
+averaged over its steps. `_space_distance` is the one rule for each space's
+norm and clip, shared by the objective and `diversity_ratio`.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ __all__ = [
     "d_loss",
     "g_adv_loss",
     "diversity_ratio",
-    "feature_diversity_ratio",
-    "sequence_diversity_ratio",
     "reconstruction_loss",
     "generator_total_loss",
     "MIN_Z_GAP",
@@ -171,58 +169,38 @@ def _value(t) -> np.ndarray:
     return t.data if isinstance(t, Var) else np.asarray(t, dtype=np.float64)
 
 
-def _pair_ratio(parts1, parts2, z1, z2, norm: str, tau: float | None) -> float:
-    """One latent pair through the batch formula, each part a batch of one."""
-    gap = _row_norms(lift(np.reshape(_value(z1) - _value(z2), (1, -1))), norm).data
-    if gap[0] < MIN_Z_GAP:
-        raise DegenerateLatentPair(
-            f"latent gap {gap[0]:.3e} below MIN_Z_GAP {MIN_Z_GAP:.3e}; resample z2"
-        )
-    rows1 = [lift(np.reshape(a, (1, -1))) for a in parts1]
-    rows2 = [lift(np.reshape(b, (1, -1))) for b in parts2]
-    term, _ = _batch_ratios(rows1, rows2, gap, norm, tau)
-    return float(term.data[0])
+def _space_distance(div: DiversityConfig) -> tuple[str, float | None]:
+    """(norm, tau) of div's space, on outputs and latents alike: output space
+    takes div.norm and div.tau, feature space div.norm with no clip, and
+    sequence space l1 with no clip."""
+    if div.space == "sequence":
+        return "l1", None
+    return div.norm, (div.tau if div.space == "output" else None)
 
 
-def diversity_ratio(y1, y2, z1, z2, cfg: DiversityConfig) -> float:
-    """min(||y1 - y2|| / ||z1 - z2||, tau) with cfg.norm on both sides."""
-    y1, y2, z1, z2 = _value(y1), _value(y2), _value(z1), _value(z2)
-    if y1.shape != y2.shape:
-        raise ShapeMismatch(f"diversity_ratio: output shapes {y1.shape} and {y2.shape}")
+def diversity_ratio(parts1, parts2, z1, z2, cfg: DiversityConfig) -> float:
+    """One latent pair's ratio in cfg.space, as the objective scores it: the
+    distance between parts1 and parts2 averaged over the parts, over the
+    latent distance, with the space's norm and clip (`_space_distance`).
+
+    The parts are lists of arrays: one output in output space, one per
+    discriminator hidden layer in feature space, one per step in sequence
+    space.
+    """
+    p1, p2 = [_value(a) for a in parts1], [_value(b) for b in parts2]
+    z1, z2 = _value(z1), _value(z2)
+    if len(p1) != len(p2) or not p1:
+        raise ShapeMismatch(f"diversity_ratio: part lists of length {len(p1)} and {len(p2)}")
+    for i, (a, b) in enumerate(zip(p1, p2)):
+        if a.shape != b.shape:
+            raise ShapeMismatch(f"diversity_ratio: part {i} shapes {a.shape} and {b.shape}")
     if z1.shape != z2.shape:
         raise ShapeMismatch(f"diversity_ratio: latent shapes {z1.shape} and {z2.shape}")
-    return _pair_ratio([y1], [y2], z1, z2, cfg.norm, cfg.tau)
-
-
-def feature_diversity_ratio(feats1, feats2, z1, z2, cfg: DiversityConfig) -> float:
-    """Layer-averaged discriminator-feature distance over latent distance.
-
-    No margin: the feature-space objective is used unclipped.
-    """
-    f1 = [_value(f) for f in feats1]
-    f2 = [_value(f) for f in feats2]
-    if len(f1) != len(f2) or not f1:
-        raise ShapeMismatch(
-            f"feature_diversity_ratio: feature lists of length {len(f1)} and {len(f2)}"
-        )
-    for i, (a, b) in enumerate(zip(f1, f2)):
-        if a.shape != b.shape:
-            raise ShapeMismatch(
-                f"feature_diversity_ratio: layer {i} shapes {a.shape} and {b.shape}"
-            )
-    return _pair_ratio(f1, f2, z1, z2, cfg.norm, None)
-
-
-def sequence_diversity_ratio(seq1, seq2, z1, z2, cfg: DiversityConfig) -> float:
-    """Per-step l1 output distance averaged over the sequence, over the l1
-    latent distance. Both norms are fixed to l1; there is no margin."""
-    s1 = [_value(s) for s in seq1]
-    s2 = [_value(s) for s in seq2]
-    if len(s1) != len(s2) or not s1:
-        raise ShapeMismatch(
-            f"sequence_diversity_ratio: sequences of length {len(s1)} and {len(s2)}"
-        )
-    return _pair_ratio(s1, s2, z1, z2, "l1", None)
+    norm, tau = _space_distance(cfg)
+    _, gap = _resample_z2(np.reshape(z1, (1, -1)), np.reshape(z2, (1, -1)), None, norm)
+    term, _ = _batch_ratios([lift(np.reshape(a, (1, -1))) for a in p1],
+                            [lift(np.reshape(b, (1, -1))) for b in p2], gap, norm, tau)
+    return float(term.data[0])
 
 
 def reconstruction_loss(y_hat, y) -> Var:
@@ -248,7 +226,7 @@ def _resample_z2(z1: np.ndarray, z2: np.ndarray, rng, norm: str) -> tuple[np.nda
             return z2, gaps
         if rng is None:
             raise DegenerateLatentPair(
-                "degenerate z pair in batch and no rng available to resample"
+                f"latent gap below MIN_Z_GAP {MIN_Z_GAP:.1e} and no rng to resample z2"
             )
         z2[bad] = rng.standard_normal((int(bad.sum()), z2.shape[1]))
     raise DegenerateLatentPair(
@@ -275,9 +253,7 @@ def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
     if cfg.beta > 0 and batch.y is None:
         raise ValueError("generator_total_loss: beta > 0 requires targets y")
     z1 = np.asarray(batch.z1, dtype=np.float64)
-    # the sequence variant fixes both norms to l1; only output space clips
-    norm = "l1" if div.space == "sequence" else div.norm
-    tau = div.tau if div.space == "output" else None
+    norm, tau = _space_distance(div)
     z2, gaps = _resample_z2(z1, batch.z2, rng, norm)
 
     leaves = ParamLeaves(params_G)
@@ -289,10 +265,7 @@ def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
     logits1, feats1 = discriminator_forward(params_D, y1, batch.x)
     adv = g_adv_loss(logits1, cfg.g_loss_form)
 
-    if cfg.beta > 0:
-        rec = reconstruction_loss(y1, batch.y)
-    else:
-        rec = None
+    rec = reconstruction_loss(y1, batch.y) if cfg.beta > 0 else None
 
     if div.space == "output":
         parts1, parts2 = [y1], [y2]

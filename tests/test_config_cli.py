@@ -504,6 +504,28 @@ def test_verify_passes_on_untrained_generator(tmp_path):
     assert doc["attraction"]["counterexamples"] == 0
 
 
+@pytest.mark.parametrize("flag,seed", [([], 5), (["--seed", "9"], 9)])
+def test_verify_config_checks_the_generator_train_starts_from(flag, seed, tmp_path,
+                                                              monkeypatch):
+    """A config's `seed` (or the --seed override) picks G through init_state,
+    as `train` does; the suite's own draws stay seeded from --seed, else 0."""
+    doc = dict(FAST_RING, seed=5)
+    seen = []
+    real_suite = cli.bound_suite
+
+    def spy(params_G, **kwargs):
+        seen.append((params_G.vector.copy(), kwargs["rng"].bit_generator.state))
+        return real_suite(params_G, **kwargs)
+
+    monkeypatch.setattr(cli, "bound_suite", spy)
+    assert main(["verify", write_cfg(tmp_path, doc), "--out", str(tmp_path / "v.json"),
+                 "--pairs", "2", "--probes", "10", *flag]) == 0
+    (vector, rng_state), = seen
+    want = training.init_state(replace(parse_run_config(doc), seed=seed)).params_G
+    assert vector.tobytes() == want.vector.tobytes()
+    assert rng_state == np.random.default_rng(9 if flag else 0).bit_generator.state
+
+
 def test_verify_accepts_checkpoint(tmp_path):
     cfg = write_cfg(tmp_path, FAST_RING)
     run = tmp_path / "run"

@@ -14,11 +14,9 @@ from divgan.losses import (
     TrainBatch,
     d_loss,
     diversity_ratio,
-    feature_diversity_ratio,
     g_adv_loss,
     generator_total_loss,
     reconstruction_loss,
-    sequence_diversity_ratio,
 )
 from divgan.nets import (
     NetworkSpec,
@@ -92,25 +90,25 @@ L1_FREE = DiversityConfig(norm="l1", tau=None)
 def test_collapsed_generator_scores_zero():
     z1, z2 = np.array([0.0, 0.0]), np.array([1.0, 1.0])
     y = np.array([0.3, -0.7])
-    assert diversity_ratio(y, y, z1, z2, L2) == 0.0
+    assert diversity_ratio([y], [y], z1, z2, L2) == 0.0
 
 
 def test_ratio_clipped_at_tau():
     cfg = DiversityConfig(norm="l2", tau=0.5)
     z1, z2 = np.array([0.0, 0.0]), np.array([3.0, 4.0])
-    assert diversity_ratio(z1, z2, z1, z2, cfg) == 0.5  # identity map ratio 1, clipped
+    assert diversity_ratio([z1], [z2], z1, z2, cfg) == 0.5  # identity map ratio 1, clipped
 
 
 def test_ratio_l1_arithmetic():
     y1, y2 = np.array([1.0, 2.0]), np.array([0.0, 0.0])
     z1, z2 = np.array([1.0, 1.0]), np.array([0.0, 0.0])
-    assert diversity_ratio(y1, y2, z1, z2, L1_FREE) == pytest.approx(1.5)
+    assert diversity_ratio([y1], [y2], z1, z2, L1_FREE) == pytest.approx(1.5)
 
 
 def test_ratio_requires_latent_gap():
     z = np.array([0.5, 0.5])
     with pytest.raises(DegenerateLatentPair, match="resample"):
-        diversity_ratio(np.ones(2), np.zeros(2), z, z, L2)
+        diversity_ratio([np.ones(2)], [np.zeros(2)], z, z, L2)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -122,10 +120,10 @@ def test_ratio_symmetry_and_translation_invariance(seed):
     if np.sum(np.abs(z1 - z2)) < 1e-6:
         return
     cfg = DiversityConfig(norm="l1", tau=float(r.uniform(0.5, 5.0)))
-    a = diversity_ratio(y1, y2, z1, z2, cfg)
-    assert a == diversity_ratio(y2, y1, z2, z1, cfg)
+    a = diversity_ratio([y1], [y2], z1, z2, cfg)
+    assert a == diversity_ratio([y2], [y1], z2, z1, cfg)
     shift = r.normal(size=3)
-    assert diversity_ratio(y1 + shift, y2 + shift, z1, z2, cfg) == pytest.approx(a)
+    assert diversity_ratio([y1 + shift], [y2 + shift], z1, z2, cfg) == pytest.approx(a)
     assert 0.0 <= a <= cfg.tau
 
 
@@ -137,11 +135,11 @@ def test_ratio_scale_invariance(seed, alpha):
     z1, z2 = r.normal(size=2), r.normal(size=2)
     if np.sum(np.abs(z1 - z2)) < 1e-6:
         return
-    base = diversity_ratio(y1, y2, z1, z2, L1_FREE)
+    base = diversity_ratio([y1], [y2], z1, z2, L1_FREE)
     mid = 0.5 * (y1 + y2)
     zmid = 0.5 * (z1 + z2)
     scaled = diversity_ratio(
-        mid + alpha * (y1 - mid), mid + alpha * (y2 - mid),
+        [mid + alpha * (y1 - mid)], [mid + alpha * (y2 - mid)],
         zmid + alpha * (z1 - zmid), zmid + alpha * (z2 - zmid), L1_FREE,
     )
     assert scaled == pytest.approx(base, rel=1e-9)
@@ -150,80 +148,114 @@ def test_ratio_scale_invariance(seed, alpha):
 def test_clip_only_when_raw_ratio_exceeds_tau():
     z1, z2 = np.zeros(2), np.array([1.0, 0.0])
     cfg = DiversityConfig(norm="l2", tau=2.0)
-    below = diversity_ratio(np.zeros(2), np.array([1.5, 0.0]), z1, z2, cfg)
-    at = diversity_ratio(np.zeros(2), np.array([3.0, 0.0]), z1, z2, cfg)
+    below = diversity_ratio([np.zeros(2)], [np.array([1.5, 0.0])], z1, z2, cfg)
+    at = diversity_ratio([np.zeros(2)], [np.array([3.0, 0.0])], z1, z2, cfg)
     assert below == 1.5 and at == 2.0
 
 
-# -- feature and sequence variants ---------------------------------------------
+# -- feature and sequence spaces ----------------------------------------------
+
+FEATURE = DiversityConfig(norm="l1", tau=None, space="feature")
+SEQUENCE = DiversityConfig(space="sequence")
 
 
 def test_feature_ratio_identical_features():
     f = [np.ones(4), np.zeros(3)]
-    assert feature_diversity_ratio(f, f, np.zeros(2), np.ones(2), L1_FREE) == 0.0
+    assert diversity_ratio(f, f, np.zeros(2), np.ones(2), FEATURE) == 0.0
 
 
 def test_feature_ratio_single_layer_reduces_to_output_ratio():
     r = np.random.default_rng(0)
     f1, f2 = r.normal(size=5), r.normal(size=5)
     z1, z2 = r.normal(size=2), r.normal(size=2)
-    got = feature_diversity_ratio([f1], [f2], z1, z2, L1_FREE)
-    assert got == pytest.approx(diversity_ratio(f1, f2, z1, z2, L1_FREE))
+    got = diversity_ratio([f1], [f2], z1, z2, FEATURE)
+    assert got == pytest.approx(diversity_ratio([f1], [f2], z1, z2, L1_FREE))
 
 
 def test_feature_ratio_two_layer_arithmetic():
     f1 = [np.array([2.0, 0.0]), np.array([0.0, 0.0])]
     f2 = [np.array([0.0, 0.0]), np.array([4.0, 0.0])]
     z1, z2 = np.array([3.0, 0.0]), np.array([0.0, 0.0])
-    got = feature_diversity_ratio(f1, f2, z1, z2, L1_FREE)
+    got = diversity_ratio(f1, f2, z1, z2, FEATURE)
     assert got == pytest.approx(1.0)  # mean(2, 4) / 3
 
 
 def test_feature_ratio_has_no_tau_clip():
-    cfg = DiversityConfig(norm="l1", tau=0.001)
+    cfg = DiversityConfig(norm="l1", tau=0.001, space="feature")
     f1, f2 = [np.array([10.0])], [np.array([0.0])]
-    got = feature_diversity_ratio(f1, f2, np.zeros(1), np.ones(1), cfg)
+    got = diversity_ratio(f1, f2, np.zeros(1), np.ones(1), cfg)
     assert got == pytest.approx(10.0)
 
 
 def test_feature_ratio_layer_mismatch():
     with pytest.raises(ShapeMismatch):
-        feature_diversity_ratio([np.ones(2)], [np.ones(2), np.ones(2)],
-                                np.zeros(2), np.ones(2), L1_FREE)
+        diversity_ratio([np.ones(2)], [np.ones(2), np.ones(2)], np.zeros(2), np.ones(2),
+                        FEATURE)
 
 
 def test_sequence_ratio_t1_is_bitwise_l1_output_ratio(rng):
     for _ in range(20):
         y1, y2 = rng.normal(size=4), rng.normal(size=4)
         z1, z2 = rng.normal(size=3), rng.normal(size=3)
-        a = sequence_diversity_ratio([y1], [y2], z1, z2, L1_FREE)
-        b = diversity_ratio(y1, y2, z1, z2, L1_FREE)
+        a = diversity_ratio([y1], [y2], z1, z2, SEQUENCE)
+        b = diversity_ratio([y1], [y2], z1, z2, L1_FREE)
         assert a == b  # exact, not approximate
 
 
 def test_sequence_ratio_identical_sequences():
     seq = [np.ones(2), np.zeros(2)]
-    assert sequence_diversity_ratio(seq, seq, np.zeros(2), np.ones(2), L1_FREE) == 0.0
+    assert diversity_ratio(seq, seq, np.zeros(2), np.ones(2), SEQUENCE) == 0.0
 
 
 def test_sequence_ratio_arithmetic():
     s1 = [np.array([1.0, 0.0]), np.array([3.0, 0.0])]
     s2 = [np.array([0.0, 0.0]), np.array([0.0, 0.0])]
     z1, z2 = np.array([2.0, 0.0]), np.array([0.0, 0.0])
-    assert sequence_diversity_ratio(s1, s2, z1, z2, L1_FREE) == pytest.approx(1.0)
+    assert diversity_ratio(s1, s2, z1, z2, SEQUENCE) == pytest.approx(1.0)
 
 
 def test_sequence_ratio_constant_sequence_idempotent(rng):
     y1, y2 = rng.normal(size=3), rng.normal(size=3)
     z1, z2 = rng.normal(size=2), rng.normal(size=2)
-    per_step = sequence_diversity_ratio([y1], [y2], z1, z2, L1_FREE)
-    repeated = sequence_diversity_ratio([y1] * 5, [y2] * 5, z1, z2, L1_FREE)
+    per_step = diversity_ratio([y1], [y2], z1, z2, SEQUENCE)
+    repeated = diversity_ratio([y1] * 5, [y2] * 5, z1, z2, SEQUENCE)
     assert repeated == pytest.approx(per_step)
 
 
 def test_sequence_ratio_length_mismatch():
     with pytest.raises(ShapeMismatch):
-        sequence_diversity_ratio([np.ones(2)], [np.ones(2)] * 2, np.zeros(2), np.ones(2), L1_FREE)
+        diversity_ratio([np.ones(2)], [np.ones(2)] * 2, np.zeros(2), np.ones(2), SEQUENCE)
+
+
+def test_ratio_latent_shape_mismatch():
+    with pytest.raises(ShapeMismatch, match="latent"):
+        diversity_ratio([np.ones(2)], [np.zeros(2)], np.zeros(2), np.ones(3), L2)
+
+
+def numpy_ratio(parts1, parts2, z1, z2, norm, tau):
+    """The ratio in plain numpy: mean part distance over latent distance."""
+    dist = (lambda v: np.abs(v).sum()) if norm == "l1" else (lambda v: np.sqrt((v * v).sum()))
+    ratio = np.mean([dist(a - b) for a, b in zip(parts1, parts2)]) / dist(z1 - z2)
+    return ratio if tau is None else min(ratio, tau)
+
+
+# (space, config norm, config tau) -> the norm and clip the space must use:
+# output space takes both, feature space the norm only, sequence space neither
+@pytest.mark.parametrize("space,norm,tau,want_norm,want_tau", [
+    ("output", "l2", 0.1, "l2", 0.1), ("output", "l1", None, "l1", None),
+    ("output", "l1", 0.1, "l1", 0.1), ("feature", "l2", 0.1, "l2", None),
+    ("feature", "l1", 0.1, "l1", None), ("sequence", "l2", 0.1, "l1", None),
+    ("sequence", "l2", None, "l1", None),
+])
+def test_each_space_takes_its_own_norm_and_clip(space, norm, tau, want_norm, want_tau, rng):
+    cfg = DiversityConfig(norm=norm, tau=tau, space=space)
+    n_parts = 1 if space == "output" else 3
+    for _ in range(10):
+        parts1 = [rng.normal(size=4) for _ in range(n_parts)]
+        parts2 = [rng.normal(size=4) for _ in range(n_parts)]
+        z1, z2 = rng.normal(size=3), rng.normal(size=3)
+        want = numpy_ratio(parts1, parts2, z1, z2, want_norm, want_tau)
+        assert diversity_ratio(parts1, parts2, z1, z2, cfg) == pytest.approx(want, rel=1e-12)
 
 
 # -- reconstruction -------------------------------------------------------------
@@ -314,7 +346,7 @@ def test_resampling_recovers_with_rng(rng):
 def test_training_graph_ratios_match_pairwise_functions(space, norm, tau, weight, rng,
                                                         monkeypatch):
     """Per example, the ratios the training objective builds equal the public
-    pairwise functions on the same outputs and the z2 actually used."""
+    per-pair diversity_ratio on the same outputs and the z2 actually used."""
     seq_len = 3 if space == "sequence" else 1
     params_G = mlp_init(NetworkSpec(2, (5,), 2 * seq_len), 3)
     params_D = mlp_init(NetworkSpec(2 * seq_len, (4, 3), 1, hidden_activation="tanh"), 4)
@@ -340,16 +372,14 @@ def test_training_graph_ratios_match_pairwise_functions(space, norm, tau, weight
     y1, y2 = generator_forward(params_G, z1).data, generator_forward(params_G, z2).data
     feats1 = discriminator_forward(params_D, y1)[1]
     feats2 = discriminator_forward(params_D, y2)[1]
+
+    def parts(y, feats, i):  # G's output or its steps, or D's hidden layers
+        return [f.data[i] for f in feats] if space == "feature" else np.split(y[i], seq_len)
+
     for i in range(len(z1)):
-        if space == "output":
-            want_term = diversity_ratio(y1[i], y2[i], z1[i], z2[i], div)
-            want_raw = diversity_ratio(y1[i], y2[i], z1[i], z2[i], replace(div, tau=None))
-        elif space == "feature":
-            want_term = want_raw = feature_diversity_ratio(
-                [f.data[i] for f in feats1], [f.data[i] for f in feats2], z1[i], z2[i], div)
-        else:
-            want_term = want_raw = sequence_diversity_ratio(
-                np.split(y1[i], seq_len), np.split(y2[i], seq_len), z1[i], z2[i], div)
+        p1, p2 = parts(y1, feats1, i), parts(y2, feats2, i)
+        want_term = diversity_ratio(p1, p2, z1[i], z2[i], div)
+        want_raw = diversity_ratio(p1, p2, z1[i], z2[i], replace(div, tau=None))
         assert term.data[i] == pytest.approx(want_term, rel=1e-12)
         assert raw.data[i] == pytest.approx(want_raw, rel=1e-12)
     if space == "output" and tau is not None:
