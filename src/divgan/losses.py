@@ -14,7 +14,7 @@ norm and clip, shared by the objective and `diversity_ratio`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,12 +25,14 @@ __all__ = [
     "DiversityConfig",
     "ObjectiveConfig",
     "TrainBatch",
+    "FakePair",
     "GeneratorLoss",
     "DegenerateLatentPair",
     "d_loss",
     "g_adv_loss",
     "diversity_ratio",
     "reconstruction_loss",
+    "generate_fakes",
     "generator_total_loss",
     "MIN_Z_GAP",
     "RESAMPLE_ATTEMPTS",
@@ -93,11 +95,22 @@ class TrainBatch:
 
 
 @dataclass
+class FakePair:
+    """G(x, z1) and G(x, z2) for one batch, built once on G's parameter
+    leaves: the discriminator update reads y1's values and the generator
+    objective its graph."""
+
+    batch: TrainBatch  # z2 as used: rows too close to z1 redrawn
+    gaps: np.ndarray  # ||z1 - z2|| per row, in the diversity space's norm
+    y1: Var
+    y2: Var  # built from constants at weight 0: it records no graph
+    leaves: ParamLeaves  # the generator's, for reading gradients after backward
+
+
+@dataclass
 class GeneratorLoss:
     total: Var
     parts: dict
-    leaves: ParamLeaves  # the generator's, for reading gradients after backward
-    z2_used: np.ndarray | None = None
 
 
 # -- adversarial losses ---------------------------------------------------
@@ -234,33 +247,38 @@ def _resample_z2(z1: np.ndarray, z2: np.ndarray, rng, norm: str) -> tuple[np.nda
     )
 
 
-def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
-                         params_D: NetworkParams, cfg: ObjectiveConfig,
-                         rng=None) -> GeneratorLoss:
-    """Full generator objective on one batch:
+def generate_fakes(batch: TrainBatch, params_G: NetworkParams, cfg: ObjectiveConfig,
+                   rng=None) -> FakePair:
+    """The batch's two fakes on fresh gradient leaves of params_G, after
+    redrawing from rng the z2 rows too close to z1 (`_resample_z2`)."""
+    div = cfg.diversity
+    z1 = np.asarray(batch.z1, dtype=np.float64)
+    z2, gaps = _resample_z2(z1, batch.z2, rng, _space_distance(div)[0])
+    leaves = ParamLeaves(params_G)
+    y1 = generator_forward(leaves, z1, batch.x)
+    # at weight 0 the second fake only feeds the logged ratios
+    y2 = generator_forward(leaves if div.weight > 0 else params_G, z2, batch.x)
+    return FakePair(batch=replace(batch, z2=z2), gaps=gaps, y1=y1, y2=y2, leaves=leaves)
+
+
+def generator_total_loss(fakes: FakePair, params_D: NetworkParams,
+                         cfg: ObjectiveConfig) -> GeneratorLoss:
+    """Full generator objective on one batch's fakes:
 
         adv(D(x, G(x, z1))) + beta * rec(G(x, z1), y) - lambda * mean ratios
 
     The adversarial and reconstruction terms use the first fake only; the
     second fake exists for the regularizer. Ratios compare G(x, z1) with
     G(x, z2) in the configured space (discriminator features when
-    space="feature"). Returns the loss graph plus the generator parameter
-    leaves so callers can read gradients after backward(). The latents, the
-    condition and D's parameters enter as constants, so backward computes
-    no gradient for them.
+    space="feature"). Gradients reach G's parameters through fakes.leaves;
+    the latents, the condition and D's parameters enter as constants, so
+    backward computes no gradient for them.
     """
-    div = cfg.diversity
+    div, batch = cfg.diversity, fakes.batch
     if cfg.beta > 0 and batch.y is None:
         raise ValueError("generator_total_loss: beta > 0 requires targets y")
-    z1 = np.asarray(batch.z1, dtype=np.float64)
     norm, tau = _space_distance(div)
-    z2, gaps = _resample_z2(z1, batch.z2, rng, norm)
-
-    leaves = ParamLeaves(params_G)
-    y1 = generator_forward(leaves, z1, batch.x)
-    # at weight 0 the second fake only feeds the logged ratios: it is built
-    # from constants and records no graph
-    y2 = generator_forward(leaves if div.weight > 0 else params_G, z2, batch.x)
+    y1, y2 = fakes.y1, fakes.y2
 
     logits1, feats1 = discriminator_forward(params_D, y1, batch.x)
     adv = g_adv_loss(logits1, cfg.g_loss_form)
@@ -274,7 +292,7 @@ def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
     else:  # the flattened (B, T*dim) sequences as (B, T, dim)
         shape = (y1.shape[0], batch.seq_len, -1)
         parts1, parts2 = [y1.reshape(*shape)], [y2.reshape(*shape)]
-    term, raw = _batch_ratios(parts1, parts2, gaps, norm, tau)
+    term, raw = _batch_ratios(parts1, parts2, fakes.gaps, norm, tau)
     ratio_mean = float(raw.data.mean())
     if div.weight > 0:
         l_z = term.mean()
@@ -295,4 +313,4 @@ def generator_total_loss(batch: TrainBatch, params_G: NetworkParams,
     }
     if not np.isfinite(total.data):
         raise NumericsError("generator_total_loss: non-finite loss")
-    return GeneratorLoss(total=total, parts=parts, leaves=leaves, z2_used=z2)
+    return GeneratorLoss(total=total, parts=parts)

@@ -1,9 +1,10 @@
 """Alternating GAN training on the synthetic tasks, with deterministic
 seeding, periodic evaluation, JSON checkpoints, and lambda sweeps.
 
-Each step runs one discriminator update (real batch vs fresh fakes)
-followed by one generator update on the combined objective with a fresh
-(z1, z2) pair per example. A run is single-threaded and fully
+Each step draws one real batch and one (z1, z2) pair per example, builds
+the two fakes G(x, z1) and G(x, z2) once, and runs one discriminator update
+(the real batch vs G(x, z1)) followed by one generator update on the
+combined objective over the same fakes. A run is single-threaded and fully
 deterministic given its seed; sweep entries use independent processes.
 """
 
@@ -30,7 +31,14 @@ from .data import (
     sample_ring,
     sample_trajectories,
 )
-from .losses import ObjectiveConfig, TrainBatch, d_loss, generator_total_loss
+from .losses import (
+    FakePair,
+    ObjectiveConfig,
+    TrainBatch,
+    d_loss,
+    generate_fakes,
+    generator_total_loss,
+)
 from .metrics import (
     HQ_STD_MULTIPLE,
     EvalReport,
@@ -215,19 +223,31 @@ def _real_batch(cfg: TrainConfig, rng) -> tuple[np.ndarray | None, np.ndarray, i
 
 # -- one step ----------------------------------------------------------------
 #
-# Each update's graph is built and differentiated inside a helper that hands
-# back only the gradient vector and the logged values, so the D step's graph
-# is freed before the G step builds its own, and the G step's before Adam.
+# A step builds its one pair of fakes on G's parameter leaves before D's
+# update and keeps them for G's: D reads G(x, z1)'s values, G's objective its
+# graph, and reconstruction pairs it with the same real y (pix2pix's
+# pairing). Each update's graph is differentiated inside a helper that hands
+# back only the gradient vector and the logged values, so D's graph is freed
+# before D's Adam update; the fakes, and with them G's graph, are dropped
+# before G's.
 
 
-def _d_gradient(state: TrainState, cfg: TrainConfig) -> tuple[np.ndarray, float]:
-    """D's gradient vector and loss on a real batch against fresh fakes."""
-    x, y_real, _ = _real_batch(cfg, state.rng)
-    z = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
-    fake = generator_forward(state.params_G, z, x).data
-    leaves = ParamLeaves(state.params_D)
-    logits_real, _ = discriminator_forward(leaves, y_real, x)
-    logits_fake, _ = discriminator_forward(leaves, fake, x)
+def _fakes(state: TrainState, cfg: TrainConfig) -> FakePair:
+    """The step's real batch and its two fakes, in the step's draw order."""
+    x, y, seq_len = _real_batch(cfg, state.rng)
+    z1 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
+    z2 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
+    batch = TrainBatch(z1=z1, z2=z2, x=x, y=y, seq_len=seq_len)
+    return generate_fakes(batch, state.params_G, cfg.objective, rng=state.rng)
+
+
+def _d_gradient(params_D: NetworkParams, fakes: FakePair) -> tuple[np.ndarray, float]:
+    """D's gradient vector and loss: the real batch against G(x, z1)'s
+    values, which enter D's graph as constants."""
+    x = fakes.batch.x
+    leaves = ParamLeaves(params_D)
+    logits_real, _ = discriminator_forward(leaves, fakes.batch.y, x)
+    logits_fake, _ = discriminator_forward(leaves, fakes.y1.data, x)
     loss_d = d_loss(logits_real, logits_fake)
     d_loss_val = loss_d.item()
     if not np.isfinite(d_loss_val):  # D's gradients can stay finite
@@ -236,35 +256,34 @@ def _d_gradient(state: TrainState, cfg: TrainConfig) -> tuple[np.ndarray, float]
     return leaves.grad_vector(), d_loss_val
 
 
-def _g_gradient(state: TrainState, cfg: TrainConfig) -> tuple[np.ndarray, dict]:
+def _g_gradient(fakes: FakePair, params_D: NetworkParams,
+                cfg: TrainConfig) -> tuple[np.ndarray, dict]:
     """G's gradient vector and the logged parts of its objective."""
-    x, y_target, seq_len = _real_batch(cfg, state.rng)
-    z1 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
-    z2 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
-    batch = TrainBatch(z1=z1, z2=z2, x=x, y=y_target, seq_len=seq_len)
-    res = generator_total_loss(batch, state.params_G, state.params_D,
-                               cfg.objective, rng=state.rng)
+    res = generator_total_loss(fakes, params_D, cfg.objective)
     backward(res.total)
-    return res.leaves.grad_vector(), res.parts
+    return fakes.leaves.grad_vector(), res.parts
 
 
 def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricRow]:
-    """One discriminator update then one generator update.
+    """One discriminator update then one generator update, on one batch and
+    one pair of fakes.
 
-    Losses are logged as observed before the respective parameter updates.
-    Raises DivergenceError on any non-finite loss or gradient.
+    d_loss is logged before D's update, the generator's parts with the
+    updated D. Raises DivergenceError on any non-finite loss or gradient.
     """
     step = state.step + 1
     # float overflow on the way to a detected divergence is expected; the
     # explicit finiteness checks are the error path, not the warnings
     try:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            grad, d_loss_val = _d_gradient(state, cfg)
+            fakes = _fakes(state, cfg)
+            grad, d_loss_val = _d_gradient(state.params_D, fakes)
             vector, state.adam_D = adam_step(state.params_D.vector, grad, state.adam_D, cfg.adam)
             state.params_D = NetworkParams(state.params_D.spec, vector)
             del grad  # nothing in the G step reads D's gradient
 
-            grad, parts = _g_gradient(state, cfg)
+            grad, parts = _g_gradient(fakes, state.params_D, cfg)
+            del fakes  # G's graph: its leaves and both fakes
             vector, state.adam_G = adam_step(state.params_G.vector, grad, state.adam_G, cfg.adam)
             state.params_G = NetworkParams(state.params_G.spec, vector)
     except NumericsError as exc:

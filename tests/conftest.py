@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from divgan.autodiff import evaluate_with_gradients, finite_diff_gradient
+from divgan.losses import generate_fakes, generator_total_loss
 from divgan.nets import NetworkSpec
 
 
@@ -28,6 +29,13 @@ def gradcheck(f, inputs, h=1e-5, rtol=1e-4, atol=1e-8):
         err = np.max(np.abs(grads[i] - fd) / scale)
         assert err <= rtol + atol, f"input {i}: max relative error {err:.3e}"
     return grads
+
+
+def objective(batch, params_G, params_D, cfg, rng=None):
+    """The generator objective on batch as a training step builds it: its
+    fakes, then generator_total_loss on them. Returns (fakes, loss)."""
+    fakes = generate_fakes(batch, params_G, cfg, rng)
+    return fakes, generator_total_loss(fakes, params_D, cfg)
 
 
 def edit_vector(doc, network, key, edit):

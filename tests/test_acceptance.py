@@ -1,6 +1,6 @@
 """Opt-in acceptance gate for the paper's headline claim on conditional_ring:
 the diversity term (lambda = 1) keeps label modes that the plain cGAN
-(lambda = 0) drops. It trains 20 runs of 12k steps (about 13 minutes on 2
+(lambda = 0) drops. It trains 20 runs of 12k steps (about 9 minutes on 2
 workers), so it is skipped unless DIVGAN_ACCEPTANCE=1:
 
     DIVGAN_ACCEPTANCE=1 PYTHONPATH=src python -m pytest -q tests/test_acceptance.py

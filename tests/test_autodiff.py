@@ -16,7 +16,7 @@ from divgan.autodiff import (
     jacobian,
     lift,
 )
-from divgan.losses import DiversityConfig, ObjectiveConfig, TrainBatch, generator_total_loss
+from divgan.losses import DiversityConfig, ObjectiveConfig, TrainBatch
 from divgan.nets import (
     NetworkSpec,
     discriminator_forward,
@@ -25,7 +25,7 @@ from divgan.nets import (
     mlp_init,
 )
 
-from conftest import gradcheck
+from conftest import gradcheck, objective
 
 
 def test_sum_of_squares_example():
@@ -534,8 +534,8 @@ def test_backward_leaves_only_leaf_gradients_exact_and_unaliased(space, weight, 
     batch = TrainBatch(z1=rng.normal(size=(5, 2)), z2=rng.normal(size=(5, 2)),
                        x=rng.normal(size=(5, 2)), seq_len=2 if space == "sequence" else 1)
     cfg = ObjectiveConfig(diversity=DiversityConfig(weight=weight, space=space))
-    freed = generator_total_loss(batch, params_G, params_D, cfg)
-    kept = generator_total_loss(batch, params_G, params_D, cfg)
+    freed_fakes, freed = objective(batch, params_G, params_D, cfg)
+    kept_fakes, kept = objective(batch, params_G, params_D, cfg)
     backward(freed.total)
     _backward_keeping_every_grad(kept.total)
 
@@ -543,8 +543,8 @@ def test_backward_leaves_only_leaf_gradients_exact_and_unaliased(space, weight, 
     ops = [v for v in nodes if v._bwd is not None]
     assert ops and all(v.grad is None for v in ops)
     assert all(v.grad is not None for v in _graph_vars(kept.total) if v._bwd is not None)
-    leaf_grads = [v.grad for v in freed.leaves.flat()]
-    for got, want in zip(leaf_grads, kept.leaves.flat()):
+    leaf_grads = [v.grad for v in freed_fakes.leaves.flat()]
+    for got, want in zip(leaf_grads, kept_fakes.leaves.flat()):
         assert same_bits(got, want.grad)
     for i, g in enumerate(leaf_grads):
         assert g.flags.owndata
@@ -587,9 +587,9 @@ def test_constant_discriminator_gives_same_generator_gradients(space, rng, monke
     cfg = ObjectiveConfig(diversity=DiversityConfig(weight=0.7, space=space))
 
     def g_grads():
-        res = generator_total_loss(batch, params_G, params_D, cfg)
+        fakes, res = objective(batch, params_G, params_D, cfg)
         backward(res.total)
-        return [v.grad for v in res.leaves.flat()]
+        return [v.grad for v in fakes.leaves.flat()]
 
     pruned = g_grads()
     d_leaves = []

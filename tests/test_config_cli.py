@@ -241,7 +241,7 @@ def _saved_as_it_ran(cfg) -> tuple:
 ])
 def test_train_serializes_each_state_once(steps, eval_every, saved_steps, tmp_path,
                                           monkeypatch):
-    doc = {"task": "ring", "steps": steps, "eval_every": eval_every, "seed": 3}
+    doc = {"task": "ring", "steps": steps, "eval_every": eval_every, "seed": 2}
     out = tmp_path / "run"
     saves = _count_saves(monkeypatch)
     assert main(["train", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0

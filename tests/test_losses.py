@@ -15,7 +15,7 @@ from divgan.losses import (
     d_loss,
     diversity_ratio,
     g_adv_loss,
-    generator_total_loss,
+    generate_fakes,
     reconstruction_loss,
 )
 from divgan.nets import (
@@ -26,7 +26,7 @@ from divgan.nets import (
     mlp_init,
 )
 
-from conftest import gradcheck
+from conftest import gradcheck, objective
 
 LN2 = np.log(2.0)
 
@@ -296,7 +296,7 @@ def test_degenerate_config_is_pure_adversarial(rng):
     params_G, params_D = tiny_nets()
     cfg = ObjectiveConfig(beta=0.0, diversity=DiversityConfig(weight=0.0))
     batch = make_batch(rng)
-    res = generator_total_loss(batch, params_G, params_D, cfg)
+    _, res = objective(batch, params_G, params_D, cfg)
     assert res.total.item() == pytest.approx(res.parts["adv"])
     assert res.parts["rec"] == 0.0
 
@@ -305,7 +305,7 @@ def test_z_blind_generator_logs_zero_regularizer(rng):
     params_G, params_D = tiny_nets()
     params_G.weights[0][:] = 0.0  # first layer ignores z entirely
     cfg = ObjectiveConfig(diversity=DiversityConfig(weight=0.1, norm="l1", tau=10.0))
-    res = generator_total_loss(make_batch(rng), params_G, params_D, cfg)
+    _, res = objective(make_batch(rng), params_G, params_D, cfg)
     assert res.parts["l_z"] == 0.0
     assert res.parts["ratio_mean"] == 0.0
 
@@ -315,7 +315,7 @@ def test_missing_targets_with_beta():
     cfg = ObjectiveConfig(beta=1.0)
     batch = TrainBatch(z1=np.zeros((2, 2)), z2=np.ones((2, 2)))
     with pytest.raises(ValueError, match="targets"):
-        generator_total_loss(batch, params_G, params_D, cfg)
+        objective(batch, params_G, params_D, cfg)
 
 
 def test_resampling_exhaustion():
@@ -323,17 +323,15 @@ def test_resampling_exhaustion():
     cfg = ObjectiveConfig()
     z = np.zeros((3, 2))
     with pytest.raises(DegenerateLatentPair):
-        generator_total_loss(TrainBatch(z1=z, z2=z.copy()), params_G, params_D, cfg, rng=None)
+        generate_fakes(TrainBatch(z1=z, z2=z.copy()), params_G, cfg, rng=None)
 
 
 def test_resampling_recovers_with_rng(rng):
     params_G, params_D = tiny_nets()
     cfg = ObjectiveConfig()
     z = rng.normal(size=(3, 2))
-    res = generator_total_loss(
-        TrainBatch(z1=z, z2=z.copy()), params_G, params_D, cfg, rng=rng
-    )
-    gaps = np.sum(np.abs(z - res.z2_used), axis=1)
+    fakes = generate_fakes(TrainBatch(z1=z, z2=z.copy()), params_G, cfg, rng=rng)
+    gaps = np.sum(np.abs(z - fakes.batch.z2), axis=1)
     assert np.all(gaps >= losses.MIN_Z_GAP)
 
 
@@ -362,11 +360,11 @@ def test_training_graph_ratios_match_pairwise_functions(space, norm, tau, weight
         return seen[-1]
 
     monkeypatch.setattr(losses, "_batch_ratios", spy)
-    res = generator_total_loss(TrainBatch(z1=z1, z2=z2, seq_len=seq_len), params_G, params_D,
-                               ObjectiveConfig(diversity=div), rng=rng)
+    fakes, res = objective(TrainBatch(z1=z1, z2=z2, seq_len=seq_len), params_G, params_D,
+                           ObjectiveConfig(diversity=div), rng=rng)
     monkeypatch.undo()
     (term, raw), = seen
-    z2 = res.z2_used
+    z2 = fakes.batch.z2
     assert not np.array_equal(z2[0], z1[0])
 
     y1, y2 = generator_forward(params_G, z1).data, generator_forward(params_G, z2).data
@@ -406,9 +404,8 @@ def test_second_fake_records_a_graph_only_when_weighted(space, rng, monkeypatch)
         return seen[-1][1]
 
     monkeypatch.setattr(losses, "_batch_ratios", spy)
-    logged = [generator_total_loss(batch, params_G, params_D,
-                                   ObjectiveConfig(diversity=DiversityConfig(weight=w,
-                                                                             space=space)))
+    logged = [objective(batch, params_G, params_D,
+                        ObjectiveConfig(diversity=DiversityConfig(weight=w, space=space)))[1]
               for w in (0.0, 0.3)]
     (grads0, ratios0), (grads1, ratios1) = seen
     assert grads0 and not any(grads0)
@@ -434,11 +431,10 @@ def test_total_loss_gradients_match_finite_differences(space, norm, rng):
     seq_len = 2 if space == "sequence" else 1
 
     # engine gradients through the real path
-    res = generator_total_loss(
-        TrainBatch(z1=z1, z2=z2, y=y, seq_len=seq_len), params_G, params_D, cfg
-    )
+    fakes, res = objective(TrainBatch(z1=z1, z2=z2, y=y, seq_len=seq_len), params_G, params_D,
+                           cfg)
     backward(res.total)
-    engine = [v.grad for v in res.leaves.flat()]
+    engine = [v.grad for v in fakes.leaves.flat()]
 
     # finite differences on the loss value as a black box
     from divgan.autodiff import finite_diff_gradient
@@ -450,9 +446,9 @@ def test_total_loss_gradients_match_finite_differences(space, norm, rng):
             probe = [a.copy() for a in flat0]
             probe[i] = x
             probe_G = NetworkParams(g_spec, np.concatenate([a.ravel() for a in probe]))
-            return generator_total_loss(
-                TrainBatch(z1=z1, z2=z2, y=y, seq_len=seq_len), probe_G, params_D, cfg
-            ).total.item()
+            _, res = objective(TrainBatch(z1=z1, z2=z2, y=y, seq_len=seq_len), probe_G,
+                               params_D, cfg)
+            return res.total.item()
 
         fd = finite_diff_gradient(scalar, flat0[i])
         err = np.max(np.abs(engine[i] - fd) / np.maximum(np.abs(fd), 1.0))
@@ -469,9 +465,9 @@ def test_lambda_scales_regularizer_gradient_linearly(rng):
 
     def grads_at(weight):
         cfg = ObjectiveConfig(diversity=DiversityConfig(weight=weight, tau=None, norm="l2"))
-        res = generator_total_loss(TrainBatch(z1=z1, z2=z2), params_G, params_D, cfg)
+        fakes, res = objective(TrainBatch(z1=z1, z2=z2), params_G, params_D, cfg)
         backward(res.total)
-        return [v.grad.copy() for v in res.leaves.flat()]
+        return [v.grad.copy() for v in fakes.leaves.flat()]
 
     g0 = grads_at(1e-12)  # adversarial part only (weight ~ 0)
     g1 = grads_at(0.2)
@@ -537,16 +533,16 @@ def test_sequence_objective_equals_per_step_reference_bit_for_bit(seq_len, weigh
         return seen[-1]
 
     monkeypatch.setattr(losses, "_batch_ratios", spy)
-    res = generator_total_loss(batch, params_G, params_D, cfg)
+    fakes, res = objective(batch, params_G, params_D, cfg)
     monkeypatch.undo()
     (term, raw), = seen
     ref_total, ref_raw, ref_leaves = _per_step_objective(batch, params_G, params_D, cfg,
-                                                         res.z2_used)
+                                                         fakes.batch.z2)
     assert raw.data.tobytes() == ref_raw.data.tobytes()
     assert term.data.tobytes() == ref_raw.data.tobytes()  # no clip off output space
     assert res.parts["ratio_mean"] == float(ref_raw.data.mean())
     assert res.total.data.tobytes() == ref_total.data.tobytes()
     backward(res.total)
     backward(ref_total)
-    for got, want in zip(res.leaves.flat(), ref_leaves.flat()):
+    for got, want in zip(fakes.leaves.flat(), ref_leaves.flat()):
         assert got.grad.tobytes() == want.grad.tobytes()

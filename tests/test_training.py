@@ -1,5 +1,6 @@
 import base64
 import concurrent.futures
+import copy
 import json
 import re
 import tracemalloc
@@ -9,19 +10,33 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import as_version_1, edit_vector, refit
+from conftest import as_version_1, edit_vector, objective, refit
 from divgan import metrics, training
 from divgan.autodiff import backward
 from divgan.config import parse_run_config
-from divgan.data import MAX_SIZE, ConditionalRingSpec, RingMixtureSpec, nearest_modes
+from divgan.data import (
+    MAX_SIZE,
+    ConditionalRingSpec,
+    RingMixtureSpec,
+    nearest_modes,
+    sample_conditional_ring,
+)
 from divgan.losses import (
     DiversityConfig,
     ObjectiveConfig,
     TrainBatch,
     d_loss,
+    g_adv_loss,
+    generate_fakes,
     generator_total_loss,
+    reconstruction_loss,
 )
-from divgan.nets import NetworkParams, NetworkSpec, generator_forward
+from divgan.nets import (
+    NetworkParams,
+    NetworkSpec,
+    discriminator_forward,
+    generator_forward,
+)
 from divgan.optim import AdamState, adam_step
 from divgan.training import (
     CheckpointError,
@@ -94,13 +109,12 @@ def test_lambda_zero_matches_term_free_build():
     z2 = state.rng.standard_normal((4, 2))
     batch = TrainBatch(z1=z1, z2=z2)
     obj = ObjectiveConfig(diversity=DiversityConfig(weight=0.0))
-    res = generator_total_loss(batch, state.params_G, state.params_D, obj)
+    fakes, res = objective(batch, state.params_G, state.params_D, obj)
     backward(res.total)
-    grads_with_logging = [v.grad.copy() for v in res.leaves.flat()]
+    grads_with_logging = [v.grad.copy() for v in fakes.leaves.flat()]
 
     from divgan.autodiff import Var
-    from divgan.losses import g_adv_loss
-    from divgan.nets import discriminator_forward, mlp_forward_vars
+    from divgan.nets import mlp_forward_vars
 
     gvars = [Var(p) for p in state.params_G.flat()]
     y1, _ = mlp_forward_vars(gvars, state.params_G.spec, Var(z1))
@@ -133,45 +147,103 @@ def test_steady_ring_step_traced_peak():
 
 @pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
 def test_each_phase_graph_is_freed_before_the_next(task, monkeypatch):
-    """The D step's graph (its leaves, fakes and loss) is gone when the G
-    step starts, and the G step's loss graph is gone when G's Adam update
-    runs."""
+    """D's graph (its leaves, logits and loss) is gone when D's Adam update
+    runs, while the fakes live on for G; G's graph (its leaves, both fakes
+    and the loss) is gone when G's Adam update runs."""
     d_graph, g_graph, seen = [], [], []
+
+    def gone(refs):
+        return [r() is None for r in refs]
 
     class TrackedLeaves(training.ParamLeaves):
         def __init__(self, params):
             super().__init__(params)
             d_graph.append(weakref.ref(self))
 
-    def fakes(*args):
-        out = generator_forward(*args)
-        d_graph.append(weakref.ref(out.data))
-        return out
+    def d_forward(*args):
+        logits, feats = discriminator_forward(*args)
+        d_graph.append(weakref.ref(logits.data))
+        return logits, feats
 
     def loss_d(*args):
         out = d_loss(*args)
         d_graph.append(weakref.ref(out.data))
         return out
 
-    def g_loss(*args, **kwargs):
-        seen.append(("G step", [r() is None for r in d_graph]))
-        res = generator_total_loss(*args, **kwargs)
+    def fakes(*args, **kwargs):
+        out = generate_fakes(*args, **kwargs)
+        g_graph.extend(weakref.ref(o) for o in (out, out.leaves, out.y1.data, out.y2.data))
+        return out
+
+    def g_loss(*args):
+        seen.append(("G objective", gone(d_graph)))
+        res = generator_total_loss(*args)
         g_graph.extend([weakref.ref(res), weakref.ref(res.total.data)])
         return res
 
     def adam(vector, grad, adam_state, hyper):
-        if g_graph:
-            seen.append(("G Adam", [r() is None for r in g_graph]))
+        seen.append(("Adam", gone(d_graph), gone(g_graph)))
         return adam_step(vector, grad, adam_state, hyper)
 
     monkeypatch.setattr(training, "ParamLeaves", TrackedLeaves)
-    monkeypatch.setattr(training, "generator_forward", fakes)
+    monkeypatch.setattr(training, "discriminator_forward", d_forward)
     monkeypatch.setattr(training, "d_loss", loss_d)
+    monkeypatch.setattr(training, "generate_fakes", fakes)
     monkeypatch.setattr(training, "generator_total_loss", g_loss)
     monkeypatch.setattr(training, "adam_step", adam)
     cfg = small_cfg(task=task, z_dim=4)
     train_step(init_state(cfg), cfg)
-    assert seen == [("G step", [True] * 3), ("G Adam", [True] * 2)]
+    assert seen == [("Adam", [True] * 4, [False] * 4), ("G objective", [True] * 4),
+                    ("Adam", [True] * 4, [True] * 6)]
+
+
+def _replay_batch(cfg, rng):
+    """The draws a conditional_ring step makes before it runs G: the real
+    batch, then z1, then z2."""
+    batch = sample_conditional_ring(ConditionalRingSpec(base=cfg.ring), cfg.batch_size, rng)
+    z1 = rng.standard_normal((cfg.batch_size, cfg.z_dim))
+    z2 = rng.standard_normal((cfg.batch_size, cfg.z_dim))
+    return batch.x, batch.y, z1, z2
+
+
+def test_one_step_draws_one_batch_and_one_pair_of_fakes():
+    """D scores the step's real batch against G(x, z1) with the pre-step
+    parameters; G's adversarial part runs the updated D on the same fake;
+    the step draws nothing beyond the batch, z1 and z2."""
+    cfg = small_cfg(task="conditional_ring", z_dim=4)
+    state = init_state(cfg)
+    params_G, params_D = state.params_G, state.params_D  # steps replace them
+    rng = copy.deepcopy(state.rng)
+    x, y, z1, _ = _replay_batch(cfg, rng)
+    state, row = train_step(state, cfg)
+
+    fake = generator_forward(params_G, z1, x)
+    want = d_loss(discriminator_forward(params_D, y, x)[0],
+                  discriminator_forward(params_D, fake, x)[0])
+    assert row.d_loss == want.item()
+    g_adv = g_adv_loss(discriminator_forward(state.params_D, fake, x)[0])
+    assert row.g_adv == g_adv.item()
+    assert state.rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_reconstruction_trains_deterministically_on_conditional_ring():
+    """beta > 0 with lambda > 0: g_rec is G(x, z1)'s L1 error on the real
+    batch D saw, and a run's checkpoints and metric log repeat byte for
+    byte."""
+    cfg = small_cfg(task="conditional_ring", z_dim=4, seed=3,
+                    objective=ObjectiveConfig(beta=1.0, diversity=DiversityConfig(weight=1.0)))
+    state = init_state(cfg)
+    params_G = state.params_G
+    x, y, z1, _ = _replay_batch(cfg, copy.deepcopy(state.rng))
+    _, row = train_step(state, cfg)
+    assert row.g_rec > 0
+    assert row.g_rec == reconstruction_loss(generator_forward(params_G, z1, x), y).item()
+
+    runs = [train(cfg) for _ in range(2)]
+    (a, b) = [(save_checkpoint(r.state), save_checkpoint(r.best_state), rows_to_csv(r.rows))
+              for r in runs]
+    assert a == b
+    assert all(r.g_rec > 0 for r in runs[0].rows)
 
 
 def _label_generator(split: bool) -> NetworkParams:
