@@ -5,11 +5,7 @@ gap open up; raise STEPS toward 30000 to reproduce the full protocol.
 Run: python demos/02_ring_collapse_and_recovery.py
 """
 
-from divgan.data import save_points_csv, sample_ring
-from divgan.nets import generator_forward
-from divgan.training import TrainConfig, evaluate_generator, train, with_weight
-
-import numpy as np
+from divgan.training import TrainConfig, train, with_weight
 
 STEPS = 4000
 
@@ -26,13 +22,3 @@ for weight in (0.0, 0.1):
     print(f"  pairwise diversity  {r.pairwise_diversity:.3f}")
     print(f"  2D Frechet distance {r.frechet2:.4f}")
 
-    # dump samples for external plotting
-    z = np.random.default_rng(1).standard_normal((2500, cfg.z_dim))
-    fake = generator_forward(result.state.params_G, z).data
-    path = f"ring_samples_lambda{weight}.csv"
-    save_points_csv(path, fake)
-    print(f"  2500 samples -> {path}")
-
-real = sample_ring(base.ring, 2500, np.random.default_rng(2))
-save_points_csv("ring_samples_real.csv", real)
-print("real samples -> ring_samples_real.csv")

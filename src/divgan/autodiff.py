@@ -211,35 +211,27 @@ def _node(data, parents, bwd) -> Var:
 # -- binary ops ---------------------------------------------------------
 
 
-def _binary_mode(op: str, a: Var, b: Var, allow_row: bool = False) -> str:
-    if a.shape == b.shape:
-        return "same"
-    if b.ndim == 0:
-        return "b0"
-    if a.ndim == 0:
-        return "a0"
-    if allow_row and a.ndim == 2 and b.shape == (a.shape[1],):
-        return "row"
-    raise ShapeMismatch(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+def _binary_mode(op: str, a: Var, b: Var, allow_row: bool = False) -> None:
+    """Refuse operands outside the broadcast forms: equal shapes, a scalar
+    operand, and (if allow_row) a row vector over the rows of a matrix."""
+    if a.shape == b.shape or a.ndim == 0 or b.ndim == 0:
+        return
+    if not (allow_row and a.ndim == 2 and b.shape == (a.shape[1],)):
+        raise ShapeMismatch(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+
+
+def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """A broadcast result's gradient summed back to an operand's shape: the
+    whole of it for a scalar, over the rows for a row vector."""
+    if g.shape == shape:
+        return g
+    return g.sum() if shape == () else g.sum(axis=0)
 
 
 def _add(a: Var, b: Var) -> Var:
-    mode = _binary_mode("add", a, b, allow_row=True)
-    out = a.data + b.data
-
-    def bwd(g, v):
-        ga = g if mode in ("same", "row", "b0") else g.sum()
-        if mode == "same":
-            gb = g
-        elif mode == "b0":
-            gb = g.sum()
-        elif mode == "a0":
-            gb = g
-        else:  # row bias over matrix rows
-            gb = g.sum(axis=0)
-        return ga, gb
-
-    return _node(out, (a, b), bwd)
+    _binary_mode("add", a, b, allow_row=True)
+    return _node(a.data + b.data, (a, b),
+                 lambda g, v: (_reduce_to(g, a.shape), _reduce_to(g, b.shape)))
 
 
 def _neg(a: Var) -> Var:
@@ -247,19 +239,9 @@ def _neg(a: Var) -> Var:
 
 
 def _mul(a: Var, b: Var) -> Var:
-    mode = _binary_mode("mul", a, b)
-    out = a.data * b.data
-
-    def bwd(g, v):
-        ga = g * b.data
-        gb = g * a.data
-        if mode == "b0":
-            gb = gb.sum()
-        elif mode == "a0":
-            ga = ga.sum()
-        return ga, gb
-
-    return _node(out, (a, b), bwd)
+    _binary_mode("mul", a, b)
+    return _node(a.data * b.data, (a, b),
+                 lambda g, v: (_reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)))
 
 
 def _matmul(a: Var, b: Var) -> Var:

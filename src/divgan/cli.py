@@ -194,14 +194,15 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _checkpoint_z_dim(state, command: str) -> int:
-    """Latent size of a checkpoint's generator, which must be unconditional."""
+def _unconditional_z_dim(state, command: str) -> int:
+    """Latent size of a state's generator, which must be unconditional:
+    `command` has no conditions to give it."""
     cond_dim, z_dim = check_fit(state.params_G.spec, state.params_D.spec)
     if cond_dim > 0:
         raise ConfigError(
-            f"{command} needs an unconditional generator, but this checkpoint's "
-            f"generator reads a {cond_dim}-dim condition beside its {z_dim}-dim "
-            f"latent, and the checkpoint does not say which conditions to use"
+            f"{command} needs an unconditional generator, but this one reads a "
+            f"{cond_dim}-dim condition beside its {z_dim}-dim latent, and {command} "
+            f"has no conditions to give it"
         )
     return z_dim
 
@@ -214,14 +215,10 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
     if isinstance(doc, dict) and "version" in doc:
         state = restore_checkpoint(doc)  # the one parse serves both readings
-        z_dim = _checkpoint_z_dim(state, "verify")
-        params_G = state.params_G
     else:
-        cfg = _seeded(parse_run_config(doc), args)
-        if cfg.task != "ring":
-            raise ConfigError("verify expects an unconditional (ring) generator")
-        params_G = init_state(cfg).params_G
-        z_dim = cfg.z_dim
+        state = init_state(_seeded(parse_run_config(doc), args))
+    z_dim = _unconditional_z_dim(state, "verify")
+    params_G = state.params_G
 
     rng = np.random.default_rng(seed)
     bound = bound_suite(params_G, n_pairs=args.pairs, rng=rng, z_dim=z_dim)
@@ -251,7 +248,7 @@ def cmd_verify(args) -> int:
 def cmd_interp(args) -> int:
     with open(args.checkpoint, "rb") as fh:
         state = load_checkpoint(fh.read())
-    z_dim = _checkpoint_z_dim(state, "interp")
+    z_dim = _unconditional_z_dim(state, "interp")
     params_G = state.params_G
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     z_a = rng.standard_normal(z_dim)

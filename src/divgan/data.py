@@ -8,9 +8,9 @@ independent streams (spawn), never a shared generator.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "sample_trajectories",
     "nearest_modes",
     "one_hot",
-    "save_points_csv",
 ]
 
 # upper bound on each size a TrainConfig sets (z_dim, batch_size, eval_samples,
@@ -59,8 +58,8 @@ class ConditionalRingSpec:
     """Ring mixture where label k owns the adjacent mode pair {2k, 2k+1}."""
 
     base: RingMixtureSpec = field(default_factory=RingMixtureSpec)
-    n_labels: int = 4
-    modes_per_label: int = 2
+    n_labels: ClassVar[int] = 4
+    modes_per_label: ClassVar[int] = 2
 
     def __post_init__(self):
         if self.n_labels * self.modes_per_label != self.base.n_modes:
@@ -69,9 +68,9 @@ class ConditionalRingSpec:
                 f"modes != {self.base.n_modes} ring modes"
             )
 
-    def label_modes(self, label: int) -> tuple:
-        start = label * self.modes_per_label
-        return tuple(range(start, start + self.modes_per_label))
+    def label_of(self, modes):
+        """The label that owns each ring mode index."""
+        return modes // self.modes_per_label
 
 
 @dataclass(frozen=True)
@@ -154,17 +153,3 @@ def one_hot(labels: np.ndarray, n_labels: int) -> np.ndarray:
     out[np.arange(len(labels)), labels] = 1.0
     return out
 
-
-def save_points_csv(path, y: np.ndarray, labels=None) -> None:
-    """Dump sampled points for external plotting (columns: label?, y0, y1)."""
-    y = np.asarray(y)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if labels is None:
-            writer.writerow(["y0", "y1"])
-            for row in y:
-                writer.writerow([repr(float(v)) for v in row])
-        else:
-            writer.writerow(["label", "y0", "y1"])
-            for lab, row in zip(labels, y):
-                writer.writerow([int(lab)] + [repr(float(v)) for v in row])

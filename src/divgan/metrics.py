@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import NumericsError
 from .data import ConditionalRingSpec, RingMixtureSpec, nearest_modes
-from .nets import NetworkParams, mlp_forward_vars
+from .nets import NetworkParams, generator_forward
 
 __all__ = [
     "EvalReport",
@@ -192,13 +192,10 @@ def latent_interpolation(params_G: NetworkParams, z_a, z_b, steps: int,
         latents = _linear_path(z_a, z_b, ts)
     latents[0] = z_a
     latents[-1] = z_b
-    inp = latents
-    if x is not None:
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        inp = np.concatenate([np.broadcast_to(x, (steps, x.size)), latents], axis=1)
     # one stacked pass of 1-row slices: each runs the product of a
     # single-sample generator call, so the endpoints keep its bits
-    outputs = mlp_forward_vars(params_G.flat(), params_G.spec, inp[:, None, :])[0].data[:, 0]
+    cond = None if x is None else np.ravel(x)
+    outputs = generator_forward(params_G, latents[:, None, :], cond).data[:, 0]
     if not np.all(np.isfinite(outputs)):
         raise NumericsError("latent_interpolation: non-finite generator output")
     return InterpolationResult(latents=latents, outputs=outputs, slerp_fallback=fallback)
@@ -215,16 +212,10 @@ def conditional_coverage(y: np.ndarray, labels: np.ndarray, spec: ConditionalRin
         nearest = nearest_modes(np.asarray(y, dtype=np.float64), spec.base)
     idx, dist = nearest
     hq = dist <= HQ_STD_MULTIPLE * spec.base.std
-    per_label = []
-    for lab in range(spec.n_labels):
-        owned = spec.label_modes(lab)
-        sel = (labels == lab) & hq
-        covered = all(np.any(idx[sel] == m) for m in owned)
-        per_label.append(bool(covered))
-    in_owned = np.zeros(len(y), dtype=bool)
-    for lab in range(spec.n_labels):
-        owned = np.array(spec.label_modes(lab))
-        in_owned |= (labels == lab) & np.isin(idx, owned)
+    in_owned = spec.label_of(idx) == labels
+    # each mode has one owner, so a label's high-quality in-label samples
+    # cover it iff they reach modes_per_label distinct modes
+    reached = np.bincount(spec.label_of(np.unique(idx[hq & in_owned])), minlength=spec.n_labels)
     n_hq = int(np.sum(hq))
     frac = float(np.sum(hq & in_owned) / n_hq) if n_hq else None
-    return per_label, frac
+    return (reached == spec.modes_per_label).tolist(), frac

@@ -27,6 +27,7 @@ __all__ = [
     "ParamLeaves",
     "mlp_init",
     "mlp_forward_vars",
+    "with_condition",
     "generator_forward",
     "discriminator_forward",
     "default_generator_spec",
@@ -223,28 +224,36 @@ def mlp_forward_vars(param_vars, spec: NetworkSpec, inp) -> tuple[Var, list[Var]
     return h, hidden
 
 
-def _with_condition(x, main) -> Var:
+def with_condition(x, main) -> Var:
+    """A network's input: condition x, if any, ahead of main's features.
+
+    main is (batch, dim), or stacked (..., rows, dim) for constant
+    parameters. x is None, a (batch, c) condition per row of a (batch, dim)
+    main, or one constant (c,) condition shared by every row of main."""
     main = lift(main)
-    if main.ndim != 2:
-        raise ShapeMismatch(f"forward: expected (batch, dim) input, got shape {main.shape}")
+    if main.ndim < 2:
+        raise ShapeMismatch(f"forward: expected (..., batch, dim) input, got shape {main.shape}")
     if x is None:
         return main
     x = lift(x)
-    if x.ndim != 2 or x.shape[0] != main.shape[0]:
+    if x.ndim == 1 and not x.requires_grad:
+        x = lift(np.broadcast_to(x.data, main.shape[:-1] + x.shape))
+    elif x.ndim != 2 or main.ndim != 2 or x.shape[0] != main.shape[0]:
         raise ShapeMismatch(f"forward: condition shape {x.shape} vs input shape {main.shape}")
-    return concat([x, main], axis=1)
+    return concat([x, main], axis=main.ndim - 1)
 
 
 def generator_forward(params: NetworkParams | ParamLeaves, z, x=None) -> Var:
-    """G(x, z) on a batch: condition (optional) concatenated with latents."""
-    out, _ = mlp_forward_vars(params.flat(), params.spec, _with_condition(x, z))
+    """G(x, z) on a batch: the condition (see `with_condition`) ahead of
+    the latents."""
+    out, _ = mlp_forward_vars(params.flat(), params.spec, with_condition(x, z))
     return out
 
 
 def discriminator_forward(params: NetworkParams | ParamLeaves, y,
                           x=None) -> tuple[Var, list[Var]]:
     """D(x, y) on a batch: (pre-sigmoid logits (batch, 1), hidden features)."""
-    return mlp_forward_vars(params.flat(), params.spec, _with_condition(x, y))
+    return mlp_forward_vars(params.flat(), params.spec, with_condition(x, y))
 
 
 def default_generator_spec(z_dim: int = 2, cond_dim: int = 0, out_dim: int = 2) -> NetworkSpec:

@@ -56,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NumericsError, activation_grad, backward
-from .nets import NetworkParams, ParamLeaves, generator_forward, mlp_forward_vars
+from .nets import (NetworkParams, ParamLeaves, generator_forward, mlp_forward_vars,
+                   with_condition)
 from .optim import AdamHyper, adam_init, adam_step
 
 __all__ = [
@@ -110,10 +111,8 @@ def _forward(params_G: NetworkParams, zs, x=None) -> tuple[np.ndarray, list]:
     """G(x, z) at every row of zs, shape (..., rows, z_dim), all rows sharing
     the one condition x, and G's post-activation hidden layers there,
     ordered input -> output."""
-    if x is not None:
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        zs = np.concatenate([np.broadcast_to(x, zs.shape[:-1] + x.shape), zs], axis=-1)
-    out, hidden = mlp_forward_vars(params_G.flat(), params_G.spec, zs)
+    inp = with_condition(None if x is None else np.ravel(x), zs)
+    out, hidden = mlp_forward_vars(params_G.flat(), params_G.spec, inp)
     return _finite(out.data, "generator output"), [h.data for h in hidden]
 
 

@@ -566,7 +566,8 @@ def restore_checkpoint(doc) -> TrainState:
     document was saved from, or CheckpointError."""
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointError("malformed checkpoint: missing version")
-    if doc["version"] != CHECKPOINT_VERSION:
+    # the JSON integer 2: 2.0 and true would compare equal to it
+    if type(doc["version"]) is not int or doc["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {json.dumps(doc['version'])} "
                               f"(expected {CHECKPOINT_VERSION})")
     try:

@@ -18,6 +18,8 @@ def gradcheck(f, inputs, h=1e-5, rtol=1e-4, atol=1e-8):
     inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
     _, grads = evaluate_with_gradients(f, inputs)
     for i, x in enumerate(inputs):
+        assert np.shape(grads[i]) == x.shape, f"input {i}: gradient of another shape"
+
         def scalar(xi, i=i):
             probe = [a.copy() for a in inputs]
             probe[i] = xi

@@ -121,6 +121,15 @@ def test_binary_gradients(rng):
         gradcheck(lambda u, v: (u * v).sum(), [a, b])
         gradcheck(lambda u, v: (u - v).tanh().sum(), [a, b])
         gradcheck(lambda u: (u * float(s)).sum(), [a])
+        # each broadcast form, the scalar or row operand a leaf too, whose
+        # gradient gradcheck holds to its own shape
+        r = rng.normal(size=(3,))
+        for f, args in ((lambda c, u: (c + u).tanh().sum(), [s, a]),
+                        (lambda u, c: (u + c).tanh().sum(), [a, s]),
+                        (lambda u, w: (u + w).tanh().sum(), [a, r]),
+                        (lambda c, u: (c * u).tanh().sum(), [s, a]),
+                        (lambda u, c: (u * c).tanh().sum(), [a, s])):
+            gradcheck(f, args)
 
 
 def test_matmul_gradients(rng):

@@ -583,17 +583,25 @@ def test_interp_emits_requested_rows(tmp_path):
 
 @pytest.mark.parametrize("task", ["conditional_ring", "trajectory"])
 def test_verify_and_interp_refuse_conditional_checkpoint(task, tmp_path, capsys):
+    """A conditional generator, from a checkpoint or a config, gets one
+    refusal naming its condition and latent sizes (exit 2, nothing written)."""
     cfg = write_cfg(tmp_path, dict(FAST_RING, task=task, steps=2, eval_every=2))
     run = tmp_path / "run"
     assert main(["train", "--config", cfg, "--out", str(run)]) == 0
     ckpt = str(run / "final.ckpt.json")
+    cond_dim = 4  # one-hot over 4 labels, or 2 context points of 2 coordinates
+    z_dim = load_run_config(cfg).z_dim
     capsys.readouterr()
-    assert main(["verify", ckpt, "--out", str(tmp_path / "v.json"),
-                 "--pairs", "2", "--probes", "10"]) == 2
-    assert "unconditional" in capsys.readouterr().err
-    assert main(["interp", ckpt, "--out", str(tmp_path / "i.csv")]) == 2
-    assert "unconditional" in capsys.readouterr().err
-    assert not (tmp_path / "v.json").exists() and not (tmp_path / "i.csv").exists()
+    for command, target in (("verify", ckpt), ("verify", cfg), ("interp", ckpt)):
+        out = tmp_path / f"{command}.out"
+        extra = ["--pairs", "2", "--probes", "10"] if command == "verify" else []
+        assert main([command, target, "--out", str(out)] + extra) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {command} needs an unconditional generator, but this one reads "
+            f"a {cond_dim}-dim condition beside its {z_dim}-dim latent, and {command} has "
+            f"no conditions to give it\n"
+        )
+        assert not out.exists()
 
 
 def trained_checkpoint_doc(tmp_path):

@@ -9,7 +9,6 @@ from divgan.data import (
     sample_conditional_ring,
     sample_ring,
     sample_trajectories,
-    save_points_csv,
 )
 
 SPEC = RingMixtureSpec()
@@ -93,6 +92,10 @@ def test_spec_validation():
         RingMixtureSpec(std=0.0)
     with pytest.raises(ValueError):
         ConditionalRingSpec(base=RingMixtureSpec(n_modes=7))
+    # the labels are fixed; the ring is the one setting
+    for name in ("n_labels", "modes_per_label"):
+        with pytest.raises(TypeError):
+            ConditionalRingSpec(**{name: 2})
     with pytest.raises(ValueError):
         TrajectorySpec(horizon=0)
 
@@ -111,10 +114,10 @@ def test_conditional_samples_land_in_owned_modes():
     n = 10_000
     b = sample_conditional_ring(spec, n, np.random.default_rng(4))
     idx, _ = nearest_modes(b.y, spec.base)
-    for lab in range(spec.n_labels):
-        owned = set(spec.label_modes(lab))
-        got = set(np.unique(idx[b.labels == lab]).tolist())
-        assert got <= owned, f"label {lab} hit modes {got}"
+    assert np.array_equal(spec.label_of(idx), b.labels)
+    # label k owns the adjacent pair {2k, 2k+1}, and each label reaches both
+    assert spec.label_of(np.arange(8)).tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert len(np.unique(idx)) == 8
 
 
 def test_conditional_label_histogram_uniform():
@@ -165,17 +168,3 @@ def test_trajectory_shapes():
     assert b.x.shape == (11, 3, 2)
     assert b.y.shape == (11, 7, 2)
 
-
-# -- csv dump -------------------------------------------------------------------
-
-
-def test_save_points_csv(tmp_path):
-    y = np.array([[1.5, -2.0], [0.0, 3.25]])
-    path = tmp_path / "points.csv"
-    save_points_csv(path, y, labels=[0, 1])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "label,y0,y1"
-    assert lines[1].startswith("0,1.5,")
-    path2 = tmp_path / "plain.csv"
-    save_points_csv(path2, y)
-    assert path2.read_text().splitlines()[0] == "y0,y1"

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from divgan.data import ConditionalRingSpec, RingMixtureSpec, nearest_modes, one_hot
 from divgan.metrics import (
+    HQ_STD_MULTIPLE,
     EvalReport,
     conditional_coverage,
     dist_min,
@@ -337,3 +338,42 @@ def test_coverage_takes_the_nearest_modes_it_is_given():
     assert mode_coverage(y, spec.base, nearest=nearest) == mode_coverage(y, spec.base)
     assert (conditional_coverage(y, labels, spec, nearest=nearest)
             == conditional_coverage(y, labels, spec))
+
+
+def _coverage_by_label_loops(idx, dist, labels, spec):
+    """conditional_coverage written as two loops over the labels, label k
+    owning modes {2k, 2k+1}: the oracle for its vector form."""
+    hq = dist <= HQ_STD_MULTIPLE * spec.base.std
+    per_label, in_owned = [], np.zeros(len(idx), dtype=bool)
+    for lab in range(4):
+        owned = (2 * lab, 2 * lab + 1)
+        sel = (labels == lab) & hq
+        per_label.append(bool(all(np.any(idx[sel] == m) for m in owned)))
+        in_owned |= (labels == lab) & np.isin(idx, owned)
+    n_hq = int(np.sum(hq))
+    return per_label, float(np.sum(hq & in_owned) / n_hq) if n_hq else None
+
+
+def test_conditional_coverage_matches_per_label_loops():
+    """Random modes, labels and distances: labels reaching 0, 1 and 2 of
+    their modes, distances on the 3-std edge, and sets with no
+    high-quality sample."""
+    spec = ConditionalRingSpec()
+    edge = HQ_STD_MULTIPLE * spec.base.std
+    rng = np.random.default_rng(11)
+    reached, none_seen = set(), 0
+    for trial in range(300):
+        n = int(rng.integers(1, 24))
+        idx = rng.integers(0, 8, size=n)
+        labels = rng.integers(0, 4, size=n)
+        dist = rng.uniform(0.0, 2.0 * edge, size=n)
+        dist[rng.random(n) < 0.2] = edge  # high quality, just
+        if trial % 10 == 0:
+            dist = edge * (1.0 + rng.uniform(1e-9, 1.0, size=n))
+        want = _coverage_by_label_loops(idx, dist, labels, spec)
+        assert conditional_coverage(np.zeros((n, 2)), labels, spec, nearest=(idx, dist)) == want
+        none_seen += want[1] is None
+        hq = dist <= edge
+        reached.update(len(np.unique(idx[(labels == k) & hq & np.isin(idx, (2 * k, 2 * k + 1))]))
+                       for k in range(4))
+    assert reached == {0, 1, 2} and none_seen >= 30

@@ -16,6 +16,7 @@ from divgan.nets import (
     generator_forward,
     mlp_forward_vars,
     mlp_init,
+    with_condition,
 )
 
 from divgan.config import parse_run_config
@@ -291,3 +292,28 @@ def test_stacked_forward_gives_each_slice_its_own_bits(task, rows):
         for got, ref in zip([out, *hidden], [ref_out, *ref_hidden]):
             assert np.array_equal(got.data[k], ref.data)
             assert np.array_equal(np.signbit(got.data[k]), np.signbit(ref.data))
+
+
+@pytest.mark.parametrize("task", ["conditional_ring", "trajectory"])
+def test_shared_condition_over_stacked_latents_is_the_per_row_call(task):
+    """One (c,) condition shared by every row of a stacked (..., rows, z)
+    input gives, slice by slice, the bits of the 2-D call that repeats the
+    condition on each row; a per-row condition on a stacked input, or a
+    shared one that needs a gradient, is refused."""
+    cfg = parse_run_config({"task": task})
+    spec = task_specs(cfg)[0]
+    params = mlp_init(spec, 4)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(spec.input_dim - cfg.z_dim)
+    for rows in (1, 3):
+        zs = rng.standard_normal((4, rows, cfg.z_dim))
+        out = generator_forward(params, zs, x).data
+        per_row = np.tile(x, (rows, 1))
+        for k in range(4):
+            ref = generator_forward(params, zs[k], per_row).data
+            assert np.array_equal(out[k], ref)
+            assert np.array_equal(generator_forward(params, zs[k], x).data, ref)
+        with pytest.raises(ShapeMismatch, match=re.escape(f"condition shape {per_row.shape}")):
+            generator_forward(params, zs, per_row)
+    with pytest.raises(ShapeMismatch, match="condition shape"):
+        with_condition(Var(x), zs[0])

@@ -255,8 +255,9 @@ def _label_generator(split: bool) -> NetworkParams:
     g_spec = NetworkSpec(4 + 2, (8,), 2)
     params = NetworkParams(g_spec, np.zeros(g_spec.n_params))
     (w0, w1), (b0, b1) = params.weights, params.biases
+    owners = spec.label_of(np.arange(spec.base.n_modes))
     for k in range(4):
-        first, second = (centers[m] for m in spec.label_modes(k))
+        first, second = centers[owners == k]
         w0[k, k] = 50.0  # hidden unit k: 1 on label k, else 0
         w1[k] = first
         if split:
@@ -487,10 +488,13 @@ def test_checkpoint_truncated_blob():
 
 
 def test_checkpoint_version_check():
+    # the JSON integer 2 only, as strictly as step and t are read
     doc = json.loads(save_checkpoint(init_state(small_cfg())))
-    doc["version"] = 999
-    with pytest.raises(CheckpointError, match="999"):
-        load_checkpoint(json.dumps(doc).encode())
+    for version in (999, 2.0, True, "2", None):
+        doc["version"] = version
+        want = re.escape(f"unsupported checkpoint version {json.dumps(version)} (expected 2)")
+        with pytest.raises(CheckpointError, match=f"^{want}$"):
+            load_checkpoint(json.dumps(doc).encode())
 
 
 def test_checkpoint_shape_mismatch():
