@@ -313,6 +313,9 @@ def concat(parts, axis: int = 0) -> Var:
     if not parts:
         raise ShapeMismatch("concat: empty input list")
     base = list(parts[0].shape)
+    if not -len(base) <= axis < len(base):
+        raise ShapeMismatch(f"concat: axis {axis} out of range for shape {tuple(base)}")
+    axis %= len(base)
     for p in parts[1:]:
         other = list(p.shape)
         if len(other) != len(base) or any(

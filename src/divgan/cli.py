@@ -32,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from .autodiff import NumericsError
-from .config import ConfigError, load_run_config, parse_run_config, read_json
+from .config import ConfigError, parse_run_config, read_json
 from .metrics import latent_interpolation
 from .optim import AdamHyper
 from .theory import attraction_check, bound_suite, pull_toward
@@ -49,7 +49,6 @@ from .training import (
     sweep,
     task_specs,
     train,
-    with_weight,
 )
 
 EXIT_OK = 0
@@ -117,13 +116,15 @@ def _seeded(cfg, args):
 
 
 def _load_config(args):
+    """The --config document and its run config, with --seed applied."""
     if not args.config:
         raise ConfigError("missing --config")
-    return _seeded(load_run_config(args.config), args)
+    doc = read_json(args.config, "config")
+    return doc, _seeded(parse_run_config(doc), args)
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args)
+    _, cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
     try:
         result = train(cfg)
@@ -143,7 +144,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args)
+    _, cfg = _load_config(args)
     with open(args.checkpoint, "rb") as fh:
         state = load_checkpoint(fh.read())
     g_spec, d_spec = task_specs(cfg)
@@ -161,30 +162,30 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    try:
-        lambdas = [float(s) for s in args.lambdas.split(",") if s.strip() != ""]
-        for lam in lambdas:
-            with_weight(cfg, lam)  # the weight's range check: finite and >= 0
+    base, _ = _load_config(args)
+    try:  # the lambda key's own check: finite and >= 0
+        cfgs = [_seeded(parse_run_config({**base, "lambda": float(s)}), args)
+                for s in args.lambdas.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad --lambdas: {exc}") from exc
-    if not lambdas:
+    if not cfgs:
         raise ConfigError("--lambdas must name at least one value")
-    entries = sweep(cfg, lambdas, jobs=args.jobs)
+    entries = sweep(cfgs, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     summary = [["lambda", "modes", "hq_frac", "diversity", "frechet"]]
     for e in entries:
+        weight = e.config.objective.diversity.weight
         if e.report is None:
-            summary.append([e.weight, "", "", "", ""])
+            summary.append([weight, "", "", "", ""])
         else:
             summary.append([
-                e.weight, e.report.modes_captured, e.report.hq_fraction,
+                weight, e.report.modes_captured, e.report.hq_fraction,
                 e.report.pairwise_diversity, e.report.frechet2,
             ])
     _write(os.path.join(args.out, "summary.csv"), _csv(summary))
     doc = [
         {
-            "lambda": e.weight,
+            "lambda": e.config.objective.diversity.weight,
             "report": None if e.report is None else json.loads(e.report.to_json()),
             "error": e.error,
         }

@@ -240,7 +240,7 @@ def with_condition(x, main) -> Var:
         x = lift(np.broadcast_to(x.data, main.shape[:-1] + x.shape))
     elif x.ndim != 2 or main.ndim != 2 or x.shape[0] != main.shape[0]:
         raise ShapeMismatch(f"forward: condition shape {x.shape} vs input shape {main.shape}")
-    return concat([x, main], axis=main.ndim - 1)
+    return concat([x, main], axis=-1)
 
 
 def generator_forward(params: NetworkParams | ParamLeaves, z, x=None) -> Var:

@@ -1,5 +1,5 @@
 """Alternating GAN training on the synthetic tasks, with deterministic
-seeding, periodic evaluation, JSON checkpoints, and lambda sweeps.
+seeding, periodic evaluation, JSON checkpoints, and sweeps over configs.
 
 Each step draws one real batch and one (z1, z2) pair per example, builds
 the two fakes G(x, z1) and G(x, z2) once, and runs one discriminator update
@@ -414,32 +414,25 @@ def train(cfg: TrainConfig) -> TrainResult:
 
 @dataclass
 class SweepEntry:
-    weight: float  # the lambda that produced this entry
+    config: TrainConfig  # the config that ran
     report: EvalReport | None
     error: str | None = None
 
 
-def with_weight(cfg: TrainConfig, weight: float) -> TrainConfig:
-    div = replace(cfg.objective.diversity, weight=weight)
-    return replace(cfg, objective=replace(cfg.objective, diversity=div))
-
-
-def _sweep_one(args) -> SweepEntry:
-    cfg, weight = args
+def _sweep_one(task) -> SweepEntry:
+    cfg, _ = task  # the position only names the run, in perfbench's traces
     try:
-        result = train(with_weight(cfg, weight))
-        return SweepEntry(weight=weight, report=result.eval_report)
+        return SweepEntry(config=cfg, report=train(cfg).eval_report)
     except DivergenceError as exc:
-        return SweepEntry(weight=weight, report=None, error=str(exc))
+        return SweepEntry(config=cfg, report=None, error=str(exc))
 
 
-def sweep(base_cfg: TrainConfig, lambdas, jobs: int = 1) -> list[SweepEntry]:
-    """Independent runs differing only in the regularizer weight (shared
-    seed); per-run divergence is recorded and the sweep continues."""
-    lambdas = list(lambdas)
-    if not lambdas:
-        raise ValueError("sweep: empty lambda list")
-    tasks = [(base_cfg, float(lam)) for lam in lambdas]
+def sweep(cfgs, jobs: int = 1) -> list[SweepEntry]:
+    """One independent run per config, entries in input order; a run's
+    divergence is recorded and the sweep continues."""
+    tasks = [(cfg, i) for i, cfg in enumerate(cfgs)]
+    if not tasks:
+        raise ValueError("sweep: empty config list")
     workers = min(jobs, len(tasks))  # the pool starts every worker it may use
     if workers > 1:
         # imported here: concurrent.futures and multiprocessing cost every

@@ -1,17 +1,18 @@
 """Opt-in acceptance gate for the paper's headline claim on conditional_ring:
 the diversity term (lambda = 1) keeps label modes that the plain cGAN
 (lambda = 0) drops. It trains 20 runs of 12k steps (about 9 minutes on 2
-workers), so it is skipped unless DIVGAN_ACCEPTANCE=1:
+workers), so it is skipped unless DIVGAN_ACCEPTANCE=1; without it only a
+2-seed, 2-step smoke of the same code runs:
 
     DIVGAN_ACCEPTANCE=1 PYTHONPATH=src python -m pytest -q tests/test_acceptance.py
 
 Protocol, fixed before any result was read (re-pick nothing to pass):
 
 - Configs: parse_run_config({"task": "conditional_ring", "seed": s,
-  "steps": 12000}) for the fresh seeds s = 100..109 (not the 0..5 screened
-  before). A config document takes the task defaults: z_dim 8, tau 10, l1,
-  output space, eval every 1000.
-- Runs: lambda in {0, 1}, through training.sweep(cfg, [0.0, 1.0], jobs=2).
+  "steps": 12000, "lambda": lam}) for the fresh seeds s = 100..109 (not the
+  0..5 screened before) and lam in {0, 1}. A config document takes the task
+  defaults: z_dim 8, tau 10, l1, output space, eval every 1000.
+- Runs: all 20 configs in one training.sweep(cfgs, jobs=2).
 - Score: labels_covered of the final-step evaluation (labels, of 4, whose
   samples reach both of the label's modes).
 - Gate: the mean labels_covered at lambda = 1 is greater than at lambda = 0,
@@ -35,11 +36,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-if os.environ.get("DIVGAN_ACCEPTANCE") != "1":
-    pytest.skip("acceptance gate: set DIVGAN_ACCEPTANCE=1 to run it", allow_module_level=True)
-
-from divgan.config import parse_run_config  # noqa: E402
-from divgan.training import sweep  # noqa: E402
+from divgan.config import parse_run_config
+from divgan.training import sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 RESULTS = ROOT / "acceptance" / "conditional_ring.json"
@@ -75,34 +73,38 @@ def _run(entry) -> dict:
             **{k: getattr(report, k) for k in REPORTED}, "error": None}
 
 
-def test_diversity_term_keeps_label_modes():
+def _gate(seeds, steps: int, results_path: Path) -> dict:
+    """Run the protocol on `seeds` at `steps` steps and write its results
+    document to results_path, before any verdict is asserted."""
+    seeds = list(seeds)
     start = time.perf_counter()
-    seeds = []
-    for seed in SEEDS:
-        cfg = parse_run_config({"task": "conditional_ring", "seed": seed, "steps": STEPS})
-        entries = sweep(cfg, list(LAMBDAS), jobs=2)
-        seeds.append({"seed": seed, **{f"lambda={e.weight:g}": _run(e) for e in entries}})
+    cfgs = [parse_run_config({"task": "conditional_ring", "seed": seed, "steps": steps,
+                              "lambda": lam}) for seed in seeds for lam in LAMBDAS]
+    entries = sweep(cfgs, jobs=2)
     wall = time.perf_counter() - start
 
-    off = [s["lambda=0"]["labels_covered"] for s in seeds]
-    on = [s["lambda=1"]["labels_covered"] for s in seeds]
+    by_seed = {seed: {"seed": seed} for seed in seeds}
+    for e in entries:
+        by_seed[e.config.seed][f"lambda={e.config.objective.diversity.weight:g}"] = _run(e)
+    per_seed = list(by_seed.values())
+    off = [s["lambda=0"]["labels_covered"] for s in per_seed]
+    on = [s["lambda=1"]["labels_covered"] for s in per_seed]
     wins = sum(b > a for a, b in zip(off, on))
     mean_off, mean_on = float(np.mean(off)), float(np.mean(on))
-    passed = mean_on > mean_off and wins >= MIN_WINS
     status = _git("status", "--porcelain", "--", "src")
     doc = {
         "protocol": {
-            "task": "conditional_ring", "seeds": list(SEEDS), "steps": STEPS,
+            "task": "conditional_ring", "seeds": seeds, "steps": steps,
             "lambdas": list(LAMBDAS), "score": "final-step labels_covered (of 4)",
             "gate": f"mean at lambda=1 > mean at lambda=0, and lambda=1 covers strictly "
-                    f"more labels on >= {MIN_WINS} of {len(SEEDS)} seeds; a diverged run "
+                    f"more labels on >= {MIN_WINS} of {len(seeds)} seeds; a diverged run "
                     f"counts as 0 labels",
             "reported": list(REPORTED),
         },
-        "seeds": seeds,
+        "seeds": per_seed,
         "mean_labels_covered": {"lambda=0": mean_off, "lambda=1": mean_on},
         "seeds_lambda1_more": wins,
-        "passed": passed,
+        "passed": mean_on > mean_off and wins >= MIN_WINS,
         "wall_s": round(wall, 1),
         "blas_threads": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS",
                                                         "OMP_NUM_THREADS")},
@@ -111,8 +113,30 @@ def test_diversity_term_keeps_label_modes():
         "src_modified": None if status is None else bool(status),
         "src_sha256": _source_digest(),
     }
-    RESULTS.parent.mkdir(exist_ok=True)
-    RESULTS.write_text(json.dumps(doc, indent=2) + "\n")
+    results_path.parent.mkdir(exist_ok=True)
+    results_path.write_text(json.dumps(doc, indent=2) + "\n")
+    return doc
 
+
+def test_gate_writes_its_results_document(tmp_path):
+    """The gate's wiring on 2 seeds of 2 steps; the verdict is not checked."""
+    doc = _gate(range(2), 2, tmp_path / "r.json")
+    assert json.loads((tmp_path / "r.json").read_text()) == doc
+    assert list(doc) == ["protocol", "seeds", "mean_labels_covered", "seeds_lambda1_more",
+                         "passed", "wall_s", "blas_threads", "numpy", "git_commit",
+                         "src_modified", "src_sha256"]
+    assert doc["protocol"]["seeds"] == [0, 1] and doc["protocol"]["steps"] == 2
+    assert [list(s) for s in doc["seeds"]] == [["seed", "lambda=0", "lambda=1"]] * 2
+    assert [s["seed"] for s in doc["seeds"]] == [0, 1]
+    for run in (s[k] for s in doc["seeds"] for k in ("lambda=0", "lambda=1")):
+        assert list(run) == ["labels_covered", *REPORTED, "error"]
+
+
+@pytest.mark.skipif(os.environ.get("DIVGAN_ACCEPTANCE") != "1",
+                    reason="acceptance gate: set DIVGAN_ACCEPTANCE=1 to run it")
+def test_diversity_term_keeps_label_modes():
+    doc = _gate(SEEDS, STEPS, RESULTS)
+    mean_off, mean_on = (doc["mean_labels_covered"][k] for k in ("lambda=0", "lambda=1"))
+    wins = doc["seeds_lambda1_more"]
     assert mean_on > mean_off, f"mean labels covered: lambda=1 {mean_on}, lambda=0 {mean_off}"
     assert wins >= MIN_WINS, f"lambda=1 covers more labels on {wins} of {len(SEEDS)} seeds"

@@ -311,6 +311,16 @@ def test_concat_gradients(rng):
         a = rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 3))
         gradcheck(lambda u, v: concat([u, v], axis=1).square().sum(), [a, b])
+    # a negative axis counts from the last; one outside [-ndim, ndim) is refused
+    a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 1))
+    assert concat([a, b], axis=-1).shape == (2, 4)
+    gradcheck(lambda u, v: concat([u, v], axis=-1).square().sum(), [a, b])
+    a, b = rng.normal(size=(2, 3)), rng.normal(size=(1, 3))
+    assert concat([a, b], axis=-2).shape == (3, 3)
+    gradcheck(lambda u, v: concat([u, v], axis=-2).square().sum(), [a, b])
+    for axis in (2, -3):
+        with pytest.raises(ShapeMismatch, match=f"axis {axis} out of range"):
+            concat([a, a], axis=axis)
 
 
 def test_clip_max_gradients(rng):

@@ -484,6 +484,20 @@ def test_sweep_summary_rows(tmp_path):
     assert [e["lambda"] for e in doc] == [0.0, 0.05, 0.1, 0.5]
 
 
+def test_sweep_changes_only_lambda(tmp_path):
+    """Each run is the document with its lambda and the --seed override."""
+    doc = dict(FAST_RING, task="conditional_ring", z_dim=4, tau=0.5, steps=20, eval_every=10)
+    doc["lambda"] = 3.0
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_cfg(tmp_path, doc), "--lambdas", "0,0.1",
+                 "--seed", "5", "--out", str(out)]) == 0
+    entries = json.loads((out / "sweep.json").read_text())
+    assert [e["lambda"] for e in entries] == [0.0, 0.1]
+    for e in entries:
+        cfg = parse_run_config(dict(doc, seed=5, **{"lambda": e["lambda"]}))
+        assert e["report"] == json.loads(training.train(cfg).eval_report.to_json())
+
+
 @pytest.mark.parametrize("lambdas", ["0,-1", "nan", "0.1,inf"])
 def test_sweep_rejects_bad_lambdas(lambdas, tmp_path, capsys):
     cfg = write_cfg(tmp_path, dict(FAST_RING, steps=2, eval_every=2))

@@ -52,7 +52,6 @@ from divgan.training import (
     task_specs,
     train,
     train_step,
-    with_weight,
 )
 
 
@@ -684,31 +683,24 @@ def test_checkpoint_with_the_smallest_latent_loads():
 # -- sweep --------------------------------------------------------------------
 
 
-def test_sweep_single_lambda_is_vanilla():
-    entries = sweep(small_cfg(steps=2), [0.0])
-    assert len(entries) == 1
-    assert entries[0].weight == 0.0
-    assert entries[0].report is not None
-
-
-def test_sweep_reports_carry_lambda():
-    entries = sweep(small_cfg(steps=2), [0.0, 0.1])
-    assert [e.weight for e in entries] == [0.0, 0.1]
-    assert all(e.report is not None for e in entries)
+def test_sweep_runs_each_config_in_order():
+    cfgs = [small_cfg(steps=2, seed=3), small_cfg(steps=2, task="conditional_ring", z_dim=4),
+            small_cfg(steps=2, task="trajectory", z_dim=4)]
+    entries = sweep(cfgs)
+    assert [e.config for e in entries] == cfgs
+    assert [e.report for e in entries] == [train(cfg).eval_report for cfg in cfgs]
+    assert all(e.error is None for e in entries)
+    with pytest.raises(ValueError, match="empty config list"):
+        sweep([])
 
 
 def test_sweep_records_divergence_and_continues():
-    bad = replace(small_cfg(steps=3), adam=replace(TrainConfig().adam, lr=1e150))
-    entries = sweep(bad, [0.0])
+    good = small_cfg(steps=3)
+    bad = replace(good, adam=replace(TrainConfig().adam, lr=1e150))
+    entries = sweep([bad, good])
+    assert entries[0].config == bad
     assert entries[0].report is None and "divergence" in entries[0].error
-
-
-def test_with_weight_only_touches_lambda():
-    cfg = small_cfg()
-    new = with_weight(cfg, 0.7)
-    assert new.objective.diversity.weight == 0.7
-    assert new.objective.diversity.tau == cfg.objective.diversity.tau
-    assert new.seed == cfg.seed
+    assert entries[1].report == train(good).eval_report and entries[1].error is None
 
 
 def test_task_specs_dimensions():
@@ -740,10 +732,11 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
 
     # sweep imports the pool class from concurrent.futures when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    entries = sweep(small_cfg(steps=2), [0.0, 0.1], jobs=64)
+    cfgs = [small_cfg(steps=2), small_cfg(steps=2, seed=1)]
+    entries = sweep(cfgs, jobs=64)
     assert started == [2]
-    assert [e.weight for e in entries] == [0.0, 0.1]
-    sweep(small_cfg(steps=2), [0.0], jobs=64)
+    assert [e.config for e in entries] == cfgs
+    sweep(cfgs[:1], jobs=64)
     assert started == [2]  # one run needs no pool
 
 
