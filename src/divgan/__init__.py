@@ -21,12 +21,13 @@ from .autodiff import (
     finite_diff_gradient,
     jacobian,
 )
+from .config import TrainConfig
 from .data import ConditionalRingSpec, RingMixtureSpec, TrajectorySpec
 from .losses import DiversityConfig, ObjectiveConfig
 from .metrics import EvalReport
 from .nets import NetworkParams, NetworkSpec
 from .optim import AdamHyper, AdamState
-from .training import TrainConfig, TrainState, train, train_step
+from .training import TrainState, train, train_step
 
 __version__ = "0.1.0"
 

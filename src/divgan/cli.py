@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Commands: train, eval, sweep, verify, interp. The JSON config file is the
-source of truth; flags select the command, paths, and a seed override.
+source of truth, and a checkpoint carries the config of the run that saved
+it; flags select the command, paths, and a seed override.
 Commands raise; `main` maps the error to a stderr line and an exit code:
 
     0  success
@@ -10,8 +11,9 @@ Commands raise; `main` maps the error to a stderr line and an exit code:
        ("verification failed: ...")
     2  config error ("config error: ..."), a flag out of range (argparse's
        usage message, before any work), or an unreadable, malformed or
-       non-finite checkpoint, one of another version, one whose D does not
-       fit its G, or one whose G overflows ("checkpoint error: ...")
+       non-finite checkpoint, one of another version, one whose stored config
+       is invalid or does not fit its vectors, or one whose G overflows
+       ("checkpoint error: ...")
     3  training divergence, in a step or an evaluation ("divergence: ...";
        metrics.csv is still written)
     4  I/O error ("io error: ...")
@@ -39,7 +41,6 @@ from .theory import attraction_check, bound_suite, pull_toward
 from .training import (
     CheckpointError,
     DivergenceError,
-    check_fit,
     evaluate_generator,
     init_state,
     load_checkpoint,
@@ -47,7 +48,6 @@ from .training import (
     rows_to_csv,
     save_checkpoint,
     sweep,
-    task_specs,
     train,
 )
 
@@ -144,17 +144,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _, cfg = _load_config(args)
     with open(args.checkpoint, "rb") as fh:
         state = load_checkpoint(fh.read())
-    g_spec, d_spec = task_specs(cfg)
-    if state.params_G.spec != g_spec or state.params_D.spec != d_spec:
-        raise ConfigError(
-            f"checkpoint specs do not match the config's task "
-            f"(checkpoint G {state.params_G.spec.layer_dims}, config G {g_spec.layer_dims})"
-        )
     try:
-        report = evaluate_generator(state.params_G, cfg)
+        report = evaluate_generator(state.params_G, _seeded(state.config, args))
     except NumericsError as exc:  # finite weights, overflowing output
         raise CheckpointError(str(exc)) from exc
     _write(args.out, report.to_json())
@@ -195,17 +188,16 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _unconditional_z_dim(state, command: str) -> int:
-    """Latent size of a state's generator, which must be unconditional:
-    `command` has no conditions to give it."""
-    cond_dim, z_dim = check_fit(state.params_G.spec, state.params_D.spec)
-    if cond_dim > 0:
+def _unconditional_z_dim(cfg, command: str) -> int:
+    """Latent size of a run's generator, which must be the ring task's
+    unconditional one: `command` has no conditions to give it."""
+    if cfg.task != "ring":
         raise ConfigError(
-            f"{command} needs an unconditional generator, but this one reads a "
-            f"{cond_dim}-dim condition beside its {z_dim}-dim latent, and {command} "
-            f"has no conditions to give it"
+            f"{command} needs the ring task's unconditional generator, but this is a "
+            f"{cfg.task} generator, which reads a condition beside its latent, and "
+            f"{command} has no conditions to give it"
         )
-    return z_dim
+    return cfg.z_dim
 
 
 def cmd_verify(args) -> int:
@@ -218,7 +210,7 @@ def cmd_verify(args) -> int:
         state = restore_checkpoint(doc)  # the one parse serves both readings
     else:
         state = init_state(_seeded(parse_run_config(doc), args))
-    z_dim = _unconditional_z_dim(state, "verify")
+    z_dim = _unconditional_z_dim(state.config, "verify")
     params_G = state.params_G
 
     rng = np.random.default_rng(seed)
@@ -249,7 +241,7 @@ def cmd_verify(args) -> int:
 def cmd_interp(args) -> int:
     with open(args.checkpoint, "rb") as fh:
         state = load_checkpoint(fh.read())
-    z_dim = _unconditional_z_dim(state, "interp")
+    z_dim = _unconditional_z_dim(state.config, "interp")
     params_G = state.params_G
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     z_a = rng.standard_normal(z_dim)
@@ -309,9 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[shared],
-                       help="evaluate a checkpoint with the config's protocol")
+                       help="evaluate a checkpoint with its run's protocol")
     p.add_argument("checkpoint")
-    p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", parents=[shared],

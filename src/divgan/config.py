@@ -1,8 +1,9 @@
-"""Strict JSON run configs, the source of truth for a run (flags only pick
-the command, paths and a seed override). `FIELDS` is the one table of keys:
-each names the `TrainConfig` field it sets and its JSON type, checked exactly
-(a bool is not a number, a float not an integer). A key the document leaves
-out keeps its task's value in `TASK_DEFAULTS`, else the dataclass default.
+"""Run configs: `TrainConfig` and its strict JSON document, the source of
+truth for a run (flags only pick the command, paths and a seed override) and
+what a checkpoint stores. `FIELDS` is the one table of keys: each names the
+`TrainConfig` field it sets and its JSON type, checked exactly (a bool is not
+a number, a float not an integer). A key the document leaves out keeps its
+task's value in `TASK_DEFAULTS`, else the dataclass default.
 """
 
 from __future__ import annotations
@@ -10,12 +11,47 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
-from .training import TrainConfig
+from .data import MAX_SIZE, ConditionalRingSpec, RingMixtureSpec, TrajectorySpec
+from .losses import ObjectiveConfig
+from .optim import AdamHyper
 
-__all__ = ["ConfigError", "FIELDS", "TASK_DEFAULTS", "parse_run_config", "to_document",
-           "read_json", "load_run_config"]
+__all__ = ["TASKS", "TrainConfig", "ConfigError", "FIELDS", "TASK_DEFAULTS",
+           "parse_run_config", "to_document", "read_json"]
+
+TASKS = ("ring", "conditional_ring", "trajectory")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    task: str = "ring"
+    objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
+    ring: RingMixtureSpec = field(default_factory=RingMixtureSpec)
+    traj: TrajectorySpec = field(default_factory=TrajectorySpec)
+    z_dim: int = 2
+    batch_size: int = 128
+    steps: int = 30000
+    adam: AdamHyper = field(default_factory=AdamHyper)
+    seed: int = 0
+    eval_every: int = 1000
+
+    def __post_init__(self):
+        if self.task not in TASKS:
+            raise ValueError(f"TrainConfig: unknown task {self.task!r}, expected one of {TASKS}")
+        if self.steps < 1:
+            raise ValueError("TrainConfig: steps must be >= 1")
+        if not 2 <= self.batch_size <= MAX_SIZE:
+            raise ValueError(f"TrainConfig: batch_size must be in [2, {MAX_SIZE}]")
+        if not 1 <= self.z_dim <= MAX_SIZE:
+            raise ValueError(f"TrainConfig: z_dim must be in [1, {MAX_SIZE}]")
+        if self.eval_every < 1:
+            raise ValueError("TrainConfig: eval_every must be >= 1")
+        if self.seed < 0:
+            raise ValueError("TrainConfig: seed must be >= 0")
+        if self.task == "conditional_ring":  # raises unless the ring's modes split among the labels
+            ConditionalRingSpec(base=self.ring)
+
 
 # JSON key -> (field path, JSON type); floats take integers, type(None) is null
 FIELDS = {
@@ -94,8 +130,8 @@ def parse_run_config(doc: dict) -> TrainConfig:
 def to_document(cfg: TrainConfig) -> dict:
     """The config document that `parse_run_config` reads back as cfg: every
     key in `FIELDS`, the ring's under "ring", and a tau of None as null.
-    ValueError if cfg sets a field no key holds (the trajectory spec, the
-    eval sample count), since the document could not say it."""
+    ValueError if cfg sets a field no key holds (the trajectory spec, Adam's
+    eps), since the document could not say it."""
     doc = {}
     for key, (path, _) in FIELDS.items():
         value = cfg
@@ -122,7 +158,3 @@ def read_json(path, what: str):
             raise ConfigError(f"{what} is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
-
-
-def load_run_config(path) -> TrainConfig:
-    return parse_run_config(read_json(path, "config"))

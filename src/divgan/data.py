@@ -27,9 +27,10 @@ __all__ = [
     "one_hot",
 ]
 
-# upper bound on each size a TrainConfig sets (z_dim, batch_size, eval_samples,
-# ring.n_modes): with all four at the cap, no array built from them in training,
-# evaluation or the theory checks holds more than 2**25 float64 entries (256 MiB)
+# upper bound on each size a TrainConfig sets (z_dim, batch_size, ring.n_modes):
+# with all three at the cap, no array built from them in training, evaluation
+# (2500 samples) or the theory checks holds more than 2**25 float64 entries
+# (256 MiB)
 MAX_SIZE = 4096
 
 

@@ -39,11 +39,11 @@ HIDDEN_ACTIVATIONS = ("tanh", "relu")
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """A fully connected network's shape. Every spec is checked here, by the
-    rules a stored spec is read with: dims are integers >= 1 and init_scale a
-    finite positive number (bools, strings and fractional dims are refused
-    with a ValueError, not rounded). Dims are kept as int and init_scale as
-    float, so `to_dict` always serializes. The output layer is linear."""
+    """A fully connected network's shape. Every spec is checked here, however
+    it was built: dims are integers >= 1 and init_scale a finite positive
+    number (bools, strings and fractional dims are refused with a ValueError,
+    not rounded). Dims are kept as int and init_scale as float. The output
+    layer is linear."""
 
     input_dim: int
     hidden_dims: tuple
@@ -96,25 +96,6 @@ class NetworkSpec:
             start, end = end, end + math.prod(shape)
             out.append(vector[start:end].reshape(shape))
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dims": list(self.hidden_dims),
-            "output_dim": self.output_dim,
-            "hidden_activation": self.hidden_activation,
-            "output_activation": "linear",  # a constant of the stored format
-            "init_scale": self.init_scale,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "NetworkSpec":
-        """The spec `to_dict` stored, checked as every spec is."""
-        spec = NetworkSpec(d["input_dim"], d["hidden_dims"], d["output_dim"],
-                           d["hidden_activation"], d["init_scale"])
-        if d["output_activation"] != "linear":
-            raise ValueError(f"NetworkSpec: unknown output activation {d['output_activation']!r}")
-        return spec
 
 
 def _is_dim(value) -> bool:

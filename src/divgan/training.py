@@ -15,16 +15,14 @@ import copy
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import NumericsError, backward
+from .config import TrainConfig, parse_run_config, to_document
 from .data import (
-    MAX_SIZE,
     ConditionalRingSpec,
-    RingMixtureSpec,
-    TrajectorySpec,
     nearest_modes,
     one_hot,
     sample_conditional_ring,
@@ -33,7 +31,6 @@ from .data import (
 )
 from .losses import (
     FakePair,
-    ObjectiveConfig,
     TrainBatch,
     d_loss,
     generate_fakes,
@@ -58,13 +55,12 @@ from .nets import (
     generator_forward,
     mlp_init,
 )
-from .optim import AdamHyper, AdamState, adam_init, adam_step
+from .optim import AdamState, adam_init, adam_step
 
 __all__ = [
-    "TASKS",
     "CSV_HEADER",
     "CHECKPOINT_VERSION",
-    "TrainConfig",
+    "EVAL_SAMPLES",
     "TrainState",
     "MetricRow",
     "TrainResult",
@@ -80,13 +76,12 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "restore_checkpoint",
-    "check_fit",
     "rows_to_csv",
 ]
 
-TASKS = ("ring", "conditional_ring", "trajectory")
 CSV_HEADER = "step,d_loss,g_adv,g_rec,l_z,ratio_mean,modes,hq_frac,diversity,dist_min,frechet"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+EVAL_SAMPLES = 2500  # fakes per evaluation, and real points they are scored against
 
 # fixed stream tags so init, training, and evaluation draw independent seeds
 _STREAM_G_INIT, _STREAM_D_INIT, _STREAM_TRAIN, _STREAM_EVAL = 11, 13, 17, 19
@@ -103,39 +98,6 @@ class DivergenceError(ArithmeticError):
 
 class CheckpointError(ValueError):
     """Checkpoint blob is malformed or from an unknown version."""
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    task: str = "ring"
-    objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
-    ring: RingMixtureSpec = field(default_factory=RingMixtureSpec)
-    traj: TrajectorySpec = field(default_factory=TrajectorySpec)
-    z_dim: int = 2
-    batch_size: int = 128
-    steps: int = 30000
-    adam: AdamHyper = field(default_factory=AdamHyper)
-    seed: int = 0
-    eval_every: int = 1000
-    eval_samples: int = 2500
-
-    def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"TrainConfig: unknown task {self.task!r}, expected one of {TASKS}")
-        if self.steps < 1:
-            raise ValueError("TrainConfig: steps must be >= 1")
-        if not 2 <= self.batch_size <= MAX_SIZE:
-            raise ValueError(f"TrainConfig: batch_size must be in [2, {MAX_SIZE}]")
-        if not 1 <= self.z_dim <= MAX_SIZE:
-            raise ValueError(f"TrainConfig: z_dim must be in [1, {MAX_SIZE}]")
-        if self.eval_every < 1:
-            raise ValueError("TrainConfig: eval_every must be >= 1")
-        if not 3 <= self.eval_samples <= MAX_SIZE:  # frechet_2d fits a covariance
-            raise ValueError(f"TrainConfig: eval_samples must be in [3, {MAX_SIZE}]")
-        if self.seed < 0:
-            raise ValueError("TrainConfig: seed must be >= 0")
-        if self.task == "conditional_ring":
-            cond_ring_spec(self)  # raises unless the ring's modes split among the labels
 
 
 def cond_ring_spec(cfg: TrainConfig) -> ConditionalRingSpec:
@@ -157,6 +119,7 @@ def task_specs(cfg: TrainConfig) -> tuple[NetworkSpec, NetworkSpec]:
 
 @dataclass
 class TrainState:
+    config: TrainConfig  # the run's; task_specs(config) gives both networks' specs
     params_G: NetworkParams
     params_D: NetworkParams
     adam_G: AdamState  # moments: one vector each, in params_G.vector's layout
@@ -197,6 +160,7 @@ def init_state(cfg: TrainConfig) -> TrainState:
     params_G = mlp_init(g_spec, int(_seed_for(cfg.seed, _STREAM_G_INIT).generate_state(1)[0]))
     params_D = mlp_init(d_spec, int(_seed_for(cfg.seed, _STREAM_D_INIT).generate_state(1)[0]))
     return TrainState(
+        config=cfg,
         params_G=params_G,
         params_D=params_D,
         adam_G=adam_init(params_G.vector),
@@ -306,11 +270,11 @@ def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricR
 
 @np.errstate(over="ignore", invalid="ignore")
 def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
-    """Fixed seeded protocol: generate cfg.eval_samples fakes, score them
+    """Fixed seeded protocol: generate EVAL_SAMPLES fakes, score them
     against a same-size seeded real draw; on conditional_ring, also per
     label. NumericsError if G overflows."""
     rng = np.random.default_rng(_seed_for(cfg.seed, _STREAM_EVAL))
-    n = cfg.eval_samples
+    n = EVAL_SAMPLES
     labels_covered = in_label_frac = None
     if cfg.task == "ring":
         z = rng.standard_normal((n, cfg.z_dim))
@@ -446,9 +410,10 @@ def sweep(cfgs, jobs: int = 1) -> list[SweepEntry]:
 
 # -- checkpoints ---------------------------------------------------------------
 #
-# A version 2 checkpoint stores each vector in a network's parameter layout
-# (the parameters and both Adam moments) as one base64 string of its
-# little-endian float64 bytes.
+# A version 3 checkpoint stores the run's config document, from which
+# task_specs gives both networks' parameter layouts, and each vector in such
+# a layout (the parameters and both Adam moments) as one base64 string of
+# its little-endian float64 bytes.
 
 
 def _encode(vector: np.ndarray) -> bytes:
@@ -463,11 +428,6 @@ def _decode(payload, spec: NetworkSpec) -> np.ndarray:
     if len(raw) != 8 * spec.n_params:
         raise CheckpointError(f"malformed checkpoint: {len(raw)} bytes, not {8 * spec.n_params}")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64)  # a writable copy
-
-
-def _params_restore(payload: dict) -> NetworkParams:
-    spec = NetworkSpec.from_dict(payload["spec"])
-    return NetworkParams(spec, _decode(payload["vector"], spec))
 
 
 def _count(value, what: str) -> int:
@@ -490,31 +450,17 @@ def _adam_restore(doc: dict, name: str, spec: NetworkSpec) -> AdamState:
     return AdamState(m=m, v=v, t=_count(payload["t"], f"{name}.t"))
 
 
-def check_fit(spec_G: NetworkSpec, spec_D: NetworkSpec) -> tuple[int, int]:
-    """(cond_dim, z_dim) of a G and D pair, which a checkpoint does not
-    record: D reads a condition of cond_dim >= 0 values beside G's output and
-    writes one logit; G reads the same condition beside a latent of z_dim >= 1
-    values."""
-    cond_dim = spec_D.input_dim - spec_G.output_dim
-    z_dim = spec_G.input_dim - cond_dim
-    if spec_D.output_dim != 1 or cond_dim < 0 or z_dim < 1:
-        raise CheckpointError(
-            f"malformed checkpoint: params_D (input_dim {spec_D.input_dim}, output_dim "
-            f"{spec_D.output_dim}) does not fit params_G (input_dim {spec_G.input_dim}, "
-            f"output_dim {spec_G.output_dim})"
-        )
-    return cond_dim, z_dim
-
-
 # what json.dumps writes for the string save_checkpoint puts where a vector
-# goes: no other string in a checkpoint (specs' activation names, the rng
-# state's) can hold a NUL
+# goes: no other string in a checkpoint can hold a NUL, since the config's
+# strings are checked against fixed sets of names and the rng state's one
+# string names its bit generator
 _SLOT = "\0"
 _SLOT_JSON = json.dumps(_SLOT).encode("ascii")
 
 
 def save_checkpoint(state: TrainState) -> bytes:
     """Versioned JSON blob; load_checkpoint(save_checkpoint(s)) is exact.
+    ValueError if state.config sets a field no config document holds.
 
     The bytes are json.dumps(doc).encode("utf-8") of the document with each
     vector as its base64 string. json.dumps would only scan that base64 for
@@ -529,8 +475,9 @@ def save_checkpoint(state: TrainState) -> bytes:
 
     doc = {
         "version": CHECKPOINT_VERSION,
-        "params_G": {"spec": state.params_G.spec.to_dict(), "vector": slot(state.params_G.vector)},
-        "params_D": {"spec": state.params_D.spec.to_dict(), "vector": slot(state.params_D.vector)},
+        "config": to_document(state.config),
+        "params_G": slot(state.params_G.vector),
+        "params_D": slot(state.params_D.vector),
         "adam_G": {"m": slot(state.adam_G.m), "v": slot(state.adam_G.v), "t": state.adam_G.t},
         "adam_D": {"m": slot(state.adam_D.m), "v": slot(state.adam_D.v), "t": state.adam_D.t},
         "step": state.step,
@@ -544,7 +491,7 @@ def save_checkpoint(state: TrainState) -> bytes:
 
 
 def load_checkpoint(blob) -> TrainState:
-    """A version 2 blob back as the state it was saved from."""
+    """A version 3 blob back as the state it was saved from."""
     if isinstance(blob, str):
         blob = blob.encode("utf-8")
     try:
@@ -555,33 +502,33 @@ def load_checkpoint(blob) -> TrainState:
 
 
 def restore_checkpoint(doc) -> TrainState:
-    """load_checkpoint for a blob already parsed: the state a version 2
+    """load_checkpoint for a blob already parsed: the state a version 3
     document was saved from, or CheckpointError."""
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointError("malformed checkpoint: missing version")
-    # the JSON integer 2: 2.0 and true would compare equal to it
+    # the JSON integer 3: 3.0 and a bool could compare equal to it
     if type(doc["version"]) is not int or doc["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {json.dumps(doc['version'])} "
                               f"(expected {CHECKPOINT_VERSION})")
     try:
-        params_G = _params_restore(doc["params_G"])
-        params_D = _params_restore(doc["params_D"])
-        check_fit(params_G.spec, params_D.spec)
+        cfg = parse_run_config(doc["config"])
+        g_spec, d_spec = task_specs(cfg)
         rng = np.random.default_rng(0)
         rng.bit_generator.state = doc["rng_state"]
         return TrainState(
-            params_G=params_G,
-            params_D=params_D,
-            adam_G=_adam_restore(doc, "adam_G", params_G.spec),
-            adam_D=_adam_restore(doc, "adam_D", params_D.spec),
+            config=cfg,
+            params_G=NetworkParams(g_spec, _decode(doc["params_G"], g_spec)),
+            params_D=NetworkParams(d_spec, _decode(doc["params_D"], d_spec)),
+            adam_G=_adam_restore(doc, "adam_G", g_spec),
+            adam_D=_adam_restore(doc, "adam_D", d_spec),
             step=_count(doc["step"], "step"),
             rng=rng,
         )
     except CheckpointError:
         raise
-    # missing keys, wrong types, bad base64, shapes or specs, non-finite
-    # weights (NonFiniteParams is a ValueError), a foreign rng state,
-    # overflowing ints in a spec
+    # missing keys, wrong types, a bad config (ConfigError is a ValueError),
+    # bad base64, non-finite weights (NonFiniteParams is a ValueError), a
+    # foreign or overflowing rng state
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
 

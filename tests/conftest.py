@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from divgan.autodiff import evaluate_with_gradients, finite_diff_gradient
+from divgan.config import parse_run_config
 from divgan.losses import generate_fakes, generator_total_loss
-from divgan.nets import NetworkSpec
+from divgan.training import task_specs
 
 
 def gradcheck(f, inputs, h=1e-5, rtol=1e-4, atol=1e-8):
@@ -40,34 +41,26 @@ def objective(batch, params_G, params_D, cfg, rng=None):
     return fakes, generator_total_loss(fakes, params_D, cfg)
 
 
-def edit_vector(doc, network, key, edit):
-    """Replace the vector doc[network][key] of a version 2 checkpoint doc
-    (base64 of little-endian float64 bytes) with edit(vector)."""
-    vector = np.frombuffer(base64.b64decode(doc[network][key], validate=True), "<f8").copy()
-    doc[network][key] = base64.b64encode(np.asarray(edit(vector), "<f8").tobytes()).decode()
+def edit_vector(doc, name, edit):
+    """Replace the vector at `name` ("params_G", or an Adam moment such as
+    "adam_D.v") of a version 3 checkpoint doc (base64 of little-endian
+    float64 bytes) with edit(vector)."""
+    *path, key = name.split(".")
+    holder = doc[path[0]] if path else doc
+    vector = np.frombuffer(base64.b64decode(holder[key], validate=True), "<f8").copy()
+    holder[key] = base64.b64encode(np.asarray(edit(vector), "<f8").tobytes()).decode()
 
 
-def refit(doc, network, **dims):
-    """Set `dims` in doc[network]'s spec ("params_G" or "params_D") and
-    resize its parameter and moment vectors to match, so only the two
-    networks' shapes can disagree."""
-    doc[network]["spec"].update(dims)
-    size = NetworkSpec.from_dict(doc[network]["spec"]).n_params
-    moments = "adam_" + network[-1]
-    for name, key in ((network, "vector"), (moments, "m"), (moments, "v")):
-        edit_vector(doc, name, key, lambda v: np.resize(v, size))
-
-
-def as_version_1(doc):
-    """A version 2 checkpoint doc rewritten in the version 1 layout, which
-    stored one JSON value list per weight or bias array."""
-    for network, moments in (("params_G", "adam_G"), ("params_D", "adam_D")):
-        spec = NetworkSpec.from_dict(doc[network]["spec"])
-        for name, key, new_key in ((network, "vector", "values"), (moments, "m", "m"),
-                                   (moments, "v", "v")):
-            vector = np.frombuffer(base64.b64decode(doc[name].pop(key)), "<f8")
-            doc[name][new_key] = [a.tolist() for a in spec.param_views(vector)]
-    doc["version"] = 1
+def as_version_2(doc):
+    """A version 3 checkpoint doc rewritten in the version 2 layout, which
+    stored no config but each network's spec beside its parameter vector."""
+    specs = task_specs(parse_run_config(doc.pop("config")))
+    for network, spec in zip(("params_G", "params_D"), specs):
+        stored = {"input_dim": spec.input_dim, "hidden_dims": list(spec.hidden_dims),
+                  "output_dim": spec.output_dim, "hidden_activation": spec.hidden_activation,
+                  "output_activation": "linear", "init_scale": spec.init_scale}
+        doc[network] = {"spec": stored, "vector": doc[network]}
+    doc["version"] = 2
     return doc
 
 

@@ -11,16 +11,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import as_version_1, edit_vector, refit
+from conftest import as_version_2, edit_vector
 from divgan import cli, training
 from divgan.cli import MAX_COUNT, main
-from divgan.config import FIELDS, ConfigError, load_run_config, parse_run_config, to_document
+from divgan.config import FIELDS, ConfigError, parse_run_config, read_json, to_document
 from divgan.data import RingMixtureSpec, TrajectorySpec
 from divgan.losses import DiversityConfig, ObjectiveConfig
 from divgan.metrics import EvalReport
-from divgan.nets import NetworkSpec
 from divgan.optim import AdamHyper
-from divgan.training import TrainConfig, load_checkpoint
+from divgan.training import TrainConfig, load_checkpoint, task_specs
 
 FAST_RING = {
     "task": "ring",
@@ -142,7 +141,7 @@ def test_to_document_writes_tau_none_as_null():
 def test_to_document_refuses_a_field_no_key_holds():
     cfg = parse_run_config({"task": "trajectory"})
     with pytest.raises(ValueError, match="no config key"):
-        to_document(replace(cfg, eval_samples=100))
+        to_document(replace(cfg, adam=replace(cfg.adam, eps=1e-7)))
     with pytest.raises(ValueError, match="no config key"):
         to_document(replace(cfg, traj=replace(cfg.traj, horizon=cfg.traj.horizon + 1)))
 
@@ -176,7 +175,7 @@ def test_dataclasses_reject_non_finite(cls, field, value):
 def test_config_overrides(tmp_path):
     path = write_cfg(tmp_path, {"lambda": 0.5, "norm": "l2", "beta": 2.0,
                                 "ring": {"n_modes": 4, "radius": 1.0, "std": 0.05}})
-    cfg = load_run_config(path)
+    cfg = parse_run_config(read_json(path, "config"))
     assert cfg.objective.diversity.weight == 0.5
     assert cfg.objective.diversity.norm == "l2"
     assert cfg.objective.beta == 2.0
@@ -187,7 +186,7 @@ def test_config_not_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError):
-        load_run_config(path)
+        parse_run_config(read_json(path, "config"))
 
 
 # -- cli ------------------------------------------------------------------------
@@ -283,13 +282,31 @@ def test_train_missing_config_is_io_error(tmp_path):
 
 
 def test_eval_reproduces_training_eval(tmp_path):
+    """`eval CKPT` evaluates with the config the checkpoint carries, --seed
+    override included, on every task."""
+    for task in ("ring", "conditional_ring", "trajectory"):
+        cfg = write_cfg(tmp_path, dict(FAST_RING, task=task, steps=4, eval_every=2))
+        out = tmp_path / task
+        assert main(["train", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        assert main(["eval", str(out / "final.ckpt.json"), "--out", str(tmp_path / "re.json")]) == 0
+        assert (tmp_path / "re.json").read_bytes() == (out / "eval.json").read_bytes()
+    state = load_checkpoint((out / "final.ckpt.json").read_bytes())
+    assert main(["eval", str(out / "final.ckpt.json"), "--seed", "5",
+                 "--out", str(tmp_path / "re5.json")]) == 0
+    want = training.evaluate_generator(state.params_G, replace(state.config, seed=5))
+    assert (tmp_path / "re5.json").read_text() == want.to_json() != (out / "eval.json").read_text()
+
+
+def test_eval_takes_no_config_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--help"])
+    assert exc.value.code == 0 and "--config" not in capsys.readouterr().out
     cfg = write_cfg(tmp_path, FAST_RING)
-    out = tmp_path / "run"
-    main(["train", "--config", cfg, "--out", str(out)])
-    code = main(["eval", str(out / "final.ckpt.json"), "--config", cfg,
-                 "--out", str(tmp_path / "re.json")])
-    assert code == 0
-    assert (tmp_path / "re.json").read_text() == (out / "eval.json").read_text()
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", str(tmp_path / "missing.ckpt"), "--config", cfg,
+              "--out", str(tmp_path / "e.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [
@@ -309,7 +326,7 @@ def test_train_rejects_malformed_config(text, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,flag", [
     (["train", "--config", "CFG"], "--seed"),
-    (["eval", "CKPT", "--config", "CFG"], "--seed"),
+    (["eval", "CKPT"], "--seed"),
     (["sweep", "--config", "CFG", "--lambdas", "0"], "--seed"),
     (["verify", "CFG"], "--seed"),
     (["interp", "CKPT"], "--seed"),
@@ -337,14 +354,13 @@ def test_flag_out_of_range_exits_before_work(argv, flag, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "sweep", "eval", "verify"])
+@pytest.mark.parametrize("command", ["train", "sweep", "verify"])
 def test_config_that_is_not_utf8_is_config_error(command, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe\x00{}")
     argv = {
         "train": ["train", "--config", str(bad)],
         "sweep": ["sweep", "--config", str(bad), "--lambdas", "0"],
-        "eval": ["eval", str(tmp_path / "unread.ckpt.json"), "--config", str(bad)],
         "verify": ["verify", str(bad)],
     }[command]
     out = tmp_path / "out"
@@ -370,8 +386,7 @@ def test_failed_replace_keeps_the_previous_artifact(tmp_path, monkeypatch, capsy
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    code = main(["eval", str(run / "final.ckpt.json"), "--config", cfg, "--seed", "5",
-                 "--out", str(target)])
+    code = main(["eval", str(run / "final.ckpt.json"), "--seed", "5", "--out", str(target)])
     assert code == 4
     assert capsys.readouterr().err.startswith("io error: ")
     assert target.read_bytes() == previous
@@ -448,18 +463,7 @@ def test_import_leaves_the_process_pool_unloaded():
 
 
 def test_eval_missing_checkpoint(tmp_path):
-    cfg = write_cfg(tmp_path, FAST_RING)
-    assert main(["eval", str(tmp_path / "missing.ckpt"), "--config", cfg,
-                 "--out", str(tmp_path / "r.json")]) == 4
-
-
-def test_eval_spec_mismatch(tmp_path):
-    cfg = write_cfg(tmp_path, FAST_RING)
-    out = tmp_path / "run"
-    main(["train", "--config", cfg, "--out", str(out)])
-    other = write_cfg(tmp_path, dict(FAST_RING, task="conditional_ring", z_dim=4), "c2.json")
-    assert main(["eval", str(out / "final.ckpt.json"), "--config", other,
-                 "--out", str(tmp_path / "r.json")]) == 2
+    assert main(["eval", str(tmp_path / "missing.ckpt"), "--out", str(tmp_path / "r.json")]) == 4
 
 
 def test_eval_report_has_exact_fields(tmp_path):
@@ -598,22 +602,20 @@ def test_interp_emits_requested_rows(tmp_path):
 @pytest.mark.parametrize("task", ["conditional_ring", "trajectory"])
 def test_verify_and_interp_refuse_conditional_checkpoint(task, tmp_path, capsys):
     """A conditional generator, from a checkpoint or a config, gets one
-    refusal naming its condition and latent sizes (exit 2, nothing written)."""
+    refusal naming its task (exit 2, nothing written)."""
     cfg = write_cfg(tmp_path, dict(FAST_RING, task=task, steps=2, eval_every=2))
     run = tmp_path / "run"
     assert main(["train", "--config", cfg, "--out", str(run)]) == 0
     ckpt = str(run / "final.ckpt.json")
-    cond_dim = 4  # one-hot over 4 labels, or 2 context points of 2 coordinates
-    z_dim = load_run_config(cfg).z_dim
     capsys.readouterr()
     for command, target in (("verify", ckpt), ("verify", cfg), ("interp", ckpt)):
         out = tmp_path / f"{command}.out"
         extra = ["--pairs", "2", "--probes", "10"] if command == "verify" else []
         assert main([command, target, "--out", str(out)] + extra) == 2
         assert capsys.readouterr().err == (
-            f"config error: {command} needs an unconditional generator, but this one reads "
-            f"a {cond_dim}-dim condition beside its {z_dim}-dim latent, and {command} has "
-            f"no conditions to give it\n"
+            f"config error: {command} needs the ring task's unconditional generator, but "
+            f"this is a {task} generator, which reads a condition beside its latent, and "
+            f"{command} has no conditions to give it\n"
         )
         assert not out.exists()
 
@@ -622,38 +624,38 @@ def trained_checkpoint_doc(tmp_path):
     cfg = write_cfg(tmp_path, dict(FAST_RING, steps=2, eval_every=2))
     run = tmp_path / "run"
     assert main(["train", "--config", cfg, "--out", str(run)]) == 0
-    return cfg, json.loads((run / "final.ckpt.json").read_text())
+    return json.loads((run / "final.ckpt.json").read_text())
 
 
 @pytest.mark.parametrize("corruption", ["nan_weight", "negative_dim"])
 def test_eval_and_interp_reject_bad_weights(corruption, tmp_path, capsys):
-    cfg, doc = trained_checkpoint_doc(tmp_path)
+    doc = trained_checkpoint_doc(tmp_path)
     if corruption == "nan_weight":
-        edit_vector(doc, "params_G", "vector", lambda v: np.r_[np.nan, v[1:]])
+        edit_vector(doc, "params_G", lambda v: np.r_[np.nan, v[1:]])
     else:
-        doc["params_G"]["spec"]["input_dim"] = -1
+        doc["config"]["z_dim"] = -1
     ckpt = write_cfg(tmp_path, doc, "bad.ckpt.json")
     capsys.readouterr()
-    assert main(["eval", ckpt, "--config", cfg, "--out", str(tmp_path / "e.json")]) == 2
+    assert main(["eval", ckpt, "--out", str(tmp_path / "e.json")]) == 2
     assert capsys.readouterr().err.startswith("checkpoint error: malformed checkpoint")
     assert main(["interp", ckpt, "--out", str(tmp_path / "i.csv")]) == 2
     assert capsys.readouterr().err.startswith("checkpoint error: malformed checkpoint")
     assert not (tmp_path / "e.json").exists() and not (tmp_path / "i.csv").exists()
 
 
-@pytest.mark.parametrize("key,value,message", [
-    ("input_dim", 2.5, "input_dim must be an integer >= 1, got 2.5"),
-    ("hidden_dims", [128.9, 128], "hidden_dims must be a list of integers >= 1, got [128.9, 128]"),
-    ("init_scale", "7", 'init_scale must be a finite positive number, got "7"'),
-    ("output_dim", True, "output_dim must be an integer >= 1, got true"),
+@pytest.mark.parametrize("edit,message", [
+    ({"hidden_dims": [128, 128]}, "unknown config keys: hidden_dims"),
+    ({"z_dim": 2.5}, "config key 'z_dim': expected an integer, got 2.5"),
+    ({"z_dim": True}, "config key 'z_dim': expected an integer, got True"),
+    ({"lambda": "7"}, "config key 'lambda': expected a finite number, got '7'"),
 ])
-def test_eval_rejects_mistyped_spec(key, value, message, tmp_path, capsys):
-    cfg, doc = trained_checkpoint_doc(tmp_path)
-    doc["params_G"]["spec"][key] = value
+def test_eval_rejects_a_bad_stored_config(edit, message, tmp_path, capsys):
+    doc = trained_checkpoint_doc(tmp_path)
+    doc["config"].update(edit)
     ckpt = write_cfg(tmp_path, doc, "bad.ckpt.json")
     capsys.readouterr()
-    assert main(["eval", ckpt, "--config", cfg, "--out", str(tmp_path / "e.json")]) == 2
-    assert capsys.readouterr().err == f"checkpoint error: malformed checkpoint: NetworkSpec: {message}\n"
+    assert main(["eval", ckpt, "--out", str(tmp_path / "e.json")]) == 2
+    assert capsys.readouterr().err == f"checkpoint error: malformed checkpoint: {message}\n"
     assert not (tmp_path / "e.json").exists()
 
 
@@ -662,22 +664,22 @@ def test_eval_rejects_mistyped_spec(key, value, message, tmp_path, capsys):
     ("adam_D", "v", -1.0, "is negative"),
 ])
 def test_eval_rejects_impossible_adam_moments(network, moment, value, what, tmp_path, capsys):
-    cfg, doc = trained_checkpoint_doc(tmp_path)
-    edit_vector(doc, network, moment, lambda v: np.r_[value, v[1:]])
+    doc = trained_checkpoint_doc(tmp_path)
+    edit_vector(doc, f"{network}.{moment}", lambda v: np.r_[value, v[1:]])
     ckpt = write_cfg(tmp_path, doc, "bad.ckpt.json")
     capsys.readouterr()
-    assert main(["eval", ckpt, "--config", cfg, "--out", str(tmp_path / "e.json")]) == 2
+    assert main(["eval", ckpt, "--out", str(tmp_path / "e.json")]) == 2
     err = capsys.readouterr().err
     assert err == f"checkpoint error: malformed checkpoint: {network}.{moment} {what}\n"
     assert not (tmp_path / "e.json").exists()
 
 
 def test_eval_rejects_negative_adam_step_count(tmp_path, capsys):
-    cfg, doc = trained_checkpoint_doc(tmp_path)
+    doc = trained_checkpoint_doc(tmp_path)
     doc["adam_G"]["t"] = -1
     ckpt = write_cfg(tmp_path, doc, "bad.ckpt.json")
     capsys.readouterr()
-    assert main(["eval", ckpt, "--config", cfg, "--out", str(tmp_path / "e.json")]) == 2
+    assert main(["eval", ckpt, "--out", str(tmp_path / "e.json")]) == 2
     err = capsys.readouterr().err
     assert err == ("checkpoint error: malformed checkpoint: "
                    "adam_G.t must be an integer >= 0, got -1\n")
@@ -685,54 +687,36 @@ def test_eval_rejects_negative_adam_step_count(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["eval", "verify", "interp"])
-def test_version_1_checkpoint_is_refused(command, tmp_path, capsys):
-    cfg, doc = trained_checkpoint_doc(tmp_path)
-    ckpt = write_cfg(tmp_path, as_version_1(doc), "v1.ckpt.json")
+def test_version_2_checkpoint_is_refused(command, tmp_path, capsys):
+    doc = trained_checkpoint_doc(tmp_path)
+    ckpt = write_cfg(tmp_path, as_version_2(doc), "v2.ckpt.json")
     out = str(tmp_path / "out")
-    argv = {"eval": ["eval", ckpt, "--config", cfg, "--out", out],
+    argv = {"eval": ["eval", ckpt, "--out", out],
             "verify": ["verify", ckpt, "--out", out, "--pairs", "2", "--probes", "10"],
             "interp": ["interp", ckpt, "--out", out]}[command]
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "checkpoint error: unsupported checkpoint version 1 (expected 2)\n")
+        "checkpoint error: unsupported checkpoint version 2 (expected 3)\n")
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("d_input_dim", [1, 5])
-def test_verify_and_interp_refuse_a_discriminator_that_does_not_fit(d_input_dim, tmp_path,
-                                                                    capsys):
-    """D reading 1 value cannot judge G's 2; D reading 5 would leave G's
-    2 inputs a 3-dim condition and a -1-dim latent."""
-    _, doc = trained_checkpoint_doc(tmp_path)
-    refit(doc, "params_D", input_dim=d_input_dim)
-    ckpt = write_cfg(tmp_path, doc, "bad.ckpt.json")
-    want = (f"checkpoint error: malformed checkpoint: params_D (input_dim {d_input_dim}, "
-            "output_dim 1) does not fit params_G (input_dim 2, output_dim 2)\n")
-    capsys.readouterr()
-    assert main(["verify", ckpt, "--out", str(tmp_path / "v.json"),
-                 "--pairs", "2", "--probes", "10"]) == 2
-    assert capsys.readouterr().err == want
-    assert main(["interp", ckpt, "--out", str(tmp_path / "i.csv")]) == 2
-    assert capsys.readouterr().err == want
-    assert not (tmp_path / "v.json").exists() and not (tmp_path / "i.csv").exists()
 
 
 def overflowing_checkpoint(tmp_path, weight=1e308):
     """A finite checkpoint with G's last-layer weights at `weight`: 1e308
     overflows G's output, 1e200 only the squared distances on it."""
-    cfg, doc = trained_checkpoint_doc(tmp_path)
+    doc = trained_checkpoint_doc(tmp_path)
 
     def huge_last_weights(vector):
-        NetworkSpec.from_dict(doc["params_G"]["spec"]).param_views(vector)[-2][...] = weight
+        g_spec, _ = task_specs(parse_run_config(doc["config"]))
+        g_spec.param_views(vector)[-2][...] = weight
         return vector
 
-    edit_vector(doc, "params_G", "vector", huge_last_weights)
-    return cfg, write_cfg(tmp_path, doc, "huge.ckpt.json")
+    edit_vector(doc, "params_G", huge_last_weights)
+    return write_cfg(tmp_path, doc, "huge.ckpt.json")
 
 
 def test_verify_overflowing_generator_fails_verification(tmp_path, capsys):
-    _, ckpt = overflowing_checkpoint(tmp_path)
+    ckpt = overflowing_checkpoint(tmp_path)
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
@@ -745,7 +729,7 @@ def test_verify_overflowing_generator_fails_verification(tmp_path, capsys):
 
 def test_verify_huge_generator_output_fails_verification(tmp_path, capsys):
     # outputs ~1e201 are finite, but the distances on them overflow
-    _, ckpt = overflowing_checkpoint(tmp_path, 1e200)
+    ckpt = overflowing_checkpoint(tmp_path, 1e200)
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -757,7 +741,7 @@ def test_verify_huge_generator_output_fails_verification(tmp_path, capsys):
 
 
 def test_interp_overflowing_generator_is_checkpoint_error(tmp_path, capsys):
-    _, ckpt = overflowing_checkpoint(tmp_path)
+    ckpt = overflowing_checkpoint(tmp_path)
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -770,11 +754,11 @@ def test_interp_overflowing_generator_is_checkpoint_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("weight", [1e308, 1e200])
 def test_eval_overflowing_generator_is_checkpoint_error(weight, tmp_path, capsys):
-    cfg, ckpt = overflowing_checkpoint(tmp_path, weight)
+    ckpt = overflowing_checkpoint(tmp_path, weight)
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["eval", ckpt, "--config", cfg, "--out", str(tmp_path / "e.json")]) == 2
+        assert main(["eval", ckpt, "--out", str(tmp_path / "e.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("checkpoint error: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "e.json").exists()

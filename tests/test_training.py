@@ -10,14 +10,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import as_version_1, edit_vector, objective, refit
+from conftest import as_version_2, edit_vector, objective
 from divgan import metrics, training
 from divgan.autodiff import backward
-from divgan.config import parse_run_config
+from divgan.config import parse_run_config, to_document
 from divgan.data import (
-    MAX_SIZE,
     ConditionalRingSpec,
     RingMixtureSpec,
+    TrajectorySpec,
     nearest_modes,
     sample_conditional_ring,
 )
@@ -37,10 +37,11 @@ from divgan.nets import (
     discriminator_forward,
     generator_forward,
 )
-from divgan.optim import AdamState, adam_step
+from divgan.optim import adam_step
 from divgan.training import (
     CheckpointError,
     CSV_HEADER,
+    EVAL_SAMPLES,
     DivergenceError,
     TrainConfig,
     evaluate_generator,
@@ -56,7 +57,7 @@ from divgan.training import (
 
 
 def small_cfg(**kw):
-    base = dict(task="ring", steps=5, batch_size=8, eval_every=2, eval_samples=40, seed=0)
+    base = dict(task="ring", steps=5, batch_size=8, eval_every=2, seed=0)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -303,7 +304,7 @@ def test_conditional_eval_finds_nearest_modes_once(monkeypatch):
     monkeypatch.setattr(metrics, "nearest_modes", spy)
     cfg = small_cfg(task="conditional_ring", z_dim=8)
     evaluate_generator(init_state(cfg).params_G, cfg)
-    assert calls == [cfg.eval_samples]
+    assert calls == [EVAL_SAMPLES]
 
 
 @pytest.mark.parametrize("task", ["ring", "trajectory"])
@@ -373,7 +374,7 @@ def test_evaluation_is_reproducible():
 def test_conditional_task_runs():
     cfg = small_cfg(task="conditional_ring", z_dim=4, steps=2)
     result = train(cfg)
-    assert result.eval_report.n_samples == cfg.eval_samples
+    assert result.eval_report.n_samples == EVAL_SAMPLES
 
 
 def test_trajectory_task_runs():
@@ -389,8 +390,9 @@ def test_trajectory_task_runs():
 
 
 def assert_same_state(a, b):
-    """Every parameter and moment vector bitwise equal, and step, Adam t
-    and the rng state equal."""
+    """Every parameter and moment vector bitwise equal, and config, step,
+    Adam t and the rng state equal."""
+    assert a.config == b.config
     for pa, pb in ((a.params_G, b.params_G), (a.params_D, b.params_D)):
         assert pa.spec == pb.spec and pa.vector.tobytes() == pb.vector.tobytes()
     for sa, sb in ((a.adam_G, b.adam_G), (a.adam_D, b.adam_D)):
@@ -401,15 +403,20 @@ def assert_same_state(a, b):
 
 
 @pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
-def test_checkpoint_v2_roundtrip_is_byte_exact(task):
-    state = train(small_cfg(task=task, z_dim=4, steps=2)).state
+def test_checkpoint_v3_roundtrip_is_byte_exact(task):
+    cfg = small_cfg(task=task, z_dim=4, steps=2)
+    result = train(cfg)
+    state = result.state
+    assert state.config == cfg and result.best_state.config == cfg
     blob = save_checkpoint(state)
     doc = json.loads(blob)
-    assert doc["version"] == 2
-    assert sorted(doc) == ["adam_D", "adam_G", "params_D", "params_G", "rng_state",
-                           "step", "version"]  # no duplicate specs
-    assert isinstance(doc["params_G"]["vector"], str) and isinstance(doc["adam_D"]["v"], str)
+    assert list(doc) == ["version", "config", "params_G", "params_D", "adam_G", "adam_D",
+                         "step", "rng_state"]
+    assert doc["version"] == 3 and doc["config"] == to_document(cfg)
+    assert isinstance(doc["params_G"], str) and isinstance(doc["adam_D"]["v"], str)
     loaded = load_checkpoint(blob)
+    assert loaded.config == cfg
+    assert (loaded.params_G.spec, loaded.params_D.spec) == task_specs(cfg)
     assert_same_state(loaded, state)
     assert save_checkpoint(loaded) == blob
     loaded.params_G.weights[0][0, 0] = 0.5  # the loaded vectors are native and writable
@@ -418,27 +425,24 @@ def test_checkpoint_v2_roundtrip_is_byte_exact(task):
 
 def test_checkpoint_vector_golden_encoding():
     """A vector is stored as base64 of its little-endian float64 bytes."""
-    spec = NetworkSpec(1, (1,), 1)  # W0, b0, W1, b1: four parameters
     state = init_state(small_cfg())
-    state.params_G = NetworkParams(spec, np.array([1.0, -0.0, 5e-324, -2.5]))
-    state.params_D = NetworkParams(spec, np.ones(4))  # D reads G's one output
-    state.adam_G = AdamState(m=np.zeros(4), v=np.zeros(4), t=0)
-    state.adam_D = AdamState(m=np.zeros(4), v=np.zeros(4), t=0)
+    state.params_G.vector[:3] = [1.0, -0.0, 5e-324]  # 24 bytes: 32 base64 characters
     blob = save_checkpoint(state)
-    assert json.loads(blob)["params_G"]["vector"] == "AAAAAAAA8D8AAAAAAAAAgAEAAAAAAAAAAAAAAAAABMA="
+    assert json.loads(blob)["params_G"].startswith("AAAAAAAA8D8AAAAAAAAAgAEAAAAAAAAA")
     assert load_checkpoint(blob).params_G.vector.tobytes() == state.params_G.vector.tobytes()
 
 
 def plain_save_checkpoint(state):
-    """The writer as json.dumps of the whole version 2 document, base64
+    """The writer as json.dumps of the whole version 3 document, base64
     strings and all: save_checkpoint must give these bytes."""
     def b64(vector):
         return base64.b64encode(vector.astype("<f8").tobytes()).decode("ascii")
 
     doc = {
-        "version": 2,
-        "params_G": {"spec": state.params_G.spec.to_dict(), "vector": b64(state.params_G.vector)},
-        "params_D": {"spec": state.params_D.spec.to_dict(), "vector": b64(state.params_D.vector)},
+        "version": 3,
+        "config": to_document(state.config),
+        "params_G": b64(state.params_G.vector),
+        "params_D": b64(state.params_D.vector),
         "adam_G": {"m": b64(state.adam_G.m), "v": b64(state.adam_G.v), "t": state.adam_G.t},
         "adam_D": {"m": b64(state.adam_D.m), "v": b64(state.adam_D.v), "t": state.adam_D.t},
         "step": state.step,
@@ -458,10 +462,10 @@ def test_save_checkpoint_matches_plain_json_dumps(task):
     assert save_checkpoint(state) == plain_save_checkpoint(state)
 
 
-def test_checkpoint_version_1_is_refused():
-    doc = as_version_1(json.loads(save_checkpoint(init_state(small_cfg()))))
+def test_checkpoint_version_2_is_refused():
+    doc = as_version_2(json.loads(save_checkpoint(init_state(small_cfg()))))
     with pytest.raises(CheckpointError,
-                       match=r"^unsupported checkpoint version 1 \(expected 2\)$"):
+                       match=r"^unsupported checkpoint version 2 \(expected 3\)$"):
         load_checkpoint(json.dumps(doc).encode())
 
 
@@ -487,28 +491,32 @@ def test_checkpoint_truncated_blob():
 
 
 def test_checkpoint_version_check():
-    # the JSON integer 2 only, as strictly as step and t are read
+    # the JSON integer 3 only, as strictly as step and t are read
     doc = json.loads(save_checkpoint(init_state(small_cfg())))
-    for version in (999, 2.0, True, "2", None):
+    for version in (999, 3.0, True, "3", None, 2, 1):
         doc["version"] = version
-        want = re.escape(f"unsupported checkpoint version {json.dumps(version)} (expected 2)")
+        want = re.escape(f"unsupported checkpoint version {json.dumps(version)} (expected 3)")
         with pytest.raises(CheckpointError, match=f"^{want}$"):
             load_checkpoint(json.dumps(doc).encode())
 
 
 def test_checkpoint_shape_mismatch():
     doc = json.loads(save_checkpoint(init_state(small_cfg())))
-    edit_vector(doc, "params_G", "vector", lambda v: v[3:])  # W0 three values short
+    edit_vector(doc, "params_G", lambda v: v[3:])  # W0 three values short
     with pytest.raises(CheckpointError):
         load_checkpoint(json.dumps(doc).encode())
 
 
 def _nan_weight(doc):
-    edit_vector(doc, "params_G", "vector", lambda v: np.r_[np.nan, v[1:]])
+    edit_vector(doc, "params_G", lambda v: np.r_[np.nan, v[1:]])
 
 
 def _negative_dim(doc):
-    doc["params_D"]["spec"]["input_dim"] = -1
+    doc["config"]["z_dim"] = -1
+
+
+def _no_config(doc):
+    del doc["config"]
 
 
 def _foreign_rng(doc):
@@ -516,28 +524,23 @@ def _foreign_rng(doc):
 
 
 def _adam_shape(doc):
-    edit_vector(doc, "adam_G", "m", lambda v: v[:-1])
+    edit_vector(doc, "adam_G.m", lambda v: v[:-1])
 
 
 def _step_overflow(doc):
     doc["step"] = float("inf")
 
 
-def _sigmoid_output(doc):
-    doc["params_G"]["spec"]["output_activation"] = "sigmoid"  # no network has one
-
-
 def _bad_base64(doc):
-    vector = doc["params_G"]["vector"]
-    doc["params_G"]["vector"] = vector[:8] + "*" + vector[8:]  # not in the alphabet
+    doc["params_G"] = doc["params_G"][:8] + "*" + doc["params_G"][8:]  # not in the alphabet
 
 
 def _one_float_short(doc):
-    edit_vector(doc, "params_D", "vector", lambda v: v[:-1])
+    edit_vector(doc, "params_D", lambda v: v[:-1])
 
 
 def _list_for_base64(doc):
-    doc["params_D"]["vector"] = [0.0] * len(init_state(small_cfg()).params_D.vector)
+    doc["params_D"] = [0.0] * len(init_state(small_cfg()).params_D.vector)
 
 
 def _adam_t_negative(doc):
@@ -575,8 +578,8 @@ COUNT_MESSAGES = {
 }
 
 
-@pytest.mark.parametrize("corrupt", [_nan_weight, _negative_dim, _foreign_rng,
-                                     _adam_shape, _step_overflow, _sigmoid_output,
+@pytest.mark.parametrize("corrupt", [_nan_weight, _negative_dim, _no_config, _foreign_rng,
+                                     _adam_shape, _step_overflow,
                                      _bad_base64, _one_float_short, _list_for_base64,
                                      *COUNT_MESSAGES])
 def test_checkpoint_bad_values_are_checkpoint_errors(corrupt):
@@ -589,8 +592,8 @@ def test_checkpoint_bad_values_are_checkpoint_errors(corrupt):
         load_checkpoint(json.dumps(doc).encode())
 
 
-# stored spec values that int()/float() would round or coerce, each refused
-# with its exact message
+# spec values that int()/float() would round or coerce, each refused with its
+# exact message
 SPEC_MESSAGES = [
     ("input_dim", 2.5, "input_dim must be an integer >= 1, got 2.5"),
     ("input_dim", True, "input_dim must be an integer >= 1, got true"),
@@ -608,35 +611,10 @@ SPEC_MESSAGES = [
 
 
 @pytest.mark.parametrize("key,value,message", SPEC_MESSAGES)
-def test_checkpoint_spec_with_wrong_types_is_refused(key, value, message):
-    doc = json.loads(save_checkpoint(init_state(small_cfg())))
-    doc["params_D"]["spec"][key] = value
-    with pytest.raises(CheckpointError,
-                       match=f"^malformed checkpoint: NetworkSpec: {re.escape(message)}$"):
-        load_checkpoint(json.dumps(doc).encode())
-
-
-@pytest.mark.parametrize("key,value,message", SPEC_MESSAGES)
 def test_spec_built_in_python_is_refused_with_the_same_message(key, value, message):
-    args = {**init_state(small_cfg()).params_D.spec.to_dict(), key: value}
-    del args["output_activation"]  # stored, but not a setting
+    args = {**vars(init_state(small_cfg()).params_D.spec), key: value}
     with pytest.raises(ValueError, match=f"^NetworkSpec: {re.escape(message)}$"):
         NetworkSpec(**args)
-
-
-def test_python_spec_with_an_integer_init_scale_round_trips_byte_exact():
-    state = init_state(small_cfg())
-    state.params_G = NetworkParams(replace(state.params_G.spec, init_scale=1),
-                                   state.params_G.vector)
-    blob = save_checkpoint(state)
-    assert b'"init_scale": 1.0' in blob
-    assert save_checkpoint(load_checkpoint(blob)) == blob
-
-
-def test_checkpoint_spec_accepts_an_integer_init_scale():
-    doc = json.loads(save_checkpoint(init_state(small_cfg())))
-    doc["params_G"]["spec"]["init_scale"] = 1
-    assert load_checkpoint(json.dumps(doc).encode()).params_G.spec.init_scale == 1.0
 
 
 @pytest.mark.parametrize("network,moment,value,what", [
@@ -647,37 +625,41 @@ def test_checkpoint_spec_accepts_an_integer_init_scale():
 ])
 def test_checkpoint_impossible_adam_moments_are_refused(network, moment, value, what):
     doc = json.loads(save_checkpoint(init_state(small_cfg())))
-    edit_vector(doc, network, moment, lambda v: np.r_[v[0], value, v[2:]])
+    edit_vector(doc, f"{network}.{moment}", lambda v: np.r_[v[0], value, v[2:]])
     with pytest.raises(CheckpointError,
                        match=f"^malformed checkpoint: {network}.{moment} {what}$"):
         load_checkpoint(json.dumps(doc).encode())
 
 
-@pytest.mark.parametrize("task,network,dims,described", [
-    # D reads fewer values than G writes
-    ("ring", "params_D", dict(input_dim=1), "params_D (input_dim 1, output_dim 1) "
-     "does not fit params_G (input_dim 2, output_dim 2)"),
-    # D's extra 3 inputs would be a condition that leaves G no latent
-    ("ring", "params_D", dict(input_dim=5), "params_D (input_dim 5, output_dim 1) "
-     "does not fit params_G (input_dim 2, output_dim 2)"),
-    ("ring", "params_D", dict(output_dim=2), "params_D (input_dim 2, output_dim 2) "
-     "does not fit params_G (input_dim 2, output_dim 2)"),
-    # a 4-dim condition and no latent
-    ("conditional_ring", "params_G", dict(input_dim=4), "params_D (input_dim 6, output_dim 1) "
-     "does not fit params_G (input_dim 4, output_dim 2)"),
+@pytest.mark.parametrize("task,edit", [
+    ("ring", {"z_dim": 3}),
+    ("ring", {"task": "conditional_ring"}),
+    ("conditional_ring", {"task": "trajectory"}),
+    ("trajectory", {"z_dim": 2}),
 ])
-def test_checkpoint_whose_discriminator_does_not_fit_the_generator_is_refused(
-        task, network, dims, described):
-    doc = json.loads(save_checkpoint(init_state(small_cfg(task=task, z_dim=2))))
-    refit(doc, network, **dims)
-    with pytest.raises(CheckpointError, match=f"^malformed checkpoint: {re.escape(described)}$"):
+def test_checkpoint_whose_config_does_not_fit_its_vectors_is_refused(task, edit):
+    """The stored config sets both networks' layouts: one edited to another
+    latent size or task refuses the first vector that no longer fits."""
+    doc = json.loads(save_checkpoint(init_state(small_cfg(task=task, z_dim=4))))
+    doc["config"].update(edit)
+    have = task_specs(small_cfg(task=task, z_dim=4))[0].n_params
+    want = task_specs(parse_run_config(doc["config"]))[0].n_params
+    with pytest.raises(CheckpointError,
+                       match=f"^malformed checkpoint: {8 * have} bytes, not {8 * want}$"):
         load_checkpoint(json.dumps(doc).encode())
 
 
 def test_checkpoint_with_the_smallest_latent_loads():
-    doc = json.loads(save_checkpoint(init_state(small_cfg(task="conditional_ring", z_dim=2))))
-    refit(doc, "params_G", input_dim=5)  # the 4-dim condition and a 1-dim latent
-    assert load_checkpoint(json.dumps(doc).encode()).params_G.spec.input_dim == 5
+    cfg = small_cfg(task="conditional_ring", z_dim=1)
+    loaded = load_checkpoint(save_checkpoint(init_state(cfg)))
+    assert loaded.config == cfg
+    assert loaded.params_G.spec.input_dim == 5  # the 4-dim condition and a 1-dim latent
+
+
+def test_save_checkpoint_refuses_a_config_no_document_holds():
+    cfg = small_cfg(task="trajectory", z_dim=4, traj=TrajectorySpec(horizon=5))
+    with pytest.raises(ValueError, match="no config key holds"):
+        save_checkpoint(init_state(cfg))
 
 
 # -- sweep --------------------------------------------------------------------
@@ -738,16 +720,6 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
     assert [e.config for e in entries] == cfgs
     sweep(cfgs[:1], jobs=64)
     assert started == [2]  # one run needs no pool
-
-
-@pytest.mark.parametrize("eval_samples", [2, 0, MAX_SIZE + 1])
-def test_train_config_rejects_eval_samples_out_of_range(eval_samples):
-    with pytest.raises(ValueError, match=re.escape(f"eval_samples must be in [3, {MAX_SIZE}]")):
-        small_cfg(eval_samples=eval_samples)
-
-
-def test_smallest_eval_samples_evaluates():
-    assert train(small_cfg(steps=1, eval_samples=3)).eval_report.n_samples == 3
 
 
 def test_train_config_rejects_negative_seed_and_unsplittable_ring():
