@@ -8,8 +8,10 @@ Run: python demos/03_regularizer_variants.py
 
 import numpy as np
 
+from divgan.config import TrainConfig
 from divgan.losses import DiversityConfig, diversity_ratio
-from divgan.nets import default_discriminator_spec, discriminator_forward, mlp_init
+from divgan.nets import discriminator_forward, mlp_init
+from divgan.training import task_specs
 
 rng = np.random.default_rng(3)
 z1, z2 = rng.standard_normal(2), rng.standard_normal(2)
@@ -21,7 +23,7 @@ print(f"same pair, tau=0.1 clip      {diversity_ratio([y1], [y2], z1, z2, Divers
 print(f"collapsed generator          {diversity_ratio([y1], [y1], z1, z2, cfg):.4f}")
 
 # feature-space: distances measured in the discriminator's hidden layers
-d_params = mlp_init(default_discriminator_spec(), seed=0)
+d_params = mlp_init(task_specs(TrainConfig())[1], seed=0)
 _, f1 = discriminator_forward(d_params, y1[None, :])
 _, f2 = discriminator_forward(d_params, y2[None, :])
 feat = diversity_ratio([f.data[0] for f in f1], [f.data[0] for f in f2], z1, z2,

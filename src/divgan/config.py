@@ -130,8 +130,8 @@ def parse_run_config(doc: dict) -> TrainConfig:
 def to_document(cfg: TrainConfig) -> dict:
     """The config document that `parse_run_config` reads back as cfg: every
     key in `FIELDS`, the ring's under "ring", and a tau of None as null.
-    ValueError if cfg sets a field no key holds (the trajectory spec, Adam's
-    eps), since the document could not say it."""
+    ValueError if cfg sets a field no key holds (a non-default trajectory
+    spec), since the document could not say it."""
     doc = {}
     for key, (path, _) in FIELDS.items():
         value = cfg

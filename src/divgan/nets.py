@@ -30,8 +30,6 @@ __all__ = [
     "with_condition",
     "generator_forward",
     "discriminator_forward",
-    "default_generator_spec",
-    "default_discriminator_spec",
 ]
 
 HIDDEN_ACTIVATIONS = ("tanh", "relu")
@@ -40,16 +38,14 @@ HIDDEN_ACTIVATIONS = ("tanh", "relu")
 @dataclass(frozen=True)
 class NetworkSpec:
     """A fully connected network's shape. Every spec is checked here, however
-    it was built: dims are integers >= 1 and init_scale a finite positive
-    number (bools, strings and fractional dims are refused with a ValueError,
-    not rounded). Dims are kept as int and init_scale as float. The output
-    layer is linear."""
+    it was built: dims are integers >= 1 (bools, strings and fractional dims
+    are refused with a ValueError, not rounded) and are kept as int. The
+    output layer is linear."""
 
     input_dim: int
     hidden_dims: tuple
     output_dim: int
     hidden_activation: str = "tanh"
-    init_scale: float = 1.0
 
     def __post_init__(self):
         for key in ("input_dim", "output_dim"):
@@ -63,12 +59,6 @@ class NetworkSpec:
             raise ValueError(f"NetworkSpec: hidden_dims must be a list of integers >= 1, "
                              f"got {_shown(hidden)}")
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in hidden))
-        scale = self.init_scale
-        number = isinstance(scale, numbers.Real) and not isinstance(scale, bool)
-        if not number or not 0 < scale < math.inf:
-            raise ValueError(f"NetworkSpec: init_scale must be a finite positive number, "
-                             f"got {_shown(scale)}")
-        object.__setattr__(self, "init_scale", float(scale))
         if self.hidden_activation not in HIDDEN_ACTIVATIONS:
             raise ValueError(f"NetworkSpec: unknown hidden activation {self.hidden_activation!r}")
 
@@ -171,11 +161,11 @@ class ParamLeaves:
 
 
 def mlp_init(spec: NetworkSpec, seed: int) -> NetworkParams:
-    """Scaled-Gaussian weights (std init_scale/sqrt(fan_in)), zero biases."""
+    """Scaled-Gaussian weights (std 1/sqrt(fan_in)), zero biases."""
     rng = np.random.default_rng(seed)
     vector = np.zeros(spec.n_params)
     for fan_in, w in zip(spec.layer_dims, spec.param_views(vector)[0::2]):
-        w[...] = rng.normal(0.0, spec.init_scale / np.sqrt(fan_in), size=w.shape)
+        w[...] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=w.shape)
     return NetworkParams(spec, vector)
 
 
@@ -235,23 +225,3 @@ def discriminator_forward(params: NetworkParams | ParamLeaves, y,
                           x=None) -> tuple[Var, list[Var]]:
     """D(x, y) on a batch: (pre-sigmoid logits (batch, 1), hidden features)."""
     return mlp_forward_vars(params.flat(), params.spec, with_condition(x, y))
-
-
-def default_generator_spec(z_dim: int = 2, cond_dim: int = 0, out_dim: int = 2) -> NetworkSpec:
-    """Toy-scale default: 2 tanh hidden layers of 128, linear output."""
-    return NetworkSpec(
-        input_dim=cond_dim + z_dim,
-        hidden_dims=(128, 128),
-        output_dim=out_dim,
-        hidden_activation="tanh",
-    )
-
-
-def default_discriminator_spec(y_dim: int = 2, cond_dim: int = 0) -> NetworkSpec:
-    """Toy-scale default: 2 relu hidden layers of 128, single logit."""
-    return NetworkSpec(
-        input_dim=cond_dim + y_dim,
-        hidden_dims=(128, 128),
-        output_dim=1,
-        hidden_activation="relu",
-    )

@@ -10,7 +10,9 @@ import numpy as np
 
 from .autodiff import NumericsError
 
-__all__ = ["AdamHyper", "AdamState", "adam_init", "adam_step"]
+__all__ = ["EPS", "AdamHyper", "AdamState", "adam_init", "adam_step"]
+
+EPS = 1e-8  # the denominator's floor: a zero gradient entry steps by 0, not 0/0
 
 
 @dataclass(frozen=True)
@@ -18,7 +20,6 @@ class AdamHyper:
     lr: float = 2e-4
     beta1: float = 0.5
     beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         # chained comparisons: NaN and +-inf fail them
@@ -26,9 +27,6 @@ class AdamHyper:
             raise ValueError("AdamHyper: lr must be finite and positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("AdamHyper: betas must lie in [0, 1)")
-        # a zero eps turns a zero gradient entry into 0/0
-        if not 0 < self.eps < math.inf:
-            raise ValueError("AdamHyper: eps must be finite and positive")
 
 
 @dataclass
@@ -64,5 +62,5 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, hyper: Ad
     c2 = 1.0 - hyper.beta2**t
     m = hyper.beta1 * state.m + (1.0 - hyper.beta1) * grads
     v = hyper.beta2 * state.v + (1.0 - hyper.beta2) * (grads * grads)
-    step = hyper.lr * (m / c1) / (np.sqrt(v / c2) + hyper.eps)
+    step = hyper.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
     return params - step, AdamState(m=m, v=v, t=t)

@@ -31,6 +31,7 @@ from .data import (
 )
 from .losses import (
     FakePair,
+    ObjectiveConfig,
     TrainBatch,
     d_loss,
     generate_fakes,
@@ -49,8 +50,6 @@ from .nets import (
     NetworkParams,
     NetworkSpec,
     ParamLeaves,
-    default_discriminator_spec,
-    default_generator_spec,
     discriminator_forward,
     generator_forward,
     mlp_init,
@@ -105,7 +104,8 @@ def cond_ring_spec(cfg: TrainConfig) -> ConditionalRingSpec:
 
 
 def task_specs(cfg: TrainConfig) -> tuple[NetworkSpec, NetworkSpec]:
-    """Generator/discriminator shapes implied by the task."""
+    """The generator's and discriminator's shapes for cfg's task: two hidden
+    layers of 128 each, tanh in G and relu in D, and D's single logit."""
     if cfg.task == "ring":
         cond_dim, out_dim = 0, 2
     elif cfg.task == "conditional_ring":
@@ -113,8 +113,8 @@ def task_specs(cfg: TrainConfig) -> tuple[NetworkSpec, NetworkSpec]:
     else:
         t = cfg.traj
         cond_dim, out_dim = t.context_len * 2, t.horizon * 2
-    return (default_generator_spec(cfg.z_dim, cond_dim, out_dim),
-            default_discriminator_spec(out_dim, cond_dim))
+    return (NetworkSpec(cond_dim + cfg.z_dim, (128, 128), out_dim, "tanh"),
+            NetworkSpec(cond_dim + out_dim, (128, 128), 1, "relu"))
 
 
 @dataclass
@@ -196,8 +196,9 @@ def _real_batch(cfg: TrainConfig, rng) -> tuple[np.ndarray | None, np.ndarray, i
 # before G's.
 
 
-def _fakes(state: TrainState, cfg: TrainConfig) -> FakePair:
+def _fakes(state: TrainState) -> FakePair:
     """The step's real batch and its two fakes, in the step's draw order."""
+    cfg = state.config
     x, y, seq_len = _real_batch(cfg, state.rng)
     z1 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
     z2 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
@@ -221,9 +222,9 @@ def _d_gradient(params_D: NetworkParams, fakes: FakePair) -> tuple[np.ndarray, f
 
 
 def _g_gradient(fakes: FakePair, params_D: NetworkParams,
-                cfg: TrainConfig) -> tuple[np.ndarray, dict]:
+                objective: ObjectiveConfig) -> tuple[np.ndarray, dict]:
     """G's gradient vector and the logged parts of its objective."""
-    res = generator_total_loss(fakes, params_D, cfg.objective)
+    res = generator_total_loss(fakes, params_D, objective)
     backward(res.total)
     return fakes.leaves.grad_vector(), res.parts
 
@@ -232,23 +233,29 @@ def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricR
     """One discriminator update then one generator update, on one batch and
     one pair of fakes.
 
-    d_loss is logged before D's update, the generator's parts with the
-    updated D. Raises DivergenceError on any non-finite loss or gradient.
+    The state steps with the config it was made from: cfg must equal
+    state.config (ValueError otherwise), and is kept only for callers that
+    pass it. d_loss is logged before D's update, the generator's parts with
+    the updated D. Raises DivergenceError on any non-finite loss or gradient.
     """
+    if cfg is not state.config and cfg != state.config:
+        raise ValueError("train_step: cfg differs from state.config; "
+                         "a state steps with the config it was made from")
+    adam = state.config.adam
     step = state.step + 1
     # float overflow on the way to a detected divergence is expected; the
     # explicit finiteness checks are the error path, not the warnings
     try:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            fakes = _fakes(state, cfg)
+            fakes = _fakes(state)
             grad, d_loss_val = _d_gradient(state.params_D, fakes)
-            vector, state.adam_D = adam_step(state.params_D.vector, grad, state.adam_D, cfg.adam)
+            vector, state.adam_D = adam_step(state.params_D.vector, grad, state.adam_D, adam)
             state.params_D = NetworkParams(state.params_D.spec, vector)
             del grad  # nothing in the G step reads D's gradient
 
-            grad, parts = _g_gradient(fakes, state.params_D, cfg)
+            grad, parts = _g_gradient(fakes, state.params_D, state.config.objective)
             del fakes  # G's graph: its leaves and both fakes
-            vector, state.adam_G = adam_step(state.params_G.vector, grad, state.adam_G, cfg.adam)
+            vector, state.adam_G = adam_step(state.params_G.vector, grad, state.adam_G, adam)
             state.params_G = NetworkParams(state.params_G.spec, vector)
     except NumericsError as exc:
         raise DivergenceError(step, str(exc)) from exc
@@ -295,15 +302,12 @@ def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
         modes, hq = mode_coverage(fake, cfg.ring, nearest=nearest)
         per_label, in_label_frac = conditional_coverage(fake, labels, spec, nearest=nearest)
         labels_covered = sum(per_label)
-        divs, dmins = [], []
-        for lab in range(spec.n_labels):
-            sel = labels == lab
-            real_sel = real.y[real.labels == lab]
-            if np.sum(sel) >= 2 and len(real_sel) >= 1:
-                divs.append(pairwise_diversity(fake[sel]))
-                dmins.append(metric_dist_min(fake[sel], real_sel[0]))
-        div = float(np.mean(divs)) if divs else 0.0
-        dmin = float(np.mean(dmins)) if dmins else 0.0
+        # each label has >= 2 of the n fakes and >= 1 of the n real points
+        # but for a chance near 1e-300, where the metrics raise ValueError
+        div = float(np.mean([pairwise_diversity(fake[labels == lab])
+                             for lab in range(spec.n_labels)]))
+        dmin = float(np.mean([metric_dist_min(fake[labels == lab], real.y[real.labels == lab][0])
+                              for lab in range(spec.n_labels)]))
         fre = frechet_2d(fake, real.y)
     else:
         t = cfg.traj

@@ -58,7 +58,7 @@ def as_version_2(doc):
     for network, spec in zip(("params_G", "params_D"), specs):
         stored = {"input_dim": spec.input_dim, "hidden_dims": list(spec.hidden_dims),
                   "output_dim": spec.output_dim, "hidden_activation": spec.hidden_activation,
-                  "output_activation": "linear", "init_scale": spec.init_scale}
+                  "output_activation": "linear", "init_scale": 1.0}
         doc[network] = {"spec": stored, "vector": doc[network]}
     doc["version"] = 2
     return doc

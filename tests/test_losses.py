@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divgan import autodiff, losses
-from divgan.autodiff import ShapeMismatch, Var, backward, evaluate_with_gradients, lift
+from divgan.autodiff import ShapeMismatch, backward, evaluate_with_gradients, lift
 from divgan.losses import (
     DegenerateLatentPair,
     DiversityConfig,
@@ -26,7 +26,7 @@ from divgan.nets import (
     mlp_init,
 )
 
-from conftest import gradcheck, objective
+from conftest import objective
 
 LN2 = np.log(2.0)
 

@@ -9,8 +9,6 @@ from divgan.nets import (
     NonFiniteParams,
     NetworkSpec,
     ParamLeaves,
-    default_discriminator_spec,
-    default_generator_spec,
     discriminator_forward,
     generator_forward,
     mlp_forward_vars,
@@ -23,8 +21,7 @@ from divgan.training import task_specs
 
 from conftest import gradcheck
 
-RING_G = default_generator_spec()
-RING_D = default_discriminator_spec()
+RING_G, RING_D = task_specs(parse_run_config({"task": "ring"}))
 
 
 def test_init_is_deterministic():
@@ -44,14 +41,14 @@ def test_init_layer_shapes():
 
 
 def test_init_weight_scale():
-    spec = NetworkSpec(100, (100,), 2, init_scale=0.7)
+    spec = NetworkSpec(100, (100,), 2)
     params = mlp_init(spec, seed=3)
     emp = np.std(params.weights[0])  # 10^4 entries
-    expected = spec.init_scale / np.sqrt(spec.input_dim)
+    expected = 1.0 / np.sqrt(spec.input_dim)
     assert abs(emp - expected) / expected < 0.10
 
 
-@pytest.mark.parametrize("spec", [RING_G, RING_D, NetworkSpec(3, (5, 4), 2, init_scale=0.3)])
+@pytest.mark.parametrize("spec", [RING_G, RING_D, NetworkSpec(3, (5, 4), 2)])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_init_equals_the_per_layer_build_bit_for_bit(spec, seed):
     """The same draws as a per-layer build: rng.normal per weight matrix,
@@ -60,7 +57,7 @@ def test_init_equals_the_per_layer_build_bit_for_bit(spec, seed):
     dims = spec.layer_dims
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = rng.normal(0.0, spec.init_scale / np.sqrt(fan_in), size=(fan_in, fan_out))
+        w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
         layers += [w.ravel(), np.zeros(fan_out)]
     want = np.concatenate(layers)
     assert mlp_init(spec, seed).vector.tobytes() == want.tobytes()
@@ -80,36 +77,29 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         NetworkSpec(0, (4,), 2)
     with pytest.raises(ValueError):
-        NetworkSpec(2, (4,), 2, init_scale=0.0)
-    with pytest.raises(ValueError):
         NetworkSpec(2, (4,), 2, hidden_activation="gelu")
     with pytest.raises(TypeError):  # the output layer is always linear, not a setting
         NetworkSpec(2, (4,), 2, output_activation="linear")
 
 
 @pytest.mark.parametrize("key,value,shown", [
-    ("init_scale", float("nan"), "NaN"),
-    ("init_scale", float("inf"), "Infinity"),
-    ("init_scale", -1, "-1"),
-    ("init_scale", np.float64(-np.inf), "-Infinity"),
     ("input_dim", np.int64(0), repr(np.int64(0))),  # no JSON form: its repr
     ("hidden_dims", (np.int64(4), 0), repr((np.int64(4), 0))),
     ("hidden_dims", np.array([4]), repr(np.array([4]))),
 ])
 def test_python_spec_refusals_name_the_value(key, value, shown):
-    args = {**dict(input_dim=2, hidden_dims=(4,), output_dim=2, init_scale=1.0), key: value}
-    rule = {"init_scale": "a finite positive number", "input_dim": "an integer >= 1",
-            "hidden_dims": "a list of integers >= 1"}[key]
+    args = {**dict(input_dim=2, hidden_dims=(4,), output_dim=2), key: value}
+    rule = {"input_dim": "an integer >= 1", "hidden_dims": "a list of integers >= 1"}[key]
     with pytest.raises(ValueError, match=f"^NetworkSpec: {key} must be {re.escape(rule)}, "
                                          f"got {re.escape(shown)}$"):
         NetworkSpec(**args)
 
 
-def test_spec_stores_plain_ints_and_a_float():
-    spec = NetworkSpec(np.int64(2), [np.int64(4), 3], np.int32(2), init_scale=np.int64(1))
-    assert spec == NetworkSpec(2, (4, 3), 2, init_scale=1.0)
-    values = [spec.input_dim, *spec.hidden_dims, spec.output_dim, spec.init_scale]
-    assert [type(v) for v in values] == [int, int, int, int, float]
+def test_spec_stores_plain_ints():
+    spec = NetworkSpec(np.int64(2), [np.int64(4), 3], np.int32(2))
+    assert spec == NetworkSpec(2, (4, 3), 2)
+    values = [spec.input_dim, *spec.hidden_dims, spec.output_dim]
+    assert [type(v) for v in values] == [int, int, int, int]
     assert isinstance(spec.hidden_dims, tuple)
 
 
@@ -191,7 +181,7 @@ def test_ring_generator_output_dim():
 
 
 def test_conditional_concat_dimensions(rng):
-    spec = default_generator_spec(z_dim=8, cond_dim=4)
+    spec = task_specs(parse_run_config({"task": "conditional_ring", "z_dim": 8}))[0]
     params = mlp_init(spec, 0)
     out = generator_forward(params, rng.normal(size=(6, 8)), np.eye(4)[rng.integers(0, 4, 6)])
     assert out.shape == (6, 2)
@@ -208,7 +198,7 @@ def test_discriminator_zero_params_logit():
 
 
 def test_feature_list_matches_hidden_depth(rng):
-    params = mlp_init(default_discriminator_spec(), 0)
+    params = mlp_init(RING_D, 0)
     logits, feats = discriminator_forward(params, rng.normal(size=(3, 2)))
     assert len(feats) == len(params.spec.hidden_dims) == 2
     assert feats[0].shape == (3, 128) and feats[1].shape == (3, 128)
@@ -216,7 +206,7 @@ def test_feature_list_matches_hidden_depth(rng):
 
 
 def test_discriminator_deterministic(rng):
-    params = mlp_init(default_discriminator_spec(), 4)
+    params = mlp_init(RING_D, 4)
     y = rng.normal(size=(5, 2))
     l1, f1 = discriminator_forward(params, y)
     l2, f2 = discriminator_forward(params, y)

@@ -6,7 +6,6 @@ from divgan.autodiff import NumericsError, jacobian
 from divgan.nets import NetworkParams, NetworkSpec, generator_forward, mlp_init
 from divgan.optim import AdamHyper
 from divgan.theory import (
-    AttractionReport,
     attraction_check,
     bound_suite,
     path_gradient_bound,
