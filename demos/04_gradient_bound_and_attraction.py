@@ -22,7 +22,7 @@ print(f"quadrature rhs          = {rep.rhs:.6f}")
 print(f"slack (rhs - lhs)       = {rep.slack:.6f}, holds: {rep.holds}")
 
 # The inequality is parameter-independent: an untrained net passes too.
-out = bound_suite(params, n_pairs=100, rng=rng)
+out = bound_suite(params, n_pairs=100, rng=rng, z_dim=2)
 print(f"bound suite: {out['pairs']} pairs, {out['violations']} violations")
 
 # Attraction: pull G(z1) toward a target with one real Adam step, then
@@ -42,6 +42,6 @@ print(f"sampled neighborhood-radius estimate: {s['radius_estimate']}")
 # shape): the bound's Jacobians come from a forward (tangent) pass, 8
 # products per node where a reverse pass would take 20.
 wide = mlp_init(NetworkSpec(8, (32, 32), 20, hidden_activation="tanh"), seed=5)
-out = bound_suite(wide, n_pairs=20, rng=rng)
+out = bound_suite(wide, n_pairs=20, rng=rng, z_dim=8)
 print(f"wide generator (z 8 -> 20) bound suite: {out['pairs']} pairs, "
       f"{out['violations']} violations, min slack {out['min_slack']:.6f}")

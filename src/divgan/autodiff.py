@@ -307,36 +307,15 @@ def affine(x, W, b, activation=None) -> Var:
     return _node(out, (x, W, b), bwd)
 
 
-def concat(parts, axis: int = 0) -> Var:
-    """Concatenate along an axis; backward splits the gradient."""
-    parts = [lift(p) for p in parts]
-    if not parts:
-        raise ShapeMismatch("concat: empty input list")
-    base = list(parts[0].shape)
-    if not -len(base) <= axis < len(base):
-        raise ShapeMismatch(f"concat: axis {axis} out of range for shape {tuple(base)}")
-    axis %= len(base)
-    for p in parts[1:]:
-        other = list(p.shape)
-        if len(other) != len(base) or any(
-            o != b for i, (o, b) in enumerate(zip(other, base)) if i != axis
-        ):
-            raise ShapeMismatch(
-                f"concat: incompatible shapes {[tuple(q.shape) for q in parts]} on axis {axis}"
-            )
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-
-    def bwd(g, v):
-        grads, off = [], 0
-        for s in sizes:
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(off, off + s)
-            grads.append(g[tuple(idx)])
-            off += s
-        return tuple(grads)
-
-    return _node(out, tuple(parts), bwd)
+def concat(a, b) -> Var:
+    """Join a and b along their last axis; backward splits the gradient."""
+    a, b = lift(a), lift(b)
+    if a.shape[:-1] != b.shape[:-1]:
+        raise ShapeMismatch(f"concat: incompatible shapes {a.shape} and {b.shape} "
+                            "on the last axis")
+    split = a.shape[-1]
+    return _node(np.concatenate([a.data, b.data], axis=-1), (a, b),
+                 lambda g, v: (g[..., :split], g[..., split:]))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -10,9 +10,7 @@ condition with the latent code (generator) or the candidate output
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +18,6 @@ import numpy as np
 from .autodiff import NumericsError, ShapeMismatch, Var, affine, concat, lift
 
 __all__ = [
-    "HIDDEN_ACTIVATIONS",
     "NetworkSpec",
     "NetworkParams",
     "NonFiniteParams",
@@ -32,35 +29,17 @@ __all__ = [
     "discriminator_forward",
 ]
 
-HIDDEN_ACTIVATIONS = ("tanh", "relu")
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """A fully connected network's shape. Every spec is checked here, however
-    it was built: dims are integers >= 1 (bools, strings and fractional dims
-    are refused with a ValueError, not rounded) and are kept as int. The
-    output layer is linear."""
+    """A fully connected network's shape, as `training.task_specs` builds it
+    from a checked config. The output layer is linear; the hidden activation
+    is checked by `autodiff.affine` at the first forward."""
 
     input_dim: int
     hidden_dims: tuple
     output_dim: int
     hidden_activation: str = "tanh"
-
-    def __post_init__(self):
-        for key in ("input_dim", "output_dim"):
-            value = getattr(self, key)
-            if not _is_dim(value):
-                raise ValueError(f"NetworkSpec: {key} must be an integer >= 1, "
-                                 f"got {_shown(value)}")
-            object.__setattr__(self, key, int(value))
-        hidden = self.hidden_dims
-        if not isinstance(hidden, (list, tuple)) or not all(map(_is_dim, hidden)):
-            raise ValueError(f"NetworkSpec: hidden_dims must be a list of integers >= 1, "
-                             f"got {_shown(hidden)}")
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in hidden))
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"NetworkSpec: unknown hidden activation {self.hidden_activation!r}")
 
     @property
     def layer_dims(self):
@@ -86,20 +65,6 @@ class NetworkSpec:
             start, end = end, end + math.prod(shape)
             out.append(vector[start:end].reshape(shape))
         return out
-
-
-def _is_dim(value) -> bool:
-    """A dim: an integer >= 1, not a bool or a float."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= 1)
-
-
-def _shown(value) -> str:
-    """`value` as JSON, or its repr where JSON has no form for it."""
-    try:
-        return json.dumps(value)
-    except (TypeError, ValueError):
-        return repr(value)
 
 
 class NonFiniteParams(NumericsError, ValueError):
@@ -211,7 +176,7 @@ def with_condition(x, main) -> Var:
         x = lift(np.broadcast_to(x.data, main.shape[:-1] + x.shape))
     elif x.ndim != 2 or main.ndim != 2 or x.shape[0] != main.shape[0]:
         raise ShapeMismatch(f"forward: condition shape {x.shape} vs input shape {main.shape}")
-    return concat([x, main], axis=-1)
+    return concat(x, main)
 
 
 def generator_forward(params: NetworkParams | ParamLeaves, z, x=None) -> Var:

@@ -267,8 +267,7 @@ def path_gradient_bound(params_G: NetworkParams, z1, z2, n_quad: int = 64,
     return BoundCheckReport(lhs=lhs, rhs=rhs, slack=rhs - lhs, n_quadrature=n_quad)
 
 
-def bound_suite(params_G: NetworkParams, n_pairs: int, rng, z_dim: int | None = None,
-                x=None) -> dict:
+def bound_suite(params_G: NetworkParams, n_pairs: int, rng, z_dim: int, x=None) -> dict:
     """Run the bound on random latent pairs; near-violations get a 4x finer
     quadrature before counting as failures.
 
@@ -279,8 +278,6 @@ def bound_suite(params_G: NetworkParams, n_pairs: int, rng, z_dim: int | None = 
     """
     if n_pairs < 1:
         raise ValueError("bound_suite: n_pairs must be >= 1")
-    if z_dim is None:
-        z_dim = params_G.spec.input_dim if x is None else params_G.spec.input_dim - np.asarray(x).size
     # piecewise-constant relu Jacobians need a finer grid than smooth tanh
     n_quad = 512 if params_G.spec.hidden_activation == "relu" else 64
     violations = refined = 0

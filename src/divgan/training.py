@@ -15,7 +15,7 @@ import copy
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -78,7 +78,6 @@ __all__ = [
     "rows_to_csv",
 ]
 
-CSV_HEADER = "step,d_loss,g_adv,g_rec,l_z,ratio_mean,modes,hq_frac,diversity,dist_min,frechet"
 CHECKPOINT_VERSION = 3
 EVAL_SAMPLES = 2500  # fakes per evaluation, and real points they are scored against
 
@@ -141,6 +140,9 @@ class MetricRow:
     diversity: float | None = None
     dist_min: float | None = None
     frechet: float | None = None
+
+
+CSV_HEADER = ",".join(f.name for f in fields(MetricRow))  # metrics.csv's columns
 
 
 @dataclass
@@ -551,7 +553,8 @@ def _fmt(v) -> str:
 def rows_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
+    columns = CSV_HEADER.split(",")
+    writer.writerow(columns)
     for r in rows:
-        writer.writerow([_fmt(getattr(r, k)) for k in CSV_HEADER.split(",")])
+        writer.writerow([_fmt(getattr(r, k)) for k in columns])
     return buf.getvalue()

@@ -74,33 +74,12 @@ def test_grad_vector_is_in_the_parameter_layout(rng):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        NetworkSpec(0, (4,), 2)
-    with pytest.raises(ValueError):
-        NetworkSpec(2, (4,), 2, hidden_activation="gelu")
     with pytest.raises(TypeError):  # the output layer is always linear, not a setting
         NetworkSpec(2, (4,), 2, output_activation="linear")
-
-
-@pytest.mark.parametrize("key,value,shown", [
-    ("input_dim", np.int64(0), repr(np.int64(0))),  # no JSON form: its repr
-    ("hidden_dims", (np.int64(4), 0), repr((np.int64(4), 0))),
-    ("hidden_dims", np.array([4]), repr(np.array([4]))),
-])
-def test_python_spec_refusals_name_the_value(key, value, shown):
-    args = {**dict(input_dim=2, hidden_dims=(4,), output_dim=2), key: value}
-    rule = {"input_dim": "an integer >= 1", "hidden_dims": "a list of integers >= 1"}[key]
-    with pytest.raises(ValueError, match=f"^NetworkSpec: {key} must be {re.escape(rule)}, "
-                                         f"got {re.escape(shown)}$"):
-        NetworkSpec(**args)
-
-
-def test_spec_stores_plain_ints():
-    spec = NetworkSpec(np.int64(2), [np.int64(4), 3], np.int32(2))
-    assert spec == NetworkSpec(2, (4, 3), 2)
-    values = [spec.input_dim, *spec.hidden_dims, spec.output_dim]
-    assert [type(v) for v in values] == [int, int, int, int]
-    assert isinstance(spec.hidden_dims, tuple)
+    # an unknown hidden activation is refused by the first forward
+    params = mlp_init(NetworkSpec(2, (4,), 2, hidden_activation="gelu"), 0)
+    with pytest.raises(ValueError, match="unknown activation 'gelu'"):
+        generator_forward(params, np.zeros((1, 2)))
 
 
 def test_params_validation():

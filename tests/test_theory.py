@@ -51,7 +51,7 @@ def test_bound_on_random_mlps(rng):
 
 
 def test_bound_suite_counts():
-    out = bound_suite(tanh_generator(5), n_pairs=25, rng=np.random.default_rng(0))
+    out = bound_suite(tanh_generator(5), n_pairs=25, rng=np.random.default_rng(0), z_dim=2)
     assert out["passed"] and out["violations"] == 0
     assert out["pairs"] == 25
 
@@ -358,7 +358,7 @@ def test_attraction_check_runs_each_generator_pass_once(z_dim, passes, monkeypat
 
 def test_relu_generator_gets_finer_default_grid():
     relu = mlp_init(NetworkSpec(2, (8,), 2, hidden_activation="relu"), 0)
-    out = bound_suite(relu, n_pairs=5, rng=np.random.default_rng(1))
+    out = bound_suite(relu, n_pairs=5, rng=np.random.default_rng(1), z_dim=2)
     assert out["n_quad"] == 512
     assert out["passed"]
 
@@ -468,4 +468,4 @@ def test_bound_lhs_scales_with_the_output_past_the_squares_range(scale):
 
 def test_bound_suite_needs_a_pair():
     with pytest.raises(ValueError, match="n_pairs"):
-        bound_suite(tanh_generator(0), n_pairs=0, rng=np.random.default_rng(0))
+        bound_suite(tanh_generator(0), n_pairs=0, rng=np.random.default_rng(0), z_dim=2)

@@ -346,7 +346,9 @@ def test_csv_header_and_eval_columns():
     result = train(cfg)
     text = rows_to_csv(result.rows)
     lines = text.strip().splitlines()
-    assert lines[0] == CSV_HEADER
+    # the header is built from MetricRow's fields; metrics.csv keeps these columns
+    assert lines[0] == CSV_HEADER == ("step,d_loss,g_adv,g_rec,l_z,ratio_mean,"
+                                      "modes,hq_frac,diversity,dist_min,frechet")
     # steps 1 and 3 carry no eval columns; 2 and 4 do
     assert lines[1].endswith(",,,,,")
     assert lines[2].count(",") == 10 and not lines[2].endswith(",")
@@ -607,27 +609,6 @@ def test_checkpoint_bad_values_are_checkpoint_errors(corrupt):
              else f"^malformed checkpoint: {re.escape(message)}$")
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(json.dumps(doc).encode())
-
-
-# spec values that int() would round or coerce, each refused with its
-# exact message
-SPEC_MESSAGES = [
-    ("input_dim", 2.5, "input_dim must be an integer >= 1, got 2.5"),
-    ("input_dim", True, "input_dim must be an integer >= 1, got true"),
-    ("output_dim", "2", 'output_dim must be an integer >= 1, got "2"'),
-    ("output_dim", 0, "output_dim must be an integer >= 1, got 0"),
-    ("hidden_dims", [128.9, 128],
-     "hidden_dims must be a list of integers >= 1, got [128.9, 128]"),
-    ("hidden_dims", [True, 128], "hidden_dims must be a list of integers >= 1, got [true, 128]"),
-    ("hidden_dims", "128", 'hidden_dims must be a list of integers >= 1, got "128"'),
-]
-
-
-@pytest.mark.parametrize("key,value,message", SPEC_MESSAGES)
-def test_spec_built_in_python_is_refused_with_the_same_message(key, value, message):
-    args = {**vars(init_state(small_cfg()).params_D.spec), key: value}
-    with pytest.raises(ValueError, match=f"^NetworkSpec: {re.escape(message)}$"):
-        NetworkSpec(**args)
 
 
 @pytest.mark.parametrize("network,moment,value,what", [
