@@ -6,9 +6,9 @@ it; flags select the command, paths, and a seed override.
 Commands raise; `main` maps the error to a stderr line and an exit code:
 
     0  success
-    1  verification failed: a check did not hold, or a non-finite value
-       (G output, a distance on it, Jacobian, gradient, weights) stopped it
-       ("verification failed: ...")
+    1  verification failed: a check did not hold or found no attracted
+       scenario, or a non-finite value (G output, a distance on it,
+       Jacobian, gradient, weights) stopped it ("verification failed: ...")
     2  config error ("config error: ..."), a flag out of range (argparse's
        usage message, before any work), or an unreadable, malformed or
        non-finite checkpoint, one of another version, one whose stored config
@@ -228,8 +228,7 @@ def cmd_verify(args) -> int:
         except ValueError:
             continue
     if attraction is None:
-        print("verify: could not construct an attracted scenario", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+        raise NumericsError("could not construct an attracted scenario in 8 pulls")
 
     passed = bound["passed"] and attraction["passed"]
     report = {"gradient_bound": bound, "attraction": attraction, "passed": passed}
@@ -250,8 +249,6 @@ def cmd_interp(args) -> int:
         res = latent_interpolation(params_G, z_a, z_b, steps=args.steps, mode=args.mode)
     except NumericsError as exc:  # finite weights, overflowing output
         raise CheckpointError(str(exc)) from exc
-    except ValueError as exc:  # its argument checks
-        raise ConfigError(str(exc)) from exc
     zcols = [f"z{i}" for i in range(z_dim)]
     ycols = [f"y{i}" for i in range(params_G.spec.output_dim)]
     rows = [["step"] + zcols + ycols + ["slerp_fallback"]]

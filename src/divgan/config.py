@@ -66,7 +66,6 @@ FIELDS = {
     "norm": ("objective.diversity.norm", str),
     "space": ("objective.diversity.space", str),
     "beta": ("objective.beta", float),
-    "g_loss_form": ("objective.g_loss_form", str),
     "lr": ("adam.lr", float),
     "beta1": ("adam.beta1", float),
     "beta2": ("adam.beta2", float),

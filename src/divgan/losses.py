@@ -40,7 +40,6 @@ __all__ = [
 
 NORMS = ("l1", "l2")
 SPACES = ("output", "feature", "sequence")
-G_LOSS_FORMS = ("minimax", "non_saturating")
 
 RESAMPLE_ATTEMPTS = 8
 MIN_Z_GAP = 1e-8  # latent pairs closer than this are resampled
@@ -72,14 +71,11 @@ class DiversityConfig:
 @dataclass(frozen=True)
 class ObjectiveConfig:
     beta: float = 0.0  # reconstruction weight
-    g_loss_form: str = "non_saturating"
     diversity: DiversityConfig = field(default_factory=DiversityConfig)
 
     def __post_init__(self):
         if not 0 <= self.beta < math.inf:
             raise ValueError("ObjectiveConfig: beta must be finite and >= 0")
-        if self.g_loss_form not in G_LOSS_FORMS:
-            raise ValueError(f"ObjectiveConfig: unknown g_loss_form {self.g_loss_form!r}")
 
 
 @dataclass
@@ -131,17 +127,10 @@ def d_loss(logits_real, logits_fake) -> Var:
     return (-lr).softplus().mean() + lf.softplus().mean()
 
 
-def g_adv_loss(logits_fake, form: str = "non_saturating") -> Var:
-    """Generator adversarial loss on fake logits.
-
-    minimax: mean log(1 - s(logit)); non_saturating: -mean log s(logit).
-    """
-    if form not in G_LOSS_FORMS:
-        raise ValueError(f"g_adv_loss: unknown form {form!r}")
-    lf = _as_logit_var(logits_fake, "g_adv_loss")
-    if form == "minimax":
-        return -(lf.softplus().mean())
-    return (-lf).softplus().mean()
+def g_adv_loss(logits_fake) -> Var:
+    """Generator adversarial loss on fake logits, the non-saturating
+    -mean log s(logit), in logit space like d_loss."""
+    return (-_as_logit_var(logits_fake, "g_adv_loss")).softplus().mean()
 
 
 # -- diversity ratios ------------------------------------------------------
@@ -281,7 +270,7 @@ def generator_total_loss(fakes: FakePair, params_D: NetworkParams,
     y1, y2 = fakes.y1, fakes.y2
 
     logits1, feats1 = discriminator_forward(params_D, y1, batch.x)
-    adv = g_adv_loss(logits1, cfg.g_loss_form)
+    adv = g_adv_loss(logits1)
 
     rec = reconstruction_loss(y1, batch.y) if cfg.beta > 0 else None
 

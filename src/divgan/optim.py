@@ -35,20 +35,22 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    t: int = 0
 
 
 def adam_init(params: np.ndarray) -> AdamState:
-    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params), t=0)
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, hyper: AdamHyper):
-    """One bias-corrected Adam update; returns (new params, new state).
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, t: int,
+              hyper: AdamHyper):
+    """Bias-corrected Adam update number t (1-based; a training run passes
+    its step) on the moments in state; returns (new params, new state).
 
-    Inputs are untouched; the state's step counter advances by exactly 1.
-    Non-finite gradients are an error so training loops can surface
-    divergence instead of silently poisoning the moments.
+    Inputs are untouched. Non-finite gradients are an error so training
+    loops can surface divergence instead of silently poisoning the moments.
     """
+    if t < 1:
+        raise ValueError(f"adam_step: update number t must be >= 1, got {t}")
     if not params.shape == grads.shape == state.m.shape == state.v.shape:
         raise ValueError(
             f"adam_step: param shape {params.shape}, grad shape {grads.shape}, "
@@ -57,10 +59,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, hyper: Ad
     if not np.all(np.isfinite(grads)):
         raise NumericsError("adam_step: non-finite gradient")
 
-    t = state.t + 1
     c1 = 1.0 - hyper.beta1**t
     c2 = 1.0 - hyper.beta2**t
     m = hyper.beta1 * state.m + (1.0 - hyper.beta1) * grads
     v = hyper.beta2 * state.v + (1.0 - hyper.beta2) * (grads * grads)
     step = hyper.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
-    return params - step, AdamState(m=m, v=v, t=t)
+    return params - step, AdamState(m=m, v=v)

@@ -420,5 +420,5 @@ def pull_toward(params_G: NetworkParams, z1, y_star, hyper: AdamHyper) -> Networ
     dist = (out - np.asarray(y_star, dtype=np.float64).reshape(1, -1)).square().sum().sqrt()
     backward(dist)
     vector = params_G.vector
-    vector, _ = adam_step(vector, leaves.grad_vector(), adam_init(vector), hyper)
+    vector, _ = adam_step(vector, leaves.grad_vector(), adam_init(vector), 1, hyper)
     return NetworkParams(params_G.spec, vector)

@@ -78,7 +78,7 @@ __all__ = [
     "rows_to_csv",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 EVAL_SAMPLES = 2500  # fakes per evaluation, and real points they are scored against
 
 # fixed stream tags so init, training, and evaluation draw independent seeds
@@ -123,7 +123,7 @@ class TrainState:
     params_D: NetworkParams
     adam_G: AdamState  # moments: one vector each, in params_G.vector's layout
     adam_D: AdamState
-    step: int
+    step: int  # updates made so far; the run's one count, which Adam's bias correction reads
     rng: np.random.Generator
 
 
@@ -251,13 +251,13 @@ def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricR
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             fakes = _fakes(state)
             grad, d_loss_val = _d_gradient(state.params_D, fakes)
-            vector, state.adam_D = adam_step(state.params_D.vector, grad, state.adam_D, adam)
+            vector, state.adam_D = adam_step(state.params_D.vector, grad, state.adam_D, step, adam)
             state.params_D = NetworkParams(state.params_D.spec, vector)
             del grad  # nothing in the G step reads D's gradient
 
             grad, parts = _g_gradient(fakes, state.params_D, state.config.objective)
             del fakes  # G's graph: its leaves and both fakes
-            vector, state.adam_G = adam_step(state.params_G.vector, grad, state.adam_G, adam)
+            vector, state.adam_G = adam_step(state.params_G.vector, grad, state.adam_G, step, adam)
             state.params_G = NetworkParams(state.params_G.spec, vector)
     except NumericsError as exc:
         raise DivergenceError(step, str(exc)) from exc
@@ -416,10 +416,11 @@ def sweep(cfgs, jobs: int = 1) -> list[SweepEntry]:
 
 # -- checkpoints ---------------------------------------------------------------
 #
-# A version 3 checkpoint stores the run's config document, from which
-# task_specs gives both networks' parameter layouts, and each vector in such
-# a layout (the parameters and both Adam moments) as one base64 string of
-# its little-endian float64 bytes.
+# A version 4 checkpoint stores the run's config document, from which
+# task_specs gives both networks' parameter layouts, each vector in such a
+# layout (the parameters and both Adam moments) as one base64 string of its
+# little-endian float64 bytes, the run's one step count and its rng state,
+# and no other key.
 
 
 def _encode(vector: np.ndarray) -> bytes:
@@ -436,24 +437,23 @@ def _decode(payload, spec: NetworkSpec) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64)  # a writable copy
 
 
-def _count(value, what: str) -> int:
-    """A stored count: a JSON integer >= 0, not a bool, float or string."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise CheckpointError(
-            f"malformed checkpoint: {what} must be an integer >= 0, got {json.dumps(value)}"
-        )
-    return value
+def _only_keys(doc: dict, keys, where: str = "") -> None:
+    """CheckpointError naming each key of doc that keys does not list."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise CheckpointError(f"malformed checkpoint:{where} unknown keys: {', '.join(unknown)}")
 
 
 def _adam_restore(doc: dict, name: str, spec: NetworkSpec) -> AdamState:
     payload = doc[name]
     m, v = _decode(payload["m"], spec), _decode(payload["v"], spec)
+    _only_keys(payload, ("m", "v"), f" {name}:")  # an object: the reads above worked
     for moment, a in (("m", m), ("v", v)):
         if not np.isfinite(a).all():
             raise CheckpointError(f"malformed checkpoint: {name}.{moment} is not finite")
     if (v < 0).any():  # a running mean of squared gradients
         raise CheckpointError(f"malformed checkpoint: {name}.v is negative")
-    return AdamState(m=m, v=v, t=_count(payload["t"], f"{name}.t"))
+    return AdamState(m=m, v=v)
 
 
 # what json.dumps writes for the string save_checkpoint puts where a vector
@@ -484,8 +484,8 @@ def save_checkpoint(state: TrainState) -> bytes:
         "config": to_document(state.config),
         "params_G": slot(state.params_G.vector),
         "params_D": slot(state.params_D.vector),
-        "adam_G": {"m": slot(state.adam_G.m), "v": slot(state.adam_G.v), "t": state.adam_G.t},
-        "adam_D": {"m": slot(state.adam_D.m), "v": slot(state.adam_D.v), "t": state.adam_D.t},
+        "adam_G": {"m": slot(state.adam_G.m), "v": slot(state.adam_G.v)},
+        "adam_D": {"m": slot(state.adam_D.m), "v": slot(state.adam_D.v)},
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
     }
@@ -496,10 +496,8 @@ def save_checkpoint(state: TrainState) -> bytes:
     return b"".join(parts)
 
 
-def load_checkpoint(blob) -> TrainState:
-    """A version 3 blob back as the state it was saved from."""
-    if isinstance(blob, str):
-        blob = blob.encode("utf-8")
+def load_checkpoint(blob: bytes) -> TrainState:
+    """A version 4 blob back as the state it was saved from."""
     try:
         doc = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -508,26 +506,32 @@ def load_checkpoint(blob) -> TrainState:
 
 
 def restore_checkpoint(doc) -> TrainState:
-    """load_checkpoint for a blob already parsed: the state a version 3
+    """load_checkpoint for a blob already parsed: the state a version 4
     document was saved from, or CheckpointError."""
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointError("malformed checkpoint: missing version")
-    # the JSON integer 3: 3.0 and a bool could compare equal to it
+    # the JSON integer 4: 4.0 and a bool could compare equal to it
     if type(doc["version"]) is not int or doc["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {json.dumps(doc['version'])} "
                               f"(expected {CHECKPOINT_VERSION})")
+    _only_keys(doc, ("version", "config", "params_G", "params_D", "adam_G", "adam_D",
+                     "step", "rng_state"))
     try:
         cfg = parse_run_config(doc["config"])
         g_spec, d_spec = task_specs(cfg)
         rng = np.random.default_rng(0)
         rng.bit_generator.state = doc["rng_state"]
+        step = doc["step"]  # a JSON integer >= 0, not a bool, float or string
+        if isinstance(step, bool) or not isinstance(step, int) or step < 0:
+            raise CheckpointError(
+                f"malformed checkpoint: step must be an integer >= 0, got {json.dumps(step)}")
         return TrainState(
             config=cfg,
             params_G=NetworkParams(g_spec, _decode(doc["params_G"], g_spec)),
             params_D=NetworkParams(d_spec, _decode(doc["params_D"], d_spec)),
             adam_G=_adam_restore(doc, "adam_G", g_spec),
             adam_D=_adam_restore(doc, "adam_D", d_spec),
-            step=_count(doc["step"], "step"),
+            step=step,
             rng=rng,
         )
     except CheckpointError:
@@ -542,19 +546,12 @@ def restore_checkpoint(doc) -> TrainState:
 # -- CSV metric log -------------------------------------------------------------
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 def rows_to_csv(rows) -> str:
+    """metrics.csv's text: csv.writer writes None as an empty field and a
+    row's Python ints and floats as their repr."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     columns = CSV_HEADER.split(",")
     writer.writerow(columns)
-    for r in rows:
-        writer.writerow([_fmt(getattr(r, k)) for k in columns])
+    writer.writerows([getattr(r, k) for k in columns] for r in rows)
     return buf.getvalue()

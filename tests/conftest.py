@@ -43,7 +43,7 @@ def objective(batch, params_G, params_D, cfg, rng=None):
 
 def edit_vector(doc, name, edit):
     """Replace the vector at `name` ("params_G", or an Adam moment such as
-    "adam_D.v") of a version 3 checkpoint doc (base64 of little-endian
+    "adam_D.v") of a version 4 checkpoint doc (base64 of little-endian
     float64 bytes) with edit(vector)."""
     *path, key = name.split(".")
     holder = doc[path[0]] if path else doc
@@ -51,10 +51,24 @@ def edit_vector(doc, name, edit):
     holder[key] = base64.b64encode(np.asarray(edit(vector), "<f8").tobytes()).decode()
 
 
+def as_version_3(doc):
+    """A version 4 checkpoint doc rewritten in the version 3 layout, which
+    also stored each Adam state's own step count t, and a config document
+    with the key g_loss_form."""
+    for name in ("adam_G", "adam_D"):
+        doc[name]["t"] = doc["step"]
+    doc["config"]["g_loss_form"] = "non_saturating"
+    doc["version"] = 3
+    return doc
+
+
 def as_version_2(doc):
-    """A version 3 checkpoint doc rewritten in the version 2 layout, which
-    stored no config but each network's spec beside its parameter vector."""
-    specs = task_specs(parse_run_config(doc.pop("config")))
+    """A version 4 checkpoint doc rewritten in the version 2 layout: version
+    3's, but with each network's spec beside its parameter vector in place of
+    the config."""
+    specs = task_specs(parse_run_config(doc["config"]))
+    doc = as_version_3(doc)
+    del doc["config"]
     for network, spec in zip(("params_G", "params_D"), specs):
         stored = {"input_dim": spec.input_dim, "hidden_dims": list(spec.hidden_dims),
                   "output_dim": spec.output_dim, "hidden_activation": spec.hidden_activation,

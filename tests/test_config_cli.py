@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import as_version_2, edit_vector
+from conftest import as_version_2, as_version_3, edit_vector
 from divgan import cli, training
 from divgan.cli import MAX_COUNT, main
 from divgan.config import FIELDS, ConfigError, parse_run_config, read_json, to_document
@@ -85,7 +85,7 @@ def test_every_key_sets_its_field(task):
     doc = {
         "task": task, "z_dim": 3, "batch_size": 32, "steps": 7, "seed": 5,
         "eval_every": 4, "lambda": 0.25, "tau": 2, "norm": "l2", "space": "feature", "beta": 1,
-        "g_loss_form": "minimax", "lr": 1e-3, "beta1": 0, "beta2": 0.99,
+        "lr": 1e-3, "beta1": 0, "beta2": 0.99,
         "ring": {"n_modes": 8, "radius": 3, "std": 0.05},
     }
     keys = {k for k in doc if k != "ring"} | {f"ring.{k}" for k in doc["ring"]}
@@ -93,7 +93,7 @@ def test_every_key_sets_its_field(task):
     want = TrainConfig(
         task=task,
         objective=ObjectiveConfig(
-            beta=1.0, g_loss_form="minimax",
+            beta=1.0,
             diversity=DiversityConfig(weight=0.25, tau=2.0, norm="l2", space="feature"),
         ),
         ring=RingMixtureSpec(n_modes=8, radius=3.0, std=0.05),
@@ -113,7 +113,7 @@ def doc_setting(key, value):
 OTHER_VALUES = {
     "task": "trajectory", "z_dim": 3, "batch_size": 32, "steps": 7, "seed": 5,
     "eval_every": 4, "lambda": 0.25, "tau": None, "norm": "l2", "space": "feature",
-    "beta": 1.5, "g_loss_form": "minimax", "lr": 1e-3, "beta1": 0.0, "beta2": 0.99,
+    "beta": 1.5, "lr": 1e-3, "beta1": 0.0, "beta2": 0.99,
     "ring.n_modes": 12, "ring.radius": 3.0, "ring.std": 0.05,
 }
 
@@ -542,6 +542,26 @@ def test_verify_config_checks_the_generator_train_starts_from(flag, seed, tmp_pa
     assert rng_state == np.random.default_rng(9 if flag else 0).bit_generator.state
 
 
+def test_verify_without_an_attracted_scenario_fails_verification(tmp_path, capsys,
+                                                                  monkeypatch):
+    """A pull that leaves G unchanged never brings G(z1) closer to its target,
+    so all eight tries fail: exit 1 with one stderr line and no report."""
+    pulls = []
+
+    def no_pull(params_G, *args):
+        pulls.append(1)
+        return params_G
+
+    monkeypatch.setattr(cli, "pull_toward", no_pull)
+    out = tmp_path / "v.json"
+    assert main(["verify", write_cfg(tmp_path, FAST_RING), "--out", str(out),
+                 "--pairs", "2", "--probes", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("verification failed: could not construct an attracted "
+                            "scenario in 8 pulls\n")
+    assert captured.out == "" and len(pulls) == 8 and not out.exists()
+
+
 def test_verify_accepts_checkpoint(tmp_path):
     cfg = write_cfg(tmp_path, FAST_RING)
     run = tmp_path / "run"
@@ -672,22 +692,20 @@ def test_eval_rejects_impossible_adam_moments(network, moment, value, what, tmp_
     assert not (tmp_path / "e.json").exists()
 
 
-def test_eval_rejects_negative_adam_step_count(tmp_path, capsys):
+def test_eval_rejects_an_adam_step_count(tmp_path, capsys):
+    # the run's step is the one count a checkpoint stores
     doc = trained_checkpoint_doc(tmp_path)
-    doc["adam_G"]["t"] = -1
+    doc["adam_G"]["t"] = 0
     ckpt = write_cfg(tmp_path, doc, "bad.ckpt.json")
     capsys.readouterr()
     assert main(["eval", ckpt, "--out", str(tmp_path / "e.json")]) == 2
     err = capsys.readouterr().err
-    assert err == ("checkpoint error: malformed checkpoint: "
-                   "adam_G.t must be an integer >= 0, got -1\n")
+    assert err == "checkpoint error: malformed checkpoint: adam_G: unknown keys: t\n"
     assert not (tmp_path / "e.json").exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "verify", "interp"])
-def test_version_2_checkpoint_is_refused(command, tmp_path, capsys):
-    doc = trained_checkpoint_doc(tmp_path)
-    ckpt = write_cfg(tmp_path, as_version_2(doc), "v2.ckpt.json")
+def _old_version_refused(command, doc, version, tmp_path, capsys):
+    ckpt = write_cfg(tmp_path, doc, f"v{version}.ckpt.json")
     out = str(tmp_path / "out")
     argv = {"eval": ["eval", ckpt, "--out", out],
             "verify": ["verify", ckpt, "--out", out, "--pairs", "2", "--probes", "10"],
@@ -695,8 +713,20 @@ def test_version_2_checkpoint_is_refused(command, tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "checkpoint error: unsupported checkpoint version 2 (expected 3)\n")
+        f"checkpoint error: unsupported checkpoint version {version} (expected 4)\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "verify", "interp"])
+def test_version_2_checkpoint_is_refused(command, tmp_path, capsys):
+    doc = as_version_2(trained_checkpoint_doc(tmp_path))
+    _old_version_refused(command, doc, 2, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", ["eval", "verify", "interp"])
+def test_version_3_checkpoint_is_refused(command, tmp_path, capsys):
+    doc = as_version_3(trained_checkpoint_doc(tmp_path))
+    _old_version_refused(command, doc, 3, tmp_path, capsys)
 
 
 def overflowing_checkpoint(tmp_path, weight=1e308):

@@ -64,21 +64,15 @@ def test_d_loss_empty_batch():
 
 
 def test_g_adv_loss_at_zero_logits():
-    assert g_adv_loss([0.0], "non_saturating").item() == pytest.approx(LN2, abs=1e-12)
-    assert g_adv_loss([0.0], "minimax").item() == pytest.approx(-LN2, abs=1e-12)
+    assert g_adv_loss([0.0]).item() == pytest.approx(LN2, abs=1e-12)
 
 
-def test_g_adv_forms_share_gradient_sign(rng):
-    for _ in range(50):
-        logit = rng.uniform(-5, 5, size=(1,))
-        _, (g_mm,) = evaluate_with_gradients(lambda l: g_adv_loss(l, "minimax"), [logit])
-        _, (g_ns,) = evaluate_with_gradients(lambda l: g_adv_loss(l, "non_saturating"), [logit])
-        assert np.sign(g_mm) == np.sign(g_ns) == -1.0
-
-
-def test_g_adv_unknown_form():
-    with pytest.raises(ValueError):
-        g_adv_loss([0.0], "wasserstein")
+def test_g_adv_gradient_raises_fake_logits(rng):
+    # non-saturating: the gradient stays away from 0 where D rejects the fake
+    for logit in [*rng.uniform(-5, 5, size=(50, 1)), np.array([-1000.0])]:
+        value, (grad,) = evaluate_with_gradients(g_adv_loss, [logit])
+        assert np.isfinite(value) and np.sign(grad) == -1.0
+    assert grad == pytest.approx(-1.0)
 
 
 # -- diversity ratio ----------------------------------------------------------
@@ -495,7 +489,7 @@ def _per_step_objective(batch, params_G, params_D, cfg, z2):
     leaves = ParamLeaves(params_G)
     y1 = generator_forward(leaves, batch.z1)
     y2 = generator_forward(leaves, z2)
-    adv = g_adv_loss(discriminator_forward(params_D, y1)[0], cfg.g_loss_form)
+    adv = g_adv_loss(discriminator_forward(params_D, y1)[0])
     step = y1.shape[1] // batch.seq_len
     acc = None
     for t in range(batch.seq_len):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,7 @@ def make_params(rng):
 
 def test_zero_gradients_leave_params_unchanged(rng):
     params = make_params(rng)
-    new, state = adam_step(params, np.zeros_like(params), adam_init(params), AdamHyper())
-    assert state.t == 1
+    new, _ = adam_step(params, np.zeros_like(params), adam_init(params), 1, AdamHyper())
     assert np.array_equal(params, new)
 
 
@@ -20,7 +21,7 @@ def test_zero_gradients_leave_params_unchanged(rng):
 def test_first_step_is_signed_learning_rate(g):
     hyper = AdamHyper(lr=1e-3)
     params = np.array([0.0])
-    new, _ = adam_step(params, np.array([g]), adam_init(params), hyper)
+    new, _ = adam_step(params, np.array([g]), adam_init(params), 1, hyper)
     update = float(new[0])
     assert np.sign(update) == -np.sign(g)
     assert 1.0 - 1e-6 <= abs(update) / hyper.lr <= 1.0
@@ -29,8 +30,8 @@ def test_first_step_is_signed_learning_rate(g):
 def test_determinism(rng):
     params = make_params(rng)
     grads = rng.normal(size=params.shape)
-    out1 = adam_step(params, grads, adam_init(params), AdamHyper())
-    out2 = adam_step(params, grads, adam_init(params), AdamHyper())
+    out1 = adam_step(params, grads, adam_init(params), 1, AdamHyper())
+    out2 = adam_step(params, grads, adam_init(params), 1, AdamHyper())
     assert np.array_equal(out1[0], out2[0])
     assert np.array_equal(out1[1].m, out2[1].m)
     assert np.array_equal(out1[1].v, out2[1].v)
@@ -39,33 +40,36 @@ def test_determinism(rng):
 def test_inputs_are_untouched(rng):
     params = make_params(rng)
     grads = rng.normal(size=params.shape)
-    state = adam_step(params, grads, adam_init(params), AdamHyper())[1]
+    state = adam_step(params, grads, adam_init(params), 1, AdamHyper())[1]
     before = [a.copy() for a in (params, grads, state.m, state.v)]
-    adam_step(params, grads, state, AdamHyper())
+    adam_step(params, grads, state, 2, AdamHyper())
     assert all(np.array_equal(a, b) for a, b in zip(before, (params, grads, state.m, state.v)))
-    assert state.t == 1
 
 
-def test_step_counter_increments_by_one(rng):
+@pytest.mark.parametrize("t", [0, -1])
+def test_update_number_below_one_is_refused(t, rng):
+    # t = 0 would divide the moments by 1 - beta**0 = 0
     params = make_params(rng)
-    state = adam_init(params)
-    for expected in (1, 2, 3):
-        params, state = adam_step(params, np.ones_like(params), state, AdamHyper())
-        assert state.t == expected
+    with pytest.raises(ValueError, match=f"^adam_step: update number t must be >= 1, got {t}$"):
+        adam_step(params, np.ones_like(params), adam_init(params), t, AdamHyper())
+
+
+def test_state_holds_only_the_moments():
+    assert [f.name for f in fields(AdamState)] == ["m", "v"]
 
 
 def test_nonfinite_gradient_is_an_error(rng):
     params = make_params(rng)
     with pytest.raises(NumericsError):
-        adam_step(params, np.full_like(params, np.nan), adam_init(params), AdamHyper())
+        adam_step(params, np.full_like(params, np.nan), adam_init(params), 1, AdamHyper())
 
 
 def test_shape_mismatch_is_an_error(rng):
     params = make_params(rng)
     with pytest.raises(ValueError, match="grad shape"):
-        adam_step(params, np.zeros(7), adam_init(params), AdamHyper())
+        adam_step(params, np.zeros(7), adam_init(params), 1, AdamHyper())
     with pytest.raises(ValueError, match="moment shapes"):
-        adam_step(params, np.zeros(8), adam_init(np.zeros(9)), AdamHyper())
+        adam_step(params, np.zeros(8), adam_init(np.zeros(9)), 1, AdamHyper())
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -86,7 +90,7 @@ def test_matches_reference_formula(rng):
     q = p.copy()
     for t in range(1, 6):
         g = rng.normal(size=(4,))
-        p, state = adam_step(p, g, state, hyper)
+        p, state = adam_step(p, g, state, t, hyper)
         m = hyper.beta1 * m + (1 - hyper.beta1) * g
         v = hyper.beta2 * v + (1 - hyper.beta2) * g * g
         mhat = m / (1 - hyper.beta1**t)
@@ -112,18 +116,17 @@ def test_matches_textbook_expression_bit_for_bit():
                         mixed()])
     v = np.concatenate([[0.0, tiny, 1e300, 0.0, 3.0, 2.5e-320, 1e-300, 0.25, 1e300, 0.0],
                         np.abs(mixed())])
-    state = AdamState(m=m, v=v, t=2)
+    state = AdamState(m=m, v=v)
     hyper = AdamHyper(lr=1e-3, beta1=0.9, beta2=0.99)
     before = [a.tobytes() for a in (params, grads, m, v)]
     with np.errstate(over="ignore"):  # 1e300 squared is inf, as in the expression
-        new, out = adam_step(params, grads, state, hyper)
         t = 3
+        new, out = adam_step(params, grads, state, t, hyper)
         c1 = 1.0 - hyper.beta1**t
         c2 = 1.0 - hyper.beta2**t
         m_ref = hyper.beta1 * m + (1.0 - hyper.beta1) * grads
         v_ref = hyper.beta2 * v + (1.0 - hyper.beta2) * (grads * grads)
         p_ref = params - hyper.lr * (m_ref / c1) / (np.sqrt(v_ref / c2) + EPS)
-    assert out.t == t
     for got, ref in ((new, p_ref), (out.m, m_ref), (out.v, v_ref)):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     assert [a.tobytes() for a in (params, grads, m, v)] == before

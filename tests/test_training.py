@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import as_version_2, edit_vector, objective
+from conftest import as_version_2, as_version_3, edit_vector, objective
 from divgan import metrics, training
 from divgan.autodiff import backward
 from divgan.config import parse_run_config, to_document
@@ -43,6 +43,7 @@ from divgan.training import (
     CSV_HEADER,
     EVAL_SAMPLES,
     DivergenceError,
+    MetricRow,
     TrainConfig,
     evaluate_generator,
     init_state,
@@ -118,7 +119,7 @@ def test_lambda_zero_matches_term_free_build():
 
     gvars = [Var(p) for p in state.params_G.flat()]
     y1, _ = mlp_forward_vars(gvars, state.params_G.spec, Var(z1))
-    bare = g_adv_loss(discriminator_forward(state.params_D, y1)[0], "non_saturating")
+    bare = g_adv_loss(discriminator_forward(state.params_D, y1)[0])
     backward(bare)
     for a, v in zip(grads_with_logging, gvars):
         assert np.array_equal(a, v.grad)
@@ -181,9 +182,9 @@ def test_each_phase_graph_is_freed_before_the_next(task, monkeypatch):
         g_graph.extend([weakref.ref(res), weakref.ref(res.total.data)])
         return res
 
-    def adam(vector, grad, adam_state, hyper):
+    def adam(vector, grad, adam_state, t, hyper):
         seen.append(("Adam", gone(d_graph), gone(g_graph)))
-        return adam_step(vector, grad, adam_state, hyper)
+        return adam_step(vector, grad, adam_state, t, hyper)
 
     monkeypatch.setattr(training, "ParamLeaves", TrackedLeaves)
     monkeypatch.setattr(training, "discriminator_forward", d_forward)
@@ -354,6 +355,13 @@ def test_csv_header_and_eval_columns():
     assert lines[2].count(",") == 10 and not lines[2].endswith(",")
 
 
+def test_csv_writes_numbers_as_repr_and_none_as_empty():
+    row = MetricRow(step=3, d_loss=0.1, g_adv=1e-300, g_rec=0.0, l_z=-0.0,
+                    ratio_mean=2.5, modes=4, hq_frac=1 / 3)
+    line = rows_to_csv([row]).splitlines()[1]
+    assert line == "3,0.1,1e-300,0.0,-0.0,2.5,4,0.3333333333333333,,,"
+
+
 def test_divergence_carries_step_and_rows():
     cfg = small_cfg(steps=10, adam=replace(TrainConfig().adam, lr=1e150))
     with pytest.raises(DivergenceError) as err:
@@ -409,20 +417,19 @@ def test_trajectory_task_runs():
 
 
 def assert_same_state(a, b):
-    """Every parameter and moment vector bitwise equal, and config, step,
-    Adam t and the rng state equal."""
+    """Every parameter and moment vector bitwise equal, and config, step
+    and the rng state equal."""
     assert a.config == b.config
     for pa, pb in ((a.params_G, b.params_G), (a.params_D, b.params_D)):
         assert pa.spec == pb.spec and pa.vector.tobytes() == pb.vector.tobytes()
     for sa, sb in ((a.adam_G, b.adam_G), (a.adam_D, b.adam_D)):
         assert sa.m.tobytes() == sb.m.tobytes() and sa.v.tobytes() == sb.v.tobytes()
-        assert sa.t == sb.t
     assert a.step == b.step
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 @pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
-def test_checkpoint_v3_roundtrip_is_byte_exact(task):
+def test_checkpoint_v4_roundtrip_is_byte_exact(task):
     cfg = small_cfg(task=task, z_dim=4, steps=2)
     result = train(cfg)
     state = result.state
@@ -431,8 +438,9 @@ def test_checkpoint_v3_roundtrip_is_byte_exact(task):
     doc = json.loads(blob)
     assert list(doc) == ["version", "config", "params_G", "params_D", "adam_G", "adam_D",
                          "step", "rng_state"]
-    assert doc["version"] == 3 and doc["config"] == to_document(cfg)
+    assert doc["version"] == 4 and doc["config"] == to_document(cfg)
     assert isinstance(doc["params_G"], str) and isinstance(doc["adam_D"]["v"], str)
+    assert list(doc["adam_G"]) == list(doc["adam_D"]) == ["m", "v"]  # step is the one count
     loaded = load_checkpoint(blob)
     assert loaded.config == cfg
     assert (loaded.params_G.spec, loaded.params_D.spec) == task_specs(cfg)
@@ -452,18 +460,18 @@ def test_checkpoint_vector_golden_encoding():
 
 
 def plain_save_checkpoint(state):
-    """The writer as json.dumps of the whole version 3 document, base64
+    """The writer as json.dumps of the whole version 4 document, base64
     strings and all: save_checkpoint must give these bytes."""
     def b64(vector):
         return base64.b64encode(vector.astype("<f8").tobytes()).decode("ascii")
 
     doc = {
-        "version": 3,
+        "version": 4,
         "config": to_document(state.config),
         "params_G": b64(state.params_G.vector),
         "params_D": b64(state.params_D.vector),
-        "adam_G": {"m": b64(state.adam_G.m), "v": b64(state.adam_G.v), "t": state.adam_G.t},
-        "adam_D": {"m": b64(state.adam_D.m), "v": b64(state.adam_D.v), "t": state.adam_D.t},
+        "adam_G": {"m": b64(state.adam_G.m), "v": b64(state.adam_G.v)},
+        "adam_D": {"m": b64(state.adam_D.m), "v": b64(state.adam_D.v)},
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
     }
@@ -484,8 +492,53 @@ def test_save_checkpoint_matches_plain_json_dumps(task):
 def test_checkpoint_version_2_is_refused():
     doc = as_version_2(json.loads(save_checkpoint(init_state(small_cfg()))))
     with pytest.raises(CheckpointError,
-                       match=r"^unsupported checkpoint version 2 \(expected 3\)$"):
+                       match=r"^unsupported checkpoint version 2 \(expected 4\)$"):
         load_checkpoint(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d.update(note="x", spec_G={}), "unknown keys: note, spec_G"),
+    (lambda d: d["adam_G"].update(extra=0), "adam_G: unknown keys: extra"),
+    (lambda d: d["adam_D"].update(t=1000), "adam_D: unknown keys: t"),
+])
+def test_checkpoint_unknown_keys_are_refused(edit, message):
+    """A version 4 document holds its keys and no others: a stray key,
+    such as an Adam step count t beside the run's step, is an error."""
+    doc = json.loads(save_checkpoint(init_state(small_cfg())))
+    edit(doc)
+    with pytest.raises(CheckpointError, match=f"^malformed checkpoint: {re.escape(message)}$"):
+        load_checkpoint(json.dumps(doc).encode())
+
+
+def test_checkpoint_version_3_layout_marked_version_4_is_refused():
+    # the Adam step counts and the g_loss_form config key are both stray now
+    doc = as_version_3(json.loads(save_checkpoint(init_state(small_cfg()))))
+    doc["version"] = 4
+    with pytest.raises(CheckpointError,
+                       match="^malformed checkpoint: unknown config keys: g_loss_form$"):
+        load_checkpoint(json.dumps(doc).encode())
+    doc["config"].pop("g_loss_form")
+    with pytest.raises(CheckpointError, match="^malformed checkpoint: adam_G: unknown keys: t$"):
+        load_checkpoint(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
+def test_loaded_checkpoint_steps_like_the_run_it_came_from(task):
+    """k steps, a save and load, then N - k more give the state of N
+    uninterrupted steps bit for bit: Adam's bias correction reads the
+    restored step, and the rng continues its stream."""
+    cfg = small_cfg(task=task, z_dim=4, steps=6)
+    whole = init_state(cfg)
+    for _ in range(cfg.steps):
+        whole, _ = train_step(whole, cfg)
+    resumed = init_state(cfg)
+    for _ in range(2):
+        resumed, _ = train_step(resumed, cfg)
+    resumed = load_checkpoint(save_checkpoint(resumed))
+    for _ in range(cfg.steps - 2):
+        resumed, _ = train_step(resumed, resumed.config)
+    assert resumed.step == cfg.steps
+    assert_same_state(resumed, whole)
 
 
 def test_checkpoint_roundtrip_exact():
@@ -510,11 +563,11 @@ def test_checkpoint_truncated_blob():
 
 
 def test_checkpoint_version_check():
-    # the JSON integer 3 only, as strictly as step and t are read
+    # the JSON integer 4 only, as strictly as step is read
     doc = json.loads(save_checkpoint(init_state(small_cfg())))
-    for version in (999, 3.0, True, "3", None, 2, 1):
+    for version in (999, 4.0, True, "4", None, 3, 2, 1):
         doc["version"] = version
-        want = re.escape(f"unsupported checkpoint version {json.dumps(version)} (expected 3)")
+        want = re.escape(f"unsupported checkpoint version {json.dumps(version)} (expected 4)")
         with pytest.raises(CheckpointError, match=f"^{want}$"):
             load_checkpoint(json.dumps(doc).encode())
 
@@ -562,18 +615,6 @@ def _list_for_base64(doc):
     doc["params_D"] = [0.0] * len(init_state(small_cfg()).params_D.vector)
 
 
-def _adam_t_negative(doc):
-    doc["adam_G"]["t"] = -1  # the next Adam step would divide by zero
-
-
-def _adam_t_fraction(doc):
-    doc["adam_G"]["t"] = 2.7
-
-
-def _adam_t_bool(doc):
-    doc["adam_D"]["t"] = True
-
-
 def _step_negative(doc):
     doc["step"] = -7
 
@@ -588,9 +629,6 @@ def _step_huge_float(doc):
 
 # counts that are not JSON integers >= 0, each named exactly
 COUNT_MESSAGES = {
-    _adam_t_negative: "adam_G.t must be an integer >= 0, got -1",
-    _adam_t_fraction: "adam_G.t must be an integer >= 0, got 2.7",
-    _adam_t_bool: "adam_D.t must be an integer >= 0, got true",
     _step_negative: "step must be an integer >= 0, got -7",
     _step_string: 'step must be an integer >= 0, got "3"',
     _step_huge_float: "step must be an integer >= 0, got 1e+300",
