@@ -22,7 +22,7 @@ from .autodiff import (
     jacobian,
 )
 from .config import TrainConfig
-from .data import ConditionalRingSpec, RingMixtureSpec, TrajectorySpec
+from .data import RingMixtureSpec, TrajectorySpec
 from .losses import DiversityConfig, ObjectiveConfig
 from .metrics import EvalReport
 from .nets import NetworkParams, NetworkSpec
@@ -39,7 +39,6 @@ __all__ = [
     "finite_diff_gradient",
     "jacobian",
     "RingMixtureSpec",
-    "ConditionalRingSpec",
     "TrajectorySpec",
     "DiversityConfig",
     "ObjectiveConfig",

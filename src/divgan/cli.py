@@ -35,7 +35,7 @@ import numpy as np
 
 from .autodiff import NumericsError
 from .config import ConfigError, parse_run_config, read_json
-from .metrics import latent_interpolation
+from .metrics import EVAL_COLUMNS, latent_interpolation
 from .optim import AdamHyper
 from .theory import attraction_check, bound_suite, pull_toward
 from .training import (
@@ -165,16 +165,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--lambdas must name at least one value")
     entries = sweep(cfgs, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
-    summary = [["lambda", "modes", "hq_frac", "diversity", "frechet"]]
-    for e in entries:
-        weight = e.config.objective.diversity.weight
-        if e.report is None:
-            summary.append([weight, "", "", "", ""])
-        else:
-            summary.append([
-                weight, e.report.modes_captured, e.report.hq_fraction,
-                e.report.pairwise_diversity, e.report.frechet2,
-            ])
+    summary = [["lambda", *EVAL_COLUMNS]]
+    summary += [[e.config.objective.diversity.weight,
+                 *(getattr(e.report, k, None) for k in EVAL_COLUMNS)] for e in entries]
     _write(os.path.join(args.out, "summary.csv"), _csv(summary))
     doc = [
         {

@@ -9,19 +9,20 @@ independent streams (spawn), never a shared generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import ClassVar
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "MAX_SIZE",
+    "N_LABELS",
+    "MODES_PER_LABEL",
     "RingMixtureSpec",
-    "ConditionalRingSpec",
     "TrajectorySpec",
     "LabeledBatch",
     "sample_ring",
     "sample_conditional_ring",
+    "label_of",
     "sample_trajectories",
     "nearest_modes",
     "one_hot",
@@ -32,6 +33,11 @@ __all__ = [
 # (2500 samples) or the theory checks holds more than 2**25 float64 entries
 # (256 MiB)
 MAX_SIZE = 4096
+
+# conditional_ring's labels: label k owns the adjacent ring modes 2k and 2k+1,
+# so its ring has N_LABELS * MODES_PER_LABEL modes (TrainConfig checks this)
+N_LABELS = 4
+MODES_PER_LABEL = 2
 
 
 @dataclass(frozen=True)
@@ -52,26 +58,6 @@ class RingMixtureSpec:
     def centers(self) -> np.ndarray:
         angles = 2.0 * np.pi * np.arange(self.n_modes) / self.n_modes
         return self.radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-
-@dataclass(frozen=True)
-class ConditionalRingSpec:
-    """Ring mixture where label k owns the adjacent mode pair {2k, 2k+1}."""
-
-    base: RingMixtureSpec = field(default_factory=RingMixtureSpec)
-    n_labels: ClassVar[int] = 4
-    modes_per_label: ClassVar[int] = 2
-
-    def __post_init__(self):
-        if self.n_labels * self.modes_per_label != self.base.n_modes:
-            raise ValueError(
-                f"ConditionalRingSpec: {self.n_labels} labels x {self.modes_per_label} "
-                f"modes != {self.base.n_modes} ring modes"
-            )
-
-    def label_of(self, modes):
-        """The label that owns each ring mode index."""
-        return modes // self.modes_per_label
 
 
 @dataclass(frozen=True)
@@ -112,15 +98,20 @@ def sample_ring(spec: RingMixtureSpec, n: int, rng) -> np.ndarray:
     return spec.centers()[idx] + rng.normal(0.0, spec.std, size=(n, 2))
 
 
-def sample_conditional_ring(spec: ConditionalRingSpec, n: int, rng) -> LabeledBatch:
-    """Uniform labels; each point drawn from one of the label's two modes."""
+def sample_conditional_ring(ring: RingMixtureSpec, n: int, rng) -> LabeledBatch:
+    """Uniform labels; each point drawn from one of its label's MODES_PER_LABEL modes."""
     if n < 1:
         raise ValueError("sample_conditional_ring: n must be >= 1")
-    labels = rng.integers(0, spec.n_labels, size=n)
-    offset = rng.integers(0, spec.modes_per_label, size=n)
-    modes = labels * spec.modes_per_label + offset
-    y = spec.base.centers()[modes] + rng.normal(0.0, spec.base.std, size=(n, 2))
-    return LabeledBatch(x=one_hot(labels, spec.n_labels), y=y, labels=labels)
+    labels = rng.integers(0, N_LABELS, size=n)
+    offset = rng.integers(0, MODES_PER_LABEL, size=n)
+    modes = labels * MODES_PER_LABEL + offset
+    y = ring.centers()[modes] + rng.normal(0.0, ring.std, size=(n, 2))
+    return LabeledBatch(x=one_hot(labels, N_LABELS), y=y, labels=labels)
+
+
+def label_of(modes):
+    """The conditional_ring label that owns each ring mode index."""
+    return modes // MODES_PER_LABEL
 
 
 def sample_trajectories(spec: TrajectorySpec, n: int, rng) -> LabeledBatch:

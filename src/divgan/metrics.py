@@ -8,16 +8,17 @@ surrogates, not perceptual metrics.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .autodiff import NumericsError
-from .data import ConditionalRingSpec, RingMixtureSpec, nearest_modes
+from .data import MODES_PER_LABEL, N_LABELS, RingMixtureSpec, label_of, nearest_modes
 from .nets import NetworkParams, generator_forward
 
 __all__ = [
     "EvalReport",
+    "EVAL_COLUMNS",
     "InterpolationResult",
     "HQ_STD_MULTIPLE",
     "mode_coverage",
@@ -64,6 +65,11 @@ class EvalReport:
     def from_json(text: str) -> "EvalReport":
         """A report from `to_json`'s text, with or without the per-label fields."""
         return EvalReport(**json.loads(text))
+
+
+# an evaluation's columns in metrics.csv and summary.csv; a row without a
+# report, or a field that is None, is an empty cell
+EVAL_COLUMNS = tuple(f.name for f in fields(EvalReport))
 
 
 def mode_coverage(samples, spec: RingMixtureSpec, *, nearest=None) -> tuple[int, float]:
@@ -201,21 +207,22 @@ def latent_interpolation(params_G: NetworkParams, z_a, z_b, steps: int,
     return InterpolationResult(latents=latents, outputs=outputs, slerp_fallback=fallback)
 
 
-def conditional_coverage(y: np.ndarray, labels: np.ndarray, spec: ConditionalRingSpec,
+def conditional_coverage(y: np.ndarray, labels: np.ndarray, ring: RingMixtureSpec,
                          *, nearest=None) -> tuple[list[bool], float | None]:
     """Per-label check that both owned modes got a high-quality sample, plus
     the fraction of high-quality samples landing in their label's modes:
     None when no sample is high quality, which is no evidence, where 0.0
-    would read as every sample misplaced. `nearest` is
-    `data.nearest_modes(y, spec.base)` when the caller already has it."""
+    would read as every sample misplaced. `ring` is conditional_ring's ring
+    (`data.label_of` gives each mode's label), and `nearest` is
+    `data.nearest_modes(y, ring)` when the caller already has it."""
     if nearest is None:
-        nearest = nearest_modes(np.asarray(y, dtype=np.float64), spec.base)
+        nearest = nearest_modes(np.asarray(y, dtype=np.float64), ring)
     idx, dist = nearest
-    hq = dist <= HQ_STD_MULTIPLE * spec.base.std
-    in_owned = spec.label_of(idx) == labels
+    hq = dist <= HQ_STD_MULTIPLE * ring.std
+    in_owned = label_of(idx) == labels
     # each mode has one owner, so a label's high-quality in-label samples
-    # cover it iff they reach modes_per_label distinct modes
-    reached = np.bincount(spec.label_of(np.unique(idx[hq & in_owned])), minlength=spec.n_labels)
+    # cover it iff they reach MODES_PER_LABEL distinct modes
+    reached = np.bincount(label_of(np.unique(idx[hq & in_owned])), minlength=N_LABELS)
     n_hq = int(np.sum(hq))
     frac = float(np.sum(hq & in_owned) / n_hq) if n_hq else None
-    return (reached == spec.modes_per_label).tolist(), frac
+    return (reached == MODES_PER_LABEL).tolist(), frac

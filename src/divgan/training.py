@@ -22,7 +22,7 @@ import numpy as np
 from .autodiff import NumericsError, backward
 from .config import TrainConfig, parse_run_config, to_document
 from .data import (
-    ConditionalRingSpec,
+    N_LABELS,
     nearest_modes,
     one_hot,
     sample_conditional_ring,
@@ -38,6 +38,7 @@ from .losses import (
     generator_total_loss,
 )
 from .metrics import (
+    EVAL_COLUMNS,
     HQ_STD_MULTIPLE,
     EvalReport,
     conditional_coverage,
@@ -98,17 +99,13 @@ class CheckpointError(ValueError):
     """Checkpoint blob is malformed or from an unknown version."""
 
 
-def cond_ring_spec(cfg: TrainConfig) -> ConditionalRingSpec:
-    return ConditionalRingSpec(base=cfg.ring)
-
-
 def task_specs(cfg: TrainConfig) -> tuple[NetworkSpec, NetworkSpec]:
     """The generator's and discriminator's shapes for cfg's task: two hidden
     layers of 128 each, tanh in G and relu in D, and D's single logit."""
     if cfg.task == "ring":
         cond_dim, out_dim = 0, 2
     elif cfg.task == "conditional_ring":
-        cond_dim, out_dim = cond_ring_spec(cfg).n_labels, 2
+        cond_dim, out_dim = N_LABELS, 2
     else:
         t = cfg.traj
         cond_dim, out_dim = t.context_len * 2, t.horizon * 2
@@ -135,14 +132,11 @@ class MetricRow:
     g_rec: float
     l_z: float
     ratio_mean: float
-    modes: int | None = None
-    hq_frac: float | None = None
-    diversity: float | None = None
-    dist_min: float | None = None
-    frechet: float | None = None
+    eval: EvalReport | None = None  # the evaluation made after this step, if one was
 
 
-CSV_HEADER = ",".join(f.name for f in fields(MetricRow))  # metrics.csv's columns
+_LOG_COLUMNS = tuple(f.name for f in fields(MetricRow) if f.name != "eval")
+CSV_HEADER = ",".join(_LOG_COLUMNS + EVAL_COLUMNS)  # metrics.csv's columns
 
 
 @dataclass
@@ -180,7 +174,7 @@ def _real_batch(cfg: TrainConfig, rng) -> tuple[np.ndarray | None, np.ndarray, i
     if cfg.task == "ring":
         return None, sample_ring(cfg.ring, cfg.batch_size, rng), 1
     if cfg.task == "conditional_ring":
-        b = sample_conditional_ring(cond_ring_spec(cfg), cfg.batch_size, rng)
+        b = sample_conditional_ring(cfg.ring, cfg.batch_size, rng)
         return b.x, b.y, 1
     b = sample_trajectories(cfg.traj, cfg.batch_size, rng)
     n = cfg.batch_size
@@ -294,22 +288,21 @@ def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
         dmin = metric_dist_min(fake, real[0])
         fre = frechet_2d(fake, real)
     elif cfg.task == "conditional_ring":
-        spec = cond_ring_spec(cfg)
-        labels = rng.integers(0, spec.n_labels, size=n)
-        x = one_hot(labels, spec.n_labels)
+        labels = rng.integers(0, N_LABELS, size=n)
+        x = one_hot(labels, N_LABELS)
         z = rng.standard_normal((n, cfg.z_dim))
         fake = generator_forward(params_G, z, x).data
-        real = sample_conditional_ring(spec, n, rng)
+        real = sample_conditional_ring(cfg.ring, n, rng)
         nearest = nearest_modes(fake, cfg.ring)
         modes, hq = mode_coverage(fake, cfg.ring, nearest=nearest)
-        per_label, in_label_frac = conditional_coverage(fake, labels, spec, nearest=nearest)
+        per_label, in_label_frac = conditional_coverage(fake, labels, cfg.ring, nearest=nearest)
         labels_covered = sum(per_label)
         # each label has >= 2 of the n fakes and >= 1 of the n real points
         # but for a chance near 1e-300, where the metrics raise ValueError
         div = float(np.mean([pairwise_diversity(fake[labels == lab])
-                             for lab in range(spec.n_labels)]))
+                             for lab in range(N_LABELS)]))
         dmin = float(np.mean([metric_dist_min(fake[labels == lab], real.y[real.labels == lab][0])
-                              for lab in range(spec.n_labels)]))
+                              for lab in range(N_LABELS)]))
         fre = frechet_2d(fake, real.y)
     else:
         t = cfg.traj
@@ -362,12 +355,7 @@ def train(cfg: TrainConfig) -> TrainResult:
             state, row = train_step(state, cfg)
             rows.append(row)
             if state.step % cfg.eval_every == 0 or state.step == cfg.steps:
-                report = evaluate_generator(state.params_G, cfg)
-                row.modes = report.modes_captured
-                row.hq_frac = report.hq_fraction
-                row.diversity = report.pairwise_diversity
-                row.dist_min = report.dist_min
-                row.frechet = report.frechet2
+                report = row.eval = evaluate_generator(state.params_G, cfg)
                 key = (report.modes_captured, report.hq_fraction)
                 if best_key is None or key > best_key:
                     # steps replace the params and moments rather than
@@ -521,6 +509,10 @@ def restore_checkpoint(doc) -> TrainState:
         g_spec, d_spec = task_specs(cfg)
         rng = np.random.default_rng(0)
         rng.bit_generator.state = doc["rng_state"]
+        # both levels are objects, since the setter took them; it reads only the keys it knows
+        _only_keys(doc["rng_state"], ("bit_generator", "state", "has_uint32", "uinteger"),
+                   " rng_state:")
+        _only_keys(doc["rng_state"]["state"], ("state", "inc"), " rng_state.state:")
         step = doc["step"]  # a JSON integer >= 0, not a bool, float or string
         if isinstance(step, bool) or not isinstance(step, int) or step < 0:
             raise CheckpointError(
@@ -547,11 +539,12 @@ def restore_checkpoint(doc) -> TrainState:
 
 
 def rows_to_csv(rows) -> str:
-    """metrics.csv's text: csv.writer writes None as an empty field and a
-    row's Python ints and floats as their repr."""
+    """metrics.csv's text: each row's log columns, then its eval's (empty
+    without one); csv.writer writes None as an empty field and a row's Python
+    ints and floats as their repr."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    columns = CSV_HEADER.split(",")
-    writer.writerow(columns)
-    writer.writerows([getattr(r, k) for k in columns] for r in rows)
+    writer.writerow(CSV_HEADER.split(","))
+    writer.writerows([*(getattr(r, k) for k in _LOG_COLUMNS),
+                      *(getattr(r.eval, k, None) for k in EVAL_COLUMNS)] for r in rows)
     return buf.getvalue()

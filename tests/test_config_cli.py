@@ -17,7 +17,7 @@ from divgan.cli import MAX_COUNT, main
 from divgan.config import FIELDS, ConfigError, parse_run_config, read_json, to_document
 from divgan.data import RingMixtureSpec, TrajectorySpec
 from divgan.losses import DiversityConfig, ObjectiveConfig
-from divgan.metrics import EvalReport
+from divgan.metrics import EVAL_COLUMNS, EvalReport
 from divgan.optim import AdamHyper
 from divgan.training import TrainConfig, load_checkpoint, task_specs
 
@@ -439,7 +439,8 @@ def test_csv_artifacts_keep_crlf_rows(tmp_path):
     cfg = write_cfg(tmp_path, dict(FAST_RING, steps=2, eval_every=2))
     assert main(["sweep", "--config", cfg, "--lambdas", "0", "--out", str(tmp_path / "s")]) == 0
     summary = (tmp_path / "s" / "summary.csv").read_bytes()
-    assert summary.startswith(b"lambda,modes,hq_frac,diversity,frechet\r\n0.0,")
+    assert summary.startswith(b"lambda,modes_captured,hq_fraction,pairwise_diversity,dist_min,"
+                              b"frechet2,n_samples,labels_covered,in_label_frac\r\n0.0,")
     assert summary.count(b"\r\n") == 2 and summary.endswith(b"\r\n")
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
     out = tmp_path / "i.csv"
@@ -480,10 +481,44 @@ def test_sweep_summary_rows(tmp_path):
                  "--out", str(out), "--jobs", "2"])
     assert code == 0
     lines = (out / "summary.csv").read_text().strip().splitlines()
-    assert lines[0] == "lambda,modes,hq_frac,diversity,frechet"
+    assert lines[0] == "lambda," + ",".join(EVAL_COLUMNS)
     assert len(lines) == 5
     doc = json.loads((out / "sweep.json").read_text())
     assert [e["lambda"] for e in doc] == [0.0, 0.05, 0.1, 0.5]
+
+
+def _eval_cells(report: dict | None) -> dict:
+    """The CSV cells a report as JSON gives: each field's repr, and an empty
+    cell for a field the JSON leaves out or for no report at all."""
+    return {k: repr(report[k]) if report and k in report else "" for k in EVAL_COLUMNS}
+
+
+@pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
+def test_metrics_csv_last_row_is_the_eval_json_report(task, tmp_path):
+    cfg = write_cfg(tmp_path, dict(FAST_RING, task=task, steps=20, eval_every=10))
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    header, *rows = (out / "metrics.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), rows[-1].split(","), strict=True))
+    report = json.loads((out / "eval.json").read_text())
+    # the conditional report has every field, the others leave two out
+    assert len(report) == (8 if task == "conditional_ring" else 6)
+    assert {k: cells[k] for k in EVAL_COLUMNS} == _eval_cells(report)
+
+
+@pytest.mark.parametrize("extra", [{}, {"lr": 1e150}], ids=["trained", "diverged"])
+def test_summary_rows_are_the_sweep_json_reports(extra, tmp_path):
+    doc = dict(FAST_RING, task="conditional_ring", steps=20, eval_every=10, **extra)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_cfg(tmp_path, doc), "--lambdas", "0,1",
+                 "--out", str(out)]) == 0
+    header, *rows = (out / "summary.csv").read_text().splitlines()
+    entries = json.loads((out / "sweep.json").read_text())
+    assert len(rows) == len(entries) == 2
+    for row, entry in zip(rows, entries):
+        assert (entry["report"] is None) == bool(extra)
+        cells = dict(zip(header.split(","), row.split(","), strict=True))
+        assert cells == {"lambda": repr(entry["lambda"]), **_eval_cells(entry["report"])}
 
 
 def test_sweep_changes_only_lambda(tmp_path):
@@ -812,8 +847,8 @@ def test_train_overflowing_evaluation_is_divergence(tmp_path, capsys, monkeypatc
     assert err.startswith("divergence: divergence at step 4: ") and len(err.splitlines()) == 1
     lines = (out / "metrics.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4"]
-    assert lines[2].count(",") == 10 and not lines[2].endswith(",")  # step 2's eval landed
-    assert lines[4].endswith(",,,,,")  # step 4 ran, its evaluation did not
+    assert lines[2].count(",") == 13 and lines[2].endswith(",2500,,")  # step 2's eval landed
+    assert lines[4].endswith("," * 8)  # step 4 ran, its evaluation did not
     assert not (out / "final.ckpt.json").exists()
 
 

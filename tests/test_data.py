@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from divgan.data import (
-    ConditionalRingSpec,
+    MODES_PER_LABEL,
+    N_LABELS,
     RingMixtureSpec,
     TrajectorySpec,
+    label_of,
     nearest_modes,
     sample_conditional_ring,
     sample_ring,
@@ -90,12 +92,8 @@ def test_spec_validation():
         RingMixtureSpec(n_modes=0)
     with pytest.raises(ValueError):
         RingMixtureSpec(std=0.0)
-    with pytest.raises(ValueError):
-        ConditionalRingSpec(base=RingMixtureSpec(n_modes=7))
-    # the labels are fixed; the ring is the one setting
-    for name in ("n_labels", "modes_per_label"):
-        with pytest.raises(TypeError):
-            ConditionalRingSpec(**{name: 2})
+    # the labels split the default ring's modes (TrainConfig refuses a ring they do not)
+    assert N_LABELS * MODES_PER_LABEL == RingMixtureSpec().n_modes
     with pytest.raises(ValueError):
         TrajectorySpec(horizon=0)
 
@@ -104,33 +102,31 @@ def test_spec_validation():
 
 
 def test_conditional_single_sample():
-    b = sample_conditional_ring(ConditionalRingSpec(), 1, np.random.default_rng(0))
+    b = sample_conditional_ring(SPEC, 1, np.random.default_rng(0))
     assert b.x.shape == (1, 4) and b.y.shape == (1, 2)
     assert b.x.sum() == 1.0
 
 
 def test_conditional_samples_land_in_owned_modes():
-    spec = ConditionalRingSpec()
     n = 10_000
-    b = sample_conditional_ring(spec, n, np.random.default_rng(4))
-    idx, _ = nearest_modes(b.y, spec.base)
-    assert np.array_equal(spec.label_of(idx), b.labels)
+    b = sample_conditional_ring(SPEC, n, np.random.default_rng(4))
+    idx, _ = nearest_modes(b.y, SPEC)
+    assert np.array_equal(label_of(idx), b.labels)
     # label k owns the adjacent pair {2k, 2k+1}, and each label reaches both
-    assert spec.label_of(np.arange(8)).tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert label_of(np.arange(8)).tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
     assert len(np.unique(idx)) == 8
 
 
 def test_conditional_label_histogram_uniform():
-    spec = ConditionalRingSpec()
     n = 10_000
-    b = sample_conditional_ring(spec, n, np.random.default_rng(6))
-    lo, hi = binomial_band(n, 1.0 / spec.n_labels)
+    b = sample_conditional_ring(SPEC, n, np.random.default_rng(6))
+    lo, hi = binomial_band(n, 1.0 / N_LABELS)
     counts = np.bincount(b.labels, minlength=4)
     assert np.all((counts >= lo) & (counts <= hi))
 
 
 def test_conditional_onehot_matches_labels():
-    b = sample_conditional_ring(ConditionalRingSpec(), 50, np.random.default_rng(7))
+    b = sample_conditional_ring(SPEC, 50, np.random.default_rng(7))
     assert np.array_equal(np.argmax(b.x, axis=1), b.labels)
 
 

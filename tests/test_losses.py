@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from divgan import autodiff, losses
 from divgan.autodiff import ShapeMismatch, backward, evaluate_with_gradients, lift
+from divgan.config import parse_run_config
+from divgan.data import sample_trajectories
 from divgan.losses import (
     DegenerateLatentPair,
     DiversityConfig,
@@ -25,6 +27,7 @@ from divgan.nets import (
     generator_forward,
     mlp_init,
 )
+from divgan.training import init_state, train_step
 
 from conftest import objective
 
@@ -194,6 +197,33 @@ def test_sequence_ratio_t1_is_bitwise_l1_output_ratio(rng):
         a = diversity_ratio([y1], [y2], z1, z2, SEQUENCE)
         b = diversity_ratio([y1], [y2], z1, z2, L1_FREE)
         assert a == b  # exact, not approximate
+
+
+def test_sequence_ratio_is_the_unclipped_l1_output_ratio_over_the_horizon():
+    """Sequence space sums each step's l1 distance and divides by T; the
+    summed distances are the l1 distance of the flattened (T*2) output. So
+    its ratio is output space's l1 ratio without the clip, over T, and the
+    trajectory defaults (lambda 10, T 10) weigh that unclipped ratio by 1.
+    The config's norm and tau are set to show that sequence space reads
+    neither: a tau that bound would hold l_z at 1e-3."""
+    cfg = parse_run_config({"task": "trajectory", "batch_size": 64, "steps": 30, "seed": 3})
+    state = init_state(cfg)
+    for _ in range(cfg.steps):
+        state, _ = train_step(state, cfg)
+    n, horizon = cfg.batch_size, cfg.traj.horizon
+    rng = np.random.default_rng(5)
+    real = sample_trajectories(cfg.traj, n, rng)
+    batch = TrainBatch(z1=rng.standard_normal((n, cfg.z_dim)),
+                       z2=rng.standard_normal((n, cfg.z_dim)),
+                       x=real.x.reshape(n, -1), y=real.y.reshape(n, -1), seq_len=horizon)
+    sequence, output = (
+        objective(batch, state.params_G, state.params_D, ObjectiveConfig(diversity=div))[1]
+        for div in (DiversityConfig(weight=10.0, norm="l2", tau=1e-3, space="sequence"),
+                    DiversityConfig(weight=1.0, norm="l1", tau=None, space="output")))
+    assert sequence.parts["l_z"] > 1e-3
+    for key in ("l_z", "ratio_mean"):
+        assert sequence.parts[key] == pytest.approx(output.parts[key] / horizon, rel=1e-14)
+    assert sequence.total.item() == pytest.approx(output.total.item(), rel=1e-14)
 
 
 def test_sequence_ratio_identical_sequences():

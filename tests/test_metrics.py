@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from divgan.data import ConditionalRingSpec, RingMixtureSpec, nearest_modes, one_hot
+from divgan.data import RingMixtureSpec, nearest_modes, one_hot
 from divgan.metrics import (
     HQ_STD_MULTIPLE,
     EvalReport,
@@ -310,40 +310,37 @@ def test_eval_report_validation():
 
 
 def test_conditional_coverage_perfect_and_misplaced():
-    spec = ConditionalRingSpec()
-    centers = spec.base.centers()
+    centers = SPEC.centers()
     y = centers.copy()
     labels = np.repeat(np.arange(4), 2)  # each label at its two own modes
-    per_label, frac = conditional_coverage(y, labels, spec)
+    per_label, frac = conditional_coverage(y, labels, SPEC)
     assert per_label == [True] * 4 and frac == 1.0
     wrong = np.roll(labels, 2)  # every sample now credited to the wrong label
-    per_label, frac = conditional_coverage(y, wrong, spec)
+    per_label, frac = conditional_coverage(y, wrong, SPEC)
     assert frac == 0.0
 
 
 def test_conditional_coverage_without_a_high_quality_sample_has_no_fraction():
     """No high-quality sample is no evidence of misplacement: None, not 0.0."""
-    spec = ConditionalRingSpec()
-    y = 10.0 * spec.base.centers()  # every sample far off the ring
+    y = 10.0 * SPEC.centers()  # every sample far off the ring
     labels = np.repeat(np.arange(4), 2)
-    per_label, frac = conditional_coverage(y, labels, spec)
+    per_label, frac = conditional_coverage(y, labels, SPEC)
     assert per_label == [False] * 4 and frac is None
 
 
 def test_coverage_takes_the_nearest_modes_it_is_given():
-    spec = ConditionalRingSpec()
-    y = spec.base.centers()[[0, 1, 2, 2, 5]] + 0.01
+    y = SPEC.centers()[[0, 1, 2, 2, 5]] + 0.01
     labels = np.array([0, 0, 1, 1, 2])
-    nearest = nearest_modes(y, spec.base)
-    assert mode_coverage(y, spec.base, nearest=nearest) == mode_coverage(y, spec.base)
-    assert (conditional_coverage(y, labels, spec, nearest=nearest)
-            == conditional_coverage(y, labels, spec))
+    nearest = nearest_modes(y, SPEC)
+    assert mode_coverage(y, SPEC, nearest=nearest) == mode_coverage(y, SPEC)
+    assert (conditional_coverage(y, labels, SPEC, nearest=nearest)
+            == conditional_coverage(y, labels, SPEC))
 
 
-def _coverage_by_label_loops(idx, dist, labels, spec):
+def _coverage_by_label_loops(idx, dist, labels):
     """conditional_coverage written as two loops over the labels, label k
     owning modes {2k, 2k+1}: the oracle for its vector form."""
-    hq = dist <= HQ_STD_MULTIPLE * spec.base.std
+    hq = dist <= HQ_STD_MULTIPLE * SPEC.std
     per_label, in_owned = [], np.zeros(len(idx), dtype=bool)
     for lab in range(4):
         owned = (2 * lab, 2 * lab + 1)
@@ -358,8 +355,7 @@ def test_conditional_coverage_matches_per_label_loops():
     """Random modes, labels and distances: labels reaching 0, 1 and 2 of
     their modes, distances on the 3-std edge, and sets with no
     high-quality sample."""
-    spec = ConditionalRingSpec()
-    edge = HQ_STD_MULTIPLE * spec.base.std
+    edge = HQ_STD_MULTIPLE * SPEC.std
     rng = np.random.default_rng(11)
     reached, none_seen = set(), 0
     for trial in range(300):
@@ -370,8 +366,8 @@ def test_conditional_coverage_matches_per_label_loops():
         dist[rng.random(n) < 0.2] = edge  # high quality, just
         if trial % 10 == 0:
             dist = edge * (1.0 + rng.uniform(1e-9, 1.0, size=n))
-        want = _coverage_by_label_loops(idx, dist, labels, spec)
-        assert conditional_coverage(np.zeros((n, 2)), labels, spec, nearest=(idx, dist)) == want
+        want = _coverage_by_label_loops(idx, dist, labels)
+        assert conditional_coverage(np.zeros((n, 2)), labels, SPEC, nearest=(idx, dist)) == want
         none_seen += want[1] is None
         hq = dist <= edge
         reached.update(len(np.unique(idx[(labels == k) & hq & np.isin(idx, (2 * k, 2 * k + 1))]))

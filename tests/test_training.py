@@ -5,7 +5,7 @@ import json
 import re
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,9 +15,9 @@ from divgan import metrics, training
 from divgan.autodiff import backward
 from divgan.config import parse_run_config, to_document
 from divgan.data import (
-    ConditionalRingSpec,
     RingMixtureSpec,
     TrajectorySpec,
+    label_of,
     nearest_modes,
     sample_conditional_ring,
 )
@@ -201,7 +201,7 @@ def test_each_phase_graph_is_freed_before_the_next(task, monkeypatch):
 def _replay_batch(cfg, rng):
     """The draws a conditional_ring step makes before it runs G: the real
     batch, then z1, then z2."""
-    batch = sample_conditional_ring(ConditionalRingSpec(base=cfg.ring), cfg.batch_size, rng)
+    batch = sample_conditional_ring(cfg.ring, cfg.batch_size, rng)
     z1 = rng.standard_normal((cfg.batch_size, cfg.z_dim))
     z2 = rng.standard_normal((cfg.batch_size, cfg.z_dim))
     return batch.x, batch.y, z1, z2
@@ -268,12 +268,11 @@ def _label_generator(split: bool) -> NetworkParams:
     """A tanh G for the 4-label ring with z_dim 2 that puts label k on the
     centre of its first mode or, with split, of its first or its second
     mode by the sign of z's first coordinate."""
-    spec = ConditionalRingSpec()
-    centers = spec.base.centers()
+    centers = RingMixtureSpec().centers()
     g_spec = NetworkSpec(4 + 2, (8,), 2)
     params = NetworkParams(g_spec, np.zeros(g_spec.n_params))
     (w0, w1), (b0, b1) = params.weights, params.biases
-    owners = spec.label_of(np.arange(spec.base.n_modes))
+    owners = label_of(np.arange(len(centers)))
     for k in range(4):
         first, second = centers[owners == k]
         w0[k, k] = 50.0  # hidden unit k: 1 on label k, else 0
@@ -347,19 +346,32 @@ def test_csv_header_and_eval_columns():
     result = train(cfg)
     text = rows_to_csv(result.rows)
     lines = text.strip().splitlines()
-    # the header is built from MetricRow's fields; metrics.csv keeps these columns
+    # the log columns, then EvalReport's fields; metrics.csv keeps these columns
     assert lines[0] == CSV_HEADER == ("step,d_loss,g_adv,g_rec,l_z,ratio_mean,"
-                                      "modes,hq_frac,diversity,dist_min,frechet")
-    # steps 1 and 3 carry no eval columns; 2 and 4 do
-    assert lines[1].endswith(",,,,,")
-    assert lines[2].count(",") == 10 and not lines[2].endswith(",")
+                                      "modes_captured,hq_fraction,pairwise_diversity,dist_min,"
+                                      "frechet2,n_samples,labels_covered,in_label_frac")
+    assert CSV_HEADER.split(",")[6:] == list(metrics.EVAL_COLUMNS)
+    # steps 1 and 3 carry no eval columns; 2 and 4 do (ring has no per-label fields)
+    assert lines[1].endswith(",,,,,,,,")
+    assert lines[2].count(",") == 13 and lines[2].endswith("2500,,")
 
 
 def test_csv_writes_numbers_as_repr_and_none_as_empty():
+    report = metrics.EvalReport(modes_captured=4, hq_fraction=1 / 3, pairwise_diversity=0.0,
+                                dist_min=5e-324, frechet2=-0.0, n_samples=10,
+                                labels_covered=None, in_label_frac=1.0)
     row = MetricRow(step=3, d_loss=0.1, g_adv=1e-300, g_rec=0.0, l_z=-0.0,
-                    ratio_mean=2.5, modes=4, hq_frac=1 / 3)
+                    ratio_mean=2.5, eval=report)
     line = rows_to_csv([row]).splitlines()[1]
-    assert line == "3,0.1,1e-300,0.0,-0.0,2.5,4,0.3333333333333333,,,"
+    assert line == "3,0.1,1e-300,0.0,-0.0,2.5,4,0.3333333333333333,0.0,5e-324,-0.0,10,,1.0"
+
+
+def test_a_row_without_an_eval_has_only_empty_eval_cells():
+    assert [f.name for f in fields(MetricRow)] == ["step", "d_loss", "g_adv", "g_rec", "l_z",
+                                                   "ratio_mean", "eval"]
+    row = MetricRow(step=1, d_loss=0.5, g_adv=0.7, g_rec=0.0, l_z=0.1, ratio_mean=0.1)
+    cells = rows_to_csv([row]).splitlines()[1].split(",")
+    assert cells == ["1", "0.5", "0.7", "0.0", "0.1", "0.1"] + [""] * len(metrics.EVAL_COLUMNS)
 
 
 def test_divergence_carries_step_and_rows():
@@ -500,6 +512,8 @@ def test_checkpoint_version_2_is_refused():
     (lambda d: d.update(note="x", spec_G={}), "unknown keys: note, spec_G"),
     (lambda d: d["adam_G"].update(extra=0), "adam_G: unknown keys: extra"),
     (lambda d: d["adam_D"].update(t=1000), "adam_D: unknown keys: t"),
+    (lambda d: d["rng_state"].update(note=1), "rng_state: unknown keys: note"),
+    (lambda d: d["rng_state"]["state"].update(extra=2), "rng_state.state: unknown keys: extra"),
 ])
 def test_checkpoint_unknown_keys_are_refused(edit, message):
     """A version 4 document holds its keys and no others: a stray key,
