@@ -7,11 +7,12 @@ Run: python demos/05_latent_interpolation.py
 import numpy as np
 
 from divgan.metrics import latent_interpolation
-from divgan.training import TrainConfig, train
+from divgan.training import TrainConfig, init_state, train
 
-cfg = TrainConfig(task="ring", steps=2000, eval_every=1000, seed=1)
-result = train(cfg)
-params = result.state.params_G
+state = init_state(TrainConfig(task="ring", steps=2000, eval_every=1000, seed=1))
+for _ in train(state):  # steps state to its config's 2000 steps
+    pass
+params = state.params_G
 
 rng = np.random.default_rng(5)
 z_a, z_b = rng.standard_normal(2), rng.standard_normal(2)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -126,20 +127,22 @@ def _load_config(args):
 def cmd_train(args) -> int:
     _, cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
+    state, rows, best_key = init_state(cfg), [], None  # best_key: the best eval's (modes, hq)
     try:
-        result = train(cfg)
-    except DivergenceError as exc:
-        _write(os.path.join(args.out, "metrics.csv"), rows_to_csv(exc.rows))
-        raise
-    _write(os.path.join(args.out, "metrics.csv"), rows_to_csv(result.rows))
-    final = save_checkpoint(result.state)
-    if result.best_state.step == result.state.step:  # the best eval was the last
-        best = final
-    else:
-        best = save_checkpoint(result.best_state)
+        for row in train(state):
+            rows.append(row)
+            if row.eval is not None:
+                key = (row.eval.modes_captured, row.eval.hq_fraction)
+                if best_key is None or key > best_key:
+                    # a step replaces params and moments, so only the rng needs a copy
+                    best_key, best = key, replace(state, rng=copy.deepcopy(state.rng))
+    finally:  # a diverged or interrupted run keeps the rows it made
+        _write(os.path.join(args.out, "metrics.csv"), rows_to_csv(rows))
+    final = save_checkpoint(state)
     _write(os.path.join(args.out, "final.ckpt.json"), final)
-    _write(os.path.join(args.out, "best.ckpt.json"), best)
-    _write(os.path.join(args.out, "eval.json"), result.eval_report.to_json())
+    _write(os.path.join(args.out, "best.ckpt.json"),
+           final if best.step == state.step else save_checkpoint(best))
+    _write(os.path.join(args.out, "eval.json"), rows[-1].eval.to_json())
     return EXIT_OK
 
 

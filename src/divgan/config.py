@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 
-from .data import MAX_SIZE, MODES_PER_LABEL, N_LABELS, RingMixtureSpec, TrajectorySpec
+from .data import MAX_SIZE, RingMixtureSpec, TrajectorySpec, check_labels
 from .losses import ObjectiveConfig
 from .optim import AdamHyper
 
@@ -49,9 +49,8 @@ class TrainConfig:
             raise ValueError("TrainConfig: eval_every must be >= 1")
         if self.seed < 0:
             raise ValueError("TrainConfig: seed must be >= 0")
-        if self.task == "conditional_ring" and self.ring.n_modes != N_LABELS * MODES_PER_LABEL:
-            raise ValueError(f"TrainConfig: {N_LABELS} labels x {MODES_PER_LABEL} modes "
-                             f"!= {self.ring.n_modes} ring modes")
+        if self.task == "conditional_ring":
+            check_labels(self.ring, "TrainConfig")
 
 
 # JSON key -> (field path, JSON type); floats take integers, type(None) is null

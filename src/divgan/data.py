@@ -23,6 +23,7 @@ __all__ = [
     "sample_ring",
     "sample_conditional_ring",
     "label_of",
+    "check_labels",
     "sample_trajectories",
     "nearest_modes",
     "one_hot",
@@ -35,7 +36,7 @@ __all__ = [
 MAX_SIZE = 4096
 
 # conditional_ring's labels: label k owns the adjacent ring modes 2k and 2k+1,
-# so its ring has N_LABELS * MODES_PER_LABEL modes (TrainConfig checks this)
+# so its ring has N_LABELS * MODES_PER_LABEL modes (check_labels)
 N_LABELS = 4
 MODES_PER_LABEL = 2
 
@@ -100,6 +101,7 @@ def sample_ring(spec: RingMixtureSpec, n: int, rng) -> np.ndarray:
 
 def sample_conditional_ring(ring: RingMixtureSpec, n: int, rng) -> LabeledBatch:
     """Uniform labels; each point drawn from one of its label's MODES_PER_LABEL modes."""
+    check_labels(ring, "sample_conditional_ring")
     if n < 1:
         raise ValueError("sample_conditional_ring: n must be >= 1")
     labels = rng.integers(0, N_LABELS, size=n)
@@ -107,6 +109,13 @@ def sample_conditional_ring(ring: RingMixtureSpec, n: int, rng) -> LabeledBatch:
     modes = labels * MODES_PER_LABEL + offset
     y = ring.centers()[modes] + rng.normal(0.0, ring.std, size=(n, 2))
     return LabeledBatch(x=one_hot(labels, N_LABELS), y=y, labels=labels)
+
+
+def check_labels(ring: RingMixtureSpec, where: str) -> None:
+    """ValueError, prefixed by where, unless the labels own exactly ring's modes."""
+    if ring.n_modes != N_LABELS * MODES_PER_LABEL:
+        raise ValueError(f"{where}: {N_LABELS} labels x {MODES_PER_LABEL} modes "
+                         f"!= {ring.n_modes} ring modes")
 
 
 def label_of(modes):

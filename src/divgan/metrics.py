@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .autodiff import NumericsError
-from .data import MODES_PER_LABEL, N_LABELS, RingMixtureSpec, label_of, nearest_modes
+from .data import MODES_PER_LABEL, N_LABELS, RingMixtureSpec, check_labels, label_of, nearest_modes
 from .nets import NetworkParams, generator_forward
 
 __all__ = [
@@ -215,6 +215,7 @@ def conditional_coverage(y: np.ndarray, labels: np.ndarray, ring: RingMixtureSpe
     would read as every sample misplaced. `ring` is conditional_ring's ring
     (`data.label_of` gives each mode's label), and `nearest` is
     `data.nearest_modes(y, ring)` when the caller already has it."""
+    check_labels(ring, "conditional_coverage")
     if nearest is None:
         nearest = nearest_modes(np.asarray(y, dtype=np.float64), ring)
     idx, dist = nearest

@@ -11,11 +11,11 @@ deterministic given its seed; sweep entries use independent processes.
 from __future__ import annotations
 
 import base64
-import copy
 import csv
 import io
 import json
-from dataclasses import dataclass, fields, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,7 +63,6 @@ __all__ = [
     "EVAL_SAMPLES",
     "TrainState",
     "MetricRow",
-    "TrainResult",
     "SweepEntry",
     "DivergenceError",
     "CheckpointError",
@@ -89,10 +88,9 @@ _STREAM_G_INIT, _STREAM_D_INIT, _STREAM_TRAIN, _STREAM_EVAL = 11, 13, 17, 19
 class DivergenceError(ArithmeticError):
     """Training produced a non-finite loss or gradient."""
 
-    def __init__(self, step: int, cause: str, rows=None):
+    def __init__(self, step: int, cause: str):
         super().__init__(f"divergence at step {step}: {cause}")
         self.step = step
-        self.rows = rows or []
 
 
 class CheckpointError(ValueError):
@@ -137,14 +135,6 @@ class MetricRow:
 
 _LOG_COLUMNS = tuple(f.name for f in fields(MetricRow) if f.name != "eval")
 CSV_HEADER = ",".join(_LOG_COLUMNS + EVAL_COLUMNS)  # metrics.csv's columns
-
-
-@dataclass
-class TrainResult:
-    state: TrainState  # after the last step
-    rows: list
-    best_state: TrainState  # as it was at the best (modes, hq) eval
-    eval_report: EvalReport
 
 
 def _seed_for(seed: int, stream: int) -> np.random.SeedSequence:
@@ -338,36 +328,22 @@ def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
 # -- full runs ----------------------------------------------------------------
 
 
-def train(cfg: TrainConfig) -> TrainResult:
-    """Run cfg.steps steps with evaluation every eval_every steps.
-
-    Returns the final state and a snapshot of the state at the best
-    (modes, hq) eval; the last step is always evaluated, so there is one.
-    Nothing is serialized. On divergence (in a step, or an overflowing G in
-    an evaluation) the partial metric log rides on the raised error.
-    """
-    state = init_state(cfg)
-    rows: list[MetricRow] = []
-    best_key, best_state = None, None
-    report = None
-    try:
-        for _ in range(cfg.steps):
-            state, row = train_step(state, cfg)
-            rows.append(row)
-            if state.step % cfg.eval_every == 0 or state.step == cfg.steps:
-                report = row.eval = evaluate_generator(state.params_G, cfg)
-                key = (report.modes_captured, report.hq_fraction)
-                if best_key is None or key > best_key:
-                    # steps replace the params and moments rather than
-                    # editing them, so only the rng needs a copy
-                    best_key = key
-                    best_state = replace(state, rng=copy.deepcopy(state.rng))
-    except DivergenceError as exc:
-        exc.rows = rows
-        raise
-    except NumericsError as exc:  # from evaluate_generator; train_step converts its own
-        raise DivergenceError(state.step, str(exc), rows) from exc
-    return TrainResult(state=state, rows=rows, best_state=best_state, eval_report=report)
+def train(state: TrainState) -> Iterator[MetricRow]:
+    """Step state in place until state.step == state.config.steps, yielding
+    each step's MetricRow; an evaluated step's row (every eval_every steps,
+    and the last) carries its EvalReport in `eval`. No row is kept, and a
+    checkpoint's state resumes its run row for row. A non-finite step raises
+    DivergenceError; so does an overflowing evaluation, after its row."""
+    cfg = state.config
+    while state.step < cfg.steps:
+        _, row = train_step(state, cfg)
+        if state.step % cfg.eval_every == 0 or state.step == cfg.steps:
+            try:
+                row.eval = evaluate_generator(state.params_G, cfg)
+            except NumericsError as exc:  # train_step converts its own
+                yield row
+                raise DivergenceError(state.step, str(exc)) from exc
+        yield row
 
 
 @dataclass
@@ -380,9 +356,11 @@ class SweepEntry:
 def _sweep_one(task) -> SweepEntry:
     cfg, _ = task  # the position only names the run, in perfbench's traces
     try:
-        return SweepEntry(config=cfg, report=train(cfg).eval_report)
+        for row in train(init_state(cfg)):
+            pass
     except DivergenceError as exc:
         return SweepEntry(config=cfg, report=None, error=str(exc))
+    return SweepEntry(config=cfg, report=row.eval)  # the last step is evaluated
 
 
 def sweep(cfgs, jobs: int = 1) -> list[SweepEntry]:

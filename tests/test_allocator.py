@@ -1,3 +1,4 @@
+import gc
 import resource
 
 import pytest
@@ -12,6 +13,10 @@ def test_training_steps_do_not_fault_in_fresh_memory():
     """With the thresholds set at import, a steady ring step reuses freed
     heap: 100 steps after 20 warm-up steps cost under 100 minor page faults
     (~5,000 when glibc maps and unmaps the ~130 KiB vectors each step)."""
+    # an earlier test's cyclic garbage goes now: a sweep that forked leaves
+    # the objects it refers to on copy-on-write pages, and a collection in
+    # the measured steps that frees it faults on each page it decrefs
+    gc.collect()
     cfg = parse_run_config({"task": "ring", "seed": 3})
     state = init_state(cfg)
     for _ in range(20):

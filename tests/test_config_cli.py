@@ -222,11 +222,9 @@ def _saved_as_it_ran(cfg) -> tuple:
     """((best step, best bytes), final bytes) with each state serialized
     when it occurs: at every new best eval, and after the last step."""
     state, best_key, best = training.init_state(cfg), None, None
-    for _ in range(cfg.steps):
-        state, _ = training.train_step(state, cfg)
-        if state.step % cfg.eval_every == 0 or state.step == cfg.steps:
-            report = training.evaluate_generator(state.params_G, cfg)
-            key = (report.modes_captured, report.hq_fraction)
+    for row in training.train(state):
+        if row.eval is not None:
+            key = (row.eval.modes_captured, row.eval.hq_fraction)
             if best_key is None or key > best_key:
                 best_key, best = key, (state.step, training.save_checkpoint(state))
     return best, training.save_checkpoint(state)
@@ -532,7 +530,8 @@ def test_sweep_changes_only_lambda(tmp_path):
     assert [e["lambda"] for e in entries] == [0.0, 0.1]
     for e in entries:
         cfg = parse_run_config(dict(doc, seed=5, **{"lambda": e["lambda"]}))
-        assert e["report"] == json.loads(training.train(cfg).eval_report.to_json())
+        *_, last = training.train(training.init_state(cfg))
+        assert e["report"] == json.loads(last.eval.to_json())
 
 
 @pytest.mark.parametrize("lambdas", ["0,-1", "nan", "0.1,inf"])
@@ -850,6 +849,24 @@ def test_train_overflowing_evaluation_is_divergence(tmp_path, capsys, monkeypatc
     assert lines[2].count(",") == 13 and lines[2].endswith(",2500,,")  # step 2's eval landed
     assert lines[4].endswith("," * 8)  # step 4 ran, its evaluation did not
     assert not (out / "final.ckpt.json").exists()
+
+
+def test_interrupted_train_keeps_the_rows_it_made(tmp_path, monkeypatch):
+    real_step = training.train_step
+
+    def interrupt_at_step_4(state, cfg):
+        if state.step == 3:
+            raise KeyboardInterrupt
+        return real_step(state, cfg)
+
+    monkeypatch.setattr(training, "train_step", interrupt_at_step_4)
+    out = tmp_path / "run"
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", "--config", write_cfg(tmp_path, dict(FAST_RING, steps=6, eval_every=2)),
+              "--out", str(out)])
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+    assert sorted(p.name for p in out.iterdir()) == ["metrics.csv"]
 
 
 def test_seed_override_changes_run(tmp_path):

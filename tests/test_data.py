@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from divgan.config import TrainConfig
 from divgan.data import (
     MODES_PER_LABEL,
     N_LABELS,
@@ -12,6 +13,7 @@ from divgan.data import (
     sample_ring,
     sample_trajectories,
 )
+from divgan.metrics import conditional_coverage
 
 SPEC = RingMixtureSpec()
 
@@ -92,13 +94,31 @@ def test_spec_validation():
         RingMixtureSpec(n_modes=0)
     with pytest.raises(ValueError):
         RingMixtureSpec(std=0.0)
-    # the labels split the default ring's modes (TrainConfig refuses a ring they do not)
+    # the labels split the default ring's modes (check_labels refuses a ring they do not)
     assert N_LABELS * MODES_PER_LABEL == RingMixtureSpec().n_modes
     with pytest.raises(ValueError):
         TrajectorySpec(horizon=0)
 
 
 # -- conditional ring ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_modes", [7, 16])
+def test_a_ring_the_labels_do_not_split_is_refused(n_modes):
+    """7 modes would index past the ring and 16 would leave half of it
+    unlabelled: the sampler, the coverage metric and the config all refuse
+    both by name."""
+    ring, rng = RingMixtureSpec(n_modes=n_modes), np.random.default_rng(0)
+    y, labels = np.zeros((10, 2)), np.zeros(10, dtype=int)
+    calls = {
+        "sample_conditional_ring": lambda: sample_conditional_ring(ring, 10, rng),
+        "conditional_coverage": lambda: conditional_coverage(y, labels, ring),
+        "TrainConfig": lambda: TrainConfig(task="conditional_ring", ring=ring),
+    }
+    for where, call in calls.items():
+        with pytest.raises(ValueError,
+                           match=f"^{where}: 4 labels x 2 modes != {n_modes} ring modes$"):
+            call()
 
 
 def test_conditional_single_sample():

@@ -1,6 +1,7 @@
 import base64
 import concurrent.futures
 import copy
+import itertools
 import json
 import re
 import tracemalloc
@@ -63,21 +64,36 @@ def small_cfg(**kw):
     return TrainConfig(**base)
 
 
+def run(cfg):
+    """(state, rows) of cfg's whole run: the stepped state and every row."""
+    state = init_state(cfg)
+    return state, list(train(state))
+
+
 def test_one_step_emits_one_row():
-    cfg = small_cfg(steps=1)
-    result = train(cfg)
-    assert len(result.rows) == 1
-    assert result.rows[0].step == 1
-    assert result.state.step == 1
+    state, rows = run(small_cfg(steps=1))
+    assert len(rows) == 1
+    assert rows[0].step == 1
+    assert state.step == 1
 
 
 def test_step_determinism():
     cfg = small_cfg()
-    r1 = train(cfg)
-    r2 = train(cfg)
-    assert rows_to_csv(r1.rows) == rows_to_csv(r2.rows)
-    for a, b in zip(r1.state.params_G.flat(), r2.state.params_G.flat()):
+    (s1, r1), (s2, r2) = run(cfg), run(cfg)
+    assert rows_to_csv(r1) == rows_to_csv(r2)
+    for a, b in zip(s1.params_G.flat(), s2.params_G.flat()):
         assert np.array_equal(a, b)
+
+
+def test_train_steps_the_state_it_is_given():
+    """The caller's state is stepped in place; rows carry an eval every
+    eval_every steps and at the last; a state at its config's steps has no
+    step left."""
+    state, rows = run(small_cfg(steps=5, eval_every=2))
+    assert [r.step for r in rows] == [1, 2, 3, 4, 5] and state.step == 5
+    assert [r.step for r in rows if r.eval is not None] == [2, 4, 5]
+    assert rows[-1].eval == evaluate_generator(state.params_G, state.config)
+    assert list(train(state)) == [] and state.step == 5
 
 
 def test_one_step_touches_every_parameter():
@@ -257,11 +273,10 @@ def test_reconstruction_trains_deterministically_on_conditional_ring():
     assert row.g_rec > 0
     assert row.g_rec == reconstruction_loss(generator_forward(params_G, z1, x), y).item()
 
-    runs = [train(cfg) for _ in range(2)]
-    (a, b) = [(save_checkpoint(r.state), save_checkpoint(r.best_state), rows_to_csv(r.rows))
-              for r in runs]
+    runs = [run(cfg) for _ in range(2)]
+    (a, b) = [(save_checkpoint(state), rows_to_csv(rows)) for state, rows in runs]
     assert a == b
-    assert all(r.g_rec > 0 for r in runs[0].rows)
+    assert all(r.g_rec > 0 for r in runs[0][1])
 
 
 def _label_generator(split: bool) -> NetworkParams:
@@ -336,15 +351,13 @@ def test_unconditional_eval_json_has_no_per_label_keys(task):
 def test_lz_logged_within_tau():
     cfg = small_cfg(steps=4)
     tau = cfg.objective.diversity.tau
-    result = train(cfg)
-    for row in result.rows:
+    for row in run(cfg)[1]:
         assert 0.0 <= row.l_z <= tau
 
 
 def test_csv_header_and_eval_columns():
     cfg = small_cfg(steps=4, eval_every=2)
-    result = train(cfg)
-    text = rows_to_csv(result.rows)
+    text = rows_to_csv(run(cfg)[1])
     lines = text.strip().splitlines()
     # the log columns, then EvalReport's fields; metrics.csv keeps these columns
     assert lines[0] == CSV_HEADER == ("step,d_loss,g_adv,g_rec,l_z,ratio_mean,"
@@ -375,11 +388,36 @@ def test_a_row_without_an_eval_has_only_empty_eval_cells():
 
 
 def test_divergence_carries_step_and_rows():
+    """The error names the step; the rows before it are the caller's, since
+    a step that diverges yields none."""
     cfg = small_cfg(steps=10, adam=replace(TrainConfig().adam, lr=1e150))
+    rows = []
     with pytest.raises(DivergenceError) as err:
-        train(cfg)
+        for row in train(init_state(cfg)):
+            rows.append(row)
     assert err.value.step >= 1
-    assert isinstance(err.value.rows, list)
+    assert [r.step for r in rows] == list(range(1, err.value.step))
+    assert not hasattr(err.value, "rows")
+
+
+def test_overflowing_evaluation_yields_its_row_then_diverges(monkeypatch):
+    """An evaluation of a G whose output overflows: its step's row comes
+    first, without an eval, then DivergenceError names that step."""
+    real_step = training.train_step
+
+    def step_then_overflow(state, cfg):
+        state, row = real_step(state, cfg)
+        if state.step == 4:
+            state.params_G.weights[-1][:] = 1e308  # finite weights, overflowing output
+        return state, row
+
+    monkeypatch.setattr(training, "train_step", step_then_overflow)
+    state, rows = init_state(small_cfg(steps=6, eval_every=2)), []
+    with pytest.raises(DivergenceError, match="^divergence at step 4: evaluate_generator: "):
+        for row in train(state):
+            rows.append(row)
+    assert [r.step for r in rows] == [1, 2, 3, 4] and state.step == 4
+    assert rows[1].eval is not None and rows[3].eval is None
 
 
 @pytest.mark.parametrize("task", ["ring", "conditional_ring"])
@@ -405,15 +443,14 @@ def test_infinite_discriminator_loss_diverges_at_once():
 
 def test_evaluation_is_reproducible():
     cfg = small_cfg()
-    result = train(cfg)
-    again = evaluate_generator(result.state.params_G, cfg)
-    assert again == result.eval_report
+    state, rows = run(cfg)
+    again = evaluate_generator(state.params_G, cfg)
+    assert again == rows[-1].eval
 
 
 def test_conditional_task_runs():
     cfg = small_cfg(task="conditional_ring", z_dim=4, steps=2)
-    result = train(cfg)
-    assert result.eval_report.n_samples == EVAL_SAMPLES
+    assert run(cfg)[1][-1].eval.n_samples == EVAL_SAMPLES
 
 
 def test_trajectory_task_runs():
@@ -421,8 +458,7 @@ def test_trajectory_task_runs():
         task="trajectory", z_dim=4, steps=2,
         objective=ObjectiveConfig(diversity=DiversityConfig(weight=1.0, space="sequence")),
     )
-    result = train(cfg)
-    assert 0 <= result.eval_report.modes_captured <= 2
+    assert 0 <= run(cfg)[1][-1].eval.modes_captured <= 2
 
 
 # -- checkpoints ------------------------------------------------------------
@@ -443,9 +479,8 @@ def assert_same_state(a, b):
 @pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
 def test_checkpoint_v4_roundtrip_is_byte_exact(task):
     cfg = small_cfg(task=task, z_dim=4, steps=2)
-    result = train(cfg)
-    state = result.state
-    assert state.config == cfg and result.best_state.config == cfg
+    state, _ = run(cfg)
+    assert state.config == cfg
     blob = save_checkpoint(state)
     doc = json.loads(blob)
     assert list(doc) == ["version", "config", "params_G", "params_D", "adam_G", "adam_D",
@@ -492,7 +527,7 @@ def plain_save_checkpoint(state):
 
 @pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
 def test_save_checkpoint_matches_plain_json_dumps(task):
-    state = train(small_cfg(task=task, z_dim=4, steps=2)).state
+    state, _ = run(small_cfg(task=task, z_dim=4, steps=2))
     assert save_checkpoint(state) == plain_save_checkpoint(state)
     extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
     for vector in (state.params_G.vector, state.params_D.vector, state.adam_G.m,
@@ -540,7 +575,9 @@ def test_checkpoint_version_3_layout_marked_version_4_is_refused():
 def test_loaded_checkpoint_steps_like_the_run_it_came_from(task):
     """k steps, a save and load, then N - k more give the state of N
     uninterrupted steps bit for bit: Adam's bias correction reads the
-    restored step, and the rng continues its stream."""
+    restored step, and the rng continues its stream. Through the run loop
+    the resumed run also logs rows k+1..N of the uninterrupted one, with k
+    on an eval step and off one."""
     cfg = small_cfg(task=task, z_dim=4, steps=6)
     whole = init_state(cfg)
     for _ in range(cfg.steps):
@@ -554,11 +591,22 @@ def test_loaded_checkpoint_steps_like_the_run_it_came_from(task):
     assert resumed.step == cfg.steps
     assert_same_state(resumed, whole)
 
+    final, rows = run(cfg)
+    assert_same_state(final, whole)
+    for k in (2, 3):  # a multiple of eval_every, and not one
+        state = init_state(cfg)
+        head = list(itertools.islice(train(state), k))
+        resumed = load_checkpoint(save_checkpoint(state))
+        tail = list(train(resumed))
+        assert [r.step for r in tail] == list(range(k + 1, cfg.steps + 1))
+        assert rows_to_csv(tail) == rows_to_csv(rows[k:])
+        assert rows_to_csv(head + tail) == rows_to_csv(rows)
+        assert save_checkpoint(resumed) == save_checkpoint(final)
+
 
 def test_checkpoint_roundtrip_exact():
     cfg = small_cfg(steps=3)
-    result = train(cfg)
-    state = result.state
+    state, _ = run(cfg)
     blob = save_checkpoint(state)
     loaded = load_checkpoint(blob)
     assert loaded.step == state.step
@@ -716,7 +764,7 @@ def test_sweep_runs_each_config_in_order():
             small_cfg(steps=2, task="trajectory", z_dim=4)]
     entries = sweep(cfgs)
     assert [e.config for e in entries] == cfgs
-    assert [e.report for e in entries] == [train(cfg).eval_report for cfg in cfgs]
+    assert [e.report for e in entries] == [run(cfg)[1][-1].eval for cfg in cfgs]
     assert all(e.error is None for e in entries)
     with pytest.raises(ValueError, match="empty config list"):
         sweep([])
@@ -728,7 +776,7 @@ def test_sweep_records_divergence_and_continues():
     entries = sweep([bad, good])
     assert entries[0].config == bad
     assert entries[0].report is None and "divergence" in entries[0].error
-    assert entries[1].report == train(good).eval_report and entries[1].error is None
+    assert entries[1].report == run(good)[1][-1].eval and entries[1].error is None
 
 
 def test_task_specs_dimensions():
