@@ -18,7 +18,7 @@ from .losses import ObjectiveConfig
 from .optim import AdamHyper
 
 __all__ = ["TASKS", "TrainConfig", "ConfigError", "FIELDS", "TASK_DEFAULTS",
-           "parse_run_config", "to_document", "read_json"]
+           "parse_run_config", "to_document", "read_json", "unique_keys"]
 
 TASKS = ("ring", "conditional_ring", "trajectory")
 
@@ -146,14 +146,28 @@ def to_document(cfg: TrainConfig) -> dict:
     return doc
 
 
+def unique_keys(pairs) -> dict:
+    """json's object_pairs_hook for config and checkpoint documents: the
+    object as a dict, or ValueError naming a key it repeats, where json alone
+    would keep the key's last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def read_json(path, what: str):
     """The JSON document in the UTF-8 file at `path`, read in text mode (so a
     JSON error position counts a CRLF as one character), or ConfigError
     naming `what`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{what} is not UTF-8: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        # a syntax error, a duplicate key, or a decoder limit: an integer
+        # past sys.get_int_max_str_digits() or nesting past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{what} is not valid JSON: {exc}") from exc

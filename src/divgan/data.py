@@ -124,7 +124,8 @@ def label_of(modes):
 
 
 def sample_trajectories(spec: TrajectorySpec, n: int, rng) -> LabeledBatch:
-    """Contexts (n, K, 2) in x and futures (n, T, 2) in y on a shared circle."""
+    """Contexts (n, 2K) in x and futures (n, 2T) in y on a shared circle:
+    each row holds its points' (x, y) coordinates in step order."""
     if n < 1:
         raise ValueError("sample_trajectories: n must be >= 1")
     total = spec.context_len + spec.horizon
@@ -135,8 +136,8 @@ def sample_trajectories(spec: TrajectorySpec, n: int, rng) -> LabeledBatch:
     pts = spec.circle_radius * np.stack([np.cos(angles), np.sin(angles)], axis=2)
     if spec.noise_std > 0:
         pts = pts + rng.normal(0.0, spec.noise_std, size=pts.shape)
-    contexts = pts[:, : spec.context_len]
-    futures = pts[:, spec.context_len :]
+    contexts = pts[:, : spec.context_len].reshape(n, -1)
+    futures = pts[:, spec.context_len :].reshape(n, -1)
     return LabeledBatch(x=contexts, y=futures, labels=(direction > 0).astype(np.int64))
 
 

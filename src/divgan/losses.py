@@ -14,7 +14,7 @@ norm and clip, shared by the objective and `diversity_ratio`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .nets import NetworkParams, ParamLeaves, discriminator_forward, generator_f
 __all__ = [
     "DiversityConfig",
     "ObjectiveConfig",
-    "TrainBatch",
     "FakePair",
     "GeneratorLoss",
     "DegenerateLatentPair",
@@ -79,24 +78,17 @@ class ObjectiveConfig:
 
 
 @dataclass
-class TrainBatch:
-    """One generator minibatch: per example, an optional condition x, an
-    optional target y (required iff beta > 0) and two independent latents."""
-
-    z1: np.ndarray
-    z2: np.ndarray
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
-    seq_len: int = 1  # >1: y and the generator output are flat (B, T*dim) sequences
-
-
-@dataclass
 class FakePair:
-    """G(x, z1) and G(x, z2) for one batch, built once on G's parameter
-    leaves: the discriminator update reads y1's values and the generator
-    objective its graph."""
+    """One generator minibatch and its two fakes: per example, an optional
+    condition x, an optional target y (required iff beta > 0), two latents,
+    and G(x, z1) and G(x, z2) built once on G's parameter leaves: the
+    discriminator update reads y1's values and the generator objective its
+    graph."""
 
-    batch: TrainBatch  # z2 as used: rows too close to z1 redrawn
+    x: np.ndarray | None
+    y: np.ndarray | None
+    z1: np.ndarray
+    z2: np.ndarray  # as used: rows too close to z1 redrawn
     gaps: np.ndarray  # ||z1 - z2|| per row, in the diversity space's norm
     y1: Var
     y2: Var  # built from constants at weight 0: it records no graph
@@ -106,7 +98,7 @@ class FakePair:
 @dataclass
 class GeneratorLoss:
     total: Var
-    parts: dict
+    parts: dict  # the logged values, under their MetricRow column names
 
 
 # -- adversarial losses ---------------------------------------------------
@@ -236,18 +228,18 @@ def _resample_z2(z1: np.ndarray, z2: np.ndarray, rng, norm: str) -> tuple[np.nda
     )
 
 
-def generate_fakes(batch: TrainBatch, params_G: NetworkParams, cfg: ObjectiveConfig,
+def generate_fakes(params_G: NetworkParams, cfg: ObjectiveConfig, z1, z2, x=None, y=None,
                    rng=None) -> FakePair:
-    """The batch's two fakes on fresh gradient leaves of params_G, after
+    """The batch and its two fakes on fresh gradient leaves of params_G, after
     redrawing from rng the z2 rows too close to z1 (`_resample_z2`)."""
     div = cfg.diversity
-    z1 = np.asarray(batch.z1, dtype=np.float64)
-    z2, gaps = _resample_z2(z1, batch.z2, rng, _space_distance(div)[0])
+    z1 = np.asarray(z1, dtype=np.float64)
+    z2, gaps = _resample_z2(z1, z2, rng, _space_distance(div)[0])
     leaves = ParamLeaves(params_G)
-    y1 = generator_forward(leaves, z1, batch.x)
+    y1 = generator_forward(leaves, z1, x)
     # at weight 0 the second fake only feeds the logged ratios
-    y2 = generator_forward(leaves if div.weight > 0 else params_G, z2, batch.x)
-    return FakePair(batch=replace(batch, z2=z2), gaps=gaps, y1=y1, y2=y2, leaves=leaves)
+    y2 = generator_forward(leaves if div.weight > 0 else params_G, z2, x)
+    return FakePair(x=x, y=y, z1=z1, z2=z2, gaps=gaps, y1=y1, y2=y2, leaves=leaves)
 
 
 def generator_total_loss(fakes: FakePair, params_D: NetworkParams,
@@ -263,26 +255,24 @@ def generator_total_loss(fakes: FakePair, params_D: NetworkParams,
     the latents, the condition and D's parameters enter as constants, so
     backward computes no gradient for them.
     """
-    div, batch = cfg.diversity, fakes.batch
-    if cfg.beta > 0 and batch.y is None:
+    div, x = cfg.diversity, fakes.x
+    if cfg.beta > 0 and fakes.y is None:
         raise ValueError("generator_total_loss: beta > 0 requires targets y")
     norm, tau = _space_distance(div)
     y1, y2 = fakes.y1, fakes.y2
 
-    logits1, feats1 = discriminator_forward(params_D, y1, batch.x)
+    logits1, feats1 = discriminator_forward(params_D, y1, x)
     adv = g_adv_loss(logits1)
 
-    rec = reconstruction_loss(y1, batch.y) if cfg.beta > 0 else None
+    rec = reconstruction_loss(y1, fakes.y) if cfg.beta > 0 else None
 
     if div.space == "output":
         parts1, parts2 = [y1], [y2]
     elif div.space == "feature":
-        parts1, parts2 = feats1, discriminator_forward(params_D, y2, batch.x)[1]
-    else:  # the flattened (B, T*dim) sequences as (B, T, dim)
-        shape = (y1.shape[0], batch.seq_len, -1)
-        parts1, parts2 = [y1.reshape(*shape)], [y2.reshape(*shape)]
+        parts1, parts2 = feats1, discriminator_forward(params_D, y2, x)[1]
+    else:  # the flat (B, 2T) sequences as (B, T, 2): every step is a 2-D point
+        parts1, parts2 = [y1.reshape(y1.shape[0], -1, 2)], [y2.reshape(y2.shape[0], -1, 2)]
     term, raw = _batch_ratios(parts1, parts2, fakes.gaps, norm, tau)
-    ratio_mean = float(raw.data.mean())
     if div.weight > 0:
         l_z = term.mean()
         total = adv - div.weight * l_z
@@ -294,12 +284,8 @@ def generator_total_loss(fakes: FakePair, params_D: NetworkParams,
     if rec is not None:
         total = total + cfg.beta * rec
 
-    parts = {
-        "adv": adv.item(),
-        "rec": rec.item() if rec is not None else 0.0,
-        "l_z": l_z_val,
-        "ratio_mean": ratio_mean,
-    }
+    parts = {"g_adv": adv.item(), "g_rec": rec.item() if rec is not None else 0.0,
+             "l_z": l_z_val, "ratio_mean": float(raw.data.mean())}
     if not np.isfinite(total.data):
         raise NumericsError("generator_total_loss: non-finite loss")
     return GeneratorLoss(total=total, parts=parts)

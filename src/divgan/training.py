@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .autodiff import NumericsError, backward
-from .config import TrainConfig, parse_run_config, to_document
+from .config import TrainConfig, parse_run_config, to_document, unique_keys
 from .data import (
     N_LABELS,
     nearest_modes,
@@ -32,7 +32,6 @@ from .data import (
 from .losses import (
     FakePair,
     ObjectiveConfig,
-    TrainBatch,
     d_loss,
     generate_fakes,
     generator_total_loss,
@@ -159,16 +158,15 @@ def init_state(cfg: TrainConfig) -> TrainState:
 # -- batches ----------------------------------------------------------------
 
 
-def _real_batch(cfg: TrainConfig, rng) -> tuple[np.ndarray | None, np.ndarray, int]:
-    """(condition x, target y, seq_len) with sequence tasks flattened."""
+def _real_batch(cfg: TrainConfig, rng) -> tuple[np.ndarray | None, np.ndarray]:
+    """(condition x, target y) of one real batch."""
     if cfg.task == "ring":
-        return None, sample_ring(cfg.ring, cfg.batch_size, rng), 1
+        return None, sample_ring(cfg.ring, cfg.batch_size, rng)
     if cfg.task == "conditional_ring":
         b = sample_conditional_ring(cfg.ring, cfg.batch_size, rng)
-        return b.x, b.y, 1
-    b = sample_trajectories(cfg.traj, cfg.batch_size, rng)
-    n = cfg.batch_size
-    return b.x.reshape(n, -1), b.y.reshape(n, -1), cfg.traj.horizon
+    else:
+        b = sample_trajectories(cfg.traj, cfg.batch_size, rng)
+    return b.x, b.y
 
 
 # -- one step ----------------------------------------------------------------
@@ -185,20 +183,18 @@ def _real_batch(cfg: TrainConfig, rng) -> tuple[np.ndarray | None, np.ndarray, i
 def _fakes(state: TrainState) -> FakePair:
     """The step's real batch and its two fakes, in the step's draw order."""
     cfg = state.config
-    x, y, seq_len = _real_batch(cfg, state.rng)
+    x, y = _real_batch(cfg, state.rng)
     z1 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
     z2 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
-    batch = TrainBatch(z1=z1, z2=z2, x=x, y=y, seq_len=seq_len)
-    return generate_fakes(batch, state.params_G, cfg.objective, rng=state.rng)
+    return generate_fakes(state.params_G, cfg.objective, z1, z2, x, y, rng=state.rng)
 
 
 def _d_gradient(params_D: NetworkParams, fakes: FakePair) -> tuple[np.ndarray, float]:
     """D's gradient vector and loss: the real batch against G(x, z1)'s
     values, which enter D's graph as constants."""
-    x = fakes.batch.x
     leaves = ParamLeaves(params_D)
-    logits_real, _ = discriminator_forward(leaves, fakes.batch.y, x)
-    logits_fake, _ = discriminator_forward(leaves, fakes.y1.data, x)
+    logits_real, _ = discriminator_forward(leaves, fakes.y, fakes.x)
+    logits_fake, _ = discriminator_forward(leaves, fakes.y1.data, fakes.x)
     loss_d = d_loss(logits_real, logits_fake)
     d_loss_val = loss_d.item()
     if not np.isfinite(d_loss_val):  # D's gradients can stay finite
@@ -247,15 +243,7 @@ def train_step(state: TrainState, cfg: TrainConfig) -> tuple[TrainState, MetricR
         raise DivergenceError(step, str(exc)) from exc
 
     state.step = step
-    row = MetricRow(
-        step=step,
-        d_loss=d_loss_val,
-        g_adv=parts["adv"],
-        g_rec=parts["rec"],
-        l_z=parts["l_z"],
-        ratio_mean=parts["ratio_mean"],
-    )
-    return state, row
+    return state, MetricRow(step=step, d_loss=d_loss_val, **parts)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -297,9 +285,8 @@ def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
     else:
         t = cfg.traj
         real = sample_trajectories(t, n, rng)
-        xs = real.x.reshape(n, -1)
         z = rng.standard_normal((n, cfg.z_dim))
-        fake = generator_forward(params_G, z, xs).data  # (n, T*2) futures
+        fake = generator_forward(params_G, z, real.x).data  # (n, 2T) futures
         pts = fake.reshape(n, t.horizon, 2)
         # direction coverage: sign of the summed cross products along the path
         cross = (pts[:, :-1, 0] * pts[:, 1:, 1] - pts[:, :-1, 1] * pts[:, 1:, 0]).sum(axis=1)
@@ -308,7 +295,7 @@ def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
         band = HQ_STD_MULTIPLE * max(t.noise_std, 1e-12)
         hq = float(np.mean(np.abs(radii - t.circle_radius) <= band))
         div = pairwise_diversity(fake)
-        dmin = metric_dist_min(fake, real.y.reshape(n, -1)[0])
+        dmin = metric_dist_min(fake, real.y[0])
         fre = frechet_2d(pts.reshape(-1, 2), real.y.reshape(-1, 2))
     # a non-finite sample makes frechet non-finite; so can finite, huge ones
     if not np.all(np.isfinite([hq, div, dmin, fre])):
@@ -465,8 +452,9 @@ def save_checkpoint(state: TrainState) -> bytes:
 def load_checkpoint(blob: bytes) -> TrainState:
     """A version 4 blob back as the state it was saved from."""
     try:
-        doc = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        doc = json.loads(blob.decode("utf-8"), object_pairs_hook=unique_keys)
+    # not UTF-8 or not JSON, a duplicate key, or a decoder limit (read_json)
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     return restore_checkpoint(doc)
 

@@ -34,10 +34,10 @@ def gradcheck(f, inputs, h=1e-5, rtol=1e-4, atol=1e-8):
     return grads
 
 
-def objective(batch, params_G, params_D, cfg, rng=None):
-    """The generator objective on batch as a training step builds it: its
+def objective(params_G, params_D, cfg, z1, z2, x=None, y=None, rng=None):
+    """The generator objective on one batch as a training step builds it: its
     fakes, then generator_total_loss on them. Returns (fakes, loss)."""
-    fakes = generate_fakes(batch, params_G, cfg, rng)
+    fakes = generate_fakes(params_G, cfg, z1, z2, x, y, rng)
     return fakes, generator_total_loss(fakes, params_D, cfg)
 
 

@@ -16,7 +16,7 @@ from divgan.autodiff import (
     jacobian,
     lift,
 )
-from divgan.losses import DiversityConfig, ObjectiveConfig, TrainBatch
+from divgan.losses import DiversityConfig, ObjectiveConfig
 from divgan.nets import (
     NetworkSpec,
     discriminator_forward,
@@ -544,11 +544,11 @@ def test_backward_leaves_only_leaf_gradients_exact_and_unaliased(space, weight, 
     gradient."""
     params_G = mlp_init(NetworkSpec(4, (8, 6), 4), 1)
     params_D = mlp_init(NetworkSpec(6, (8, 5), 1, hidden_activation="relu"), 2)
-    batch = TrainBatch(z1=rng.normal(size=(5, 2)), z2=rng.normal(size=(5, 2)),
-                       x=rng.normal(size=(5, 2)), seq_len=2 if space == "sequence" else 1)
+    batch = dict(z1=rng.normal(size=(5, 2)), z2=rng.normal(size=(5, 2)),
+                 x=rng.normal(size=(5, 2)))
     cfg = ObjectiveConfig(diversity=DiversityConfig(weight=weight, space=space))
-    freed_fakes, freed = objective(batch, params_G, params_D, cfg)
-    kept_fakes, kept = objective(batch, params_G, params_D, cfg)
+    freed_fakes, freed = objective(params_G, params_D, cfg, **batch)
+    kept_fakes, kept = objective(params_G, params_D, cfg, **batch)
     backward(freed.total)
     _backward_keeping_every_grad(kept.total)
 
@@ -595,12 +595,12 @@ def test_constant_discriminator_gives_same_generator_gradients(space, rng, monke
     g_spec = NetworkSpec(4, (8,), 4)
     d_spec = NetworkSpec(6, (8, 5), 1, hidden_activation="relu")
     params_G, params_D = mlp_init(g_spec, 1), mlp_init(d_spec, 2)
-    batch = TrainBatch(z1=rng.normal(size=(5, 2)), z2=rng.normal(size=(5, 2)),
-                       x=rng.normal(size=(5, 2)), seq_len=2 if space == "sequence" else 1)
+    batch = dict(z1=rng.normal(size=(5, 2)), z2=rng.normal(size=(5, 2)),
+                 x=rng.normal(size=(5, 2)))
     cfg = ObjectiveConfig(diversity=DiversityConfig(weight=0.7, space=space))
 
     def g_grads():
-        fakes, res = objective(batch, params_G, params_D, cfg)
+        fakes, res = objective(params_G, params_D, cfg, **batch)
         backward(res.total)
         return [v.grad for v in fakes.leaves.flat()]
 

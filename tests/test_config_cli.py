@@ -367,6 +367,32 @@ def test_config_that_is_not_utf8_is_config_error(command, tmp_path, capsys):
     assert not out.exists()
 
 
+HUGE_INT = "9" * 5000  # past the decoder's default limit of 4300 digits
+NEEDS_INT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                     reason="this Python decodes integers of any length")
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"steps": 2, "lambda": 0, "lambda": 5}', "duplicate key 'lambda'"),
+    ('{"steps": 2, "ring": {"n_modes": 8, "n_modes": 6}}', "duplicate key 'n_modes'"),
+    pytest.param('{"steps": %s}' % HUGE_INT, "Exceeds the limit", marks=NEEDS_INT_LIMIT),
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["duplicate_key", "duplicate_ring_key", "huge_integer", "deep_nesting"])
+@pytest.mark.parametrize("command", ["train", "verify"])
+def test_json_the_decoder_refuses_is_a_config_error(command, text, message, tmp_path, capsys):
+    """A duplicate key is refused, not read as its last value, and a decoder
+    limit is reported like any other JSON error."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = ["train", "--config", str(path)] if command == "train" else ["verify", str(path)]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    what = "target" if command == "verify" else "config"
+    assert err.startswith(f"config error: {what} is not valid JSON: ") and message in err
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
 def test_failed_replace_keeps_the_previous_artifact(tmp_path, monkeypatch, capsys):
     """An artifact is written beside its target and moved over it: when the
     move fails, the old file survives byte for byte and no temporary is
@@ -693,6 +719,22 @@ def test_eval_and_interp_reject_bad_weights(corruption, tmp_path, capsys):
     assert main(["interp", ckpt, "--out", str(tmp_path / "i.csv")]) == 2
     assert capsys.readouterr().err.startswith("checkpoint error: malformed checkpoint")
     assert not (tmp_path / "e.json").exists() and not (tmp_path / "i.csv").exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda text: text.replace('"step": ', '"step": 0, "step": ', 1), "duplicate key 'step'"),
+    pytest.param(lambda text: text.replace('"step": 2', f'"step": {HUGE_INT}', 1),
+                 "Exceeds the limit", marks=NEEDS_INT_LIMIT),
+    (lambda text: "[" * 100_000 + text + "]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["duplicate_key", "huge_integer", "deep_nesting"])
+def test_checkpoint_the_decoder_refuses_is_malformed(edit, message, tmp_path, capsys):
+    ckpt = tmp_path / "bad.ckpt.json"
+    ckpt.write_text(edit(json.dumps(trained_checkpoint_doc(tmp_path))))
+    capsys.readouterr()
+    assert main(["eval", str(ckpt), "--out", str(tmp_path / "e.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error: malformed checkpoint: ") and message in err
+    assert len(err.splitlines()) == 1 and not (tmp_path / "e.json").exists()
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -170,7 +170,7 @@ def test_trajectory_direction_frequencies():
 def test_noiseless_context_and_future_contiguous_in_angle():
     spec = TrajectorySpec(noise_std=0.0)
     b = sample_trajectories(spec, 20, np.random.default_rng(10))
-    full = np.concatenate([b.x, b.y], axis=1)
+    full = np.concatenate([b.x, b.y], axis=1).reshape(20, -1, 2)  # (n, K + T, 2)
     angles = np.arctan2(full[..., 1], full[..., 0])
     deltas = np.angle(np.exp(1j * np.diff(angles, axis=1)))
     assert np.allclose(np.abs(deltas), spec.angle_step, atol=1e-9)
@@ -181,6 +181,6 @@ def test_noiseless_context_and_future_contiguous_in_angle():
 def test_trajectory_shapes():
     spec = TrajectorySpec(context_len=3, horizon=7)
     b = sample_trajectories(spec, 11, np.random.default_rng(11))
-    assert b.x.shape == (11, 3, 2)
-    assert b.y.shape == (11, 7, 2)
+    assert b.x.shape == (11, 6)  # flat rows: the K context points' coordinates
+    assert b.y.shape == (11, 14)
 

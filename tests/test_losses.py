@@ -13,7 +13,6 @@ from divgan.losses import (
     DegenerateLatentPair,
     DiversityConfig,
     ObjectiveConfig,
-    TrainBatch,
     d_loss,
     diversity_ratio,
     g_adv_loss,
@@ -213,11 +212,10 @@ def test_sequence_ratio_is_the_unclipped_l1_output_ratio_over_the_horizon():
     n, horizon = cfg.batch_size, cfg.traj.horizon
     rng = np.random.default_rng(5)
     real = sample_trajectories(cfg.traj, n, rng)
-    batch = TrainBatch(z1=rng.standard_normal((n, cfg.z_dim)),
-                       z2=rng.standard_normal((n, cfg.z_dim)),
-                       x=real.x.reshape(n, -1), y=real.y.reshape(n, -1), seq_len=horizon)
+    batch = dict(z1=rng.standard_normal((n, cfg.z_dim)), z2=rng.standard_normal((n, cfg.z_dim)),
+                 x=real.x, y=real.y)
     sequence, output = (
-        objective(batch, state.params_G, state.params_D, ObjectiveConfig(diversity=div))[1]
+        objective(state.params_G, state.params_D, ObjectiveConfig(diversity=div), **batch)[1]
         for div in (DiversityConfig(weight=10.0, norm="l2", tau=1e-3, space="sequence"),
                     DiversityConfig(weight=1.0, norm="l1", tau=None, space="output")))
     assert sequence.parts["l_z"] > 1e-3
@@ -309,27 +307,22 @@ def tiny_nets():
 
 
 def make_batch(rng, n=6):
-    return TrainBatch(
-        z1=rng.normal(size=(n, 2)),
-        z2=rng.normal(size=(n, 2)),
-        y=rng.normal(size=(n, 2)),
-    )
+    return dict(z1=rng.normal(size=(n, 2)), z2=rng.normal(size=(n, 2)), y=rng.normal(size=(n, 2)))
 
 
 def test_degenerate_config_is_pure_adversarial(rng):
     params_G, params_D = tiny_nets()
     cfg = ObjectiveConfig(beta=0.0, diversity=DiversityConfig(weight=0.0))
-    batch = make_batch(rng)
-    _, res = objective(batch, params_G, params_D, cfg)
-    assert res.total.item() == pytest.approx(res.parts["adv"])
-    assert res.parts["rec"] == 0.0
+    _, res = objective(params_G, params_D, cfg, **make_batch(rng))
+    assert res.total.item() == pytest.approx(res.parts["g_adv"])
+    assert res.parts["g_rec"] == 0.0
 
 
 def test_z_blind_generator_logs_zero_regularizer(rng):
     params_G, params_D = tiny_nets()
     params_G.weights[0][:] = 0.0  # first layer ignores z entirely
     cfg = ObjectiveConfig(diversity=DiversityConfig(weight=0.1, norm="l1", tau=10.0))
-    _, res = objective(make_batch(rng), params_G, params_D, cfg)
+    _, res = objective(params_G, params_D, cfg, **make_batch(rng))
     assert res.parts["l_z"] == 0.0
     assert res.parts["ratio_mean"] == 0.0
 
@@ -337,9 +330,8 @@ def test_z_blind_generator_logs_zero_regularizer(rng):
 def test_missing_targets_with_beta():
     params_G, params_D = tiny_nets()
     cfg = ObjectiveConfig(beta=1.0)
-    batch = TrainBatch(z1=np.zeros((2, 2)), z2=np.ones((2, 2)))
     with pytest.raises(ValueError, match="targets"):
-        objective(batch, params_G, params_D, cfg)
+        objective(params_G, params_D, cfg, z1=np.zeros((2, 2)), z2=np.ones((2, 2)))
 
 
 def test_resampling_exhaustion():
@@ -347,15 +339,15 @@ def test_resampling_exhaustion():
     cfg = ObjectiveConfig()
     z = np.zeros((3, 2))
     with pytest.raises(DegenerateLatentPair):
-        generate_fakes(TrainBatch(z1=z, z2=z.copy()), params_G, cfg, rng=None)
+        generate_fakes(params_G, cfg, z, z.copy(), rng=None)
 
 
 def test_resampling_recovers_with_rng(rng):
     params_G, params_D = tiny_nets()
     cfg = ObjectiveConfig()
     z = rng.normal(size=(3, 2))
-    fakes = generate_fakes(TrainBatch(z1=z, z2=z.copy()), params_G, cfg, rng=rng)
-    gaps = np.sum(np.abs(z - fakes.batch.z2), axis=1)
+    fakes = generate_fakes(params_G, cfg, z, z.copy(), rng=rng)
+    gaps = np.sum(np.abs(z - fakes.z2), axis=1)
     assert np.all(gaps >= losses.MIN_Z_GAP)
 
 
@@ -369,9 +361,9 @@ def test_training_graph_ratios_match_pairwise_functions(space, norm, tau, weight
                                                         monkeypatch):
     """Per example, the ratios the training objective builds equal the public
     per-pair diversity_ratio on the same outputs and the z2 actually used."""
-    seq_len = 3 if space == "sequence" else 1
-    params_G = mlp_init(NetworkSpec(2, (5,), 2 * seq_len), 3)
-    params_D = mlp_init(NetworkSpec(2 * seq_len, (4, 3), 1, hidden_activation="tanh"), 4)
+    horizon = 3 if space == "sequence" else 1
+    params_G = mlp_init(NetworkSpec(2, (5,), 2 * horizon), 3)
+    params_D = mlp_init(NetworkSpec(2 * horizon, (4, 3), 1, hidden_activation="tanh"), 4)
     z1, z2 = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
     z2[0] = z1[0]  # degenerate pair: the objective resamples it
     div = DiversityConfig(weight=weight, tau=tau, norm=norm, space=space)
@@ -384,11 +376,10 @@ def test_training_graph_ratios_match_pairwise_functions(space, norm, tau, weight
         return seen[-1]
 
     monkeypatch.setattr(losses, "_batch_ratios", spy)
-    fakes, res = objective(TrainBatch(z1=z1, z2=z2, seq_len=seq_len), params_G, params_D,
-                           ObjectiveConfig(diversity=div), rng=rng)
+    fakes, res = objective(params_G, params_D, ObjectiveConfig(diversity=div), z1, z2, rng=rng)
     monkeypatch.undo()
     (term, raw), = seen
-    z2 = fakes.batch.z2
+    z2 = fakes.z2
     assert not np.array_equal(z2[0], z1[0])
 
     y1, y2 = generator_forward(params_G, z1).data, generator_forward(params_G, z2).data
@@ -396,7 +387,7 @@ def test_training_graph_ratios_match_pairwise_functions(space, norm, tau, weight
     feats2 = discriminator_forward(params_D, y2)[1]
 
     def parts(y, feats, i):  # G's output or its steps, or D's hidden layers
-        return [f.data[i] for f in feats] if space == "feature" else np.split(y[i], seq_len)
+        return [f.data[i] for f in feats] if space == "feature" else np.split(y[i], horizon)
 
     for i in range(len(z1)):
         p1, p2 = parts(y1, feats1, i), parts(y2, feats2, i)
@@ -415,11 +406,10 @@ def test_second_fake_records_a_graph_only_when_weighted(space, rng, monkeypatch)
     """At weight 0 the second fake only feeds the logged ratios, so it is
     built from constants and records no graph; at weight > 0 it carries G's
     gradient. The ratios keep their bits either way."""
-    seq_len = 2 if space == "sequence" else 1
-    params_G = mlp_init(NetworkSpec(2, (5,), 2 * seq_len), 3)
-    params_D = mlp_init(NetworkSpec(2 * seq_len, (4, 3), 1, hidden_activation="relu"), 4)
-    batch = TrainBatch(z1=rng.normal(size=(6, 2)), z2=rng.normal(size=(6, 2)),
-                       seq_len=seq_len)
+    horizon = 2 if space == "sequence" else 1
+    params_G = mlp_init(NetworkSpec(2, (5,), 2 * horizon), 3)
+    params_D = mlp_init(NetworkSpec(2 * horizon, (4, 3), 1, hidden_activation="relu"), 4)
+    z1, z2 = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
     seen = []
     batch_ratios = losses._batch_ratios
 
@@ -428,8 +418,9 @@ def test_second_fake_records_a_graph_only_when_weighted(space, rng, monkeypatch)
         return seen[-1][1]
 
     monkeypatch.setattr(losses, "_batch_ratios", spy)
-    logged = [objective(batch, params_G, params_D,
-                        ObjectiveConfig(diversity=DiversityConfig(weight=w, space=space)))[1]
+    logged = [objective(params_G, params_D,
+                        ObjectiveConfig(diversity=DiversityConfig(weight=w, space=space)),
+                        z1, z2)[1]
               for w in (0.0, 0.3)]
     (grads0, ratios0), (grads1, ratios1) = seen
     assert grads0 and not any(grads0)
@@ -442,21 +433,20 @@ def test_second_fake_records_a_graph_only_when_weighted(space, rng, monkeypatch)
 @pytest.mark.parametrize("space", ["output", "feature", "sequence"])
 @pytest.mark.parametrize("norm", ["l1", "l2"])
 def test_total_loss_gradients_match_finite_differences(space, norm, rng):
-    g_spec = NetworkSpec(2, (4,), 2, hidden_activation="tanh")
-    d_spec = NetworkSpec(2, (3,), 1, hidden_activation="tanh")
+    horizon = 2 if space == "sequence" else 1
+    g_spec = NetworkSpec(2, (4,), 2 * horizon, hidden_activation="tanh")
+    d_spec = NetworkSpec(2 * horizon, (3,), 1, hidden_activation="tanh")
     params_G, params_D = mlp_init(g_spec, 5), mlp_init(d_spec, 6)
     z1 = rng.normal(size=(4, 2))
     z2 = rng.normal(size=(4, 2))
-    y = rng.normal(size=(4, 2))
+    y = rng.normal(size=(4, 2 * horizon))
     cfg = ObjectiveConfig(
         beta=0.5,
         diversity=DiversityConfig(weight=0.3, tau=5.0, norm=norm, space=space),
     )
-    seq_len = 2 if space == "sequence" else 1
 
     # engine gradients through the real path
-    fakes, res = objective(TrainBatch(z1=z1, z2=z2, y=y, seq_len=seq_len), params_G, params_D,
-                           cfg)
+    fakes, res = objective(params_G, params_D, cfg, z1, z2, y=y)
     backward(res.total)
     engine = [v.grad for v in fakes.leaves.flat()]
 
@@ -470,8 +460,7 @@ def test_total_loss_gradients_match_finite_differences(space, norm, rng):
             probe = [a.copy() for a in flat0]
             probe[i] = x
             probe_G = NetworkParams(g_spec, np.concatenate([a.ravel() for a in probe]))
-            _, res = objective(TrainBatch(z1=z1, z2=z2, y=y, seq_len=seq_len), probe_G,
-                               params_D, cfg)
+            _, res = objective(probe_G, params_D, cfg, z1, z2, y=y)
             return res.total.item()
 
         fd = finite_diff_gradient(scalar, flat0[i])
@@ -489,7 +478,7 @@ def test_lambda_scales_regularizer_gradient_linearly(rng):
 
     def grads_at(weight):
         cfg = ObjectiveConfig(diversity=DiversityConfig(weight=weight, tau=None, norm="l2"))
-        fakes, res = objective(TrainBatch(z1=z1, z2=z2), params_G, params_D, cfg)
+        fakes, res = objective(params_G, params_D, cfg, z1, z2)
         backward(res.total)
         return [v.grad.copy() for v in fakes.leaves.flat()]
 
@@ -513,40 +502,40 @@ def _cols(v, start, stop):
     return autodiff._node(v.data[:, start:stop], (v,), bwd)
 
 
-def _per_step_objective(batch, params_G, params_D, cfg, z2):
-    """The sequence objective with one column slice per step and a chain of
-    adds over the steps, as a reference for the one-pass graph."""
+def _per_step_objective(params_G, params_D, cfg, z1, z2, y):
+    """The sequence objective with one column slice per 2-D step and a chain
+    of adds over the steps, as a reference for the one-pass graph."""
     leaves = ParamLeaves(params_G)
-    y1 = generator_forward(leaves, batch.z1)
+    y1 = generator_forward(leaves, z1)
     y2 = generator_forward(leaves, z2)
     adv = g_adv_loss(discriminator_forward(params_D, y1)[0])
-    step = y1.shape[1] // batch.seq_len
+    horizon = y1.shape[1] // 2
     acc = None
-    for t in range(batch.seq_len):
-        a, b = _cols(y1, t * step, (t + 1) * step), _cols(y2, t * step, (t + 1) * step)
+    for t in range(horizon):
+        a, b = _cols(y1, 2 * t, 2 * t + 2), _cols(y2, 2 * t, 2 * t + 2)
         d = (a - b).abs().sum(axis=1)
         acc = d if acc is None else acc + d
-    gaps = np.abs(batch.z1 - z2).sum(axis=1)
-    raw = acc * (1.0 / batch.seq_len) * lift(1.0 / gaps)
+    gaps = np.abs(z1 - z2).sum(axis=1)
+    raw = acc * (1.0 / horizon) * lift(1.0 / gaps)
     weight = cfg.diversity.weight
     total = adv - weight * raw.mean() if weight > 0 else adv
     if cfg.beta > 0:
-        total = total + cfg.beta * reconstruction_loss(y1, batch.y)
+        total = total + cfg.beta * reconstruction_loss(y1, y)
     return total, raw, leaves
 
 
-@pytest.mark.parametrize("seq_len", [1, 2, 10])
+@pytest.mark.parametrize("horizon", [1, 2, 10])
 @pytest.mark.parametrize("weight,beta", [(0.0, 0.0), (0.7, 0.0), (10.0, 0.5)])
-def test_sequence_objective_equals_per_step_reference_bit_for_bit(seq_len, weight, beta, rng,
+def test_sequence_objective_equals_per_step_reference_bit_for_bit(horizon, weight, beta, rng,
                                                                  monkeypatch):
     """The one-pass sequence ratio (a (B, T, dim) reshape, step norms summed
     over the leading axis of a (T, B) copy) gives the per-step chain's
     ratios, loss and G gradients to the last bit."""
-    params_G = mlp_init(NetworkSpec(3, (9,), 2 * seq_len), 21)
-    params_D = mlp_init(NetworkSpec(2 * seq_len, (8,), 1, hidden_activation="relu"), 22)
+    params_G = mlp_init(NetworkSpec(3, (9,), 2 * horizon), 21)
+    params_D = mlp_init(NetworkSpec(2 * horizon, (8,), 1, hidden_activation="relu"), 22)
     params_G.weights[1][:, 0] = -0.0  # step 0's first coordinate ignores z
-    batch = TrainBatch(z1=rng.normal(size=(7, 3)), z2=rng.normal(size=(7, 3)),
-                       y=rng.normal(size=(7, 2 * seq_len)), seq_len=seq_len)
+    z1, y = rng.normal(size=(7, 3)), rng.normal(size=(7, 2 * horizon))
+    z2 = rng.normal(size=(7, 3))
     cfg = ObjectiveConfig(beta=beta, diversity=DiversityConfig(weight=weight,
                                                                 space="sequence"))
     seen = []
@@ -557,11 +546,10 @@ def test_sequence_objective_equals_per_step_reference_bit_for_bit(seq_len, weigh
         return seen[-1]
 
     monkeypatch.setattr(losses, "_batch_ratios", spy)
-    fakes, res = objective(batch, params_G, params_D, cfg)
+    fakes, res = objective(params_G, params_D, cfg, z1, z2, y=y)
     monkeypatch.undo()
     (term, raw), = seen
-    ref_total, ref_raw, ref_leaves = _per_step_objective(batch, params_G, params_D, cfg,
-                                                         fakes.batch.z2)
+    ref_total, ref_raw, ref_leaves = _per_step_objective(params_G, params_D, cfg, z1, fakes.z2, y)
     assert raw.data.tobytes() == ref_raw.data.tobytes()
     assert term.data.tobytes() == ref_raw.data.tobytes()  # no clip off output space
     assert res.parts["ratio_mean"] == float(ref_raw.data.mean())

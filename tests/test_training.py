@@ -25,7 +25,6 @@ from divgan.data import (
 from divgan.losses import (
     DiversityConfig,
     ObjectiveConfig,
-    TrainBatch,
     d_loss,
     g_adv_loss,
     generate_fakes,
@@ -124,9 +123,8 @@ def test_lambda_zero_matches_term_free_build():
     state = init_state(cfg)
     z1 = state.rng.standard_normal((4, 2))
     z2 = state.rng.standard_normal((4, 2))
-    batch = TrainBatch(z1=z1, z2=z2)
     obj = ObjectiveConfig(diversity=DiversityConfig(weight=0.0))
-    fakes, res = objective(batch, state.params_G, state.params_D, obj)
+    fakes, res = objective(state.params_G, state.params_D, obj, z1, z2)
     backward(res.total)
     grads_with_logging = [v.grad.copy() for v in fakes.leaves.flat()]
 
