@@ -26,6 +26,7 @@ import contextlib
 import copy
 import csv
 import io
+import itertools
 import json
 import os
 import stat
@@ -247,21 +248,19 @@ def cmd_interp(args) -> int:
         raise CheckpointError(str(exc)) from exc
     zcols = [f"z{i}" for i in range(z_dim)]
     ycols = [f"y{i}" for i in range(params_G.spec.output_dim)]
-    rows = [["step"] + zcols + ycols + ["slerp_fallback"]]
-    for i in range(args.steps):
-        rows.append(
-            [i] + [repr(float(v)) for v in res.latents[i]]
-            + [repr(float(v)) for v in res.outputs[i]]
-            + [int(res.slerp_fallback)]
-        )
-    _write(args.out, _csv(rows))
+    header = ["step"] + zcols + ycols + ["slerp_fallback"]
+    # made as the writer reads them, not held as one list of rows
+    rows = ([i] + [repr(float(v)) for v in res.latents[i]]
+            + [repr(float(v)) for v in res.outputs[i]] + [int(res.slerp_fallback)]
+            for i in range(args.steps))
+    _write(args.out, _csv(itertools.chain([header], rows)))
     return EXIT_OK
 
 
-# upper bound on --pairs, --probes and --steps: a 128-wide layer over that
-# many rows holds 2**25 float64 entries, the budget divgan.data.MAX_SIZE keeps
-# configs to (--pairs runs in fixed-size blocks of pairs, and the block size,
-# not the cap, bounds its memory; the cap bounds time only)
+# upper bound on --pairs, --probes and --steps, which bounds time only: the
+# pairs run in fixed-size blocks of pairs and the probes and path steps pass
+# through G in blocks of nets.ROW_BLOCK rows, so the block sizes, not the
+# cap, bound G's memory
 MAX_COUNT = 2**18
 
 

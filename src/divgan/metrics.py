@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import NumericsError
 from .data import MODES_PER_LABEL, N_LABELS, RingMixtureSpec, check_labels, label_of, nearest_modes
-from .nets import NetworkParams, generator_forward
+from .nets import NetworkParams, generate
 
 __all__ = [
     "EvalReport",
@@ -198,10 +198,10 @@ def latent_interpolation(params_G: NetworkParams, z_a, z_b, steps: int,
         latents = _linear_path(z_a, z_b, ts)
     latents[0] = z_a
     latents[-1] = z_b
-    # one stacked pass of 1-row slices: each runs the product of a
+    # blocked passes of stacked 1-row slices: each runs the product of a
     # single-sample generator call, so the endpoints keep its bits
     cond = None if x is None else np.ravel(x)
-    outputs = generator_forward(params_G, latents[:, None, :], cond).data[:, 0]
+    outputs = generate(params_G, latents[:, None, :], cond)[:, 0]
     if not np.all(np.isfinite(outputs)):
         raise NumericsError("latent_interpolation: non-finite generator output")
     return InterpolationResult(latents=latents, outputs=outputs, slerp_fallback=fallback)

@@ -26,8 +26,14 @@ __all__ = [
     "mlp_forward_vars",
     "with_condition",
     "generator_forward",
+    "generate",
     "discriminator_forward",
+    "ROW_BLOCK",
 ]
+
+# Rows per block of `generate`: a 128-wide float64 hidden block is 512 KiB,
+# a quarter of a core's 2 MiB L2.
+ROW_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -183,6 +189,36 @@ def generator_forward(params: NetworkParams | ParamLeaves, z, x=None) -> Var:
     """G(x, z) on a batch: the condition (see `with_condition`) ahead of
     the latents."""
     out, _ = mlp_forward_vars(params.flat(), params.spec, with_condition(x, z))
+    return out
+
+
+def generate(params: NetworkParams, z, x=None) -> np.ndarray:
+    """G(x, z) as an array, run with constant parameters over z's leading
+    axis in blocks of ROW_BLOCK rows, so a pass over any number of rows
+    holds one block per hidden layer. z is (rows, z_dim), or stacked
+    (rows, k, z_dim); x is None, a (rows, c) condition per row, sliced with
+    z, or one (c,) condition shared by every row (see `with_condition`).
+
+    A lone last row joins the block before it, since a 1-row product takes
+    numpy's matrix-vector path, which rounds otherwise. The output agrees
+    with one unblocked `generator_forward` to rounding, not always bit for
+    bit: OpenBLAS does not round by row count alone. With one BLAS thread,
+    128-wide hidden products split this way matched the unblocked product at
+    every row count tried, but the narrow output products differed at some:
+    128 -> 20 at 517 and 3721 rows, 128 -> 2 at 4097 and 262145 rows.
+    Stacked 1-row slices are each their own product, so they keep a
+    single-row call's bits in any block.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    rows = len(z)
+    per_row = x is not None and np.ndim(x) == 2
+    if per_row and len(x) != rows:
+        raise ShapeMismatch(f"generate: condition shape {np.shape(x)} vs input shape {z.shape}")
+    out = np.empty(z.shape[:-1] + (params.spec.output_dim,))
+    stops = list(range(ROW_BLOCK, rows - 1, ROW_BLOCK)) + [rows]
+    for start, stop in zip([0] + stops, stops):
+        cond = x[start:stop] if per_row else x
+        out[start:stop] = generator_forward(params, z[start:stop], cond).data
     return out
 
 

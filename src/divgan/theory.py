@@ -31,10 +31,15 @@ the nodes, one Jacobian pass, one batch of spectral norms and one node mean
 per pair. Numpy runs a stacked product as one 2-D product per slice, so
 each pair keeps the bits of its own `path_gradient_bound`, which is the same
 core on one pair. (Merging the pairs into a product's row dimension would
-not: BLAS rounds a product differently by its row count.) Each pair's
-quotient keeps its own 1-D norms. The block sizes bound memory and are
-fixed per pass: 8 pairs of 64 nodes for the reverse pass, one pair for the
-tangent pass, whose larger blocks spill the L2 cache.
+not: a 1-row product takes numpy's matrix-vector path, and OpenBLAS rounds
+some narrow products, such as 128 -> 2 over 4097 rows, otherwise when their
+rows are split; see `nets.generate`.) Each pair's quotient keeps its own 1-D
+norms. The block sizes bound memory and are fixed per pass: 8 pairs of 64
+nodes for the reverse pass, one pair for the tangent pass, whose larger
+blocks spill the L2 cache. `attraction_check` runs G_t and G_{t+1} over
+[z1; probes], and in 2-D over [z1; grid], in blocks of `nets.ROW_BLOCK`
+rows, so its memory is one block per hidden layer plus a few numbers per
+probe, whatever the probe count; eps comes from two 1-row passes of its own.
 
 Norms here are l2 / spectral (matching the analysis), regardless of the
 training-side norm choice. A spectral norm is the root of the largest
@@ -56,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NumericsError, activation_grad, backward
-from .nets import (NetworkParams, ParamLeaves, generator_forward, mlp_forward_vars,
+from .nets import (NetworkParams, ParamLeaves, generate, generator_forward, mlp_forward_vars,
                    with_condition)
 from .optim import AdamHyper, adam_init, adam_step
 
@@ -343,8 +348,9 @@ def _dists_to(ys: np.ndarray, y_star: np.ndarray) -> np.ndarray:
 def _ratios_from(params: NetworkParams, z1: np.ndarray, zs: np.ndarray,
                  gaps: np.ndarray, x=None) -> tuple[np.ndarray, np.ndarray]:
     """Difference quotients of G from z1 to every row of zs, and G at those
-    rows, all from one pass of G over [z1; zs]."""
-    ys, _ = _forward(params, np.vstack([z1[None, :], zs]), x)
+    rows, all from one blocked pass of G over [z1; zs] (`nets.generate`)."""
+    ys = generate(params, np.vstack([z1[None, :], zs]), None if x is None else np.ravel(x))
+    ys = _finite(ys, "generator output")
     return _finite(np.linalg.norm(ys[1:] - ys[0][None, :], axis=1) / gaps,
                    "difference quotient"), ys[1:]
 

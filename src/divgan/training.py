@@ -51,7 +51,7 @@ from .nets import (
     NetworkSpec,
     ParamLeaves,
     discriminator_forward,
-    generator_forward,
+    generate,
     mlp_init,
 )
 from .optim import AdamState, adam_init, adam_step
@@ -259,7 +259,7 @@ def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
     labels_covered = in_label_frac = None
     if cfg.task == "ring":
         z = rng.standard_normal((n, cfg.z_dim))
-        fake = generator_forward(params_G, z).data
+        fake = generate(params_G, z)
         real = sample_ring(cfg.ring, n, rng)
         modes, hq = mode_coverage(fake, cfg.ring)
         div = pairwise_diversity(fake)
@@ -269,7 +269,7 @@ def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
         labels = rng.integers(0, N_LABELS, size=n)
         x = one_hot(labels, N_LABELS)
         z = rng.standard_normal((n, cfg.z_dim))
-        fake = generator_forward(params_G, z, x).data
+        fake = generate(params_G, z, x)
         real = sample_conditional_ring(cfg.ring, n, rng)
         nearest = nearest_modes(fake, cfg.ring)
         modes, hq = mode_coverage(fake, cfg.ring, nearest=nearest)
@@ -286,7 +286,7 @@ def evaluate_generator(params_G: NetworkParams, cfg: TrainConfig) -> EvalReport:
         t = cfg.traj
         real = sample_trajectories(t, n, rng)
         z = rng.standard_normal((n, cfg.z_dim))
-        fake = generator_forward(params_G, z, real.x).data  # (n, 2T) futures
+        fake = generate(params_G, z, real.x)  # (n, 2T) futures
         pts = fake.reshape(n, t.horizon, 2)
         # direction coverage: sign of the summed cross products along the path
         cross = (pts[:, :-1, 0] * pts[:, 1:, 1] - pts[:, :-1, 1] * pts[:, 1:, 0]).sum(axis=1)

@@ -1,4 +1,5 @@
 import base64
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,22 @@ def objective(params_G, params_D, cfg, z1, z2, x=None, y=None, rng=None):
     fakes, then generator_total_loss on them. Returns (fakes, loss)."""
     fakes = generate_fakes(params_G, cfg, z1, z2, x, y, rng)
     return fakes, generator_total_loss(fakes, params_D, cfg)
+
+
+def traced_peak(fn) -> int:
+    """Bytes of traced allocations by which one call of fn peaks above what
+    was allocated before it."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak - before
 
 
 def edit_vector(doc, name, edit):

@@ -202,17 +202,19 @@ def test_interpolation_endpoints_exact(rng):
 
 @pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
 def test_interpolation_rows_are_single_sample_calls(task, rng):
-    """Every row of the one stacked pass has the bits of a 1-row call."""
+    """Every row of the stacked passes has the bits of a 1-row call, in one
+    block and across several blocks of rows."""
     cfg = parse_run_config({"task": task})
     spec = task_specs(cfg)[0]
     params = mlp_init(spec, seed=2)
     cond_dim = spec.input_dim - cfg.z_dim
     x = rng.normal(size=cond_dim) if cond_dim else None
-    res = latent_interpolation(params, rng.normal(size=cfg.z_dim), rng.normal(size=cfg.z_dim),
-                               steps=9, mode="slerp", x=x)
     xr = None if x is None else x[None, :]
-    for latent, output in zip(res.latents, res.outputs):
-        assert np.array_equal(output, generator_forward(params, latent[None, :], xr).data[0])
+    for steps in (9, 1100):
+        res = latent_interpolation(params, rng.normal(size=cfg.z_dim),
+                                   rng.normal(size=cfg.z_dim), steps=steps, mode="slerp", x=x)
+        for latent, output in zip(res.latents, res.outputs):
+            assert np.array_equal(output, generator_forward(params, latent[None, :], xr).data[0])
 
 
 def test_interpolation_two_steps_is_endpoints_only(rng):

@@ -3,13 +3,16 @@ import re
 import numpy as np
 import pytest
 
+from divgan import nets
 from divgan.autodiff import ShapeMismatch, Var, affine, backward
 from divgan.nets import (
+    ROW_BLOCK,
     NetworkParams,
     NonFiniteParams,
     NetworkSpec,
     ParamLeaves,
     discriminator_forward,
+    generate,
     generator_forward,
     mlp_forward_vars,
     mlp_init,
@@ -284,3 +287,39 @@ def test_shared_condition_over_stacked_latents_is_the_per_row_call(task):
             generator_forward(params, zs, per_row)
     with pytest.raises(ShapeMismatch, match="condition shape"):
         with_condition(Var(x), zs[0])
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_generate_runs_row_blocks(shared, monkeypatch):
+    """`generate` runs G on blocks of ROW_BLOCK rows, a lone last row
+    joining the block before it, and slices a per-row condition with the
+    rows; each block is the 2-D call on its rows and conditions. A per-row
+    condition of another length than z is refused."""
+    cfg = parse_run_config({"task": "conditional_ring"})
+    spec = task_specs(cfg)[0]
+    params = mlp_init(spec, 6)
+    rng = np.random.default_rng(7)
+    calls = []
+
+    def spy(params, z, x=None):
+        calls.append((z, x))
+        return generator_forward(params, z, x)
+
+    monkeypatch.setattr(nets, "generator_forward", spy)
+    B = ROW_BLOCK
+    for rows, sizes in ((3, [3]), (B, [B]), (2 * B + 1, [B, B + 1]), (2 * B + 2, [B, B, 2])):
+        z = rng.standard_normal((rows, cfg.z_dim))
+        x = rng.standard_normal(4 if shared else (rows, 4))
+        calls.clear()
+        out = generate(params, z, x)
+        assert [len(zb) for zb, _ in calls] == sizes
+        start = 0
+        for zb, xb in calls:
+            stop = start + len(zb)
+            assert np.array_equal(zb, z[start:stop])
+            assert xb is x if shared else np.array_equal(xb, x[start:stop])
+            assert np.array_equal(out[start:stop], generator_forward(params, zb, xb).data)
+            start = stop
+    if not shared:
+        with pytest.raises(ShapeMismatch, match=re.escape("condition shape (701, 4)")):
+            generate(params, z[:700], x[:701])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from divgan import autodiff, theory
+from conftest import traced_peak
+from divgan import autodiff, nets, theory
 from divgan.autodiff import NumericsError, jacobian
+from divgan.config import parse_run_config
 from divgan.nets import NetworkParams, NetworkSpec, generator_forward, mlp_init
 from divgan.optim import AdamHyper
 from divgan.theory import (
@@ -12,6 +14,7 @@ from divgan.theory import (
     path_jacobians,
     pull_toward,
 )
+from divgan.training import task_specs
 
 
 def linear_params(A):
@@ -346,14 +349,55 @@ def test_bound_suite_runs_g_once_per_block(task, monkeypatch):
 @pytest.mark.parametrize("z_dim,passes", [(2, 6), (3, 4)])
 def test_attraction_check_runs_each_generator_pass_once(z_dim, passes, monkeypatch):
     """d1 and d1_next, one pass of G_t and one of G_{t+1} over [z1; probes],
-    and in 2-D one of each over [z1; grid]."""
+    and in 2-D one of each over [z1; grid]. The last two run in blocks of
+    `nets.generate`: [z1; 1100 probes] is 3 blocks (512, 512 and 77 rows),
+    and [z1; grid] is 8, since z1 = 0 is one of the grid's 3721 points."""
     params = tanh_generator(1, z_dim=z_dim)
     z1, y_star = np.zeros(z_dim), np.full(2, 5.0)
     params_next = pull_toward(params, z1, y_star, AdamHyper())
-    spy = CallCount(theory.mlp_forward_vars)
-    monkeypatch.setattr(theory, "mlp_forward_vars", spy)
-    attraction_check(params, params_next, z1, y_star, probes=50, rng=np.random.default_rng(0))
-    assert spy.calls == passes
+    single = CallCount(theory.mlp_forward_vars)
+    blocked = CallCount(theory.generate)
+    blocks = CallCount(nets.generator_forward)
+    monkeypatch.setattr(theory, "mlp_forward_vars", single)
+    monkeypatch.setattr(theory, "generate", blocked)
+    monkeypatch.setattr(nets, "generator_forward", blocks)
+    attraction_check(params, params_next, z1, y_star, probes=1100, rng=np.random.default_rng(0))
+    assert single.calls == 2 and single.calls + blocked.calls == passes
+    assert blocks.calls == 2 * 3 + (2 * 8 if z_dim == 2 else 0)
+
+
+def ring_pull(seed=0):
+    """A 128-wide ring G at init, the G one `pull_toward` step makes of it,
+    and that step's z1 and y*."""
+    params = mlp_init(task_specs(parse_run_config({"task": "ring"}))[0], seed)
+    z1, y_star = np.zeros(2), np.full(2, 5.0)
+    return params, pull_toward(params, z1, y_star, AdamHyper()), z1, y_star
+
+
+def test_attraction_check_traced_peak():
+    """20000 probes on a 128-wide ring G peak at most 5 MB of traced
+    allocations: ~3.1 MB with G run in 512-row blocks, ~43 MB when each pass
+    held a 20001 x 128 array per hidden layer."""
+    params, params_next, z1, y_star = ring_pull()
+
+    def check():
+        attraction_check(params, params_next, z1, y_star, probes=20000,
+                         rng=np.random.default_rng(0))
+
+    check()
+    assert traced_peak(check) <= 5.0e6
+
+
+def test_attraction_quotients_equal_one_unblocked_pass():
+    """At the default 2000 probes, the blocked passes over [z1; probes]
+    give each quotient the bits of one `generator_forward` over all rows."""
+    params, params_next, z1, y_star = ring_pull()
+    rep = attraction_check(params, params_next, z1, y_star, probes=2000,
+                           rng=np.random.default_rng(0))
+    assert len(rep.z2) + 1 > nets.ROW_BLOCK
+    for p, ratios in ((params, rep.ratio_t), (params_next, rep.ratio_t1)):
+        ys = generator_forward(p, np.vstack([z1[None, :], rep.z2])).data
+        assert np.array_equal(ratios, np.linalg.norm(ys[1:] - ys[0][None, :], axis=1) / rep.gap)
 
 
 def test_relu_generator_gets_finer_default_grid():

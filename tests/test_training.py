@@ -4,14 +4,13 @@ import copy
 import itertools
 import json
 import re
-import tracemalloc
 import weakref
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from conftest import as_version_2, as_version_3, edit_vector, objective
+from conftest import as_version_2, as_version_3, edit_vector, objective, traced_peak
 from divgan import metrics, training
 from divgan.autodiff import backward
 from divgan.config import parse_run_config, to_document
@@ -32,9 +31,11 @@ from divgan.losses import (
     reconstruction_loss,
 )
 from divgan.nets import (
+    ROW_BLOCK,
     NetworkParams,
     NetworkSpec,
     discriminator_forward,
+    generate,
     generator_forward,
 )
 from divgan.optim import adam_step
@@ -147,17 +148,37 @@ def test_steady_ring_step_traced_peak():
     state = init_state(cfg)
     for _ in range(5):
         state, _ = train_step(state, cfg)
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before, _ = tracemalloc.get_traced_memory()
-        train_step(state, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak - before <= 3.0e6
+    assert traced_peak(lambda: train_step(state, cfg)) <= 3.0e6
+
+
+@pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
+def test_evaluation_traced_peak(task):
+    """An evaluation at the task defaults peaks at most 3.5 MB of traced
+    allocations: 1.2-2.4 MB with G run in 512-row blocks, 5.2-6.5 MB when
+    one pass over its 2500 rows held a 2500 x 128 array per hidden layer."""
+    cfg = parse_run_config({"task": task, "seed": 0})
+    params_G = init_state(cfg).params_G
+    evaluate_generator(params_G, cfg)
+    assert traced_peak(lambda: evaluate_generator(params_G, cfg)) <= 3.5e6
+
+
+@pytest.mark.parametrize("z_dim", [1, 2, 8, 32])
+@pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
+def test_blocked_evaluation_equals_one_pass(task, z_dim, monkeypatch):
+    """Evaluation's fakes, from G in blocks of `nets.ROW_BLOCK` rows, have
+    the bits of one `generator_forward` over all EVAL_SAMPLES rows."""
+    assert EVAL_SAMPLES > ROW_BLOCK
+    cfg = parse_run_config({"task": task, "z_dim": z_dim, "seed": 0})
+    same = []
+
+    def checked(params, z, x=None):
+        out = generate(params, z, x)
+        same.append(np.array_equal(out, generator_forward(params, z, x).data))
+        return out
+
+    monkeypatch.setattr(training, "generate", checked)
+    evaluate_generator(init_state(cfg).params_G, cfg)
+    assert same == [True]
 
 
 @pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
