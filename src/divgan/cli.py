@@ -167,8 +167,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad --lambdas: {exc}") from exc
     if not cfgs:
         raise ConfigError("--lambdas must name at least one value")
+    os.makedirs(args.out, exist_ok=True)  # a bad --out fails before the runs, not after
     entries = sweep(cfgs, jobs=args.jobs)
-    os.makedirs(args.out, exist_ok=True)
     summary = [["lambda", *EVAL_COLUMNS]]
     summary += [[e.config.objective.diversity.weight,
                  *(getattr(e.report, k, None) for k in EVAL_COLUMNS)] for e in entries]
@@ -185,15 +185,19 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _unconditional_z_dim(cfg, command: str) -> int:
+def _unconditional_z_dim(cfg, command: str, flag: str, count: int) -> int:
     """Latent size of a run's generator, which must be the ring task's
-    unconditional one: `command` has no conditions to give it."""
+    unconditional one: `command` has no conditions to give it. `count`
+    latents, as `flag` asks, must fit in 2**25 entries (see MAX_COUNT)."""
     if cfg.task != "ring":
         raise ConfigError(
             f"{command} needs the ring task's unconditional generator, but this is a "
             f"{cfg.task} generator, which reads a condition beside its latent, and "
             f"{command} has no conditions to give it"
         )
+    if count * cfg.z_dim > 2**25:
+        raise ConfigError(f"{flag} {count} at z_dim {cfg.z_dim} is {count * cfg.z_dim} latent "
+                          f"entries, over 2**25; at most {2**25 // cfg.z_dim} fit")
     return cfg.z_dim
 
 
@@ -207,7 +211,7 @@ def cmd_verify(args) -> int:
         state = restore_checkpoint(doc)  # the one parse serves both readings
     else:
         state = init_state(_seeded(parse_run_config(doc), args))
-    z_dim = _unconditional_z_dim(state.config, "verify")
+    z_dim = _unconditional_z_dim(state.config, "verify", "--probes", args.probes)
     params_G = state.params_G
 
     rng = np.random.default_rng(seed)
@@ -237,7 +241,7 @@ def cmd_verify(args) -> int:
 def cmd_interp(args) -> int:
     with open(args.checkpoint, "rb") as fh:
         state = load_checkpoint(fh.read())
-    z_dim = _unconditional_z_dim(state.config, "interp")
+    z_dim = _unconditional_z_dim(state.config, "interp", "--steps", args.steps)
     params_G = state.params_G
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     z_a = rng.standard_normal(z_dim)
@@ -257,10 +261,12 @@ def cmd_interp(args) -> int:
     return EXIT_OK
 
 
-# upper bound on --pairs, --probes and --steps, which bounds time only: the
-# pairs run in fixed-size blocks of pairs and the probes and path steps pass
-# through G in blocks of nets.ROW_BLOCK rows, so the block sizes, not the
-# cap, bound G's memory
+# upper bound on --pairs, --probes and --steps, which bounds time: the pairs
+# run in fixed-size blocks of pairs and the probes and path steps pass through
+# G in blocks of nets.ROW_BLOCK rows, so the block sizes, not the cap, bound
+# G's memory. The probes and the path's latents are held whole, so
+# `_unconditional_z_dim` also refuses a --probes or --steps count whose
+# count * z_dim latent entries exceed 2**25 (256 MiB; see data.MAX_SIZE)
 MAX_COUNT = 2**18
 
 

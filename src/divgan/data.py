@@ -32,7 +32,9 @@ __all__ = [
 # upper bound on each size a TrainConfig sets (z_dim, batch_size, ring.n_modes):
 # with all three at the cap, no array built from them in training, evaluation
 # (2500 samples) or the theory checks holds more than 2**25 float64 entries
-# (256 MiB)
+# (256 MiB). The CLI's count flags that size latent arrays with z_dim,
+# `verify --probes` and `interp --steps`, are refused past 2**25 // z_dim
+# (cli.MAX_COUNT), so attraction's [z1; probes] holds at most one row more.
 MAX_SIZE = 4096
 
 # conditional_ring's labels: label k owns the adjacent ring modes 2k and 2k+1,

@@ -206,8 +206,10 @@ def generate(params: NetworkParams, z, x=None) -> np.ndarray:
     128-wide hidden products split this way matched the unblocked product at
     every row count tried, but the narrow output products differed at some:
     128 -> 20 at 517 and 3721 rows, 128 -> 2 at 4097 and 262145 rows.
-    Stacked 1-row slices are each their own product, so they keep a
-    single-row call's bits in any block.
+    Each (k, z_dim) slice of a stacked z is its own 2-D product (see
+    `autodiff.affine`), so it keeps the bits of a call on that slice alone
+    in any block, 1-row slices included; a shared condition joins every row
+    as the same values, whatever the block.
     """
     z = np.asarray(z, dtype=np.float64)
     rows = len(z)

@@ -17,29 +17,25 @@ Two facts are exercised:
 
 The Jacobians for fact 1 come from one pass per segment over all its
 quadrature nodes, in the mode with fewer products: a forward (tangent) pass
-carries z_dim tangents per node, a reverse pass out_dim cotangents. So the
-tangent pass runs iff z_dim < out_dim (the trajectory task's 8 -> 20), the
-reverse pass otherwise (the ring tasks). The reverse pass (`path_jacobians`)
-computes exactly the products and activation derivatives that one engine
-backward per output row computes, so it gives `autodiff.jacobian`'s bits.
-The tangent pass multiplies the same factors in the other order: it agrees
-to rounding, not bit for bit, which moves `rhs` by ~1e-16 relative.
+carries z_dim tangents per node, a reverse pass (`path_jacobians`, with
+`autodiff.jacobian`'s bits) out_dim cotangents. So the tangent pass runs
+iff z_dim < out_dim (the trajectory task's 8 -> 20), the reverse pass
+otherwise (the ring tasks). The tangent pass agrees to rounding, not bit
+for bit, which moves `rhs` by ~1e-16 relative.
 
-`bound_suite` runs its pairs on a leading pair axis: one stacked pass of G
-over every pair's endpoints, then per block of pairs one stacked pass over
-the nodes, one Jacobian pass, one batch of spectral norms and one node mean
-per pair. Numpy runs a stacked product as one 2-D product per slice, so
-each pair keeps the bits of its own `path_gradient_bound`, which is the same
-core on one pair. (Merging the pairs into a product's row dimension would
-not: a 1-row product takes numpy's matrix-vector path, and OpenBLAS rounds
-some narrow products, such as 128 -> 2 over 4097 rows, otherwise when their
-rows are split; see `nets.generate`.) Each pair's quotient keeps its own 1-D
-norms. The block sizes bound memory and are fixed per pass: 8 pairs of 64
-nodes for the reverse pass, one pair for the tangent pass, whose larger
-blocks spill the L2 cache. `attraction_check` runs G_t and G_{t+1} over
-[z1; probes], and in 2-D over [z1; grid], in blocks of `nets.ROW_BLOCK`
-rows, so its memory is one block per hidden layer plus a few numbers per
-probe, whatever the probe count; eps comes from two 1-row passes of its own.
+Every pass that needs only G's output is a `nets.generate` call, whose
+docstring states how its blocks and stacked slices round: the endpoint
+pass of `bound_suite`, stacked (pairs, 2, z_dim), and the eps, probe and
+grid passes of `attraction_check`. Only the Jacobian passes need G's
+hidden layers, which `_node_hidden` takes from `nets.mlp_forward_vars`,
+stacked over pairs. So `bound_suite`, which runs its pairs on a leading
+pair axis (the endpoint pass, then per block of pairs one pass over the
+nodes, one Jacobian pass, one batch of spectral norms and one node mean
+per pair), gives each pair the bits of its own `path_gradient_bound`, the
+same core on one pair. The block sizes bound memory and are fixed per pass:
+8 pairs of 64 nodes for the reverse pass, one pair for the tangent pass,
+whose larger blocks spill the L2 cache. `attraction_check` holds one block
+per hidden layer plus a few numbers per probe, whatever the probe count.
 
 Norms here are l2 / spectral (matching the analysis), regardless of the
 training-side norm choice. A spectral norm is the root of the largest
@@ -80,8 +76,8 @@ __all__ = [
 BOUND_RTOL = 1e-6
 BOUND_ATOL = 1e-8
 
-# Pairs per stacked pass. Numpy runs a stacked product as one 2-D product per
-# slice, so these set speed and memory, never bits.
+# Pairs per stacked pass: these set speed and memory, never bits (stacked
+# slices round as their own passes; see `nets.generate`).
 _SUITE_PAIRS = 1024  # bound_suite's draws and endpoint pass: 2 rows per pair
 _REVERSE_NODES = 512  # reverse Jacobian block: 8 pairs of 64 nodes
 _TANGENT_NODES = 64  # tangent Jacobian block: one pair of 64 nodes; more spilled L2
@@ -112,31 +108,37 @@ def _finite(values, what: str):
     return values
 
 
-def _forward(params_G: NetworkParams, zs, x=None) -> tuple[np.ndarray, list]:
-    """G(x, z) at every row of zs, shape (..., rows, z_dim), all rows sharing
-    the one condition x, and G's post-activation hidden layers there,
-    ordered input -> output."""
-    inp = with_condition(None if x is None else np.ravel(x), zs)
-    out, hidden = mlp_forward_vars(params_G.flat(), params_G.spec, inp)
-    return _finite(out.data, "generator output"), [h.data for h in hidden]
-
-
 def _node_hidden(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray,
                  n_quad: int, x=None) -> list:
-    """G's hidden layers at the composite-midpoint nodes of each segment
-    z1s[p] -> z2s[p], shape (pairs, n_quad, width), from one stacked
-    forward over all nodes."""
+    """G's hidden layers, input -> output, at the composite-midpoint nodes
+    of each segment z1s[p] -> z2s[p], shape (pairs, n_quad, width), from one
+    stacked forward over all nodes, all sharing the one condition x."""
     ts = (np.arange(n_quad) + 0.5) / n_quad
     gamma = ts[:, None] * z2s[:, None, :] + (1.0 - ts)[:, None] * z1s[:, None, :]
-    return _forward(params_G, gamma, x)[1]
+    inp = with_condition(None if x is None else np.ravel(x), gamma)
+    out, hidden = mlp_forward_vars(params_G.flat(), params_G.spec, inp)
+    _finite(out.data, "generator output")
+    return [h.data for h in hidden]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _reverse_jacobians(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray,
-                       n_quad: int, x=None) -> np.ndarray:
-    """`path_jacobians` for each pair of rows z1s[p], z2s[p], shape
-    (pairs, n_quad, out_dim, z_dim). Every product is stacked over pairs
-    and outputs, so each slice runs the 2-D product one pair's pass runs."""
+def path_jacobians(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray,
+                   n_quad: int, x=None) -> np.ndarray:
+    """Jacobians at the composite-midpoint nodes of each segment
+    z1s[p] -> z2s[p], shape (pairs, n_quad, out_dim, z_dim), for rows z1s
+    and z2s of shape (pairs, z_dim).
+
+    One reverse pass carries all out_dim one-hot cotangents at once, stacked
+    on a leading axis, and gives the bits of `autodiff.jacobian`, which
+    replays the graph once per output. A one-hot cotangent times W_last.T is
+    a row of W_last.T at every node, exact but for the sign of zeros. Down
+    each hidden layer the pass applies the engine's activation derivative
+    (`autodiff.activation_grad`) and W.T, and every product is stacked over
+    pairs and outputs, so each slice runs the C-ordered 2-D product the
+    engine's backward runs for one pair and output. The engine adds 0.0 to
+    each node's first gradient, which changes only the sign of zeros, so one
+    0.0 added at the end reproduces it.
+    """
     hidden = _node_hidden(params_G, z1s, z2s, n_quad, x)
     weights = params_G.weights
     # (pairs, out_dim, n_quad, width): output i's cotangent on the top hidden
@@ -155,29 +157,10 @@ def _reverse_jacobians(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray
     return np.ascontiguousarray(jac.transpose(0, 2, 1, 3))
 
 
-def path_jacobians(params_G: NetworkParams, z1, z2, n_quad: int, x=None) -> np.ndarray:
-    """Jacobians at the composite-midpoint nodes of the segment z1 -> z2,
-    shape (n_quad, out_dim, z_dim).
-
-    One reverse pass carries all out_dim one-hot cotangents at once, stacked
-    on a leading axis, and gives the bits of `autodiff.jacobian`, which
-    replays the graph once per output. A one-hot cotangent times W_last.T is
-    a row of W_last.T at every node, exact but for the sign of zeros. Down
-    each hidden layer the pass applies the engine's activation derivative
-    (`autodiff.activation_grad`) and W.T, and the stacked matmul runs,
-    per output, the same C-ordered 2-D product the engine's backward runs.
-    The engine adds 0.0 to each node's first gradient, which changes only the
-    sign of zeros, so one 0.0 added at the end reproduces it.
-    """
-    z1 = np.asarray(z1, dtype=np.float64).reshape(1, -1)
-    z2 = np.asarray(z2, dtype=np.float64).reshape(1, -1)
-    return _reverse_jacobians(params_G, z1, z2, n_quad, x)[0]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _tangent_jacobians(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray,
                        n_quad: int, x=None) -> np.ndarray:
-    """`_reverse_jacobians` by one forward (tangent) pass, which carries
+    """`path_jacobians` by one forward (tangent) pass, which carries
     z_dim tangents per node where the reverse pass carries out_dim
     cotangents. It agrees with the reverse pass to rounding, not bit for bit.
 
@@ -232,7 +215,8 @@ def _bounds(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray, n_quad: i
     gaps = np.array([np.linalg.norm(d) for d in z2s - z1s])
     if np.any(gaps == 0.0):
         raise ValueError("path_gradient_bound: z1 and z2 coincide")
-    ys, _ = _forward(params_G, np.stack([z1s, z2s], axis=1), x)
+    ys = generate(params_G, np.stack([z1s, z2s], axis=1), None if x is None else np.ravel(x))
+    ys = _finite(ys, "generator output")
     diff = ys[:, 1] - ys[:, 0]
     # scaled exactly, as in _spectral_norms, so the squares stay in range
     _, exp = np.frexp(np.max(np.abs(diff), axis=1))
@@ -242,7 +226,7 @@ def _bounds(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray, n_quad: i
     if z1s.shape[1] < ys.shape[-1]:
         jacobians, nodes = _tangent_jacobians, _TANGENT_NODES
     else:
-        jacobians, nodes = _reverse_jacobians, _REVERSE_NODES
+        jacobians, nodes = path_jacobians, _REVERSE_NODES
     block = max(1, nodes // n_quad)
     rhs = np.empty(len(z1s))
     for s in range(0, len(z1s), block):
@@ -348,9 +332,9 @@ def _dists_to(ys: np.ndarray, y_star: np.ndarray) -> np.ndarray:
 def _ratios_from(params: NetworkParams, z1: np.ndarray, zs: np.ndarray,
                  gaps: np.ndarray, x=None) -> tuple[np.ndarray, np.ndarray]:
     """Difference quotients of G from z1 to every row of zs, and G at those
-    rows, all from one blocked pass of G over [z1; zs] (`nets.generate`)."""
-    ys = generate(params, np.vstack([z1[None, :], zs]), None if x is None else np.ravel(x))
-    ys = _finite(ys, "generator output")
+    rows, all from one blocked pass of G over [z1; zs] (`nets.generate`)
+    with the one (c,) condition x, if any."""
+    ys = _finite(generate(params, np.vstack([z1[None, :], zs]), x), "generator output")
     return _finite(np.linalg.norm(ys[1:] - ys[0][None, :], axis=1) / gaps,
                    "difference quotient"), ys[1:]
 
@@ -369,10 +353,11 @@ def attraction_check(params_t: NetworkParams, params_t1: NetworkParams, z1,
         raise ValueError("attraction_check: probes must be >= 1")
     z1 = np.asarray(z1, dtype=np.float64).reshape(-1)
     y_star = np.asarray(y_star, dtype=np.float64).reshape(-1)
-    # own 1-row passes: reusing row 0 of the probe passes below would move
-    # eps's bits, since a 1-row product takes BLAS's matrix-vector path
-    d1 = _dists_to(_forward(params_t, z1[None, :], x)[0], y_star)[0]
-    d1_next = _dists_to(_forward(params_t1, z1[None, :], x)[0], y_star)[0]
+    x = None if x is None else np.ravel(x)
+    # 1-row passes of their own, not row 0 of the probe passes below, whose
+    # bits may differ (see `nets.generate`)
+    d1, d1_next = (_dists_to(_finite(generate(p, z1[None, :], x), "generator output"), y_star)[0]
+                   for p in (params_t, params_t1))
     eps = float(d1 - d1_next)
     if eps <= 0:
         raise ValueError(

@@ -350,6 +350,44 @@ def test_flag_out_of_range_exits_before_work(argv, flag, tmp_path, capsys):
     assert not out.exists()
 
 
+class Worked(Exception):
+    """Raised in place of a command's work, to show a check let it through."""
+
+
+@pytest.fixture
+def wide_ring(tmp_path, monkeypatch):
+    """(config, checkpoint) paths of a z_dim-4096 ring run at init; any check
+    or interpolation a command then starts raises Worked."""
+    doc = {"task": "ring", "z_dim": 4096}
+    ckpt = tmp_path / "wide.ckpt.json"
+    ckpt.write_bytes(training.save_checkpoint(training.init_state(parse_run_config(doc))))
+
+    def work(*args, **kwargs):
+        raise Worked
+
+    for name in ("bound_suite", "attraction_check", "latent_interpolation"):
+        monkeypatch.setattr(cli, name, work)
+    return write_cfg(tmp_path, doc), str(ckpt)
+
+
+@pytest.mark.parametrize("command,flag", [("verify", "--probes"), ("interp", "--steps")])
+def test_latent_count_past_2_25_entries_is_a_config_error(command, flag, wide_ring, tmp_path,
+                                                          capsys):
+    """262144 latents of z_dim 4096 would be 2**30 entries (8 GiB): refused
+    before any work, naming the flag; 8192 (2**25 entries) still runs."""
+    cfg, ckpt = wide_ring
+    targets = [cfg, ckpt] if command == "verify" else [ckpt]
+    for target in targets:
+        out = tmp_path / "out"
+        assert main([command, target, flag, "262144", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {flag} 262144 at z_dim 4096 is 1073741824 latent entries, "
+            f"over 2**25; at most 8192 fit\n")
+        assert not out.exists()
+        with pytest.raises(Worked):
+            main([command, target, flag, "8192", "--out", str(out)])
+
+
 @pytest.mark.parametrize("command", ["train", "sweep", "verify"])
 def test_config_that_is_not_utf8_is_config_error(command, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -567,6 +605,24 @@ def test_sweep_rejects_bad_lambdas(lambdas, tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--lambdas", lambdas, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: bad --lambdas: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_sweep_out_that_cannot_be_a_directory_fails_before_the_runs(under, tmp_path,
+                                                                    monkeypatch, capsys):
+    """An --out that is a regular file, or sits under one, is an io error
+    (exit 4) before any run, not after all of them."""
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    cfg = write_cfg(tmp_path, dict(FAST_RING, steps=2, eval_every=2))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out = blocker / "sweep" if under else blocker
+    assert main(["sweep", "--config", cfg, "--lambdas", "0,1", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("io error: ")
+    assert blocker.read_text() == "kept"
 
 
 def test_verify_passes_on_untrained_generator(tmp_path):

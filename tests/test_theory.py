@@ -102,7 +102,7 @@ def test_bound_on_extreme_jacobians_has_finite_nonzero_rhs(scale, z_dim, out_dim
     params = mlp_init(NetworkSpec(z_dim, (24, 24), out_dim, hidden_activation="tanh"), 3)
     params.weights[-1][:] *= scale
     z1, z2 = 1e-60 * rng.standard_normal(z_dim), 1e-60 * rng.standard_normal(z_dim)
-    jac = path_jacobians(params, z1, z2, n_quad=64)
+    jac = path_jacobians(params, z1[None], z2[None], n_quad=64)[0]
     peak = np.max(np.abs(jac))
     assert 1e-3 < peak / scale < 1e3
     with np.errstate(over="ignore"):
@@ -135,7 +135,7 @@ def test_path_jacobians_match_per_row_jacobian(kind, rng):
     params = mlp_init(NetworkSpec(cond_dim + z_dim, hidden, out_dim, hidden_activation=act), 5)
     x = rng.normal(size=cond_dim) if cond_dim else None
     z1, z2 = rng.standard_normal(z_dim), rng.standard_normal(z_dim)
-    jacs = path_jacobians(params, z1, z2, n_quad=n_quad, x=x)
+    jacs = path_jacobians(params, z1[None], z2[None], n_quad=n_quad, x=x)[0]
     assert jacs.shape == (n_quad, out_dim, z_dim)
     ts = (np.arange(n_quad) + 0.5) / n_quad
     gamma = ts[:, None] * z2[None, :] + (1.0 - ts)[:, None] * z1[None, :]
@@ -153,7 +153,7 @@ def test_path_jacobians_turn_negative_zero_weights_into_zeros():
     """The engine's backward adds 0.0 to each first gradient, so a -0.0
     weight reaches the Jacobian as +0.0."""
     params = linear_params([[2.0, -0.0], [-0.0, 1.0]])
-    jacs = path_jacobians(params, np.zeros(2), np.ones(2), n_quad=8)
+    jacs = path_jacobians(params, np.zeros((1, 2)), np.ones((1, 2)), n_quad=8)[0]
     assert np.array_equal(jacs, np.broadcast_to(np.diag([2.0, 1.0]), (8, 2, 2)))
     assert not np.signbit(jacs).any()
 
@@ -225,8 +225,8 @@ def test_bound_suite_makes_no_backward_call(monkeypatch):
 
 # name -> (cond_dim, z_dim, out_dim, the Jacobian pass path_gradient_bound runs)
 BOUND_SHAPES = {
-    "ring": (0, 2, 2, "_reverse_jacobians"),
-    "conditional_ring": (4, 8, 2, "_reverse_jacobians"),
+    "ring": (0, 2, 2, "path_jacobians"),
+    "conditional_ring": (4, 8, 2, "path_jacobians"),
     "trajectory": (4, 8, 20, "_tangent_jacobians"),
 }
 
@@ -234,11 +234,13 @@ BOUND_SHAPES = {
 @pytest.mark.parametrize("task", list(BOUND_SHAPES))
 def test_bound_takes_the_pass_with_fewer_products(task, monkeypatch):
     """Tangent iff z_dim < out_dim (z_dim products per node against out_dim),
-    and in either mode two passes of G per pair: endpoints, then nodes."""
+    and in either mode two passes of G per pair: endpoints by `generate`,
+    then nodes by `mlp_forward_vars`."""
     cond_dim, z_dim, out_dim, chosen = BOUND_SHAPES[task]
     params = mlp_init(NetworkSpec(cond_dim + z_dim, (16, 16), out_dim), 0)
     spies = {name: CallCount(getattr(theory, name))
-             for name in ("_reverse_jacobians", "_tangent_jacobians", "mlp_forward_vars")}
+             for name in ("path_jacobians", "_tangent_jacobians", "generate",
+                          "mlp_forward_vars")}
     for name, spy in spies.items():
         monkeypatch.setattr(theory, name, spy)
     rng = np.random.default_rng(0)
@@ -246,9 +248,10 @@ def test_bound_takes_the_pass_with_fewer_products(task, monkeypatch):
     for _ in range(3):
         path_gradient_bound(params, rng.standard_normal(z_dim), rng.standard_normal(z_dim), x=x)
     assert {name: spy.calls for name, spy in spies.items()} == {
-        "_reverse_jacobians": 3 * (chosen == "_reverse_jacobians"),
+        "path_jacobians": 3 * (chosen == "path_jacobians"),
         "_tangent_jacobians": 3 * (chosen == "_tangent_jacobians"),
-        "mlp_forward_vars": 6,
+        "generate": 3,
+        "mlp_forward_vars": 3,
     }
 
 
@@ -295,7 +298,7 @@ def test_path_gradient_bound_is_its_own_two_row_pass(kind, rng):
     _, e = np.frexp(np.max(np.abs(diff)))
     assert rep.lhs == float(np.ldexp(np.linalg.norm(np.ldexp(diff, -e)), e)
                             / np.linalg.norm(z2 - z1))
-    jacobians = theory._tangent_jacobians if z_dim < out_dim else theory._reverse_jacobians
+    jacobians = theory._tangent_jacobians if z_dim < out_dim else path_jacobians
     jac = jacobians(params, z1[None], z2[None], 64, x=x)[0]
     assert rep.rhs == float(np.mean(theory._spectral_norms(jac)))
 
@@ -318,8 +321,11 @@ def test_bound_suite_is_a_loop_of_per_pair_bounds(kind, forced, blocks, monkeypa
                                       rng.standard_normal(z_dim), n_quad=n_quad, x=x).slack
                   for _ in range(n_pairs)]
         monkeypatch.setattr(theory, "BOUND_ATOL", -float(np.median(slacks)))
-    if blocks == "small":  # endpoint chunks of 3 pairs; Jacobian blocks of 2 or 4 pairs
-        monkeypatch.setattr(theory, "_SUITE_PAIRS", 3)
+    if blocks == "small":
+        # endpoint chunks of 5 pairs, which `generate` runs as blocks of 2
+        # and 3 pairs; Jacobian blocks of 2 or 4 pairs
+        monkeypatch.setattr(theory, "_SUITE_PAIRS", 5)
+        monkeypatch.setattr(nets, "ROW_BLOCK", 2)
         monkeypatch.setattr(theory, "_REVERSE_NODES", 128)
         monkeypatch.setattr(theory, "_TANGENT_NODES", 256)
     rng_ref, rng = np.random.default_rng(2), np.random.default_rng(2)
@@ -332,26 +338,30 @@ def test_bound_suite_is_a_loop_of_per_pair_bounds(kind, forced, blocks, monkeypa
 
 @pytest.mark.parametrize("task", list(BOUND_SHAPES))
 def test_bound_suite_runs_g_once_per_block(task, monkeypatch):
-    """One stacked pass over all endpoints, then one over the nodes of each
-    block of pairs, where a pass per pair would make 2 passes per pair."""
+    """One `generate` pass over all endpoints, then one over the nodes of
+    each block of pairs, where a pass per pair would make 2 passes per pair."""
     cond_dim, z_dim, out_dim, chosen = BOUND_SHAPES[task]
     params = mlp_init(NetworkSpec(cond_dim + z_dim, (16, 16), out_dim), 0)
-    spy = CallCount(theory.mlp_forward_vars)
-    monkeypatch.setattr(theory, "mlp_forward_vars", spy)
+    ends = CallCount(theory.generate)
+    node_passes = CallCount(theory.mlp_forward_vars)
+    monkeypatch.setattr(theory, "generate", ends)
+    monkeypatch.setattr(theory, "mlp_forward_vars", node_passes)
     rng = np.random.default_rng(0)
     x = rng.normal(size=cond_dim) if cond_dim else None
     out = bound_suite(params, n_pairs=32, rng=rng, z_dim=z_dim, x=x)
     assert out["refined"] == 0 and out["n_quad"] == 64
     nodes = theory._TANGENT_NODES if chosen == "_tangent_jacobians" else theory._REVERSE_NODES
-    assert spy.calls == 1 + -(-32 // max(1, nodes // 64)) < 2 * 32
+    blocks = -(-32 // max(1, nodes // 64))
+    assert ends.calls == 1 and node_passes.calls == blocks and 1 + blocks < 2 * 32
 
 
 @pytest.mark.parametrize("z_dim,passes", [(2, 6), (3, 4)])
 def test_attraction_check_runs_each_generator_pass_once(z_dim, passes, monkeypatch):
     """d1 and d1_next, one pass of G_t and one of G_{t+1} over [z1; probes],
-    and in 2-D one of each over [z1; grid]. The last two run in blocks of
-    `nets.generate`: [z1; 1100 probes] is 3 blocks (512, 512 and 77 rows),
-    and [z1; grid] is 8, since z1 = 0 is one of the grid's 3721 points."""
+    and in 2-D one of each over [z1; grid], each a `generate` call: d1 and
+    d1_next are one block each, [z1; 1100 probes] is 3 blocks (512, 512 and
+    77 rows), and [z1; grid] is 8, since z1 = 0 is one of the grid's 3721
+    points."""
     params = tanh_generator(1, z_dim=z_dim)
     z1, y_star = np.zeros(z_dim), np.full(2, 5.0)
     params_next = pull_toward(params, z1, y_star, AdamHyper())
@@ -362,8 +372,8 @@ def test_attraction_check_runs_each_generator_pass_once(z_dim, passes, monkeypat
     monkeypatch.setattr(theory, "generate", blocked)
     monkeypatch.setattr(nets, "generator_forward", blocks)
     attraction_check(params, params_next, z1, y_star, probes=1100, rng=np.random.default_rng(0))
-    assert single.calls == 2 and single.calls + blocked.calls == passes
-    assert blocks.calls == 2 * 3 + (2 * 8 if z_dim == 2 else 0)
+    assert single.calls == 0 and blocked.calls == passes
+    assert blocks.calls == 2 + 2 * 3 + (2 * 8 if z_dim == 2 else 0)
 
 
 def ring_pull(seed=0):
