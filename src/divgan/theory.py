@@ -15,27 +15,26 @@ Two facts are exercised:
    reported as a sampled estimate only, since the infimum over all z is
    not computable.
 
-The Jacobians for fact 1 come from one pass per segment over all its
-quadrature nodes, in the mode with fewer products: a forward (tangent) pass
-carries z_dim tangents per node, a reverse pass (`path_jacobians`, with
-`autodiff.jacobian`'s bits) out_dim cotangents. So the tangent pass runs
-iff z_dim < out_dim (the trajectory task's 8 -> 20), the reverse pass
-otherwise (the ring tasks). The tangent pass agrees to rounding, not bit
-for bit, which moves `rhs` by ~1e-16 relative.
+The Jacobians for fact 1 come from one routine, `path_jacobians`: one
+stacked forward over a segment's quadrature nodes (`nets.mlp_forward_vars`,
+for G's hidden layers), then one pass in the direction with fewer products.
+A forward (tangent) pass carries z_dim tangents per node and runs iff
+z_dim < out_dim (the trajectory task's 8 -> 20); it agrees with
+`autodiff.jacobian` to rounding, not bit for bit, which moves `rhs` by
+~1e-16 relative. Otherwise (the ring tasks) a reverse pass carries out_dim
+cotangents, with `autodiff.jacobian`'s bits.
 
 Every pass that needs only G's output is a `nets.generate` call, whose
 docstring states how its blocks and stacked slices round: the endpoint
 pass of `bound_suite`, stacked (pairs, 2, z_dim), and the eps, probe and
-grid passes of `attraction_check`. Only the Jacobian passes need G's
-hidden layers, which `_node_hidden` takes from `nets.mlp_forward_vars`,
-stacked over pairs. So `bound_suite`, which runs its pairs on a leading
-pair axis (the endpoint pass, then per block of pairs one pass over the
-nodes, one Jacobian pass, one batch of spectral norms and one node mean
-per pair), gives each pair the bits of its own `path_gradient_bound`, the
-same core on one pair. The block sizes bound memory and are fixed per pass:
-8 pairs of 64 nodes for the reverse pass, one pair for the tangent pass,
-whose larger blocks spill the L2 cache. `attraction_check` holds one block
-per hidden layer plus a few numbers per probe, whatever the probe count.
+grid passes of `attraction_check`. So `bound_suite`, which runs its pairs
+on a leading pair axis (the endpoint pass, then per block of pairs one
+`path_jacobians` call, one batch of spectral norms and one node mean per
+pair), gives each pair the bits of its own `path_gradient_bound`, the same
+core on one pair. The block sizes bound memory and are fixed per
+direction: 8 pairs of 64 nodes in reverse, one pair in tangent, whose
+larger blocks spill the L2 cache. `attraction_check` holds one block per
+hidden layer plus a few numbers per probe, whatever the probe count.
 
 Norms here are l2 / spectral (matching the analysis), regardless of the
 training-side norm choice. A spectral norm is the root of the largest
@@ -108,79 +107,61 @@ def _finite(values, what: str):
     return values
 
 
-def _node_hidden(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray,
-                 n_quad: int, x=None) -> list:
-    """G's hidden layers, input -> output, at the composite-midpoint nodes
-    of each segment z1s[p] -> z2s[p], shape (pairs, n_quad, width), from one
-    stacked forward over all nodes, all sharing the one condition x."""
+@np.errstate(over="ignore", invalid="ignore")
+def path_jacobians(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray,
+                   n_quad: int, x=None) -> np.ndarray:
+    """Jacobians at the composite-midpoint nodes of each segment
+    z1s[p] -> z2s[p], shape (pairs, n_quad, out_dim, z_dim), C-ordered, for
+    rows z1s and z2s of shape (pairs, z_dim), all sharing the one condition x.
+
+    One stacked forward over all nodes gives G's hidden layers, then one
+    pass in the direction with fewer products per node. When z_dim < out_dim
+    it is a forward pass carrying z_dim tangents: G's input is [condition,
+    latent], so they start as W0's latent rows at every node and per hidden
+    layer take the activation derivative and the next W, as one 2-D product
+    over all of a pair's nodes. On these shapes it agrees with
+    `autodiff.jacobian` to rounding, not bit for bit: a caller gets the
+    engine's bits only from the reverse pass.
+
+    Otherwise it is a reverse pass carrying all out_dim one-hot cotangents
+    at once, stacked on a leading axis, with the bits of `autodiff.jacobian`,
+    which replays the graph once per output. A one-hot cotangent times
+    W_last.T is a row of W_last.T at every node, exact but for the sign of
+    zeros. Down each hidden layer the pass applies the engine's activation
+    derivative (`autodiff.activation_grad`) and W.T, and every product is
+    stacked over pairs and outputs, so each slice runs the C-ordered 2-D
+    product the engine's backward runs for one pair and output. The engine
+    adds 0.0 to each node's first gradient, which changes only the sign of
+    zeros, so one 0.0 added at the end reproduces it.
+    """
     ts = (np.arange(n_quad) + 0.5) / n_quad
     gamma = ts[:, None] * z2s[:, None, :] + (1.0 - ts)[:, None] * z1s[:, None, :]
     inp = with_condition(None if x is None else np.ravel(x), gamma)
     out, hidden = mlp_forward_vars(params_G.flat(), params_G.spec, inp)
     _finite(out.data, "generator output")
-    return [h.data for h in hidden]
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def path_jacobians(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray,
-                   n_quad: int, x=None) -> np.ndarray:
-    """Jacobians at the composite-midpoint nodes of each segment
-    z1s[p] -> z2s[p], shape (pairs, n_quad, out_dim, z_dim), for rows z1s
-    and z2s of shape (pairs, z_dim).
-
-    One reverse pass carries all out_dim one-hot cotangents at once, stacked
-    on a leading axis, and gives the bits of `autodiff.jacobian`, which
-    replays the graph once per output. A one-hot cotangent times W_last.T is
-    a row of W_last.T at every node, exact but for the sign of zeros. Down
-    each hidden layer the pass applies the engine's activation derivative
-    (`autodiff.activation_grad`) and W.T, and every product is stacked over
-    pairs and outputs, so each slice runs the C-ordered 2-D product the
-    engine's backward runs for one pair and output. The engine adds 0.0 to
-    each node's first gradient, which changes only the sign of zeros, so one
-    0.0 added at the end reproduces it.
-    """
-    hidden = _node_hidden(params_G, z1s, z2s, n_quad, x)
-    weights = params_G.weights
-    # (pairs, out_dim, n_quad, width): output i's cotangent on the top hidden
-    # layer, C-ordered like the engine's gradients so each slice's matmul
-    # takes the same BLAS path
-    cot = np.empty((len(z1s), weights[-1].shape[1], n_quad, weights[-1].shape[0]))
-    cot[...] = weights[-1].T[:, None, :]
-    for h, W in zip(reversed(hidden), reversed(weights[:-1])):
-        # cot is fresh (the fill, then each product), so the derivative
-        # is multiplied into it in place
-        cot *= activation_grad(params_G.spec.hidden_activation, h)[:, None]
-        cot = cot @ W.T
-    jac = _finite(cot[..., cot.shape[-1] - z1s.shape[1]:] + 0.0,
-                  "Jacobian in path_gradient_bound")
-    # a C-ordered copy: reductions over a transposed view may sum in another order
-    return np.ascontiguousarray(jac.transpose(0, 2, 1, 3))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _tangent_jacobians(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray,
-                       n_quad: int, x=None) -> np.ndarray:
-    """`path_jacobians` by one forward (tangent) pass, which carries
-    z_dim tangents per node where the reverse pass carries out_dim
-    cotangents. It agrees with the reverse pass to rounding, not bit for bit.
-
-    G's input is [condition, latent], so the latent's tangents start as the
-    last z_dim rows of W0 at every node. Per hidden layer they take the
-    activation derivative and the next W, as one 2-D product over all of a
-    pair's nodes, stacked over pairs; with no hidden layer each node's
-    Jacobian is W0's latent rows, transposed.
-    """
-    hidden = _node_hidden(params_G, z1s, z2s, n_quad, x)
-    weights = params_G.weights
+    act, weights = params_G.spec.hidden_activation, params_G.weights
     pairs, z_dim = z1s.shape
-    w0_latent = weights[0][-z_dim:]
-    # (pairs, n_quad, z_dim, width): node k's tangents on the current layer
-    tan = np.broadcast_to(w0_latent, (pairs, n_quad) + w0_latent.shape)
-    for h, W in zip(hidden, weights[1:]):
-        tan = tan * activation_grad(params_G.spec.hidden_activation, h)[:, :, None, :]
-        tan = (tan.reshape(pairs, -1, W.shape[0]) @ W).reshape(pairs, n_quad, z_dim, W.shape[1])
-    jac = np.ascontiguousarray(tan.transpose(0, 1, 3, 2))
-    return _finite(jac, "Jacobian in path_gradient_bound")
+    if z_dim < weights[-1].shape[1]:
+        # (pairs, n_quad, z_dim, width): node k's tangents on the current layer
+        tan = np.broadcast_to(weights[0][-z_dim:], (pairs, n_quad, z_dim, weights[0].shape[1]))
+        for h, W in zip(hidden, weights[1:]):
+            tan = tan * activation_grad(act, h.data)[:, :, None, :]
+            tan = (tan.reshape(pairs, -1, len(W)) @ W).reshape(pairs, n_quad, z_dim, W.shape[1])
+        jac = tan.transpose(0, 1, 3, 2)
+    else:
+        # (pairs, out_dim, n_quad, width): output i's cotangent on the top
+        # hidden layer, C-ordered like the engine's gradients so each slice's
+        # matmul takes the same BLAS path
+        cot = np.empty((pairs, weights[-1].shape[1], n_quad, weights[-1].shape[0]))
+        cot[...] = weights[-1].T[:, None, :]
+        for h, W in zip(reversed(hidden), reversed(weights[:-1])):
+            # cot is fresh (the fill, then each product), so the derivative
+            # is multiplied into it in place
+            cot *= activation_grad(act, h.data)[:, None]
+            cot = cot @ W.T
+        jac = (cot[..., cot.shape[-1] - z_dim:] + 0.0).transpose(0, 2, 1, 3)
+    # a C-ordered copy: reductions over a transposed view may sum in another order
+    return np.ascontiguousarray(_finite(jac, "Jacobian in path_gradient_bound"))
 
 
 def _spectral_norms(jac: np.ndarray) -> np.ndarray:
@@ -222,15 +203,12 @@ def _bounds(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray, n_quad: i
     _, exp = np.frexp(np.max(np.abs(diff), axis=1))
     lhs = np.ldexp([np.linalg.norm(d) for d in np.ldexp(diff, -exp[:, None])], exp)
     lhs = _finite(lhs / gaps, "difference quotient")
-    # forward mode costs z_dim products per node, reverse mode out_dim
-    if z1s.shape[1] < ys.shape[-1]:
-        jacobians, nodes = _tangent_jacobians, _TANGENT_NODES
-    else:
-        jacobians, nodes = path_jacobians, _REVERSE_NODES
+    # the block of pairs per `path_jacobians` call, set by the pass it runs
+    nodes = _TANGENT_NODES if z1s.shape[1] < ys.shape[-1] else _REVERSE_NODES
     block = max(1, nodes // n_quad)
     rhs = np.empty(len(z1s))
     for s in range(0, len(z1s), block):
-        jac = jacobians(params_G, z1s[s:s + block], z2s[s:s + block], n_quad, x=x)
+        jac = path_jacobians(params_G, z1s[s:s + block], z2s[s:s + block], n_quad, x=x)
         norms = _spectral_norms(jac.reshape((-1,) + jac.shape[2:]))
         rhs[s:s + block] = norms.reshape(-1, n_quad).mean(axis=1)
     return lhs, _finite(rhs, "Jacobian norm")
@@ -243,9 +221,8 @@ def path_gradient_bound(params_G: NetworkParams, z1, z2, n_quad: int = 64,
     lhs = ||G(x,z2) - G(x,z1)||_2 / ||z2 - z1||_2; rhs integrates the
     Jacobian's spectral norm over the straight line between the latents by
     midpoint quadrature, each node's norm taken from its exactly rescaled
-    Gram matrix (`_spectral_norms`). The Jacobians come from the tangent
-    pass when the latent is narrower than G's output, else from the
-    reverse pass `path_jacobians`. It is `bound_suite`'s core on one pair.
+    Gram matrix (`_spectral_norms`), of the Jacobians from
+    `path_jacobians`. It is `bound_suite`'s core on one pair.
     """
     if n_quad < 8:
         raise ValueError("path_gradient_bound: n_quad must be >= 8")

@@ -4,16 +4,19 @@ seeding, periodic evaluation, JSON checkpoints, and sweeps over configs.
 Each step draws one real batch and one (z1, z2) pair per example, builds
 the two fakes G(x, z1) and G(x, z2) once, and runs one discriminator update
 (the real batch vs G(x, z1)) followed by one generator update on the
-combined objective over the same fakes. A run is single-threaded and fully
-deterministic given its seed; sweep entries use independent processes.
+combined objective over the same fakes. A run is fully deterministic given
+its seed; a parallel sweep runs each entry in a worker process of one BLAS
+thread.
 """
 
 from __future__ import annotations
 
 import base64
 import csv
+import ctypes
 import io
 import json
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
@@ -350,9 +353,43 @@ def _sweep_one(task) -> SweepEntry:
     return SweepEntry(config=cfg, report=row.eval)  # the last step is evaluated
 
 
+def _openblas():
+    """numpy's bundled OpenBLAS by ctypes: the openblas library mapped into
+    this process, else one in the wheel's `numpy.libs`, next to numpy; None
+    where neither loads."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh
+                            if "openblas" in ln.lower() and ".so" in ln})
+    except OSError:
+        paths = []
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    if os.path.isdir(libs):
+        paths += sorted(os.path.join(libs, f) for f in os.listdir(libs) if "openblas" in f)
+    for path in paths:
+        try:
+            return ctypes.CDLL(path)
+        except OSError:
+            continue
+    return None
+
+
+def _one_blas_thread() -> None:
+    """A sweep worker's initializer: one OpenBLAS thread, since the pool is
+    the parallelism. A forked worker would keep the parent's count, by
+    default one per core, so two workers on two cores would run four
+    threads. Does nothing where the library has no setter."""
+    setter = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes = (ctypes.c_int,)
+        setter(1)
+
+
 def sweep(cfgs, jobs: int = 1) -> list[SweepEntry]:
     """One independent run per config, entries in input order; a run's
-    divergence is recorded and the sweep continues."""
+    divergence is recorded and the sweep continues. Runs in a pool of up to
+    `jobs` worker processes, each with one BLAS thread (`_one_blas_thread`);
+    with one job or one config they run here, at this process's setting."""
     tasks = [(cfg, i) for i, cfg in enumerate(cfgs)]
     if not tasks:
         raise ValueError("sweep: empty config list")
@@ -362,7 +399,7 @@ def sweep(cfgs, jobs: int = 1) -> list[SweepEntry]:
         # `import divgan` 20-30 ms, and only a parallel sweep needs them
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             return list(pool.map(_sweep_one, tasks))
     return [_sweep_one(t) for t in tasks]
 

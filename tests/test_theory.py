@@ -113,35 +113,52 @@ def test_bound_on_extreme_jacobians_has_finite_nonzero_rhs(scale, z_dim, out_dim
     assert rep.rhs == pytest.approx(ref, rel=1e-14)
 
 
-# kind -> (cond_dim, hidden_dims, out_dim, activation, z_dim, n_quad)
+# kind -> (cond_dim, hidden_dims, out_dim, activation, z_dim, n_quad), shapes
+# path_jacobians runs in reverse (z_dim >= out_dim)
 JACOBIAN_NETS = {
+    "tanh": (0, (16, 16), 2, "tanh", 3, 8),
+    "conditional": (3, (16, 16), 2, "tanh", 3, 8),
+    "relu": (0, (16, 16), 2, "relu", 3, 8),
+    "one_hidden": (0, (16,), 2, "tanh", 3, 64),
+    "three_hidden": (2, (16, 8, 12), 3, "tanh", 3, 64),
+    "one_output": (0, (16, 16), 1, "tanh", 2, 64),
+    "relu_fine": (0, (16, 16), 2, "relu", 2, 512),
+}
+# and in tangent (z_dim < out_dim)
+TANGENT_NETS = {
     "tanh": (0, (16, 16), 3, "tanh", 2, 8),
     "conditional": (3, (16, 16), 3, "tanh", 2, 8),
     "relu": (0, (16, 16), 3, "relu", 2, 8),
     "one_hidden": (0, (16,), 3, "tanh", 2, 64),
-    "three_hidden": (2, (16, 8, 12), 3, "tanh", 3, 64),
-    "trajectory_shaped": (20, (128, 128), 20, "tanh", 8, 64),  # out_dim > z_dim
-    "one_output": (0, (16, 16), 1, "tanh", 2, 64),
-    "relu_fine": (0, (16, 16), 2, "relu", 2, 512),
-    "one_latent": (0, (16,), 2, "relu", 1, 64),  # a matrix-vector product last
+    "three_hidden": (2, (16, 8, 12), 4, "tanh", 3, 64),
+    "relu_fine": (0, (16, 16), 3, "relu", 2, 512),
+    "trajectory_shaped": (20, (128, 128), 20, "tanh", 8, 64),
+    "one_latent": (0, (16,), 2, "relu", 1, 64),
+    "no_hidden_wide": (1, (), 5, "tanh", 2, 8),
 }
 
 
-@pytest.mark.parametrize("kind", list(JACOBIAN_NETS))
-def test_path_jacobians_match_per_row_jacobian(kind, rng):
-    """Bit for bit what autodiff.jacobian gives with one seeded backward per
-    output row of G's column sums over all nodes."""
-    cond_dim, hidden, out_dim, act, z_dim, n_quad = JACOBIAN_NETS[kind]
+def jacobian_case(net, rng):
+    """A G of one of the shapes above, its condition x, a random segment's
+    nodes, path_jacobians there and the engine's: one seeded backward per
+    output row of G's column sums over all nodes, as (n_quad, out_dim, z_dim)."""
+    cond_dim, hidden, out_dim, act, z_dim, n_quad = net
     params = mlp_init(NetworkSpec(cond_dim + z_dim, hidden, out_dim, hidden_activation=act), 5)
     x = rng.normal(size=cond_dim) if cond_dim else None
     z1, z2 = rng.standard_normal(z_dim), rng.standard_normal(z_dim)
-    jacs = path_jacobians(params, z1[None], z2[None], n_quad=n_quad, x=x)[0]
-    assert jacs.shape == (n_quad, out_dim, z_dim)
+    jacs = path_jacobians(params, z1[None], z2[None], n_quad, x=x)
+    assert jacs.shape == (1, n_quad, out_dim, z_dim) and jacs.flags.c_contiguous
     ts = (np.arange(n_quad) + 0.5) / n_quad
     gamma = ts[:, None] * z2[None, :] + (1.0 - ts)[:, None] * z1[None, :]
     xs = None if x is None else np.repeat(x[None, :], n_quad, axis=0)
     ref = jacobian(lambda v: generator_forward(params, v, xs).sum(axis=0), gamma)
-    ref = ref.reshape(out_dim, n_quad, z_dim).transpose(1, 0, 2)
+    return params, x, gamma, jacs[0], ref.reshape(out_dim, n_quad, z_dim).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("kind", list(JACOBIAN_NETS))
+def test_path_jacobians_match_per_row_jacobian(kind, rng):
+    """In reverse, bit for bit the engine's Jacobians."""
+    params, x, gamma, jacs, ref = jacobian_case(JACOBIAN_NETS[kind], rng)
     assert np.array_equal(jacs, ref) and np.array_equal(np.signbit(jacs), np.signbit(ref))
     # and each node's slice is that node's Jacobian
     node = jacobian(lambda v: generator_forward(params, v, None if x is None else x[None, :]),
@@ -158,26 +175,11 @@ def test_path_jacobians_turn_negative_zero_weights_into_zeros():
     assert not np.signbit(jacs).any()
 
 
-# every JACOBIAN_NETS shape, and a G with no hidden layer and out_dim > z_dim
-TANGENT_NETS = {**JACOBIAN_NETS, "no_hidden_wide": (1, (), 5, "tanh", 2, 8)}
-
-
 @pytest.mark.parametrize("kind", list(TANGENT_NETS))
 def test_tangent_jacobians_match_engine_jacobians(kind, rng):
-    """Node by node within 1e-14 of the node's largest |entry|: the tangent
-    pass sums its products in another order than the engine's backward."""
-    cond_dim, hidden, out_dim, act, z_dim, n_quad = TANGENT_NETS[kind]
-    params = mlp_init(NetworkSpec(cond_dim + z_dim, hidden, out_dim, hidden_activation=act), 5)
-    x = rng.normal(size=cond_dim) if cond_dim else None
-    z1, z2 = rng.standard_normal(z_dim), rng.standard_normal(z_dim)
-    jacs = theory._tangent_jacobians(params, z1[None], z2[None], n_quad, x=x)
-    assert jacs.shape == (1, n_quad, out_dim, z_dim) and jacs.flags.c_contiguous
-    jacs = jacs[0]
-    ts = (np.arange(n_quad) + 0.5) / n_quad
-    gamma = ts[:, None] * z2[None, :] + (1.0 - ts)[:, None] * z1[None, :]
-    xs = None if x is None else np.repeat(x[None, :], n_quad, axis=0)
-    ref = jacobian(lambda v: generator_forward(params, v, xs).sum(axis=0), gamma)
-    ref = ref.reshape(out_dim, n_quad, z_dim).transpose(1, 0, 2)
+    """In tangent, node by node within 1e-14 of the node's largest |entry|:
+    the pass sums its products in another order than the engine's backward."""
+    _, _, _, jacs, ref = jacobian_case(TANGENT_NETS[kind], rng)
     err = np.max(np.abs(jacs - ref), axis=(1, 2))
     assert np.all(err <= 1e-14 * np.max(np.abs(ref), axis=(1, 2)))
 
@@ -192,7 +194,7 @@ def test_overflowing_tangents_are_numerics_errors():
     z1, z2 = np.zeros(8), np.zeros(8)
     z1[1], z2[1] = 1.0, -1.0
     with pytest.raises(NumericsError, match="non-finite Jacobian in path_gradient_bound"):
-        theory._tangent_jacobians(params, z1[None], z2[None], 64)
+        path_jacobians(params, z1[None], z2[None], 64)
     with pytest.raises(NumericsError, match="non-finite Jacobian in path_gradient_bound"):
         path_gradient_bound(params, z1, z2)
 
@@ -223,36 +225,34 @@ def test_bound_suite_makes_no_backward_call(monkeypatch):
     assert spy.calls == 1  # the spy sees the calls theory makes
 
 
-# name -> (cond_dim, z_dim, out_dim, the Jacobian pass path_gradient_bound runs)
-BOUND_SHAPES = {
-    "ring": (0, 2, 2, "path_jacobians"),
-    "conditional_ring": (4, 8, 2, "path_jacobians"),
-    "trajectory": (4, 8, 20, "_tangent_jacobians"),
-}
+# name -> (cond_dim, z_dim, out_dim)
+BOUND_SHAPES = {"ring": (0, 2, 2), "conditional_ring": (4, 8, 2), "trajectory": (4, 8, 20)}
 
 
 @pytest.mark.parametrize("task", list(BOUND_SHAPES))
 def test_bound_takes_the_pass_with_fewer_products(task, monkeypatch):
     """Tangent iff z_dim < out_dim (z_dim products per node against out_dim),
-    and in either mode two passes of G per pair: endpoints by `generate`,
-    then nodes by `mlp_forward_vars`."""
-    cond_dim, z_dim, out_dim, chosen = BOUND_SHAPES[task]
-    params = mlp_init(NetworkSpec(cond_dim + z_dim, (16, 16), out_dim), 0)
-    spies = {name: CallCount(getattr(theory, name))
-             for name in ("path_jacobians", "_tangent_jacobians", "generate",
-                          "mlp_forward_vars")}
+    seen in the order the pass takes G's hidden layers (16 then 12 wide
+    forward, 12 then 16 in reverse), and in either direction two passes of G
+    per pair: endpoints by `generate`, then nodes by `mlp_forward_vars`."""
+    cond_dim, z_dim, out_dim = BOUND_SHAPES[task]
+    params = mlp_init(NetworkSpec(cond_dim + z_dim, (16, 12), out_dim), 0)
+    widths = []
+
+    def derivative(kind, h):
+        widths.append(h.shape[-1])
+        return autodiff.activation_grad(kind, h)
+
+    monkeypatch.setattr(theory, "activation_grad", derivative)
+    spies = {name: CallCount(getattr(theory, name)) for name in ("generate", "mlp_forward_vars")}
     for name, spy in spies.items():
         monkeypatch.setattr(theory, name, spy)
     rng = np.random.default_rng(0)
     x = rng.normal(size=cond_dim) if cond_dim else None
     for _ in range(3):
         path_gradient_bound(params, rng.standard_normal(z_dim), rng.standard_normal(z_dim), x=x)
-    assert {name: spy.calls for name, spy in spies.items()} == {
-        "path_jacobians": 3 * (chosen == "path_jacobians"),
-        "_tangent_jacobians": 3 * (chosen == "_tangent_jacobians"),
-        "generate": 3,
-        "mlp_forward_vars": 3,
-    }
+    assert widths == 3 * ([16, 12] if z_dim < out_dim else [12, 16])
+    assert spies["generate"].calls == spies["mlp_forward_vars"].calls == 3
 
 
 def per_pair_suite(params, n_pairs, rng, z_dim, x=None):
@@ -298,8 +298,7 @@ def test_path_gradient_bound_is_its_own_two_row_pass(kind, rng):
     _, e = np.frexp(np.max(np.abs(diff)))
     assert rep.lhs == float(np.ldexp(np.linalg.norm(np.ldexp(diff, -e)), e)
                             / np.linalg.norm(z2 - z1))
-    jacobians = theory._tangent_jacobians if z_dim < out_dim else path_jacobians
-    jac = jacobians(params, z1[None], z2[None], 64, x=x)[0]
+    jac = path_jacobians(params, z1[None], z2[None], 64, x=x)[0]
     assert rep.rhs == float(np.mean(theory._spectral_norms(jac)))
 
 
@@ -340,7 +339,7 @@ def test_bound_suite_is_a_loop_of_per_pair_bounds(kind, forced, blocks, monkeypa
 def test_bound_suite_runs_g_once_per_block(task, monkeypatch):
     """One `generate` pass over all endpoints, then one over the nodes of
     each block of pairs, where a pass per pair would make 2 passes per pair."""
-    cond_dim, z_dim, out_dim, chosen = BOUND_SHAPES[task]
+    cond_dim, z_dim, out_dim = BOUND_SHAPES[task]
     params = mlp_init(NetworkSpec(cond_dim + z_dim, (16, 16), out_dim), 0)
     ends = CallCount(theory.generate)
     node_passes = CallCount(theory.mlp_forward_vars)
@@ -350,7 +349,7 @@ def test_bound_suite_runs_g_once_per_block(task, monkeypatch):
     x = rng.normal(size=cond_dim) if cond_dim else None
     out = bound_suite(params, n_pairs=32, rng=rng, z_dim=z_dim, x=x)
     assert out["refined"] == 0 and out["n_quad"] == 64
-    nodes = theory._TANGENT_NODES if chosen == "_tangent_jacobians" else theory._REVERSE_NODES
+    nodes = theory._TANGENT_NODES if z_dim < out_dim else theory._REVERSE_NODES
     blocks = -(-32 // max(1, nodes // 64))
     assert ends.calls == 1 and node_passes.calls == blocks and 1 + blocks < 2 * 32
 

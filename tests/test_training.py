@@ -813,7 +813,7 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
     class SerialPool:
         """Records max_workers and runs the map in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             started.append(max_workers)
 
         def __enter__(self):
@@ -833,6 +833,33 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
     assert [e.config for e in entries] == cfgs
     sweep(cfgs[:1], jobs=64)
     assert started == [2]  # one run needs no pool
+
+
+def _blas_threads(task):
+    """A sweep job that reports its process's OpenBLAS thread count."""
+    return training._openblas().scipy_openblas_get_num_threads64_()
+
+
+def test_sweep_workers_run_one_blas_thread(monkeypatch):
+    """Forked workers see the patched job; the parent runs two threads."""
+    lib = training._openblas()
+    if getattr(lib, "scipy_openblas_get_num_threads64_", None) is None:
+        pytest.skip("numpy's OpenBLAS has no thread-count getter here")
+    before = lib.scipy_openblas_get_num_threads64_()
+    monkeypatch.setattr(training, "_sweep_one", _blas_threads)
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        assert lib.scipy_openblas_get_num_threads64_() == 2
+        threads = sweep([small_cfg(steps=2), small_cfg(steps=2, seed=1)], jobs=2)
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+    assert threads == [1, 1]
+
+
+@pytest.mark.parametrize("lib", [None, object()], ids=["no_library", "no_setter"])
+def test_blas_initializer_without_a_setter_does_nothing(lib, monkeypatch):
+    monkeypatch.setattr(training, "_openblas", lambda: lib)
+    assert training._one_blas_thread() is None
 
 
 def test_train_config_rejects_negative_seed_and_unsplittable_ring():
