@@ -113,8 +113,7 @@ def test_bound_on_extreme_jacobians_has_finite_nonzero_rhs(scale, z_dim, out_dim
     assert rep.rhs == pytest.approx(ref, rel=1e-14)
 
 
-# kind -> (cond_dim, hidden_dims, out_dim, activation, z_dim, n_quad), shapes
-# path_jacobians runs in reverse (z_dim >= out_dim)
+# kind -> (cond_dim, hidden_dims, out_dim, activation, z_dim, n_quad), in reverse
 JACOBIAN_NETS = {
     "tanh": (0, (16, 16), 2, "tanh", 3, 8),
     "conditional": (3, (16, 16), 2, "tanh", 3, 8),
@@ -123,6 +122,8 @@ JACOBIAN_NETS = {
     "three_hidden": (2, (16, 8, 12), 3, "tanh", 3, 64),
     "one_output": (0, (16, 16), 1, "tanh", 2, 64),
     "relu_fine": (0, (16, 16), 2, "relu", 2, 512),
+    "trajectory_shaped": (20, (128, 128), 8, "tanh", 8, 64),  # 128 wide, out_dim = z_dim
+    "one_latent": (0, (16,), 1, "relu", 1, 64),  # a matrix-vector product last
 }
 # and in tangent (z_dim < out_dim)
 TANGENT_NETS = {
