@@ -5,9 +5,10 @@ to the kernel on free, and it returns the top of the heap once more than
 128 KiB of it is free. Both start out adaptive: freeing a mapped block
 raises the thresholds towards it. The library's temporaries sit right at
 those sizes (a 128-wide network's parameter and Adam vectors are ~130 KiB, a
-128x128 gradient 128 KiB, an evaluation forward up to ~4 MB), so each
-training step or theory check maps pages, touches them (one minor page fault
-per 4 KiB page) and unmaps them again.
+128x128 gradient 128 KiB, a 512-row block of G's forward 512 KiB, and the
+largest, a checkpoint's bytes, about 1 MB), so each training step or theory
+check maps pages, touches them (one minor page fault per 4 KiB page) and
+unmaps them again.
 
 `keep_freed_memory` fixes both thresholds at the top of glibc's adaptive
 range: blocks under 32 MiB come from the heap, and freed heap is kept until

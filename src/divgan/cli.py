@@ -41,12 +41,12 @@ from .metrics import EVAL_COLUMNS, latent_interpolation
 from .optim import AdamHyper
 from .theory import attraction_check, bound_suite, pull_toward
 from .training import (
+    CHECKPOINT_START,
     CheckpointError,
     DivergenceError,
     evaluate_generator,
     init_state,
     load_checkpoint,
-    restore_checkpoint,
     rows_to_csv,
     save_checkpoint,
     sweep,
@@ -203,14 +203,16 @@ def _unconditional_z_dim(cfg, command: str, flag: str, count: int) -> int:
 
 def cmd_verify(args) -> int:
     """Gradient-bound suite on random pairs plus one attraction scenario, on
-    a checkpoint's G or on the G that `train` starts from for a config. The
-    suite's draws are seeded from --seed (default 0)."""
-    doc = read_json(args.target, "target")
+    a checkpoint's G or on the G that `train` starts from for a config. A
+    target beginning with CHECKPOINT_START is read as a checkpoint, any other
+    as a config. The suite's draws are seeded from --seed (default 0)."""
+    with open(args.target, "rb") as fh:
+        blob = fh.read()
     seed = args.seed if args.seed is not None else 0
-    if isinstance(doc, dict) and "version" in doc:
-        state = restore_checkpoint(doc)  # the one parse serves both readings
+    if blob.startswith(CHECKPOINT_START):
+        state = load_checkpoint(blob)
     else:
-        state = init_state(_seeded(parse_run_config(doc), args))
+        state = init_state(_seeded(parse_run_config(read_json(args.target, "target")), args))
     z_dim = _unconditional_z_dim(state.config, "verify", "--probes", args.probes)
     params_G = state.params_G
 
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[shared],
                        help="numerical checks of the gradient bound and attraction")
-    p.add_argument("target", help="run config or checkpoint JSON")
+    p.add_argument("target", help="run config JSON or checkpoint")
     p.add_argument("--pairs", type=_int_in_range(1, MAX_COUNT), default=100)
     p.add_argument("--probes", type=_int_in_range(1, MAX_COUNT), default=2000)
     p.set_defaults(func=cmd_verify)

@@ -1,5 +1,5 @@
 """Alternating GAN training on the synthetic tasks, with deterministic
-seeding, periodic evaluation, JSON checkpoints, and sweeps over configs.
+seeding, periodic evaluation, checkpoints, and sweeps over configs.
 
 Each step draws one real batch and one (z1, z2) pair per example, builds
 the two fakes G(x, z1) and G(x, z2) once, and runs one discriminator update
@@ -11,7 +11,6 @@ thread.
 
 from __future__ import annotations
 
-import base64
 import csv
 import ctypes
 import io
@@ -62,6 +61,7 @@ from .optim import AdamState, adam_init, adam_step
 __all__ = [
     "CSV_HEADER",
     "CHECKPOINT_VERSION",
+    "CHECKPOINT_START",
     "EVAL_SAMPLES",
     "TrainState",
     "MetricRow",
@@ -76,11 +76,11 @@ __all__ = [
     "evaluate_generator",
     "save_checkpoint",
     "load_checkpoint",
-    "restore_checkpoint",
     "rows_to_csv",
 ]
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
+CHECKPOINT_START = b'{"version": '  # the first bytes of every save_checkpoint blob
 EVAL_SAMPLES = 2500  # fakes per evaluation, and real points they are scored against
 
 # fixed stream tags so init, training, and evaluation draw independent seeds
@@ -374,12 +374,21 @@ def _openblas():
     return None
 
 
+# OpenBLAS's thread-count setter under each name a numpy build may export:
+# the scipy-openblas wheels', then a system OpenBLAS's 64-bit-integer and
+# plain builds'
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                 "openblas_set_num_threads")
+
+
 def _one_blas_thread() -> None:
     """A sweep worker's initializer: one OpenBLAS thread, since the pool is
     the parallelism. A forked worker would keep the parent's count, by
     default one per core, so two workers on two cores would run four
     threads. Does nothing where the library has no setter."""
-    setter = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    lib = _openblas()
+    setter = next((f for f in (getattr(lib, name, None) for name in _BLAS_SETTERS)
+                   if f is not None), None)
     if setter is not None:
         setter.argtypes = (ctypes.c_int,)
         setter(1)
@@ -406,25 +415,29 @@ def sweep(cfgs, jobs: int = 1) -> list[SweepEntry]:
 
 # -- checkpoints ---------------------------------------------------------------
 #
-# A version 4 checkpoint stores the run's config document, from which
-# task_specs gives both networks' parameter layouts, each vector in such a
-# layout (the parameters and both Adam moments) as one base64 string of its
-# little-endian float64 bytes, the run's one step count and its rng state,
-# and no other key.
+# A version 5 checkpoint is one header line, then the run's vectors. The
+# header is json.dumps of the run's config document, its one step count and
+# its rng state, and no other key, then a newline; json.dumps escapes every
+# control and non-ASCII character, so the header is ASCII with no newline
+# of its own. The tail is the six vectors as raw little-endian float64, in
+# the fixed order G's and D's parameters, then G's Adam moments m and v, then
+# D's. The config gives both networks' layouts (task_specs), and with them
+# the tail's exact length.
 
 
-def _encode(vector: np.ndarray) -> bytes:
-    return base64.b64encode(vector.astype("<f8", copy=False).tobytes())
-
-
-def _decode(payload, spec: NetworkSpec) -> np.ndarray:
-    """A stored vector as a new, native float64 vector in spec's layout. A
-    payload of the wrong JSON type or bad base64 (binascii.Error) raises
-    TypeError or ValueError, which load_checkpoint reports as malformed."""
-    raw = base64.b64decode(payload, validate=True)
-    if len(raw) != 8 * spec.n_params:
-        raise CheckpointError(f"malformed checkpoint: {len(raw)} bytes, not {8 * spec.n_params}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)  # a writable copy
+def save_checkpoint(state: TrainState) -> bytes:
+    """Versioned blob; load_checkpoint(save_checkpoint(s)) is exact.
+    ValueError if state.config sets a field no config document holds."""
+    header = {  # version first, so the blob begins with CHECKPOINT_START
+        "version": CHECKPOINT_VERSION,
+        "config": to_document(state.config),
+        "step": state.step,
+        "rng_state": state.rng.bit_generator.state,
+    }
+    vectors = (state.params_G.vector, state.params_D.vector,
+               state.adam_G.m, state.adam_G.v, state.adam_D.m, state.adam_D.v)
+    return b"".join([json.dumps(header).encode("ascii"), b"\n",
+                     *(v.astype("<f8", copy=False).tobytes() for v in vectors)])
 
 
 def _only_keys(doc: dict, keys, where: str = "") -> None:
@@ -434,10 +447,8 @@ def _only_keys(doc: dict, keys, where: str = "") -> None:
         raise CheckpointError(f"malformed checkpoint:{where} unknown keys: {', '.join(unknown)}")
 
 
-def _adam_restore(doc: dict, name: str, spec: NetworkSpec) -> AdamState:
-    payload = doc[name]
-    m, v = _decode(payload["m"], spec), _decode(payload["v"], spec)
-    _only_keys(payload, ("m", "v"), f" {name}:")  # an object: the reads above worked
+def _moments(name: str, m: np.ndarray, v: np.ndarray) -> AdamState:
+    """The Adam state `name` over its stored moments, or CheckpointError."""
     for moment, a in (("m", m), ("v", v)):
         if not np.isfinite(a).all():
             raise CheckpointError(f"malformed checkpoint: {name}.{moment} is not finite")
@@ -446,67 +457,26 @@ def _adam_restore(doc: dict, name: str, spec: NetworkSpec) -> AdamState:
     return AdamState(m=m, v=v)
 
 
-# what json.dumps writes for the string save_checkpoint puts where a vector
-# goes: no other string in a checkpoint can hold a NUL, since the config's
-# strings are checked against fixed sets of names and the rng state's one
-# string names its bit generator
-_SLOT = "\0"
-_SLOT_JSON = json.dumps(_SLOT).encode("ascii")
-
-
-def save_checkpoint(state: TrainState) -> bytes:
-    """Versioned JSON blob; load_checkpoint(save_checkpoint(s)) is exact.
-    ValueError if state.config sets a field no config document holds.
-
-    The bytes are json.dumps(doc).encode("utf-8") of the document with each
-    vector as its base64 string. json.dumps would only scan that base64 for
-    characters to escape, and base64 has none, so each vector goes into the
-    document as a placeholder and its base64 replaces the placeholder's text.
-    """
-    vectors = []
-
-    def slot(vector: np.ndarray) -> str:
-        vectors.append(vector)
-        return _SLOT
-
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "config": to_document(state.config),
-        "params_G": slot(state.params_G.vector),
-        "params_D": slot(state.params_D.vector),
-        "adam_G": {"m": slot(state.adam_G.m), "v": slot(state.adam_G.v)},
-        "adam_D": {"m": slot(state.adam_D.m), "v": slot(state.adam_D.v)},
-        "step": state.step,
-        "rng_state": state.rng.bit_generator.state,
-    }
-    head, *tails = json.dumps(doc).encode("utf-8").split(_SLOT_JSON)
-    parts = [head]
-    for vector, tail in zip(vectors, tails, strict=True):
-        parts += [b'"', _encode(vector), b'"', tail]
-    return b"".join(parts)
-
-
 def load_checkpoint(blob: bytes) -> TrainState:
-    """A version 4 blob back as the state it was saved from."""
+    """A version 5 blob back as the state it was saved from, each vector a
+    native, writable array of its own; CheckpointError if it is malformed or
+    of another version."""
+    # versions 2-4 are one JSON document with no newline, so theirs is read too
+    head, newline, tail = blob.partition(b"\n")
     try:
-        doc = json.loads(blob.decode("utf-8"), object_pairs_hook=unique_keys)
+        doc = json.loads(head.decode("utf-8"), object_pairs_hook=unique_keys)
     # not UTF-8 or not JSON, a duplicate key, or a decoder limit (read_json)
     except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
-    return restore_checkpoint(doc)
-
-
-def restore_checkpoint(doc) -> TrainState:
-    """load_checkpoint for a blob already parsed: the state a version 4
-    document was saved from, or CheckpointError."""
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointError("malformed checkpoint: missing version")
-    # the JSON integer 4: 4.0 and a bool could compare equal to it
+    # the JSON integer 5: 5.0 and a bool could compare equal to it
     if type(doc["version"]) is not int or doc["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {json.dumps(doc['version'])} "
                               f"(expected {CHECKPOINT_VERSION})")
-    _only_keys(doc, ("version", "config", "params_G", "params_D", "adam_G", "adam_D",
-                     "step", "rng_state"))
+    _only_keys(doc, ("version", "config", "step", "rng_state"))
+    if not newline:
+        raise CheckpointError("malformed checkpoint: no newline after the header")
     try:
         cfg = parse_run_config(doc["config"])
         g_spec, d_spec = task_specs(cfg)
@@ -520,20 +490,28 @@ def restore_checkpoint(doc) -> TrainState:
         if isinstance(step, bool) or not isinstance(step, int) or step < 0:
             raise CheckpointError(
                 f"malformed checkpoint: step must be an integer >= 0, got {json.dumps(step)}")
+        n_g, n_d = g_spec.n_params, d_spec.n_params
+        sizes = (n_g, n_d, n_g, n_g, n_d, n_d)  # in the tail's order
+        if len(tail) != 8 * sum(sizes):
+            raise CheckpointError(f"malformed checkpoint: {len(tail)} bytes of vectors after "
+                                  f"the header, not {8 * sum(sizes)}")
+        # astype copies each: native, writable, and no view of the blob
+        vectors = [v.astype(np.float64)
+                   for v in np.split(np.frombuffer(tail, "<f8"), np.cumsum(sizes[:-1]))]
         return TrainState(
             config=cfg,
-            params_G=NetworkParams(g_spec, _decode(doc["params_G"], g_spec)),
-            params_D=NetworkParams(d_spec, _decode(doc["params_D"], d_spec)),
-            adam_G=_adam_restore(doc, "adam_G", g_spec),
-            adam_D=_adam_restore(doc, "adam_D", d_spec),
+            params_G=NetworkParams(g_spec, vectors[0]),
+            params_D=NetworkParams(d_spec, vectors[1]),
+            adam_G=_moments("adam_G", *vectors[2:4]),
+            adam_D=_moments("adam_D", *vectors[4:6]),
             step=step,
             rng=rng,
         )
     except CheckpointError:
         raise
     # missing keys, wrong types, a bad config (ConfigError is a ValueError),
-    # bad base64, non-finite weights (NonFiniteParams is a ValueError), a
-    # foreign or overflowing rng state
+    # non-finite weights (NonFiniteParams is a ValueError), a foreign or
+    # overflowing rng state
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
 

@@ -1,11 +1,12 @@
 import base64
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from divgan.autodiff import evaluate_with_gradients, finite_diff_gradient
-from divgan.config import parse_run_config
+from divgan.config import parse_run_config, to_document
 from divgan.losses import generate_fakes, generator_total_loss
 from divgan.training import task_specs
 
@@ -58,14 +59,48 @@ def traced_peak(fn) -> int:
     return peak - before
 
 
-def edit_vector(doc, name, edit):
-    """Replace the vector at `name` ("params_G", or an Adam moment such as
-    "adam_D.v") of a version 4 checkpoint doc (base64 of little-endian
-    float64 bytes) with edit(vector)."""
-    *path, key = name.split(".")
-    holder = doc[path[0]] if path else doc
-    vector = np.frombuffer(base64.b64decode(holder[key], validate=True), "<f8").copy()
-    holder[key] = base64.b64encode(np.asarray(edit(vector), "<f8").tobytes()).decode()
+# a version 5 checkpoint's vectors, in the order its tail holds them
+VECTORS = ("params_G", "params_D", "adam_G.m", "adam_G.v", "adam_D.m", "adam_D.v")
+
+
+def edit_header(blob, edit):
+    """A version 5 checkpoint blob with edit applied to its header line's
+    document, which is then written back with json.dumps; the tail is kept."""
+    head, newline, tail = blob.partition(b"\n")
+    doc = json.loads(head)
+    edit(doc)
+    return json.dumps(doc).encode() + newline + tail
+
+
+def edit_vector(blob, name, edit):
+    """A version 5 checkpoint blob with the vector at `name` (one of VECTORS)
+    in its tail replaced by edit(vector), as little-endian float64 bytes."""
+    head, newline, tail = blob.partition(b"\n")
+    g_spec, d_spec = task_specs(parse_run_config(json.loads(head)["config"]))
+    n_g, n_d = g_spec.n_params, d_spec.n_params
+    sizes = dict(zip(VECTORS, (n_g, n_d, n_g, n_g, n_d, n_d)))
+    start = 8 * sum(sizes[v] for v in VECTORS[:VECTORS.index(name)])
+    stop = start + 8 * sizes[name]
+    vector = np.frombuffer(tail[start:stop], "<f8").copy()
+    return head + newline + tail[:start] + np.asarray(edit(vector), "<f8").tobytes() + tail[stop:]
+
+
+def version_4_document(state):
+    """The version 4 document for state, as version 4 wrote it: one JSON
+    object holding each vector as base64 of its little-endian float64 bytes."""
+    def b64(vector):
+        return base64.b64encode(vector.astype("<f8").tobytes()).decode("ascii")
+
+    return {
+        "version": 4,
+        "config": to_document(state.config),
+        "params_G": b64(state.params_G.vector),
+        "params_D": b64(state.params_D.vector),
+        "adam_G": {"m": b64(state.adam_G.m), "v": b64(state.adam_G.v)},
+        "adam_D": {"m": b64(state.adam_D.m), "v": b64(state.adam_D.v)},
+        "step": state.step,
+        "rng_state": state.rng.bit_generator.state,
+    }
 
 
 def as_version_3(doc):

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import as_version_2, as_version_3, edit_vector
+from conftest import as_version_2, as_version_3, edit_header, edit_vector, version_4_document
 from divgan import cli, training
 from divgan.cli import MAX_COUNT, main
 from divgan.config import FIELDS, ConfigError, parse_run_config, read_json, to_document
@@ -19,7 +19,7 @@ from divgan.data import RingMixtureSpec, TrajectorySpec
 from divgan.losses import DiversityConfig, ObjectiveConfig
 from divgan.metrics import EVAL_COLUMNS, EvalReport
 from divgan.optim import AdamHyper
-from divgan.training import TrainConfig, load_checkpoint, task_specs
+from divgan.training import CheckpointError, TrainConfig, load_checkpoint
 
 FAST_RING = {
     "task": "ring",
@@ -754,21 +754,28 @@ def test_verify_and_interp_refuse_conditional_checkpoint(task, tmp_path, capsys)
         assert not out.exists()
 
 
-def trained_checkpoint_doc(tmp_path):
+def trained_checkpoint(tmp_path):
+    """The final checkpoint's bytes of a 2-step ring run."""
     cfg = write_cfg(tmp_path, dict(FAST_RING, steps=2, eval_every=2))
     run = tmp_path / "run"
     assert main(["train", "--config", cfg, "--out", str(run)]) == 0
-    return json.loads((run / "final.ckpt.json").read_text())
+    return (run / "final.ckpt.json").read_bytes()
+
+
+def write_checkpoint(tmp_path, blob, name="bad.ckpt.json"):
+    path = tmp_path / name
+    path.write_bytes(blob)
+    return str(path)
 
 
 @pytest.mark.parametrize("corruption", ["nan_weight", "negative_dim"])
 def test_eval_and_interp_reject_bad_weights(corruption, tmp_path, capsys):
-    doc = trained_checkpoint_doc(tmp_path)
+    blob = trained_checkpoint(tmp_path)
     if corruption == "nan_weight":
-        edit_vector(doc, "params_G", lambda v: np.r_[np.nan, v[1:]])
+        blob = edit_vector(blob, "params_G", lambda v: np.r_[np.nan, v[1:]])
     else:
-        doc["config"]["z_dim"] = -1
-    ckpt = write_cfg(tmp_path, doc, "bad.ckpt.json")
+        blob = edit_header(blob, lambda d: d["config"].update(z_dim=-1))
+    ckpt = write_checkpoint(tmp_path, blob)
     capsys.readouterr()
     assert main(["eval", ckpt, "--out", str(tmp_path / "e.json")]) == 2
     assert capsys.readouterr().err.startswith("checkpoint error: malformed checkpoint")
@@ -777,15 +784,19 @@ def test_eval_and_interp_reject_bad_weights(corruption, tmp_path, capsys):
     assert not (tmp_path / "e.json").exists() and not (tmp_path / "i.csv").exists()
 
 
+def _duplicate_step(blob):
+    return blob.replace(b'"step": ', b'"step": 0, "step": ', 1)
+
+
 @pytest.mark.parametrize("edit,message", [
-    (lambda text: text.replace('"step": ', '"step": 0, "step": ', 1), "duplicate key 'step'"),
-    pytest.param(lambda text: text.replace('"step": 2', f'"step": {HUGE_INT}', 1),
+    (_duplicate_step, "duplicate key 'step'"),
+    pytest.param(lambda blob: blob.replace(b'"step": 2', b'"step": ' + HUGE_INT.encode(), 1),
                  "Exceeds the limit", marks=NEEDS_INT_LIMIT),
-    (lambda text: "[" * 100_000 + text + "]" * 100_000, "maximum recursion depth exceeded"),
+    (lambda blob: b"[" * 100_000 + blob, "maximum recursion depth exceeded"),
 ], ids=["duplicate_key", "huge_integer", "deep_nesting"])
 def test_checkpoint_the_decoder_refuses_is_malformed(edit, message, tmp_path, capsys):
     ckpt = tmp_path / "bad.ckpt.json"
-    ckpt.write_text(edit(json.dumps(trained_checkpoint_doc(tmp_path))))
+    ckpt.write_bytes(edit(trained_checkpoint(tmp_path)))
     capsys.readouterr()
     assert main(["eval", str(ckpt), "--out", str(tmp_path / "e.json")]) == 2
     err = capsys.readouterr().err
@@ -800,9 +811,8 @@ def test_checkpoint_the_decoder_refuses_is_malformed(edit, message, tmp_path, ca
     ({"lambda": "7"}, "config key 'lambda': expected a finite number, got '7'"),
 ])
 def test_eval_rejects_a_bad_stored_config(edit, message, tmp_path, capsys):
-    doc = trained_checkpoint_doc(tmp_path)
-    doc["config"].update(edit)
-    ckpt = write_cfg(tmp_path, doc, "bad.ckpt.json")
+    ckpt = write_checkpoint(tmp_path, edit_header(trained_checkpoint(tmp_path),
+                                                  lambda d: d["config"].update(edit)))
     capsys.readouterr()
     assert main(["eval", ckpt, "--out", str(tmp_path / "e.json")]) == 2
     assert capsys.readouterr().err == f"checkpoint error: malformed checkpoint: {message}\n"
@@ -814,9 +824,9 @@ def test_eval_rejects_a_bad_stored_config(edit, message, tmp_path, capsys):
     ("adam_D", "v", -1.0, "is negative"),
 ])
 def test_eval_rejects_impossible_adam_moments(network, moment, value, what, tmp_path, capsys):
-    doc = trained_checkpoint_doc(tmp_path)
-    edit_vector(doc, f"{network}.{moment}", lambda v: np.r_[value, v[1:]])
-    ckpt = write_cfg(tmp_path, doc, "bad.ckpt.json")
+    ckpt = write_checkpoint(tmp_path, edit_vector(trained_checkpoint(tmp_path),
+                                                  f"{network}.{moment}",
+                                                  lambda v: np.r_[value, v[1:]]))
     capsys.readouterr()
     assert main(["eval", ckpt, "--out", str(tmp_path / "e.json")]) == 2
     err = capsys.readouterr().err
@@ -826,13 +836,12 @@ def test_eval_rejects_impossible_adam_moments(network, moment, value, what, tmp_
 
 def test_eval_rejects_an_adam_step_count(tmp_path, capsys):
     # the run's step is the one count a checkpoint stores
-    doc = trained_checkpoint_doc(tmp_path)
-    doc["adam_G"]["t"] = 0
-    ckpt = write_cfg(tmp_path, doc, "bad.ckpt.json")
+    ckpt = write_checkpoint(tmp_path, edit_header(trained_checkpoint(tmp_path),
+                                                  lambda d: d.update(adam_G={"t": 0})))
     capsys.readouterr()
     assert main(["eval", ckpt, "--out", str(tmp_path / "e.json")]) == 2
     err = capsys.readouterr().err
-    assert err == "checkpoint error: malformed checkpoint: adam_G: unknown keys: t\n"
+    assert err == "checkpoint error: malformed checkpoint: unknown keys: adam_G\n"
     assert not (tmp_path / "e.json").exists()
 
 
@@ -845,34 +854,96 @@ def _old_version_refused(command, doc, version, tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"checkpoint error: unsupported checkpoint version {version} (expected 4)\n")
+        f"checkpoint error: unsupported checkpoint version {version} (expected 5)\n")
     assert not (tmp_path / "out").exists()
+
+
+def trained_version_4_document(tmp_path):
+    return version_4_document(load_checkpoint(trained_checkpoint(tmp_path)))
 
 
 @pytest.mark.parametrize("command", ["eval", "verify", "interp"])
 def test_version_2_checkpoint_is_refused(command, tmp_path, capsys):
-    doc = as_version_2(trained_checkpoint_doc(tmp_path))
+    doc = as_version_2(trained_version_4_document(tmp_path))
     _old_version_refused(command, doc, 2, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("command", ["eval", "verify", "interp"])
 def test_version_3_checkpoint_is_refused(command, tmp_path, capsys):
-    doc = as_version_3(trained_checkpoint_doc(tmp_path))
+    doc = as_version_3(trained_version_4_document(tmp_path))
     _old_version_refused(command, doc, 3, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", ["eval", "verify", "interp"])
+def test_version_4_checkpoint_is_refused(command, tmp_path, capsys):
+    _old_version_refused(command, trained_version_4_document(tmp_path), 4, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", ["eval", "verify", "interp"])
+def test_duplicate_key_is_one_checkpoint_error_on_every_command(command, tmp_path, capsys):
+    """verify reads a target that begins as a checkpoint does through
+    load_checkpoint, so it refuses a repeated key as eval and interp do."""
+    ckpt = write_checkpoint(tmp_path, _duplicate_step(trained_checkpoint(tmp_path)))
+    out = str(tmp_path / "out")
+    extra = ["--pairs", "2", "--probes", "10"] if command == "verify" else []
+    capsys.readouterr()
+    assert main([command, ckpt, "--out", out] + extra) == 2
+    assert capsys.readouterr().err == (
+        "checkpoint error: malformed checkpoint: duplicate key 'step'\n")
+    assert not (tmp_path / "out").exists()
+
+
+def _tail_bytes(blob):
+    return len(blob) - blob.index(b"\n") - 1
+
+
+# each corruption of a version 5 blob, and the message that names it
+V5_CORRUPTIONS = {
+    "tail_one_byte_short": (
+        lambda b: b[:-1],
+        lambda b: f"{_tail_bytes(b)} bytes of vectors after the header, not {_tail_bytes(b) + 1}"),
+    "tail_one_float_long": (
+        lambda b: b + bytes(8),
+        lambda b: f"{_tail_bytes(b)} bytes of vectors after the header, not {_tail_bytes(b) - 8}"),
+    "no_newline": (lambda b: b[:b.index(b"\n")], lambda b: "no newline after the header"),
+    "params_G_in_header": (lambda b: edit_header(b, lambda d: d.update(params_G="")),
+                           lambda b: "unknown keys: params_G"),
+    "nan_weight": (lambda b: edit_vector(b, "params_D", lambda v: np.r_[v[:-1], np.nan]),
+                   lambda b: "NetworkParams: non-finite values in layer 2"),
+    "inf_moment": (lambda b: edit_vector(b, "adam_D.m", lambda v: np.r_[v[:-1], np.inf]),
+                   lambda b: "adam_D.m is not finite"),
+    "negative_second_moment": (
+        lambda b: edit_vector(b, "adam_G.v", lambda v: np.r_[v[:-1], -1e-300]),
+        lambda b: "adam_G.v is negative"),
+}
+
+
+@pytest.mark.parametrize("corruption", list(V5_CORRUPTIONS))
+def test_corrupt_checkpoint_is_refused_by_name(corruption, tmp_path, capsys):
+    corrupt, message = V5_CORRUPTIONS[corruption]
+    blob = corrupt(trained_checkpoint(tmp_path))
+    want = f"malformed checkpoint: {message(blob)}"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(want)}$"):
+        load_checkpoint(blob)
+    ckpt = write_checkpoint(tmp_path, blob)
+    capsys.readouterr()
+    assert main(["eval", ckpt, "--out", str(tmp_path / "e.json")]) == 2
+    assert capsys.readouterr().err == f"checkpoint error: {want}\n"
+    assert not (tmp_path / "e.json").exists()
 
 
 def overflowing_checkpoint(tmp_path, weight=1e308):
     """A finite checkpoint with G's last-layer weights at `weight`: 1e308
     overflows G's output, 1e200 only the squared distances on it."""
-    doc = trained_checkpoint_doc(tmp_path)
+    blob = trained_checkpoint(tmp_path)
+    g_spec = load_checkpoint(blob).params_G.spec
 
     def huge_last_weights(vector):
-        g_spec, _ = task_specs(parse_run_config(doc["config"]))
         g_spec.param_views(vector)[-2][...] = weight
         return vector
 
-    edit_vector(doc, "params_G", huge_last_weights)
-    return write_cfg(tmp_path, doc, "huge.ckpt.json")
+    return write_checkpoint(tmp_path, edit_vector(blob, "params_G", huge_last_weights),
+                            "huge.ckpt.json")
 
 
 def test_verify_overflowing_generator_fails_verification(tmp_path, capsys):

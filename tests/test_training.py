@@ -1,4 +1,3 @@
-import base64
 import concurrent.futures
 import copy
 import itertools
@@ -10,7 +9,14 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import as_version_2, as_version_3, edit_vector, objective, traced_peak
+from conftest import (
+    as_version_2,
+    edit_header,
+    edit_vector,
+    objective,
+    traced_peak,
+    version_4_document,
+)
 from divgan import metrics, training
 from divgan.autodiff import backward
 from divgan.config import parse_run_config, to_document
@@ -496,17 +502,19 @@ def assert_same_state(a, b):
 
 
 @pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
-def test_checkpoint_v4_roundtrip_is_byte_exact(task):
+def test_checkpoint_v5_roundtrip_is_byte_exact(task):
     cfg = small_cfg(task=task, z_dim=4, steps=2)
     state, _ = run(cfg)
     assert state.config == cfg
     blob = save_checkpoint(state)
-    doc = json.loads(blob)
-    assert list(doc) == ["version", "config", "params_G", "params_D", "adam_G", "adam_D",
-                         "step", "rng_state"]
-    assert doc["version"] == 4 and doc["config"] == to_document(cfg)
-    assert isinstance(doc["params_G"], str) and isinstance(doc["adam_D"]["v"], str)
-    assert list(doc["adam_G"]) == list(doc["adam_D"]) == ["m", "v"]  # step is the one count
+    assert blob.startswith(training.CHECKPOINT_START)  # how `divgan verify` tells it apart
+    head, newline, tail = blob.partition(b"\n")
+    assert newline and head.isascii()
+    doc = json.loads(head)
+    assert list(doc) == ["version", "config", "step", "rng_state"]  # step is the one count
+    assert doc["version"] == 5 and doc["config"] == to_document(cfg)
+    g_spec, d_spec = task_specs(cfg)
+    assert len(tail) == 8 * 3 * (g_spec.n_params + d_spec.n_params)
     loaded = load_checkpoint(blob)
     assert loaded.config == cfg
     assert (loaded.params_G.spec, loaded.params_D.spec) == task_specs(cfg)
@@ -517,31 +525,31 @@ def test_checkpoint_v4_roundtrip_is_byte_exact(task):
 
 
 def test_checkpoint_vector_golden_encoding():
-    """A vector is stored as base64 of its little-endian float64 bytes."""
+    """The tail starts right after the header's newline with params_G's
+    little-endian float64 bytes."""
     state = init_state(small_cfg())
-    state.params_G.vector[:3] = [1.0, -0.0, 5e-324]  # 24 bytes: 32 base64 characters
+    state.params_G.vector[:4] = [1.0, -0.0, 5e-324, -2.5]
     blob = save_checkpoint(state)
-    assert json.loads(blob)["params_G"].startswith("AAAAAAAA8D8AAAAAAAAAgAEAAAAAAAAA")
+    start = blob.index(b"\n") + 1
+    assert blob[start:start + 32] == bytes.fromhex(
+        "000000000000f03f" "0000000000000080" "0100000000000000" "00000000000004c0")
     assert load_checkpoint(blob).params_G.vector.tobytes() == state.params_G.vector.tobytes()
 
 
 def plain_save_checkpoint(state):
-    """The writer as json.dumps of the whole version 4 document, base64
-    strings and all: save_checkpoint must give these bytes."""
-    def b64(vector):
-        return base64.b64encode(vector.astype("<f8").tobytes()).decode("ascii")
-
-    doc = {
-        "version": 4,
+    """The writer as json.dumps of the header document, a newline, then each
+    vector's little-endian float64 bytes in turn: save_checkpoint must give
+    these bytes."""
+    header = {
+        "version": 5,
         "config": to_document(state.config),
-        "params_G": b64(state.params_G.vector),
-        "params_D": b64(state.params_D.vector),
-        "adam_G": {"m": b64(state.adam_G.m), "v": b64(state.adam_G.v)},
-        "adam_D": {"m": b64(state.adam_D.m), "v": b64(state.adam_D.v)},
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
     }
-    return json.dumps(doc).encode("utf-8")
+    vectors = (state.params_G.vector, state.params_D.vector,
+               state.adam_G.m, state.adam_G.v, state.adam_D.m, state.adam_D.v)
+    return json.dumps(header).encode("utf-8") + b"\n" + b"".join(
+        np.asarray(v, "<f8").tobytes() for v in vectors)
 
 
 @pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
@@ -556,38 +564,48 @@ def test_save_checkpoint_matches_plain_json_dumps(task):
 
 
 def test_checkpoint_version_2_is_refused():
-    doc = as_version_2(json.loads(save_checkpoint(init_state(small_cfg()))))
+    doc = as_version_2(version_4_document(init_state(small_cfg())))
     with pytest.raises(CheckpointError,
-                       match=r"^unsupported checkpoint version 2 \(expected 4\)$"):
+                       match=r"^unsupported checkpoint version 2 \(expected 5\)$"):
         load_checkpoint(json.dumps(doc).encode())
+
+
+def test_checkpoint_version_4_is_refused():
+    # version 4's one JSON document has no newline, so its version is read whole
+    blob = json.dumps(version_4_document(init_state(small_cfg()))).encode()
+    with pytest.raises(CheckpointError,
+                       match=r"^unsupported checkpoint version 4 \(expected 5\)$"):
+        load_checkpoint(blob)
 
 
 @pytest.mark.parametrize("edit,message", [
     (lambda d: d.update(note="x", spec_G={}), "unknown keys: note, spec_G"),
-    (lambda d: d["adam_G"].update(extra=0), "adam_G: unknown keys: extra"),
-    (lambda d: d["adam_D"].update(t=1000), "adam_D: unknown keys: t"),
+    (lambda d: d.update(params_G=""), "unknown keys: params_G"),
+    (lambda d: d.update(adam_D={"t": 1000}), "unknown keys: adam_D"),
     (lambda d: d["rng_state"].update(note=1), "rng_state: unknown keys: note"),
     (lambda d: d["rng_state"]["state"].update(extra=2), "rng_state.state: unknown keys: extra"),
 ])
 def test_checkpoint_unknown_keys_are_refused(edit, message):
-    """A version 4 document holds its keys and no others: a stray key,
-    such as an Adam step count t beside the run's step, is an error."""
-    doc = json.loads(save_checkpoint(init_state(small_cfg())))
-    edit(doc)
+    """A version 5 header holds its keys and no others: a stray key, such as
+    a vector left over from version 4 or an Adam step count beside the run's
+    step, is an error."""
+    blob = edit_header(save_checkpoint(init_state(small_cfg())), edit)
     with pytest.raises(CheckpointError, match=f"^malformed checkpoint: {re.escape(message)}$"):
+        load_checkpoint(blob)
+
+
+def test_checkpoint_version_4_layout_marked_version_5_is_refused():
+    # version 4's vectors and version 3's g_loss_form config key are stray now
+    doc = version_4_document(init_state(small_cfg()))
+    doc["version"] = 5
+    with pytest.raises(CheckpointError, match="^malformed checkpoint: "
+                       "unknown keys: adam_D, adam_G, params_D, params_G$"):
         load_checkpoint(json.dumps(doc).encode())
-
-
-def test_checkpoint_version_3_layout_marked_version_4_is_refused():
-    # the Adam step counts and the g_loss_form config key are both stray now
-    doc = as_version_3(json.loads(save_checkpoint(init_state(small_cfg()))))
-    doc["version"] = 4
+    blob = edit_header(save_checkpoint(init_state(small_cfg())),
+                       lambda d: d["config"].update(g_loss_form="non_saturating"))
     with pytest.raises(CheckpointError,
                        match="^malformed checkpoint: unknown config keys: g_loss_form$"):
-        load_checkpoint(json.dumps(doc).encode())
-    doc["config"].pop("g_loss_form")
-    with pytest.raises(CheckpointError, match="^malformed checkpoint: adam_G: unknown keys: t$"):
-        load_checkpoint(json.dumps(doc).encode())
+        load_checkpoint(blob)
 
 
 @pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
@@ -644,68 +662,62 @@ def test_checkpoint_truncated_blob():
 
 
 def test_checkpoint_version_check():
-    # the JSON integer 4 only, as strictly as step is read
-    doc = json.loads(save_checkpoint(init_state(small_cfg())))
-    for version in (999, 4.0, True, "4", None, 3, 2, 1):
-        doc["version"] = version
-        want = re.escape(f"unsupported checkpoint version {json.dumps(version)} (expected 4)")
+    # the JSON integer 5 only, as strictly as step is read
+    blob = save_checkpoint(init_state(small_cfg()))
+    for version in (999, 5.0, True, "5", None, 4, 3, 2, 1):
+        want = re.escape(f"unsupported checkpoint version {json.dumps(version)} (expected 5)")
         with pytest.raises(CheckpointError, match=f"^{want}$"):
-            load_checkpoint(json.dumps(doc).encode())
+            load_checkpoint(edit_header(blob, lambda d, v=version: d.update(version=v)))
 
 
 def test_checkpoint_shape_mismatch():
-    doc = json.loads(save_checkpoint(init_state(small_cfg())))
-    edit_vector(doc, "params_G", lambda v: v[3:])  # W0 three values short
+    blob = edit_vector(save_checkpoint(init_state(small_cfg())), "params_G",
+                       lambda v: v[3:])  # W0 three values short
     with pytest.raises(CheckpointError):
-        load_checkpoint(json.dumps(doc).encode())
+        load_checkpoint(blob)
 
 
-def _nan_weight(doc):
-    edit_vector(doc, "params_G", lambda v: np.r_[np.nan, v[1:]])
+# each corruption takes a version 5 blob and returns the corrupted blob
 
 
-def _negative_dim(doc):
-    doc["config"]["z_dim"] = -1
+def _nan_weight(blob):
+    return edit_vector(blob, "params_G", lambda v: np.r_[np.nan, v[1:]])
 
 
-def _no_config(doc):
-    del doc["config"]
+def _negative_dim(blob):
+    return edit_header(blob, lambda d: d["config"].update(z_dim=-1))
 
 
-def _foreign_rng(doc):
-    doc["rng_state"]["bit_generator"] = "MT19937"
+def _no_config(blob):
+    return edit_header(blob, lambda d: d.pop("config"))
 
 
-def _adam_shape(doc):
-    edit_vector(doc, "adam_G.m", lambda v: v[:-1])
+def _foreign_rng(blob):
+    return edit_header(blob, lambda d: d["rng_state"].update(bit_generator="MT19937"))
 
 
-def _step_overflow(doc):
-    doc["step"] = float("inf")
+def _adam_shape(blob):
+    return edit_vector(blob, "adam_G.m", lambda v: v[:-1])
 
 
-def _bad_base64(doc):
-    doc["params_G"] = doc["params_G"][:8] + "*" + doc["params_G"][8:]  # not in the alphabet
+def _step_overflow(blob):
+    return edit_header(blob, lambda d: d.update(step=float("inf")))
 
 
-def _one_float_short(doc):
-    edit_vector(doc, "params_D", lambda v: v[:-1])
+def _one_float_short(blob):
+    return edit_vector(blob, "params_D", lambda v: v[:-1])
 
 
-def _list_for_base64(doc):
-    doc["params_D"] = [0.0] * len(init_state(small_cfg()).params_D.vector)
+def _step_negative(blob):
+    return edit_header(blob, lambda d: d.update(step=-7))
 
 
-def _step_negative(doc):
-    doc["step"] = -7
+def _step_string(blob):
+    return edit_header(blob, lambda d: d.update(step="3"))
 
 
-def _step_string(doc):
-    doc["step"] = "3"
-
-
-def _step_huge_float(doc):
-    doc["step"] = 1e300
+def _step_huge_float(blob):
+    return edit_header(blob, lambda d: d.update(step=1e300))
 
 
 # counts that are not JSON integers >= 0, each named exactly
@@ -717,17 +729,15 @@ COUNT_MESSAGES = {
 
 
 @pytest.mark.parametrize("corrupt", [_nan_weight, _negative_dim, _no_config, _foreign_rng,
-                                     _adam_shape, _step_overflow,
-                                     _bad_base64, _one_float_short, _list_for_base64,
+                                     _adam_shape, _step_overflow, _one_float_short,
                                      *COUNT_MESSAGES])
 def test_checkpoint_bad_values_are_checkpoint_errors(corrupt):
-    doc = json.loads(save_checkpoint(init_state(small_cfg())))
-    corrupt(doc)
+    blob = corrupt(save_checkpoint(init_state(small_cfg())))
     message = COUNT_MESSAGES.get(corrupt)
     match = ("malformed checkpoint" if message is None
              else f"^malformed checkpoint: {re.escape(message)}$")
     with pytest.raises(CheckpointError, match=match):
-        load_checkpoint(json.dumps(doc).encode())
+        load_checkpoint(blob)
 
 
 @pytest.mark.parametrize("network,moment,value,what", [
@@ -737,11 +747,11 @@ def test_checkpoint_bad_values_are_checkpoint_errors(corrupt):
     ("adam_D", "v", -1e-300, "is negative"),
 ])
 def test_checkpoint_impossible_adam_moments_are_refused(network, moment, value, what):
-    doc = json.loads(save_checkpoint(init_state(small_cfg())))
-    edit_vector(doc, f"{network}.{moment}", lambda v: np.r_[v[0], value, v[2:]])
+    blob = edit_vector(save_checkpoint(init_state(small_cfg())), f"{network}.{moment}",
+                       lambda v: np.r_[v[0], value, v[2:]])
     with pytest.raises(CheckpointError,
                        match=f"^malformed checkpoint: {network}.{moment} {what}$"):
-        load_checkpoint(json.dumps(doc).encode())
+        load_checkpoint(blob)
 
 
 @pytest.mark.parametrize("task,edit", [
@@ -751,15 +761,16 @@ def test_checkpoint_impossible_adam_moments_are_refused(network, moment, value, 
     ("trajectory", {"z_dim": 2}),
 ])
 def test_checkpoint_whose_config_does_not_fit_its_vectors_is_refused(task, edit):
-    """The stored config sets both networks' layouts: one edited to another
-    latent size or task refuses the first vector that no longer fits."""
-    doc = json.loads(save_checkpoint(init_state(small_cfg(task=task, z_dim=4))))
-    doc["config"].update(edit)
-    have = task_specs(small_cfg(task=task, z_dim=4))[0].n_params
-    want = task_specs(parse_run_config(doc["config"]))[0].n_params
-    with pytest.raises(CheckpointError,
-                       match=f"^malformed checkpoint: {8 * have} bytes, not {8 * want}$"):
-        load_checkpoint(json.dumps(doc).encode())
+    """The stored config sets both networks' layouts, and with them the
+    tail's length: one edited to another latent size or task refuses the
+    tail by its byte count."""
+    cfg = small_cfg(task=task, z_dim=4)
+    blob = edit_header(save_checkpoint(init_state(cfg)), lambda d: d["config"].update(edit))
+    have = sum(spec.n_params for spec in task_specs(cfg))
+    want = sum(spec.n_params for spec in task_specs(replace(cfg, **edit)))
+    with pytest.raises(CheckpointError, match=f"^malformed checkpoint: {24 * have} bytes of "
+                       f"vectors after the header, not {24 * want}$"):
+        load_checkpoint(blob)
 
 
 def test_checkpoint_with_the_smallest_latent_loads():
@@ -860,6 +871,24 @@ def test_sweep_workers_run_one_blas_thread(monkeypatch):
 def test_blas_initializer_without_a_setter_does_nothing(lib, monkeypatch):
     monkeypatch.setattr(training, "_openblas", lambda: lib)
     assert training._one_blas_thread() is None
+
+
+@pytest.mark.parametrize("names", [
+    ("openblas_set_num_threads",),
+    ("openblas_set_num_threads64_", "openblas_set_num_threads"),
+    ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"),
+], ids=["plain_only", "system_64", "wheel_first"])
+def test_blas_initializer_calls_the_first_setter_name_found(names, monkeypatch):
+    """A numpy linked to a system OpenBLAS exports the setter under another
+    name than the wheels' scipy_openblas one; the first of the names in
+    _BLAS_SETTERS' order is called, with 1."""
+    calls = []
+    lib = type("FakeOpenBLAS", (), {})()
+    for name in names:
+        setattr(lib, name, lambda n, name=name: calls.append((name, n)))
+    monkeypatch.setattr(training, "_openblas", lambda: lib)
+    training._one_blas_thread()
+    assert calls == [(names[0], 1)]
 
 
 def test_train_config_rejects_negative_seed_and_unsplittable_ring():
