@@ -263,12 +263,12 @@ def cmd_interp(args) -> int:
     return EXIT_OK
 
 
-# upper bound on --pairs, --probes and --steps, which bounds time: the pairs
-# run in fixed-size blocks of pairs and the probes and path steps pass through
-# G in blocks of nets.ROW_BLOCK rows, so the block sizes, not the cap, bound
-# G's memory. The probes and the path's latents are held whole, so
-# `_unconditional_z_dim` also refuses a --probes or --steps count whose
-# count * z_dim latent entries exceed 2**25 (256 MiB; see data.MAX_SIZE)
+# upper bound on --pairs, --probes and --steps, which bounds time: the pairs,
+# probes and path steps pass through G in blocks sized from nets.ROW_BLOCK,
+# so the block sizes, not the cap, bound G's memory. The probes and the
+# path's latents are held whole, so `_unconditional_z_dim` also refuses a
+# --probes or --steps count whose count * z_dim latent entries exceed 2**25
+# (256 MiB; see data.MAX_SIZE)
 MAX_COUNT = 2**18
 
 

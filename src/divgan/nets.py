@@ -32,7 +32,12 @@ __all__ = [
 ]
 
 # Rows per block of `generate`: a 128-wide float64 hidden block is 512 KiB,
-# a quarter of a core's 2 MiB L2.
+# a quarter of a core's 2 MiB L2. Theory's blocked passes derive their sizes
+# from it, read at call time: `bound_suite` draws max(1, ROW_BLOCK // 2)
+# pairs at a time, so their stacked endpoints are one block, and each
+# `path_jacobians` call takes max(1, ROW_BLOCK // (n_quad * min(z_dim,
+# out_dim))) pairs, since a node carries min(z_dim, out_dim) tangents or
+# cotangents, whichever pass runs.
 ROW_BLOCK = 512
 
 

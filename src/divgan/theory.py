@@ -31,10 +31,11 @@ grid passes of `attraction_check`. So `bound_suite`, which runs its pairs
 on a leading pair axis (the endpoint pass, then per block of pairs one
 `path_jacobians` call, one batch of spectral norms and one node mean per
 pair), gives each pair the bits of its own `path_gradient_bound`, the same
-core on one pair. The block sizes bound memory and are fixed per
-direction: 8 pairs of 64 nodes in reverse, one pair in tangent, whose
-larger blocks spill the L2 cache. `attraction_check` holds one block per
-hidden layer plus a few numbers per probe, whatever the probe count.
+core on one pair. The blocks bound memory, never bits, and follow
+`nets.ROW_BLOCK`: Jacobian blocks of 4 pairs of 64 nodes on the ring tasks,
+one pair in tangent, whose larger blocks would only raise the peak memory.
+`attraction_check` holds one block per hidden layer plus a few numbers per
+probe, whatever the probe count.
 
 Norms here are l2 / spectral (matching the analysis), regardless of the
 training-side norm choice. A spectral norm is the root of the largest
@@ -55,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nets
 from .autodiff import NumericsError, activation_grad, backward
 from .nets import (NetworkParams, ParamLeaves, generate, generator_forward, mlp_forward_vars,
                    with_condition)
@@ -74,12 +76,6 @@ __all__ = [
 
 BOUND_RTOL = 1e-6
 BOUND_ATOL = 1e-8
-
-# Pairs per stacked pass: these set speed and memory, never bits (stacked
-# slices round as their own passes; see `nets.generate`).
-_SUITE_PAIRS = 1024  # bound_suite's draws and endpoint pass: 2 rows per pair
-_REVERSE_NODES = 512  # reverse Jacobian block: 8 pairs of 64 nodes
-_TANGENT_NODES = 64  # tangent Jacobian block: one pair of 64 nodes; more spilled L2
 
 
 def _holds(lhs, rhs):
@@ -203,9 +199,9 @@ def _bounds(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray, n_quad: i
     _, exp = np.frexp(np.max(np.abs(diff), axis=1))
     lhs = np.ldexp([np.linalg.norm(d) for d in np.ldexp(diff, -exp[:, None])], exp)
     lhs = _finite(lhs / gaps, "difference quotient")
-    # the block of pairs per `path_jacobians` call, set by the pass it runs
-    nodes = _TANGENT_NODES if z1s.shape[1] < ys.shape[-1] else _REVERSE_NODES
-    block = max(1, nodes // n_quad)
+    # pairs per `path_jacobians` call: each node carries min(z_dim, out_dim)
+    # tangents or cotangents, whichever pass runs
+    block = max(1, nets.ROW_BLOCK // (n_quad * min(z1s.shape[1], ys.shape[-1])))
     rhs = np.empty(len(z1s))
     for s in range(0, len(z1s), block):
         jac = path_jacobians(params_G, z1s[s:s + block], z2s[s:s + block], n_quad, x=x)
@@ -237,10 +233,11 @@ def bound_suite(params_G: NetworkParams, n_pairs: int, rng, z_dim: int, x=None) 
     """Run the bound on random latent pairs; near-violations get a 4x finer
     quadrature before counting as failures.
 
-    Each pair is z1 then z2 from rng, drawn _SUITE_PAIRS pairs at a time
-    (the stream of drawing them one by one) and checked by `_bounds`, as
-    `path_gradient_bound` checks one pair; the pairs that fail go through
-    `_bounds` again at the finer quadrature.
+    Each pair is z1 then z2 from rng, drawn `nets.ROW_BLOCK` // 2 pairs at
+    a time (one `generate` block of endpoints; the stream of drawing them
+    one by one) and checked by `_bounds`, as `path_gradient_bound` checks
+    one pair; the pairs that fail go through `_bounds` again at the finer
+    quadrature.
     """
     if n_pairs < 1:
         raise ValueError("bound_suite: n_pairs must be >= 1")
@@ -248,8 +245,9 @@ def bound_suite(params_G: NetworkParams, n_pairs: int, rng, z_dim: int, x=None) 
     n_quad = 512 if params_G.spec.hidden_activation == "relu" else 64
     violations = refined = 0
     min_slack = np.inf
-    for start in range(0, n_pairs, _SUITE_PAIRS):
-        zs = rng.standard_normal((min(_SUITE_PAIRS, n_pairs - start), 2, z_dim))
+    chunk = max(1, nets.ROW_BLOCK // 2)
+    for start in range(0, n_pairs, chunk):
+        zs = rng.standard_normal((min(chunk, n_pairs - start), 2, z_dim))
         lhs, rhs = _bounds(params_G, zs[:, 0], zs[:, 1], n_quad, x=x)
         redo = ~_holds(lhs, rhs)
         if redo.any():

@@ -314,26 +314,27 @@ def test_bound_suite_is_a_loop_of_per_pair_bounds(kind, forced, blocks, monkeypa
     params = mlp_init(NetworkSpec(cond_dim + z_dim, hidden, out_dim, hidden_activation=act), 4)
     x = np.random.default_rng(1).normal(size=cond_dim) if cond_dim else None
     n_pairs = 11
+    n_quad = 512 if act == "relu" else 64
     if forced:
         rng = np.random.default_rng(2)
-        n_quad = 512 if act == "relu" else 64
         slacks = [path_gradient_bound(params, rng.standard_normal(z_dim),
                                       rng.standard_normal(z_dim), n_quad=n_quad, x=x).slack
                   for _ in range(n_pairs)]
         monkeypatch.setattr(theory, "BOUND_ATOL", -float(np.median(slacks)))
-    if blocks == "small":
-        # endpoint chunks of 5 pairs, which `generate` runs as blocks of 2
-        # and 3 pairs; Jacobian blocks of 2 or 4 pairs
-        monkeypatch.setattr(theory, "_SUITE_PAIRS", 5)
-        monkeypatch.setattr(nets, "ROW_BLOCK", 2)
-        monkeypatch.setattr(theory, "_REVERSE_NODES", 128)
-        monkeypatch.setattr(theory, "_TANGENT_NODES", 256)
-    rng_ref, rng = np.random.default_rng(2), np.random.default_rng(2)
+    rng_ref = np.random.default_rng(2)
     ref = per_pair_suite(params, n_pairs, rng_ref, z_dim, x)
-    got = bound_suite(params, n_pairs, rng, z_dim=z_dim, x=x)
-    assert got == ref
-    assert (got["refined"] > 0) == forced and (got["violations"] > 0) == forced
-    assert rng.standard_normal() == rng_ref.standard_normal()
+    assert (ref["refined"] > 0) == forced and (ref["violations"] > 0) == forced
+    after = rng_ref.standard_normal()
+    # "small": at 8 rows, endpoint chunks of 4 pairs and one pair per
+    # Jacobian block; at 8 pairs' nodes, Jacobian blocks of 8 pairs, and of
+    # 2 at the refined quadrature
+    row_blocks = ((8, 8 * n_quad * min(z_dim, out_dim)) if blocks == "small"
+                  else (nets.ROW_BLOCK,))
+    for row_block in row_blocks:
+        monkeypatch.setattr(nets, "ROW_BLOCK", row_block)
+        rng = np.random.default_rng(2)
+        assert bound_suite(params, n_pairs, rng, z_dim=z_dim, x=x) == ref
+        assert rng.standard_normal() == after
 
 
 @pytest.mark.parametrize("task", list(BOUND_SHAPES))
@@ -350,9 +351,27 @@ def test_bound_suite_runs_g_once_per_block(task, monkeypatch):
     x = rng.normal(size=cond_dim) if cond_dim else None
     out = bound_suite(params, n_pairs=32, rng=rng, z_dim=z_dim, x=x)
     assert out["refined"] == 0 and out["n_quad"] == 64
-    nodes = theory._TANGENT_NODES if z_dim < out_dim else theory._REVERSE_NODES
-    blocks = -(-32 // max(1, nodes // 64))
+    blocks = -(-32 // max(1, nets.ROW_BLOCK // (64 * min(z_dim, out_dim))))
     assert ends.calls == 1 and node_passes.calls == blocks and 1 + blocks < 2 * 32
+
+
+@pytest.mark.parametrize("task", ["ring", "conditional_ring", "trajectory"])
+def test_bound_suite_traced_peak(task):
+    """32 pairs on a task's default G peak at most 2.0 MB of traced
+    allocations: 1.60, 1.67 and 1.44 MB with Jacobian blocks of ROW_BLOCK
+    rows of cotangents or tangents per layer, against 3.19 and 3.32 MB on
+    the ring tasks at 8 pairs per reverse block and 10.9 MB on trajectories
+    at 8 pairs per tangent block."""
+    cfg = parse_run_config({"task": task})
+    params = mlp_init(task_specs(cfg)[0], 0)
+    cond_dim = params.spec.input_dim - cfg.z_dim
+    x = np.random.default_rng(1).normal(size=cond_dim) if cond_dim else None
+
+    def check():
+        bound_suite(params, 32, np.random.default_rng(0), cfg.z_dim, x)
+
+    check()
+    assert traced_peak(check) <= 2.0e6
 
 
 @pytest.mark.parametrize("z_dim,passes", [(2, 6), (3, 4)])
