@@ -121,8 +121,7 @@ class Var:
         return _node(t, (self,), lambda g, v: (g * activation_grad("tanh", t),))
 
     def relu(self):
-        """max(x, 0) by np.maximum: -0.0 maps to +0.0 and NaN stays NaN,
-        where the earlier np.where(x > 0, x, 0) form mapped NaN to 0. A NaN
+        """max(x, 0) by np.maximum: -0.0 maps to +0.0 and NaN stays NaN. A NaN
         reaches a relu only after the values diverged, and a diverging D
         still fails at the same training step, on the finiteness checks of
         the gradients and the loss. The gradient mask is x > 0."""

@@ -80,14 +80,13 @@ class ObjectiveConfig:
 @dataclass
 class FakePair:
     """One generator minibatch and its two fakes: per example, an optional
-    condition x, an optional target y (required iff beta > 0), two latents,
+    condition x, an optional target y (required iff beta > 0), the z2 used,
     and G(x, z1) and G(x, z2) built once on G's parameter leaves: the
     discriminator update reads y1's values and the generator objective its
     graph."""
 
     x: np.ndarray | None
     y: np.ndarray | None
-    z1: np.ndarray
     z2: np.ndarray  # as used: rows too close to z1 redrawn
     gaps: np.ndarray  # ||z1 - z2|| per row, in the diversity space's norm
     y1: Var
@@ -239,7 +238,7 @@ def generate_fakes(params_G: NetworkParams, cfg: ObjectiveConfig, z1, z2, x=None
     y1 = generator_forward(leaves, z1, x)
     # at weight 0 the second fake only feeds the logged ratios
     y2 = generator_forward(leaves if div.weight > 0 else params_G, z2, x)
-    return FakePair(x=x, y=y, z1=z1, z2=z2, gaps=gaps, y1=y1, y2=y2, leaves=leaves)
+    return FakePair(x=x, y=y, z2=z2, gaps=gaps, y1=y1, y2=y2, leaves=leaves)
 
 
 def generator_total_loss(fakes: FakePair, params_D: NetworkParams,

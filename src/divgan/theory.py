@@ -17,12 +17,14 @@ Two facts are exercised:
 
 The Jacobians for fact 1 come from one routine, `path_jacobians`: one
 stacked forward over a segment's quadrature nodes (`nets.mlp_forward_vars`,
-for G's hidden layers), then one pass in the direction with fewer products.
-A forward (tangent) pass carries z_dim tangents per node and runs iff
-z_dim < out_dim (the trajectory task's 8 -> 20); it agrees with
-`autodiff.jacobian` to rounding, not bit for bit, which moves `rhs` by
-~1e-16 relative. Otherwise (the ring tasks) a reverse pass carries out_dim
-cotangents, with `autodiff.jacobian`'s bits.
+for G's hidden layers), then one chain-rule loop in the direction with
+fewer products. It starts from W0's latent rows (tangent, iff z_dim <
+out_dim: the trajectory task's 8 -> 20) or W_last's columns (reverse: the
+ring tasks); per hidden layer it multiplies by the activation derivative
+in place and takes one stacked product with the next W or W.T, on a
+(pairs, k, n_quad, width) layout filled once; one 0.0 is added at the end.
+The reverse direction keeps `autodiff.jacobian`'s bits; the tangent
+direction agrees with it to rounding, which moves `rhs` by ~1e-16 relative.
 
 Every pass that needs only G's output is a `nets.generate` call, whose
 docstring states how its blocks and stacked slices round: the endpoint
@@ -38,16 +40,16 @@ one pair in tangent, whose larger blocks would only raise the peak memory.
 probe, whatever the probe count.
 
 Norms here are l2 / spectral (matching the analysis), regardless of the
-training-side norm choice. A spectral norm is the root of the largest
-eigenvalue of the node's Gram matrix, formed after an exact power-of-two
-rescaling so that squaring entries can neither overflow nor underflow; it
-agrees with an SVD's largest singular value to ~1e-16 relative. The
-difference quotient's norm is taken after the same rescaling of the output
-difference, so a difference whose squares would overflow or underflow
-still gives its exact quotient. A generator whose output is not finite, or
-whose distances, difference quotients or Jacobian norms overflow, raises
-NumericsError: the finiteness checks are the error path, so the entry
-points run with numpy's overflow and invalid-value warnings off.
+training-side norm choice. Every norm of the bound (the latent gap and
+the output difference, each as a 1-row matrix, and each node's Jacobian)
+follows one rule, `_spectral_norms`: the root of the largest eigenvalue of
+the Gram matrix, formed after an exact power-of-two rescaling so that
+squaring entries can neither overflow nor underflow; it agrees with an
+SVD's largest singular value to ~1e-16 relative. A generator whose output
+is not finite, or whose distances, difference quotients or Jacobian norms
+overflow, raises NumericsError: the finiteness checks are the error path,
+so the entry points run with numpy's overflow and invalid-value warnings
+off.
 """
 
 from __future__ import annotations
@@ -111,24 +113,22 @@ def path_jacobians(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray,
     rows z1s and z2s of shape (pairs, z_dim), all sharing the one condition x.
 
     One stacked forward over all nodes gives G's hidden layers, then one
-    pass in the direction with fewer products per node. When z_dim < out_dim
-    it is a forward pass carrying z_dim tangents: G's input is [condition,
-    latent], so they start as W0's latent rows at every node and per hidden
-    layer take the activation derivative and the next W, as one 2-D product
-    over all of a pair's nodes. On these shapes it agrees with
-    `autodiff.jacobian` to rounding, not bit for bit: a caller gets the
-    engine's bits only from the reverse pass.
-
-    Otherwise it is a reverse pass carrying all out_dim one-hot cotangents
-    at once, stacked on a leading axis, with the bits of `autodiff.jacobian`,
-    which replays the graph once per output. A one-hot cotangent times
-    W_last.T is a row of W_last.T at every node, exact but for the sign of
-    zeros. Down each hidden layer the pass applies the engine's activation
-    derivative (`autodiff.activation_grad`) and W.T, and every product is
-    stacked over pairs and outputs, so each slice runs the C-ordered 2-D
-    product the engine's backward runs for one pair and output. The engine
-    adds 0.0 to each node's first gradient, which changes only the sign of
-    zeros, so one 0.0 added at the end reproduces it.
+    chain-rule loop carries k vectors per node in the direction with fewer
+    products. They start as W0's latent rows (G's input is [condition,
+    latent]) in the tangent direction, run iff z_dim < out_dim, else as
+    W_last's columns, the out_dim one-hot cotangents times W_last.T (exact
+    but for the sign of zeros). At each hidden layer the loop multiplies by
+    the engine's activation derivative (`autodiff.activation_grad`) in
+    place, then takes one product with the next W forward, or with W.T
+    backward. Both directions hold the vectors as (pairs, k, n_quad, width),
+    filled once, so every product is stacked over pairs and vectors; in
+    reverse each slice runs the C-ordered 2-D product the engine's backward
+    runs for one pair and output. The engine adds 0.0 to each node's first
+    gradient, which changes only the sign of zeros, so one 0.0 added at the
+    end reproduces it. The reverse direction thus keeps the bits of
+    `autodiff.jacobian`, which replays the graph once per output; the
+    tangent direction sums its products in another order and agrees with it
+    to rounding.
     """
     ts = (np.arange(n_quad) + 0.5) / n_quad
     gamma = ts[:, None] * z2s[:, None, :] + (1.0 - ts)[:, None] * z1s[:, None, :]
@@ -137,27 +137,21 @@ def path_jacobians(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray,
     _finite(out.data, "generator output")
     act, weights = params_G.spec.hidden_activation, params_G.weights
     pairs, z_dim = z1s.shape
-    if z_dim < weights[-1].shape[1]:
-        # (pairs, n_quad, z_dim, width): node k's tangents on the current layer
-        tan = np.broadcast_to(weights[0][-z_dim:], (pairs, n_quad, z_dim, weights[0].shape[1]))
-        for h, W in zip(hidden, weights[1:]):
-            tan = tan * activation_grad(act, h.data)[:, :, None, :]
-            tan = (tan.reshape(pairs, -1, len(W)) @ W).reshape(pairs, n_quad, z_dim, W.shape[1])
-        jac = tan.transpose(0, 1, 3, 2)
+    tangent = z_dim < weights[-1].shape[1]
+    if tangent:
+        start, steps = weights[0][-z_dim:], zip(hidden, weights[1:])
     else:
-        # (pairs, out_dim, n_quad, width): output i's cotangent on the top
-        # hidden layer, C-ordered like the engine's gradients so each slice's
-        # matmul takes the same BLAS path
-        cot = np.empty((pairs, weights[-1].shape[1], n_quad, weights[-1].shape[0]))
-        cot[...] = weights[-1].T[:, None, :]
-        for h, W in zip(reversed(hidden), reversed(weights[:-1])):
-            # cot is fresh (the fill, then each product), so the derivative
-            # is multiplied into it in place
-            cot *= activation_grad(act, h.data)[:, None]
-            cot = cot @ W.T
-        jac = (cot[..., cot.shape[-1] - z_dim:] + 0.0).transpose(0, 2, 1, 3)
-    # a C-ordered copy: reductions over a transposed view may sum in another order
-    return np.ascontiguousarray(_finite(jac, "Jacobian in path_gradient_bound"))
+        start, steps = weights[-1].T, zip(reversed(hidden), [W.T for W in reversed(weights[:-1])])
+    # (pairs, k, n_quad, width); vec is fresh (the fill, then each product),
+    # so the derivative is multiplied into it in place
+    vec = np.empty((pairs, len(start), n_quad, start.shape[1]))
+    vec[...] = start[:, None, :]
+    for h, W in steps:
+        vec *= activation_grad(act, h.data)[:, None]
+        vec = vec @ W
+    jac = vec.transpose(0, 2, 3, 1) if tangent else vec[..., -z_dim:].transpose(0, 2, 1, 3)
+    # + 0.0 into a C-ordered copy: reductions over a view may sum in another order
+    return _finite(np.add(jac, 0.0, order="C"), "Jacobian in path_gradient_bound")
 
 
 def _spectral_norms(jac: np.ndarray) -> np.ndarray:
@@ -189,16 +183,13 @@ def _bounds(params_G: NetworkParams, z1s: np.ndarray, z2s: np.ndarray, n_quad: i
     z2s[p], each of shape (pairs,): every pair's endpoints in one stacked
     pass of G, then the nodes, Jacobians, norms and node means of a block of
     pairs at a time."""
-    gaps = np.array([np.linalg.norm(d) for d in z2s - z1s])
+    # gaps and output differences as 1-row matrices, so their squares stay in range
+    gaps = _spectral_norms((z2s - z1s)[:, None])
     if np.any(gaps == 0.0):
         raise ValueError("path_gradient_bound: z1 and z2 coincide")
     ys = generate(params_G, np.stack([z1s, z2s], axis=1), None if x is None else np.ravel(x))
     ys = _finite(ys, "generator output")
-    diff = ys[:, 1] - ys[:, 0]
-    # scaled exactly, as in _spectral_norms, so the squares stay in range
-    _, exp = np.frexp(np.max(np.abs(diff), axis=1))
-    lhs = np.ldexp([np.linalg.norm(d) for d in np.ldexp(diff, -exp[:, None])], exp)
-    lhs = _finite(lhs / gaps, "difference quotient")
+    lhs = _finite(_spectral_norms((ys[:, 1] - ys[:, 0])[:, None]) / gaps, "difference quotient")
     # pairs per `path_jacobians` call: each node carries min(z_dim, out_dim)
     # tangents or cotangents, whichever pass runs
     block = max(1, nets.ROW_BLOCK // (n_quad * min(z1s.shape[1], ys.shape[-1])))

@@ -124,6 +124,8 @@ JACOBIAN_NETS = {
     "relu_fine": (0, (16, 16), 2, "relu", 2, 512),
     "trajectory_shaped": (20, (128, 128), 8, "tanh", 8, 64),  # 128 wide, out_dim = z_dim
     "one_latent": (0, (16,), 1, "relu", 1, 64),  # a matrix-vector product last
+    "ring_shaped": (0, (128, 128), 2, "tanh", 2, 64),  # the tasks' widths and blocks
+    "conditional_ring_shaped": (4, (128, 128), 2, "tanh", 8, 64),
 }
 # and in tangent (z_dim < out_dim)
 TANGENT_NETS = {
@@ -535,8 +537,22 @@ def test_bound_lhs_scales_with_the_output_past_the_squares_range(scale):
     params = tanh_generator(3)
     params.weights[-1][:] *= scale
     rep = path_gradient_bound(params, z1, z2)
-    assert rep.lhs == pytest.approx(ref.lhs * scale, rel=1e-14)
-    assert rep.rhs == pytest.approx(ref.rhs * scale, rel=1e-14) and rep.holds
+    assert rep.lhs == pytest.approx(ref.lhs * scale, rel=1e-14, abs=0.0)
+    assert rep.rhs == pytest.approx(ref.rhs * scale, rel=1e-14, abs=0.0) and rep.holds
+
+
+@pytest.mark.parametrize("scale", [1e170, 1e-170])
+def test_bound_scales_with_latent_gaps_past_the_squares_range(scale):
+    """Latents scaled by s with W0 divided by s give the same G, so lhs and
+    rhs are the unscaled ones over s, also where the gap's squared norm
+    overflows (1e170) or underflows to zero (1e-170)."""
+    params = mlp_init(NetworkSpec(2, (16, 16), 3), 3)
+    z1, z2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    ref = path_gradient_bound(params, z1, z2)
+    params.weights[0][:] /= scale
+    rep = path_gradient_bound(params, z1 * scale, z2 * scale)
+    assert rep.lhs == pytest.approx(ref.lhs / scale, rel=1e-14, abs=0.0)
+    assert rep.rhs == pytest.approx(ref.rhs / scale, rel=1e-14, abs=0.0) and rep.holds
 
 
 def test_bound_suite_needs_a_pair():
